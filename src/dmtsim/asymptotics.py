@@ -78,7 +78,7 @@ def effective_neighbors(config: AtomConfig, mask: SelectionMask) -> float:
     """
     if mask.n_selected != 1:
         raise GeometryError("effective_neighbors is defined for exactly one selected atom")
-    if not mask.unobserved:
+    if mask.unobserved.size == 0:
         return 0.0
     r, cos_t = _geometry.pair_arrays(config, mask.selected, mask.unobserved)
     if np.any(r == 0.0):

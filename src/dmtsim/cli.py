@@ -35,8 +35,9 @@ Scenario file layout::
     prefix = run
 
 Exit codes: 0 success, 1 configuration error (message names the offending
-key), 2 numerical failure (quadrature budget exhausted or a metric property
-violation).
+key), 2 numerical failure (quadrature budget exhausted, a metric property
+violation, or a value outside a kernel's domain met while computing, such as
+a non-finite Si argument or a pair separation that over- or underflows).
 
 CSV columns: t, d_direct, d_indirect, d_total, valid_flag. The decoherence
 columns are for the all-plus vs all-minus codeword pair, so d_direct sums
@@ -325,15 +326,10 @@ def _build_geometry(
 def _apply_selection(config: AtomConfig, default: SelectionMask, indices) -> SelectionMask:
     if indices is None:
         return default
-    n = len(config)
-    seen = set()
-    for i in indices:
-        if not (0 <= i < n):
-            raise ScenarioError("selection.indices", f"index {i} outside 0..{n - 1}")
-        if i in seen:
-            raise ScenarioError("selection.indices", f"duplicate index {i}")
-        seen.add(i)
-    return SelectionMask.from_selected(n, indices)
+    try:
+        return SelectionMask.from_selected(len(config), indices)
+    except GeometryError as exc:
+        raise ScenarioError("selection.indices", str(exc)) from None
 
 
 def _sweep_variants(scenario: Scenario, seed_override):
@@ -527,7 +523,9 @@ def run(
             file=sys.stderr,
         )
         return 2
-    except MetricError as exc:
+    except ValueError as exc:
+        # MetricError, KernelDomainError, GeometryError (a selected atom on
+        # an unobserved one) and specfun's non-finite argument error
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

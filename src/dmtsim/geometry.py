@@ -4,6 +4,12 @@ Positions are 3-vectors in dipole-length units. Every configuration shares a
 single unit dipole direction. Builders normalize the direction they are
 given; a directly constructed AtomConfig must already be normalized to
 1e-12.
+
+A SelectionMask splits atom indices into the selected (observed) atoms and
+the unobserved ones. Both fields are read-only 1-D int64 arrays, checked once
+with vectorized numpy when the mask is built, so code that consumes a mask
+indexes positions with them directly and loops over no atom in Python. Masks
+compare by identity.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ class GeometryError(ValueError):
     """Invalid geometry input (even lattice side, coincident pair, ...)."""
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _as_readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -54,38 +60,72 @@ class AtomConfig:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
-class SelectionMask:
-    """Ordered selected indices (the observed atoms) and the complement."""
+def _index_array(values) -> np.ndarray:
+    """A read-only 1-D int64 copy of an index sequence; entries must be
+    integers (a float such as 1.5 is rejected, never truncated)."""
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise GeometryError("mask indices must be a 1-D sequence")
+    if a.size and a.dtype.kind not in "iu":
+        raise GeometryError(f"mask indices must be integers, got {a.dtype} entries")
+    return _as_readonly(a, np.int64)
 
-    selected: tuple
-    unobserved: tuple
+
+def _has_repeats(idx: np.ndarray) -> bool:
+    """Whether a non-negative index array holds some value twice."""
+    if idx.size < 2:
+        return False
+    if idx.max() < 4 * idx.size:
+        # dense indices, as every builder makes: one O(N) count, no sort
+        return bool(np.bincount(idx).max() > 1)
+    # sparse indices: a count array would be as long as the largest index
+    s = np.sort(idx)
+    return bool(np.any(s[1:] == s[:-1]))
+
+
+@dataclass(frozen=True, eq=False)
+class SelectionMask:
+    """Ordered selected indices (the observed atoms) and the unobserved ones.
+
+    Both fields are read-only 1-D int64 arrays, validated once here: at least
+    one atom is selected, every index is a non-negative integer, and no index
+    appears twice across the two fields. Masks compare by identity.
+    """
+
+    selected: np.ndarray
+    unobserved: np.ndarray
 
     def __post_init__(self):
-        sel = tuple(int(i) for i in self.selected)
-        uno = tuple(int(i) for i in self.unobserved)
-        if len(sel) < 1:
+        sel = _index_array(self.selected)
+        uno = _index_array(self.unobserved)
+        if sel.size < 1:
             raise GeometryError("at least one atom must be selected")
-        overlap = set(sel) & set(uno)
-        if overlap:
-            raise GeometryError(f"selected and unobserved overlap: {sorted(overlap)}")
-        if len(set(sel)) != len(sel) or len(set(uno)) != len(uno):
+        both = np.concatenate([sel, uno])
+        if both.min() < 0:
+            raise GeometryError(f"mask indices must be non-negative: {both[both < 0].tolist()}")
+        if _has_repeats(both):
+            overlap = np.intersect1d(sel, uno)
+            if overlap.size:
+                raise GeometryError(f"selected and unobserved overlap: {overlap.tolist()}")
             raise GeometryError("duplicate indices in selection mask")
         object.__setattr__(self, "selected", sel)
         object.__setattr__(self, "unobserved", uno)
 
     @classmethod
     def from_selected(cls, n_atoms: int, selected) -> "SelectionMask":
-        sel = tuple(int(i) for i in selected)
-        bad = [i for i in sel if not 0 <= i < n_atoms]
-        if bad:
-            raise GeometryError(f"selected indices out of range: {bad}")
-        uno = tuple(i for i in range(n_atoms) if i not in set(sel))
-        return cls(selected=sel, unobserved=uno)
+        """Mask over atoms 0..n_atoms-1: selected in the caller's order, the
+        rest unobserved in ascending order."""
+        sel = _index_array(selected)
+        bad = sel[(sel < 0) | (sel >= n_atoms)]
+        if bad.size:
+            raise GeometryError(f"selected indices out of range: {bad.tolist()}")
+        keep = np.ones(n_atoms, dtype=bool)
+        keep[sel] = False
+        return cls(selected=sel, unobserved=np.flatnonzero(keep))
 
     @property
     def n_selected(self) -> int:
-        return len(self.selected)
+        return int(self.selected.size)
 
 
 @dataclass(frozen=True)

@@ -163,9 +163,10 @@ def build_metric(
     if not isinstance(kernel_policy, KernelPolicy):
         raise MetricError("kernel_policy must be a KernelPolicy member")
     n = mask.n_selected
-    bad = [i for i in (*mask.selected, *mask.unobserved) if not 0 <= i < len(config)]
-    if bad:
-        raise MetricError(f"mask indices out of range: {bad}")
+    indices = np.concatenate([mask.selected, mask.unobserved])
+    bad = indices[(indices < 0) | (indices >= len(config))]
+    if bad.size:
+        raise MetricError(f"mask indices out of range: {bad.tolist()}")
 
     r_su, cos_su = _geometry.pair_arrays(config, mask.selected, mask.unobserved)
     coincident = np.argwhere(r_su == 0.0)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dmtsim
 from dmtsim.cli import (
     CSV_HEADER,
     Scenario,
@@ -259,6 +264,42 @@ points = 2
         err = capsys.readouterr().err
         assert "numerical error: quadrature budget exhausted" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kappa, spacing, end, policy, message",
+        [
+            # kappa (r + t) overflows to inf: specfun's ValueError
+            (10.0, 1000.0, 1e308, "closed", "sine_integral requires finite input"),
+            # |r| overflows to inf: KernelDomainError
+            (0.1, 1e200, 10.0, "quadrature", "pair separation r must be finite"),
+            # |r| of a denormal spacing underflows to 0: GeometryError
+            (0.1, 1e-320, 10.0, "closed", "coincides with unobserved atom"),
+        ],
+        ids=["si_overflow", "kernel_domain", "coincident_pair"],
+    )
+    def test_domain_errors_while_computing_are_numerical_errors(
+        self, tmp_path, capsys, kappa, spacing, end, policy, message
+    ):
+        text = f"""
+[bath]
+alpha = 0.0072973525693
+kappa = {kappa!r}
+
+[geometry]
+kind = lattice
+side = 3
+spacing = {spacing!r}
+
+[time]
+start = 1
+end = {end!r}
+points = 5
+"""
+        path = write_scenario(tmp_path, text)
+        assert run(path, out_dir=str(tmp_path / "out"), policy=policy) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and message in err
+
     def test_unknown_policy_is_a_config_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SMOKE)
         assert run(path, out_dir=str(tmp_path / "out"), policy="magic") == 1
@@ -349,3 +390,19 @@ class TestMain:
         with pytest.raises(SystemExit) as exc_info:
             main([path, "--policy", "wrong"])
         assert exc_info.value.code == 1
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        path = write_scenario(tmp_path, SMOKE)
+        src = str(Path(dmtsim.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "dmtsim", path, "--out-dir", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert (tmp_path / "out" / "smoke.csv").exists()

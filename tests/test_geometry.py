@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from dmtsim.geometry import (
     AtomConfig,
@@ -44,14 +45,90 @@ class TestTypes:
 
     def test_from_selected(self):
         mask = SelectionMask.from_selected(5, (2, 0))
-        assert mask.selected == (2, 0)
+        assert mask.selected.tolist() == [2, 0]
         assert set(mask.unobserved) == {1, 3, 4}
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(GeometryError, match="integers"):
+            SelectionMask.from_selected(5, [1.5])
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(GeometryError, match="non-negative"):
+            SelectionMask(selected=(-1,), unobserved=(0,))
+
+    @pytest.mark.parametrize(
+        "selected, unobserved, message",
+        [
+            ((0, 10**12), (10**12,), "overlap"),
+            ((10**12, 10**12), (), "duplicate"),
+            ((10**12,), (5, 3), None),
+        ],
+    )
+    def test_sparse_large_indices(self, selected, unobserved, message):
+        # indices far above the mask size take the sorting path, not a count
+        # array as long as the largest index
+        if message is None:
+            mask = SelectionMask(selected=selected, unobserved=unobserved)
+            assert mask.unobserved.tolist() == list(unobserved)
+        else:
+            with pytest.raises(GeometryError, match=message):
+                SelectionMask(selected=selected, unobserved=unobserved)
 
     def test_gas_spec_validation(self):
         with pytest.raises(GeometryError):
             GasSpec(density=0.0, exclusion_radius=1.0, horizon=10.0)
         with pytest.raises(GeometryError):
             GasSpec(density=1e-6, exclusion_radius=10.0, horizon=5.0)
+
+
+_CONTAINERS = (list, tuple, np.array, lambda v: np.array(v, dtype=np.int32))
+
+
+@st.composite
+def _ordered_subsets(draw):
+    """(n, a random-order subset of range(n), a container to pass it in)."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    selected = draw(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n, unique=True)
+    )
+    return n, selected, draw(st.sampled_from(_CONTAINERS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ordered_subsets())
+def test_from_selected_matches_set_oracle(case):
+    n, selected, container = case
+    given_indices = container(selected)
+    mask = SelectionMask.from_selected(n, given_indices)
+    assert mask.selected.tolist() == selected
+    assert mask.unobserved.tolist() == sorted(set(range(n)) - set(selected))
+    for field in (mask.selected, mask.unobserved):
+        assert field.dtype == np.int64 and field.ndim == 1
+        assert not field.flags.writeable
+    if isinstance(given_indices, np.ndarray):
+        assert given_indices.flags.writeable  # the mask holds its own copy
+    assert mask == mask and mask != SelectionMask.from_selected(n, selected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _ordered_subsets(),
+    st.sampled_from(["empty", "duplicate", "out_of_range", "negative", "non_integer"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_from_selected_rejects_bad_indices(case, fault, offset):
+    n, selected, container = case
+    bad = {
+        "empty": [],
+        "duplicate": selected + [selected[offset % len(selected)]],
+        "out_of_range": selected + [n + offset],
+        "negative": selected + [-1 - offset],
+        "non_integer": selected + [selected[0] + 0.5],
+    }[fault]
+    if fault == "non_integer" and container is _CONTAINERS[3]:
+        container = list  # building an int32 array would truncate the bad entry
+    with pytest.raises(GeometryError):
+        SelectionMask.from_selected(n, container(bad))
 
 
 class TestLattice:
@@ -68,7 +145,7 @@ class TestLattice:
     def test_single_site(self):
         config, mask = square_lattice_2d(1, 5.0, (0, 0, 1))
         assert len(config) == 1
-        assert mask.unobserved == ()
+        assert mask.unobserved.tolist() == []
 
     def test_large_lattice_spacing(self):
         config, mask = square_lattice_2d(31, 1000.0, (0, 0, 1))
@@ -116,7 +193,7 @@ class TestChain:
     def test_single_atom(self):
         config, mask = chain_1d(1, 1.0, 0.0)
         assert len(config) == 1
-        assert mask.unobserved == ()
+        assert mask.unobserved.tolist() == []
 
     def test_pair_angles_equal_dipole_angle(self):
         psi = 0.77
