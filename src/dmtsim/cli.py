@@ -35,7 +35,8 @@ Scenario file layout::
     prefix = run
 
 Exit codes: 0 success, 1 configuration error (message names the offending
-key), 2 numerical failure (quadrature budget exhausted, a metric property
+key; an output directory that cannot be made or written is reported as
+[output.directory]), 2 numerical failure (quadrature budget exhausted, a metric property
 violation, or a value outside a kernel's domain met while computing, such as
 a non-finite Si argument or a pair separation that over- or underflows).
 
@@ -52,7 +53,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -72,7 +72,6 @@ from .kernels import BathParams, KernelDomainError, QuadratureError
 from .metric import (
     KernelPolicy,
     MetricError,
-    MetricTensor,
     build_metric,
     check_nonnegative,
     check_triangle,
@@ -391,15 +390,8 @@ def crossover_detect(times, d_direct, d_indirect):
     return float(t0 + (0.0 - g0) * (t1 - t0) / (g1 - g0))
 
 
-def _compute_curve(bath, config, mask, times, policy, threads):
-    def one(t: float) -> MetricTensor:
-        return build_metric(config, mask, bath, float(t), kernel_policy=policy)
-
-    if threads <= 1:
-        tensors = [one(t) for t in times]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tensors = list(pool.map(one, times))
+def _compute_curve(bath, config, mask, times, policy):
+    tensors = [build_metric(config, mask, bath, float(t), kernel_policy=policy) for t in times]
     d_dir = np.array([float(m.direct_part.sum()) for m in tensors])
     d_ind = np.array([float(m.indirect_part.sum()) for m in tensors])
     valid = np.array([m.validity_flag for m in tensors], dtype=bool)
@@ -441,7 +433,6 @@ def run(
     out_dir=None,
     seed_override: int | None = None,
     policy: str = "closed",
-    threads: int = 1,
 ) -> int:
     """Execute a scenario (path or Scenario object). Returns the exit code."""
     try:
@@ -450,8 +441,6 @@ def run(
         if policy not in _POLICIES:
             raise ScenarioError("policy", f"unknown kernel policy {policy!r}")
         kernel_policy = _POLICIES[policy]
-        if threads < 1:
-            raise ScenarioError("threads", "thread count must be >= 1")
         variants = list(_sweep_variants(scenario, seed_override))
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -461,10 +450,9 @@ def run(
         return 1
 
     target = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
-    target.mkdir(parents=True, exist_ok=True)
     times = scenario.time_grid.times()
 
-    report = [f"prefix: {scenario.prefix}", f"policy: {policy}", f"threads: {threads}"]
+    report = [f"prefix: {scenario.prefix}", f"policy: {policy}"]
     report.append(
         f"bath: alpha = {scenario.bath.alpha:.6g}, kappa = {scenario.bath.kappa:.6g}, "
         + (
@@ -482,10 +470,9 @@ def run(
 
     sweep_rows = []
     try:
+        target.mkdir(parents=True, exist_ok=True)
         for label, bath, config, mask, value in variants:
-            tensors, d_dir, d_ind, valid = _compute_curve(
-                bath, config, mask, times, kernel_policy, threads
-            )
+            tensors, d_dir, d_ind, valid = _compute_curve(bath, config, mask, times, kernel_policy)
             _write_csv(target / f"{label}.csv", times, d_dir, d_ind, valid)
 
             report.append(f"curve {label}:")
@@ -516,6 +503,21 @@ def run(
                 raise MetricError(f"metric property check failed for curve {label}")
             if value is not None:
                 sweep_rows.append((value, float(d_ind[-1])))
+
+        if scenario.sweep is not None and sweep_rows:
+            report.append(f"sweep summary ({scenario.sweep.parameter}):")
+            for value, ind_end in sweep_rows:
+                report.append(
+                    f"  {scenario.sweep.parameter} = {value:.6g}: "
+                    f"d_indirect(t_end) = {ind_end:.6g}, phi00(t_end) = {ind_end / 2.0:.6g}"
+                )
+            best = min(sweep_rows, key=lambda row: row[1])
+            report.append(
+                f"  minimizer: {scenario.sweep.parameter} = {best[0]:.6g} "
+                f"(phi00 = {best[1] / 2.0:.6g})"
+            )
+
+        (target / f"{scenario.prefix}_report.txt").write_text("\n".join(report) + "\n")
     except QuadratureError as exc:
         print(
             f"numerical error: quadrature budget exhausted "
@@ -528,21 +530,10 @@ def run(
         # an unobserved one) and specfun's non-finite argument error
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"config error: [output.directory] {exc}", file=sys.stderr)
+        return 1
 
-    if scenario.sweep is not None and sweep_rows:
-        report.append(f"sweep summary ({scenario.sweep.parameter}):")
-        for value, ind_end in sweep_rows:
-            report.append(
-                f"  {scenario.sweep.parameter} = {value:.6g}: "
-                f"d_indirect(t_end) = {ind_end:.6g}, phi00(t_end) = {ind_end / 2.0:.6g}"
-            )
-        best = min(sweep_rows, key=lambda row: row[1])
-        report.append(
-            f"  minimizer: {scenario.sweep.parameter} = {best[0]:.6g} "
-            f"(phi00 = {best[1] / 2.0:.6g})"
-        )
-
-    (target / f"{scenario.prefix}_report.txt").write_text("\n".join(report) + "\n")
     return 0
 
 
@@ -565,14 +556,12 @@ def main(argv=None) -> int:
         default="closed",
         help="indirect kernel evaluation route (default: closed)",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for the time grid")
     args = parser.parse_args(argv)
     return run(
         args.scenario,
         out_dir=args.out_dir,
         seed_override=args.seed_override,
         policy=args.policy,
-        threads=args.threads,
     )
 
 

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import geometry as _geometry
 from .geometry import GasSpec
-from .kernels import BathParams, PairGeometry, TimeKernel, reduced_quadrature
-from .kernels import _phi_closed_rt, _phi_farfield_rt
-from .metric import KernelPolicy
+from .kernels import BathParams
+from .metric import KernelPolicy, _phi_matrix
 
 __all__ = [
     "EnsembleError",
@@ -58,19 +57,6 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _phi_values(t, r, theta, bath, policy, quad_tol):
-    if policy is KernelPolicy.CLOSED_FORM:
-        return _phi_closed_rt(t, r, theta, bath.alpha, bath.kappa)
-    if policy is KernelPolicy.FAR_FIELD:
-        return _phi_farfield_rt(t, r, theta, bath.alpha)
-    out = np.empty_like(r)
-    flat_r, flat_th, flat_out = r.ravel(), theta.ravel(), out.ravel()
-    for idx in range(flat_r.size):
-        geom = PairGeometry(r=float(flat_r[idx]), theta=float(flat_th[idx]))
-        flat_out[idx] = reduced_quadrature(t, geom, bath, TimeKernel.PHI_KERNEL, tol=quad_tol)
-    return out
-
-
 def average_phi00(
     spec: GasSpec,
     bath: BathParams,
@@ -79,7 +65,6 @@ def average_phi00(
     kernel_policy: KernelPolicy = KernelPolicy.FAR_FIELD,
     count_mode: str = "poisson",
     fixed_count: int | None = None,
-    quad_tol: float = 1e-10,
 ) -> MCResult:
     """Mean and standard error of Phi_00(t) = sum_k phi(t, r_k, theta_k)^2
     over independent gas samples.
@@ -106,7 +91,7 @@ def average_phi00(
             totals[i] = 0.0
             continue
         r, cos_t = _geometry.pair_arrays(config, mask.selected, mask.unobserved)
-        phi = _phi_values(t, r, np.arccos(cos_t), bath, kernel_policy, quad_tol)
+        phi = _phi_matrix(t, r, np.arccos(cos_t), bath, kernel_policy)
         totals[i] = float(np.sum(phi**2))
     mean = float(totals.mean())
     std_error = float(totals.std(ddof=1) / math.sqrt(n_samples))

@@ -22,7 +22,8 @@ through an oscillation-aware composite Gauss-Legendre quadrature. The closed
 phi form drops cutoff-edge oscillatory terms (sin kr, cos kr, kr cos kr);
 the quadrature keeps them, so the two agree only up to that known envelope.
 phi_exact adds those terms back and is the closed form of the full radial
-integral, the one the phi quadrature is checked against.
+integral, the one the phi quadrature is checked against; the metric's
+QUADRATURE kernel policy evaluates phi this way.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "KernelDomainError",
     "QuadratureError",
     "f_diag",
-    "f_offdiag",
     "phi_closed",
     "phi_exact",
     "phi_farfield",
@@ -140,7 +140,8 @@ def _f_diag_array(t: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
     avoids the cancellation.
     """
     t = np.asarray(t, dtype=float)
-    x = kappa * t
+    with np.errstate(over="ignore"):
+        x = kappa * t
     pref = 2.0 * alpha / (3.0 * math.pi)
     out = np.zeros_like(t)
 
@@ -157,7 +158,11 @@ def _f_diag_array(t: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
     if big.any():
         tb = t[big]
         xb = x[big]
-        out[big] = pref * (kappa**2 / 2.0 + (1.0 - np.cos(xb) - xb * np.sin(xb)) / tb**2)
+        # the oscillating term is bounded by (2 + x)/t^2, so where kappa t or
+        # t^2 overflows only the kappa^2/2 limit is left
+        with np.errstate(over="ignore", invalid="ignore"):
+            osc = (1.0 - np.cos(xb) - xb * np.sin(xb)) / tb**2
+        out[big] = pref * (kappa**2 / 2.0 + np.where(np.isfinite(xb), osc, 0.0))
     return out
 
 
@@ -176,7 +181,8 @@ def f_diag(t, bath: BathParams):
     -------
     float or ndarray
         (2 alpha/3 pi)(kappa^2/2 + (1 - cos kt - kt sin kt)/t^2), with the
-        t -> 0 limit (0) taken analytically.
+        t -> 0 limit (0) taken analytically, and the late-time limit
+        (2 alpha/3 pi) kappa^2/2 where kappa t overflows.
     """
     if bath.inv_temperature is not None:
         raise KernelDomainError(
@@ -423,11 +429,3 @@ def reduced_quadrature(
         achieved_error=best,
     )
 
-
-def f_offdiag(t: float, geom: PairGeometry, bath: BathParams, tol: float = 1e-10) -> float:
-    """Off-diagonal f between two atoms, by quadrature (no closed form).
-
-    Reduces to f_diag at r = 0 (within tol); decays with separation, which is
-    what turns the metric distance into Hamming counting at large r.
-    """
-    return reduced_quadrature(t, geom, bath, TimeKernel.F_KERNEL, tol=tol)

@@ -21,13 +21,14 @@ from . import geometry as _geometry
 from .geometry import AtomConfig, GeometryError, SelectionMask
 from .kernels import (
     BathParams,
+    KernelDomainError,
     PairGeometry,
     QuadratureError,
     TimeKernel,
     f_diag,
     reduced_quadrature,
 )
-from .kernels import _phi_closed_rt, _phi_farfield_rt
+from .kernels import _phi_closed_rt, _phi_edge_rt, _phi_farfield_rt
 
 __all__ = [
     "KernelPolicy",
@@ -52,7 +53,13 @@ class MetricError(ValueError):
 
 
 class KernelPolicy(enum.Enum):
-    """Which phi evaluation feeds the indirect part."""
+    """Which phi evaluation feeds the indirect part.
+
+    CLOSED_FORM is the Si-based form without the cutoff-edge terms, FAR_FIELD
+    its sharp light-cone limit. QUADRATURE is the full radial integral with
+    the cutoff-edge terms kept, evaluated in closed form (the phi_exact
+    formula) and checked against reduced_quadrature.
+    """
 
     CLOSED_FORM = "closed"
     FAR_FIELD = "farfield"
@@ -137,6 +144,23 @@ def _diag_f(t: float, bath: BathParams, quad_tol) -> float:
     return first
 
 
+def _phi_matrix(t, r, theta, bath: BathParams, policy: KernelPolicy) -> np.ndarray:
+    """phi over arrays of (r, theta) at time t under a kernel policy.
+
+    QUADRATURE is the full radial integral: the closed part plus the
+    cutoff-edge terms, exact at every temperature since phi has no thermal
+    factor.
+    """
+    if not np.all(np.isfinite(r)):
+        raise KernelDomainError("pair separation r must be finite and >= 0")
+    if policy is KernelPolicy.FAR_FIELD:
+        return _phi_farfield_rt(t, r, theta, bath.alpha)
+    closed = _phi_closed_rt(t, r, theta, bath.alpha, bath.kappa)
+    if policy is KernelPolicy.CLOSED_FORM:
+        return closed
+    return closed + _phi_edge_rt(t, r, theta, bath.alpha, bath.kappa)
+
+
 def build_metric(
     config: AtomConfig,
     mask: SelectionMask,
@@ -148,15 +172,18 @@ def build_metric(
 ) -> MetricTensor:
     """Assemble M(t) = 4 f + 2 Phi for the selected atoms.
 
-    kernel_policy selects only the phi evaluation (closed form, far field, or
-    quadrature); the direct part always uses the closed diagonal plus
-    quadrature off-diagonals, with the off-diagonal tolerance tied to the
-    diagonal magnitude so the direct part's positive semidefiniteness is not
-    drowned by quadrature noise. Selected atoms may coincide (their kernel
-    rows then agree exactly); a selected-unobserved coincidence is rejected
-    because phi diverges there.
+    kernel_policy selects only the phi evaluation: the Si closed form, its far
+    field, or QUADRATURE, the full radial integral with the cutoff-edge terms
+    kept, evaluated in closed form and checked against reduced_quadrature.
+    The direct part always uses the closed diagonal plus quadrature
+    off-diagonals (quad_tol, when given, is their tolerance), with the
+    off-diagonal tolerance otherwise tied to the diagonal magnitude so the
+    direct part's positive semidefiniteness is not drowned by quadrature
+    noise. Selected atoms may coincide (their kernel rows then agree
+    exactly); a selected-unobserved coincidence is rejected because phi
+    diverges there.
 
-    Kernel failures are re-raised with the offending pair attached.
+    Quadrature failures are re-raised with the offending pair attached.
     """
     if not (math.isfinite(t) and t >= 0):
         raise MetricError("time must be finite and >= 0")
@@ -206,28 +233,8 @@ def build_metric(
                 f_mat[i, j] = f_mat[j, i] = val
 
     # indirect part, Gram product over unobserved atoms
-    m = len(mask.unobserved)
-    if m:
-        theta_su = np.arccos(cos_su)
-        if kernel_policy is KernelPolicy.CLOSED_FORM:
-            v = _phi_closed_rt(t, r_su, theta_su, bath.alpha, bath.kappa)
-        elif kernel_policy is KernelPolicy.FAR_FIELD:
-            v = _phi_farfield_rt(t, r_su, theta_su, bath.alpha)
-        else:
-            v = np.empty((n, m))
-            phi_tol = quad_tol if quad_tol is not None else 1e-10
-            for i in range(n):
-                for k in range(m):
-                    geom = PairGeometry(r=float(r_su[i, k]), theta=float(theta_su[i, k]))
-                    try:
-                        v[i, k] = reduced_quadrature(
-                            t, geom, bath, TimeKernel.PHI_KERNEL, tol=phi_tol
-                        )
-                    except QuadratureError as exc:
-                        raise QuadratureError(
-                            f"indirect pair ({mask.selected[i]},{mask.unobserved[k]}): {exc}",
-                            achieved_error=exc.achieved_error,
-                        ) from exc
+    if len(mask.unobserved):
+        v = _phi_matrix(t, r_su, np.arccos(cos_su), bath, kernel_policy)
         phi_mat = v @ v.T
     else:
         phi_mat = np.zeros((n, n))

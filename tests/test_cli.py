@@ -175,13 +175,6 @@ class TestRun:
         report1 = (out1 / "smoke_report.txt").read_text()
         assert report1 == (out2 / "smoke_report.txt").read_text()
 
-    def test_threads_do_not_change_the_answer(self, tmp_path):
-        path = write_scenario(tmp_path, SMOKE)
-        out1, out4 = tmp_path / "t1", tmp_path / "t4"
-        assert run(path, out_dir=str(out1), threads=1) == 0
-        assert run(path, out_dir=str(out4), threads=4) == 0
-        assert (out1 / "smoke.csv").read_bytes() == (out4 / "smoke.csv").read_bytes()
-
     def test_single_atom_has_no_indirect_channel(self, tmp_path):
         text = SMOKE.replace("side = 5", "side = 1")
         path = write_scenario(tmp_path, text)
@@ -254,6 +247,9 @@ count = 2
 spacing = 1e7
 dipole_angle = 0.3
 
+[selection]
+indices = 0 1
+
 [time]
 start = 1e6
 end = 1e7
@@ -299,6 +295,70 @@ points = 5
         assert run(path, out_dir=str(tmp_path / "out"), policy=policy) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ") and message in err
+
+    def test_unwritable_output_directory_is_a_config_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, SMOKE)
+        blocker = tmp_path / "not_a_directory"
+        blocker.write_text("")
+        assert run(path, out_dir=str(blocker)) == 1
+        assert run(path, out_dir=str(blocker / "out")) == 1
+        # the directory is made, but the CSV's parent is not
+        nested = write_scenario(
+            tmp_path, SMOKE.replace("prefix = smoke", "prefix = missing/smoke"), "nested.ini"
+        )
+        assert run(nested, out_dir=str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error: [output.directory]") == 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_kappa_t_reaches_the_direct_plateau(self, tmp_path):
+        # kappa t overflows at the last time; f_diag takes its kappa^2/2 limit
+        text = SMOKE.replace("side = 5", "side = 1").replace("kappa = 0.1", "kappa = 10")
+        text = text.replace("start = 1e-3", "start = 1").replace("end = 1e3", "end = 1e308")
+        path = write_scenario(tmp_path, text)
+        out = tmp_path / "out"
+        assert run(path, out_dir=str(out)) == 0
+        curve = read_csv(out / "smoke.csv")
+        assert curve["t"][-1] == 1e308
+        for column in ("d_direct", "d_indirect", "d_total"):
+            assert np.all(np.isfinite(curve[column]))
+        plateau = 4.0 * 0.0072973525693 * 10.0**2 / (3.0 * math.pi)
+        assert curve["d_direct"][-1] == pytest.approx(plateau, rel=1e-14)
+
+    def test_quadrature_policy_covers_the_figure_time_range(self, tmp_path):
+        # kappa (t + r) reaches 1e8: the quadrature policy's phi is the closed
+        # form of the full integral, so no panel budget applies to it
+        text = """
+[bath]
+alpha = 0.0072973525693
+kappa = 1.0
+
+[geometry]
+kind = lattice
+side = 3
+spacing = 1000
+
+[time]
+start = 1
+end = 1e8
+points = 5
+
+[output]
+prefix = wide
+"""
+        path = write_scenario(tmp_path, text)
+        out = tmp_path / "out"
+        assert run(path, out_dir=str(out), policy="quadrature") == 0
+        curve = read_csv(out / "wide.csv")
+        config, mask = dmtsim.square_lattice_2d(3, 1000.0, (0.0, 0.0, 1.0))
+        bath = dmtsim.BathParams(alpha=0.0072973525693, kappa=1.0)
+        center = int(mask.selected[0])
+        for t, got in zip(curve["t"], curve["d_indirect"]):
+            expected = 2.0 * sum(
+                dmtsim.phi_exact(t, dmtsim.pair_geometry(config, center, int(k)), bath) ** 2
+                for k in mask.unobserved
+            )
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_policy_is_a_config_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SMOKE)

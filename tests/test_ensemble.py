@@ -125,7 +125,7 @@ class TestMonteCarlo:
         t, n = 20.0, 8
         qu = average_phi00(
             s, b, t, n, kernel_policy=KernelPolicy.QUADRATURE,
-            count_mode="fixed", fixed_count=6, quad_tol=1e-12,
+            count_mode="fixed", fixed_count=6,
         )
         totals = []
         for i in range(n):

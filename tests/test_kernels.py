@@ -11,7 +11,6 @@ from dmtsim.kernels import (
     QuadratureError,
     TimeKernel,
     f_diag,
-    f_offdiag,
     phi_closed,
     phi_exact,
     phi_farfield,
@@ -84,6 +83,17 @@ class TestFDiag:
         b = bath(kappa=1.0)
         below, above = f_diag(0.5 * (1 - 1e-9), b), f_diag(0.5 * (1 + 1e-9), b)
         assert below == pytest.approx(above, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_kappa_t_gives_the_plateau(self):
+        # kappa t = 1e309 overflows and t^2 = 1e400 does too; the oscillating
+        # term, bounded by (2 + kappa t)/t^2, is far below rounding there
+        b = bath(kappa=10.0)
+        plateau = ALPHA * b.kappa**2 / (3.0 * math.pi)
+        assert f_diag(1e308, b) == pytest.approx(plateau, rel=1e-15)
+        out = f_diag(np.array([1.0, 1e200, 1e308]), b)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out[1:], plateau, rtol=1e-15)
 
     def test_finite_temperature_unsupported_in_closed_form(self):
         with pytest.raises(KernelDomainError):
@@ -330,7 +340,9 @@ class TestFOffdiag:
     def test_origin_matches_diagonal(self):
         b = bath(kappa=0.1)
         t = 25.0
-        got = f_offdiag(t, PairGeometry(r=0.0, theta=1.0), b, tol=1e-13)
+        got = reduced_quadrature(
+            t, PairGeometry(r=0.0, theta=1.0), b, TimeKernel.F_KERNEL, tol=1e-13
+        )
         assert got == pytest.approx(f_diag(t, b), abs=5e-13, rel=1e-9)
 
     def test_large_separation_suppression(self):
@@ -339,11 +351,17 @@ class TestFOffdiag:
         b = bath(kappa=0.1)
         r = 1e5
         for t in (1e-3 / b.kappa, 0.3 / b.kappa, 1.0 / b.kappa):
-            off = f_offdiag(t, PairGeometry(r=r, theta=0.8), b, tol=1e-16)
+            off = reduced_quadrature(
+                t, PairGeometry(r=r, theta=0.8), b, TimeKernel.F_KERNEL, tol=1e-16
+            )
             assert abs(off) <= 1e-2 * f_diag(t, b)
 
     def test_theta_reflection_symmetry(self):
         b = bath()
-        a = f_offdiag(12.0, PairGeometry(r=30.0, theta=0.3), b, tol=1e-13)
-        c = f_offdiag(12.0, PairGeometry(r=30.0, theta=math.pi - 0.3), b, tol=1e-13)
+        a = reduced_quadrature(
+            12.0, PairGeometry(r=30.0, theta=0.3), b, TimeKernel.F_KERNEL, tol=1e-13
+        )
+        c = reduced_quadrature(
+            12.0, PairGeometry(r=30.0, theta=math.pi - 0.3), b, TimeKernel.F_KERNEL, tol=1e-13
+        )
         assert a == pytest.approx(c, rel=1e-9)

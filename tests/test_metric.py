@@ -168,7 +168,8 @@ class TestBuildMetric:
         assert "0" in str(exc_info.value) and "1" in str(exc_info.value)
 
     def test_kernel_error_carries_pair_indices(self):
-        config, mask = chain_1d(2, 1e7, 0.3)
+        config, _ = chain_1d(2, 1e7, 0.3)
+        mask = SelectionMask.from_selected(2, [0, 1])
         b = BathParams(alpha=ALPHA, kappa=1.0)
         with pytest.raises(QuadratureError) as exc_info:
             build_metric(config, mask, b, 1e7, kernel_policy=KernelPolicy.QUADRATURE)
