@@ -5,7 +5,9 @@ Run from the repository root:
     python3 scripts/make_si_reference.py > tests/data/si_reference.py
 
 The abscissas deliberately bracket the implementation's branch cutoffs at
-x = 18 and x = 40 so the table pins accuracy right where branches hand over.
+x = 18 and x = 40 so the table pins accuracy right where branches hand over,
+and run up to 1e12, past the kappa (r + t) of the lattice figure (about
+1e11).
 """
 
 import mpmath
@@ -42,6 +44,14 @@ POINTS = [
     1e4,
     1e5,
     1e6,
+    1e7,
+    1e8,
+    1e9,
+    1e10,
+    3e10,
+    1e11,
+    4.5e11,
+    1e12,
 ]
 
 

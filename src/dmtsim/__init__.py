@@ -62,9 +62,6 @@ from .metric import (
     decoherence,
     distance,
     find_null_pairs,
-    hamming,
-    metric_from_csv,
-    metric_to_csv,
 )
 from .specfun import sine_integral
 
@@ -100,14 +97,11 @@ __all__ = [
     "build_metric",
     "distance",
     "decoherence",
-    "hamming",
     "check_nonnegative",
     "check_triangle",
     "find_null_pairs",
     "NonNegativityReport",
     "TriangleReport",
-    "metric_to_csv",
-    "metric_from_csv",
     "LatticeScales",
     "GasScales",
     "HBARC_EV_ANGSTROM",

@@ -40,6 +40,11 @@ key; an output directory that cannot be made or written is reported as
 violation, or a value outside a kernel's domain met while computing, such as
 a non-finite Si argument or a pair separation that over- or underflows).
 
+Each curve is one pass of the metric engine over the whole time grid (see
+dmtsim.metric): the kernels run once per distinct pair (r, cos theta) and
+time, in blocks of times, and only the tensor at the final time is built,
+for the property checks.
+
 CSV columns: t, d_direct, d_indirect, d_total, valid_flag. The decoherence
 columns are for the all-plus vs all-minus codeword pair, so d_direct sums
 4 f_ij and d_indirect sums 2 Phi_ij over the selected block; d_total is their
@@ -72,7 +77,8 @@ from .kernels import BathParams, KernelDomainError, QuadratureError
 from .metric import (
     KernelPolicy,
     MetricError,
-    build_metric,
+    MetricTensor,
+    _assemble,
     check_nonnegative,
     check_triangle,
 )
@@ -391,11 +397,13 @@ def crossover_detect(times, d_direct, d_indirect):
 
 
 def _compute_curve(bath, config, mask, times, policy):
-    tensors = [build_metric(config, mask, bath, float(t), kernel_policy=policy) for t in times]
-    d_dir = np.array([float(m.direct_part.sum()) for m in tensors])
-    d_ind = np.array([float(m.indirect_part.sum()) for m in tensors])
-    valid = np.array([m.validity_flag for m in tensors], dtype=bool)
-    return tensors, d_dir, d_ind, valid
+    """One engine pass over the time grid: the tensor at the final time (for
+    the property checks) and the d_direct, d_indirect and valid columns."""
+    direct, indirect, valid = _assemble(config, mask, bath, times, policy)
+    final = MetricTensor(float(times[-1]), direct[-1], indirect[-1], bool(valid[-1]))
+    d_dir = direct.reshape(len(times), -1).sum(axis=1)
+    d_ind = indirect.reshape(len(times), -1).sum(axis=1)
+    return final, d_dir, d_ind, valid
 
 
 def _write_csv(path: Path, times, d_dir, d_ind, valid):
@@ -472,7 +480,7 @@ def run(
     try:
         target.mkdir(parents=True, exist_ok=True)
         for label, bath, config, mask, value in variants:
-            tensors, d_dir, d_ind, valid = _compute_curve(bath, config, mask, times, kernel_policy)
+            final, d_dir, d_ind, valid = _compute_curve(bath, config, mask, times, kernel_policy)
             _write_csv(target / f"{label}.csv", times, d_dir, d_ind, valid)
 
             report.append(f"curve {label}:")
@@ -486,7 +494,6 @@ def run(
                 "  crossover (indirect overtakes direct): "
                 + ("none within grid" if cross is None else f"t = {cross:.6g}")
             )
-            final = tensors[-1]
             nn = check_nonnegative(final, trials=_CHECK_TRIALS, seed=_CHECK_SEED_NONNEG)
             tri = check_triangle(final, triples=_CHECK_TRIPLES, seed=_CHECK_SEED_TRIANGLE)
             report.append(

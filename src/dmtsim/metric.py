@@ -6,12 +6,18 @@ the unobserved atoms, Phi_ij = sum_k phi_ik phi_jk, assembled literally as a
 Gram product so it is positive semidefinite by construction. Squared metric
 distance between codewords approximates their mutual decoherence while every
 entry of M stays small; the validity flag tracks that regime.
+
+One engine assembles M over a whole time grid. A kernel value depends on a
+pair only through its (r, cos theta), so the engine reduces the
+selected-unobserved and selected-selected pairs once per curve to their
+distinct keys and evaluates phi on (time, key) blocks and f once per key and
+time. build_metric is that engine at a single t; the CLI runs it once per
+curve.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass
 
@@ -39,12 +45,9 @@ __all__ = [
     "distance",
     "decoherence",
     "DecoherenceResult",
-    "hamming",
     "check_nonnegative",
     "check_triangle",
     "find_null_pairs",
-    "metric_to_csv",
-    "metric_from_csv",
 ]
 
 
@@ -131,10 +134,8 @@ class MetricTensor:
 
 
 def _diag_f(t: float, bath: BathParams, quad_tol) -> float:
-    """Coincident-point f: closed form at zero temperature, quadrature with a
-    self-scaled tolerance otherwise."""
-    if bath.inv_temperature is None:
-        return float(f_diag(t, bath))
+    """Coincident-point f at finite temperature: quadrature with a
+    self-scaled tolerance."""
     geom = PairGeometry(r=0.0, theta=0.0)
     first = reduced_quadrature(t, geom, bath, TimeKernel.F_KERNEL, tol=quad_tol or 1e-10)
     if quad_tol is None and first > 0:
@@ -145,20 +146,147 @@ def _diag_f(t: float, bath: BathParams, quad_tol) -> float:
 
 
 def _phi_matrix(t, r, theta, bath: BathParams, policy: KernelPolicy) -> np.ndarray:
-    """phi over arrays of (r, theta) at time t under a kernel policy.
+    """phi over broadcastable arrays of t and (r, theta) under a kernel policy.
 
     QUADRATURE is the full radial integral: the closed part plus the
     cutoff-edge terms, exact at every temperature since phi has no thermal
     factor.
     """
+    if not isinstance(policy, KernelPolicy):
+        raise MetricError("kernel_policy must be a KernelPolicy member")
     if not np.all(np.isfinite(r)):
         raise KernelDomainError("pair separation r must be finite and >= 0")
     if policy is KernelPolicy.FAR_FIELD:
         return _phi_farfield_rt(t, r, theta, bath.alpha)
-    closed = _phi_closed_rt(t, r, theta, bath.alpha, bath.kappa)
-    if policy is KernelPolicy.CLOSED_FORM:
-        return closed
-    return closed + _phi_edge_rt(t, r, theta, bath.alpha, bath.kappa)
+    phi = _phi_closed_rt(t, r, theta, bath.alpha, bath.kappa)
+    if policy is KernelPolicy.QUADRATURE:
+        phi = phi + _phi_edge_rt(t, r, theta, bath.alpha, bath.kappa)
+    return phi
+
+
+# (time, key) elements per phi block. The kernels and Si hold several
+# temporaries of a block's size: one block for a whole figure curve (225
+# times x 119 keys) raised the curve's peak traced memory from 0.8 to 3.5 MB.
+_PHI_BLOCK = 4096
+
+
+def _distinct_pairs(r: np.ndarray, cos_t: np.ndarray):
+    """Distinct (r, cos theta) keys of flat pair arrays: (r_keys, cos_keys,
+    first pair index per key, inverse) with r == r_keys[inverse]."""
+    keys, first, inverse = np.unique(
+        np.stack([r, cos_t]), axis=1, return_index=True, return_inverse=True
+    )
+    return keys[0], keys[1], first, inverse.reshape(-1)
+
+
+def _f_stack(config, mask, bath, times, quad_tol) -> np.ndarray:
+    """f over the selected block at each positive time, shape (T, n, n).
+
+    The diagonal is f_diag at zero temperature and a quadrature otherwise.
+    Off-diagonals are one quadrature per distinct pair key and time, with a
+    tolerance shared by every pair at that time; coincident selected atoms
+    take the diagonal value, their exact reduction.
+    """
+    n = mask.n_selected
+    if bath.inv_temperature is None:
+        diag = f_diag(times, bath)
+    else:
+        diag = np.array([_diag_f(float(t), bath, quad_tol) for t in times])
+    f = np.zeros((times.size, n, n))
+    f[:, np.arange(n), np.arange(n)] = diag[:, None]
+    if n == 1:
+        return f
+    r_ss, cos_ss = _geometry.pair_arrays(config, mask.selected, mask.selected)
+    upper = np.triu_indices(n, 1)
+    r_k, cos_k, first, inverse = _distinct_pairs(r_ss[upper], cos_ss[upper])
+    geoms = [
+        None if r == 0.0 else PairGeometry(r=float(r), theta=math.acos(c))
+        for r, c in zip(r_k, cos_k)
+    ]
+    vals = np.empty(len(geoms))
+    for row, t in enumerate(times):
+        tol = quad_tol if quad_tol is not None else max(1e-11 * float(diag[row]), 1e-300)
+        for k, geom in enumerate(geoms):
+            if geom is None:
+                vals[k] = diag[row]
+                continue
+            try:
+                vals[k] = reduced_quadrature(float(t), geom, bath, TimeKernel.F_KERNEL, tol=tol)
+            except QuadratureError as exc:
+                i, j = mask.selected[upper[0][first[k]]], mask.selected[upper[1][first[k]]]
+                raise QuadratureError(
+                    f"direct pair ({i},{j}): {exc}", achieved_error=exc.achieved_error
+                ) from exc
+        f[row][upper] = f[row][upper[::-1]] = vals[inverse]
+    return f
+
+
+def _phi_gram(r_su, cos_su, bath, times, policy) -> np.ndarray:
+    """2 Phi_ij = 2 sum_k phi_ik phi_jk over the unobserved atoms at each
+    positive time, shape (T, n, n), from phi on (time, key) blocks."""
+    n, m = r_su.shape
+    r_k, cos_k, _, inverse = _distinct_pairs(r_su.ravel(), cos_su.ravel())
+    theta_k = np.arccos(cos_k)
+    step = max(1, _PHI_BLOCK // r_k.size)
+    out = np.empty((times.size, n, n))
+    for start in range(0, times.size, step):
+        block = times[start : start + step, None]
+        # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
+        # and so its last bits, then do not depend on the block's length
+        phi = np.take(_phi_matrix(block, r_k, theta_k, bath, policy), inverse, axis=1)
+        phi = phi.reshape(-1, n, m)
+        out[start : start + step] = 2.0 * (phi @ phi.transpose(0, 2, 1))
+    return out
+
+
+def _assemble(
+    config: AtomConfig,
+    mask: SelectionMask,
+    bath: BathParams,
+    times,
+    kernel_policy: KernelPolicy = KernelPolicy.CLOSED_FORM,
+    validity_threshold: float = 0.1,
+    quad_tol: float | None = None,
+):
+    """Direct and indirect (T, n, n) stacks and (T,) validity flags of M(t)
+    over a time grid; build_metric documents the assembly.
+
+    Every kernel value depends on a pair only through its (r, cos theta), so
+    each pair block is reduced once per curve to its distinct keys (a lattice
+    has 8-fold symmetry), and the kernels run on (time, key) blocks whose
+    results are scattered back through the inverse index. Rows at t = 0 are
+    exact zeros.
+    """
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise MetricError("time must be finite and >= 0")
+    if not isinstance(kernel_policy, KernelPolicy):
+        raise MetricError("kernel_policy must be a KernelPolicy member")
+    n = mask.n_selected
+    indices = np.concatenate([mask.selected, mask.unobserved])
+    bad = indices[(indices < 0) | (indices >= len(config))]
+    if bad.size:
+        raise MetricError(f"mask indices out of range: {bad.tolist()}")
+
+    r_su, cos_su = _geometry.pair_arrays(config, mask.selected, mask.unobserved)
+    coincident = np.argwhere(r_su == 0.0)
+    if coincident.size:
+        i, k = coincident[0]
+        raise GeometryError(
+            f"selected atom {mask.selected[i]} coincides with unobserved atom "
+            f"{mask.unobserved[k]} (r = 0)"
+        )
+
+    direct = np.zeros((times.size, n, n))
+    indirect = np.zeros((times.size, n, n))
+    live = times > 0.0
+    if live.any():
+        direct[live] = 4.0 * _f_stack(config, mask, bath, times[live], quad_tol)
+        if r_su.size:
+            indirect[live] = _phi_gram(r_su, cos_su, bath, times[live], kernel_policy)
+    valid = np.max(np.abs(direct + indirect), axis=(1, 2)) < validity_threshold
+    valid[~live] = True
+    return direct, indirect, valid
 
 
 def build_metric(
@@ -183,66 +311,14 @@ def build_metric(
     exactly); a selected-unobserved coincidence is rejected because phi
     diverges there.
 
+    This is the one-time slice of the curve engine that the CLI runs over a
+    whole time grid, so it equals that curve's row at t bit for bit.
     Quadrature failures are re-raised with the offending pair attached.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise MetricError("time must be finite and >= 0")
-    if not isinstance(kernel_policy, KernelPolicy):
-        raise MetricError("kernel_policy must be a KernelPolicy member")
-    n = mask.n_selected
-    indices = np.concatenate([mask.selected, mask.unobserved])
-    bad = indices[(indices < 0) | (indices >= len(config))]
-    if bad.size:
-        raise MetricError(f"mask indices out of range: {bad.tolist()}")
-
-    r_su, cos_su = _geometry.pair_arrays(config, mask.selected, mask.unobserved)
-    coincident = np.argwhere(r_su == 0.0)
-    if coincident.size:
-        i, k = coincident[0]
-        raise GeometryError(
-            f"selected atom {mask.selected[i]} coincides with unobserved atom "
-            f"{mask.unobserved[k]} (r = 0)"
-        )
-
-    if t == 0.0:
-        zeros = np.zeros((n, n))
-        return MetricTensor(0.0, zeros, zeros.copy(), True, validity_threshold)
-
-    # direct part
-    diag_val = _diag_f(t, bath, quad_tol)
-    f_mat = np.full((n, n), 0.0)
-    np.fill_diagonal(f_mat, diag_val)
-    if n > 1:
-        r_ss, cos_ss = _geometry.pair_arrays(config, mask.selected, mask.selected)
-        tol_off = quad_tol if quad_tol is not None else max(1e-11 * diag_val, 1e-300)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if r_ss[i, j] == 0.0:
-                    val = diag_val  # coincident selected pair: exact reduction
-                else:
-                    geom = PairGeometry(r=float(r_ss[i, j]), theta=math.acos(cos_ss[i, j]))
-                    try:
-                        val = reduced_quadrature(
-                            t, geom, bath, TimeKernel.F_KERNEL, tol=tol_off
-                        )
-                    except QuadratureError as exc:
-                        raise QuadratureError(
-                            f"direct pair ({mask.selected[i]},{mask.selected[j]}): {exc}",
-                            achieved_error=exc.achieved_error,
-                        ) from exc
-                f_mat[i, j] = f_mat[j, i] = val
-
-    # indirect part, Gram product over unobserved atoms
-    if len(mask.unobserved):
-        v = _phi_matrix(t, r_su, np.arccos(cos_su), bath, kernel_policy)
-        phi_mat = v @ v.T
-    else:
-        phi_mat = np.zeros((n, n))
-
-    direct = 4.0 * f_mat
-    indirect = 2.0 * phi_mat
-    valid = bool(np.max(np.abs(direct + indirect)) < validity_threshold)
-    return MetricTensor(float(t), direct, indirect, valid, validity_threshold)
+    direct, indirect, valid = _assemble(
+        config, mask, bath, [t], kernel_policy, validity_threshold, quad_tol
+    )
+    return MetricTensor(float(t), direct[0], indirect[0], bool(valid[0]), validity_threshold)
 
 
 def _quadratic_forms(matrix: np.ndarray, deltas: np.ndarray, eps: float) -> np.ndarray:
@@ -281,14 +357,6 @@ def decoherence(M: MetricTensor, s, s2) -> DecoherenceResult:
     tensor's validity flag."""
     d = distance(M, s, s2)
     return DecoherenceResult(value=d * d, valid=M.validity_flag)
-
-
-def hamming(s, s2) -> int:
-    """Number of differing codeword entries."""
-    a, b = _as_codeword(s), _as_codeword(s2)
-    if len(a) != len(b):
-        raise MetricError("codeword lengths differ")
-    return int(sum(1 for x, y in zip(a.bits, b.bits) if x != y))
 
 
 @dataclass(frozen=True)
@@ -399,37 +467,3 @@ def find_null_pairs(M: MetricTensor, max_n: int = 12, null_threshold: float | No
                 s2[idx] = val
             pairs.append((Codeword(tuple(int(b) for b in s)), Codeword(tuple(int(b) for b in s2))))
     return pairs
-
-
-def metric_to_csv(M: MetricTensor) -> str:
-    """Row-major CSV of the total matrix, with t and the validity flag in the
-    header comments. Full round-trip precision."""
-    buf = io.StringIO()
-    buf.write(f"# t={M.time:.17g}\n")
-    buf.write(f"# valid={int(M.validity_flag)}\n")
-    buf.write(f"# n={M.n}\n")
-    for row in M.matrix:
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
-
-
-def metric_from_csv(text: str):
-    """Parse metric_to_csv output: returns (t, valid, matrix)."""
-    t = None
-    valid = None
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("t="):
-                t = float(body[2:])
-            elif body.startswith("valid="):
-                valid = bool(int(body[6:]))
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    if t is None or valid is None or not rows:
-        raise MetricError("malformed metric CSV")
-    return t, valid, np.array(rows)

@@ -1,7 +1,8 @@
 """Sine integral Si(x) = int_0^x sin(u)/u du.
 
 The only special function the closed-form pair kernel needs. Target accuracy
-is 1e-10 relative over |x| <= 1e6, met with three branches in float64:
+is 1e-10 relative over |x| <= 1e12, which covers the kappa (r +- t) of the
+lattice figure (up to about 1e11), met with three branches in float64:
 
 * Maclaurin series for |x| <= 18. Alternating series; by x = 18 the largest
   intermediate term is ~3e5, so cancellation costs about five digits, which
@@ -12,7 +13,9 @@ is 1e-10 relative over |x| <= 1e6, met with three branches in float64:
   asymptotic tail's optimal truncation error at x = 18 is ~9e-9.
 * Asymptotic auxiliary functions for |x| >= 40,
   Si(x) = pi/2 - f(x) cos x - g(x) sin x, truncated at a fixed order where
-  the first dropped term is < 1e-17 relative.
+  the first dropped term is < 1e-17 relative. Far out the oscillating part is
+  of order 1/x, so rounding in cos x and sin x moves Si by far less than the
+  target; frozen mpmath values up to 1e12 agree to about 1.4e-16.
 
 No lookup tables. All branches are vectorized; scalars in, scalar out.
 """
@@ -114,7 +117,7 @@ def sine_integral(x):
     Returns
     -------
     float or ndarray
-        Si(x) with relative error <= 1e-10 for |x| <= 1e6. Odd in x and
+        Si(x) with relative error <= 1e-10 for |x| <= 1e12. Odd in x and
         approaching +-pi/2 for large |x|.
 
     Raises

@@ -18,7 +18,7 @@ from dmtsim.ensemble import (
 )
 from dmtsim.geometry import GasSpec, GeometryError, pair_arrays, sample_gas
 from dmtsim.kernels import BathParams
-from dmtsim.metric import KernelPolicy
+from dmtsim.metric import KernelPolicy, MetricError
 
 ALPHA = 1.0 / 137.036
 
@@ -99,6 +99,11 @@ class TestMonteCarlo:
         res = average_phi00(spec(), bath(), 5.0, 50)
         assert res.mean == 0.0
         assert res.std_error == 0.0
+
+    def test_string_policy_rejected(self):
+        # the value of a policy member is not the member
+        with pytest.raises(MetricError, match="KernelPolicy member"):
+            average_phi00(spec(horizon=60.0), bath(), 20.0, 4, kernel_policy="farfield")
 
     def test_seed_determinism(self):
         a = average_phi00(spec(seed=42), bath(), 20.0, 64)

@@ -7,17 +7,22 @@ from hypothesis import given, settings, strategies as st
 from dmtsim.asymptotics import effective_neighbors
 from dmtsim.geometry import (
     AtomConfig,
+    GasSpec,
     GeometryError,
     SelectionMask,
     chain_1d,
     pair_geometry,
+    sample_gas,
     square_lattice_2d,
 )
 from dmtsim.kernels import (
     BathParams,
+    PairGeometry,
     QuadratureError,
     TimeKernel,
     f_diag,
+    phi_closed,
+    phi_exact,
     phi_farfield,
     reduced_quadrature,
 )
@@ -26,15 +31,13 @@ from dmtsim.metric import (
     KernelPolicy,
     MetricError,
     MetricTensor,
+    _assemble,
     build_metric,
     check_nonnegative,
     check_triangle,
     decoherence,
     distance,
     find_null_pairs,
-    hamming,
-    metric_from_csv,
-    metric_to_csv,
 )
 
 ALPHA = 1.0 / 137.036
@@ -69,6 +72,7 @@ class TestBuildMetric:
         M = build_metric(config, mask, bath(), 0.0)
         assert np.all(M.matrix == 0.0)
         assert M.validity_flag
+        assert build_metric(config, mask, bath(), 0.0, validity_threshold=0.0).validity_flag
 
     def test_symmetry_exact(self):
         config, _ = square_lattice_2d(3, 4.0, (0, 0, 1))
@@ -181,6 +185,140 @@ class TestBuildMetric:
         with pytest.raises(MetricError):
             build_metric(config, mask, bath(), 1.0)
 
+    @pytest.mark.parametrize("side, t", [(3, 1.0), (1, 0.0)])
+    def test_string_policy_rejected(self, side, t):
+        # also with no unobserved atom or at t = 0, where no phi is evaluated
+        config, mask = square_lattice_2d(side, 5.0, (0, 0, 1))
+        with pytest.raises(MetricError, match="KernelPolicy member"):
+            build_metric(config, mask, bath(), t, kernel_policy="closed")
+
+
+_PHI_ORACLE = {
+    KernelPolicy.CLOSED_FORM: phi_closed,
+    KernelPolicy.FAR_FIELD: phi_farfield,
+    KernelPolicy.QUADRATURE: phi_exact,
+}
+
+
+def _f_oracle(t, geom, b, tol):
+    return reduced_quadrature(t, geom, b, TimeKernel.F_KERNEL, tol=tol)
+
+
+def oracle_metric(config, mask, b, t, policy):
+    """(direct, indirect, valid) at one t from scalar kernels, pair by pair,
+    with build_metric's documented quadrature tolerances."""
+    sel, unobs = list(mask.selected), list(mask.unobserved)
+    n = len(sel)
+    if t == 0.0:
+        return np.zeros((n, n)), np.zeros((n, n)), True
+    if b.inv_temperature is None:
+        diag = f_diag(t, b)
+    else:
+        diag = _f_oracle(t, PairGeometry(0.0, 0.0), b, 1e-10)
+        if diag > 0:
+            diag = _f_oracle(t, PairGeometry(0.0, 0.0), b, max(1e-11 * diag, 1e-18))
+    f = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j or np.array_equal(config.positions[sel[i]], config.positions[sel[j]]):
+                f[i, j] = diag
+            else:
+                geom = pair_geometry(config, sel[i], sel[j])
+                f[i, j] = _f_oracle(t, geom, b, max(1e-11 * diag, 1e-300))
+    phi = np.array(
+        [[_PHI_ORACLE[policy](t, pair_geometry(config, i, k), b) for k in unobs] for i in sel]
+    ).reshape(n, len(unobs))
+    direct, indirect = 4.0 * f, 2.0 * phi @ phi.T
+    return direct, indirect, bool(np.abs(direct + indirect).max() < 0.1)
+
+
+@st.composite
+def engine_scenes(draw):
+    """Small chain, lattice or gas; 1-4 selected atoms, perhaps with a
+    selected atom doubled onto the same site."""
+    kind = draw(st.sampled_from(["chain", "lattice", "gas"]))
+    spacing = draw(st.floats(min_value=0.5, max_value=20.0))
+    if kind == "chain":
+        config, _ = chain_1d(draw(st.integers(2, 6)), spacing, draw(st.floats(0.0, math.pi)))
+    elif kind == "lattice":
+        tilt = draw(st.floats(0.0, 1.5))
+        config, _ = square_lattice_2d(3, spacing, (math.sin(tilt), 0.0, math.cos(tilt)))
+    else:
+        spec = GasSpec(1e-2, spacing, 3.0 * spacing, seed=draw(st.integers(0, 2**16)))
+        config, _ = sample_gas(spec, count_mode="fixed", fixed_count=draw(st.integers(1, 6)))
+    chosen = draw(
+        st.lists(st.integers(0, len(config) - 1), min_size=1, max_size=4, unique=True)
+    )
+    if len(chosen) < 4 and draw(st.booleans()):
+        positions = np.vstack([config.positions, config.positions[chosen[0]]])
+        chosen = chosen + [len(config)]
+        config = AtomConfig(positions, config.dipole_direction, label="doubled")
+    return config, SelectionMask.from_selected(len(config), chosen)
+
+
+def engine_times(kappa, top):
+    """Grids holding 0 and a repeated time."""
+    return st.lists(st.floats(0.0, top / kappa), min_size=1, max_size=4).map(
+        lambda ts: [0.0] + ts + ts[:1]
+    )
+
+
+def assert_engine_matches_oracle(config, mask, b, times, policy):
+    direct, indirect, valid = _assemble(config, mask, b, times, policy)
+    assert direct.shape == indirect.shape == (len(times), mask.n_selected, mask.n_selected)
+    for k, t in enumerate(times):
+        want_d, want_i, want_valid = oracle_metric(config, mask, b, t, policy)
+        scale = max(np.abs(want_d).max(), np.abs(want_i).max(), 1e-300)
+        np.testing.assert_allclose(direct[k], want_d, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(indirect[k], want_i, rtol=1e-12, atol=1e-12 * scale)
+        assert bool(valid[k]) == want_valid
+        M = build_metric(config, mask, b, t, kernel_policy=policy)
+        np.testing.assert_array_equal(M.direct_part, direct[k])
+        np.testing.assert_array_equal(M.indirect_part, indirect[k])
+        assert M.validity_flag == bool(valid[k]) and M.time == t
+
+
+class TestCurveEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scene=engine_scenes(),
+        policy=st.sampled_from(list(KernelPolicy)),
+        kappa=st.floats(min_value=0.05, max_value=1.0),
+        data=st.data(),
+    )
+    def test_matches_per_pair_oracle_at_zero_temperature(self, scene, policy, kappa, data):
+        config, mask = scene
+        times = data.draw(engine_times(kappa, 40.0))
+        b = BathParams(alpha=ALPHA, kappa=kappa)
+        assert_engine_matches_oracle(config, mask, b, times, policy)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        scene=engine_scenes(),
+        policy=st.sampled_from(list(KernelPolicy)),
+        kappa=st.floats(min_value=0.1, max_value=1.0),
+        data=st.data(),
+    )
+    def test_matches_per_pair_oracle_at_finite_temperature(self, scene, policy, kappa, data):
+        config, mask = scene
+        times = data.draw(engine_times(kappa, 3.0))
+        b = BathParams(alpha=ALPHA, kappa=kappa, inv_temperature=2.0)
+        assert_engine_matches_oracle(config, mask, b, times, policy)
+
+    def test_quadrature_error_names_first_pair_of_its_key(self):
+        # (2,1) and (1,0) share a key; both keys exceed the panel budget
+        config, _ = chain_1d(3, 1e7, 0.3)
+        mask = SelectionMask.from_selected(3, [2, 1, 0])
+        b = BathParams(alpha=ALPHA, kappa=1.0)
+        with pytest.raises(QuadratureError, match=r"direct pair \(2,1\)"):
+            _assemble(config, mask, b, [0.0, 1e7])
+
+    def test_times_validated(self):
+        config, mask = chain_1d(2, 1.0, 0.0)
+        for times in ([1.0, -1.0], [float("nan")], [0.0, float("inf")]):
+            with pytest.raises(MetricError):
+                _assemble(config, mask, bath(), times)
+
 
 class TestDistance:
     def test_same_codeword_is_zero(self):
@@ -193,7 +331,8 @@ class TestDistance:
         s = (1, 1, 1, 1, 1)
         s2 = (-1, 1, -1, 1, -1)
         assert distance(M, s, s2) == pytest.approx(math.sqrt(3), rel=1e-14)
-        assert distance(M, s, s2) ** 2 == pytest.approx(hamming(s, s2), rel=1e-14)
+        differing = sum(a != b for a, b in zip(s, s2))
+        assert distance(M, s, s2) ** 2 == pytest.approx(differing, rel=1e-14)
 
     def test_dimension_mismatch(self):
         M = synthetic(np.eye(3))
@@ -236,20 +375,6 @@ class TestDecoherence:
         d_two = decoherence(M, (1, 1), (-1, -1)).value
         d_one = decoherence(M, (1, 1), (-1, 1)).value
         assert d_two == pytest.approx(2.0 * d_one, rel=1e-2)
-
-
-class TestHamming:
-    def test_trivial(self):
-        assert hamming((1, 1, 1), (1, 1, 1)) == 0
-        assert hamming((1, -1), (-1, 1)) == 2
-
-    def test_random_recount(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            n = rng.integers(1, 12)
-            s = rng.choice([-1, 1], size=n)
-            s2 = rng.choice([-1, 1], size=n)
-            assert hamming(tuple(s), tuple(s2)) == int(np.sum(s != s2))
 
 
 class TestChecks:
@@ -325,16 +450,6 @@ class TestNullPairs:
         M = synthetic(np.eye(13))
         with pytest.raises(MetricError):
             find_null_pairs(M, max_n=12)
-
-
-class TestSerialization:
-    def test_csv_round_trip(self):
-        config, mask = square_lattice_2d(3, 2.0, (0, 0, 1))
-        M = build_metric(config, mask, bath(0.8), 17.0)
-        t, valid, matrix = metric_from_csv(metric_to_csv(M))
-        assert t == M.time
-        assert valid == M.validity_flag
-        np.testing.assert_array_equal(matrix, M.matrix)
 
 
 class TestMonotonicity:
