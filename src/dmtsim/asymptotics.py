@@ -24,7 +24,6 @@ __all__ = [
     "effective_neighbors",
     "lattice_scales",
     "gas_scales",
-    "f_diag_limit",
     "HBARC_EV_ANGSTROM",
     "kappa_from_photon_energy",
     "atoms_per_m3",
@@ -126,12 +125,6 @@ def gas_scales(density: float, exclusion_radius: float, bath: BathParams) -> Gas
     gamma_g = alpha * math.sqrt(16.0 * math.pi * density / (15.0 * l3))
     t2 = kappa * math.sqrt(l3 / density)
     return GasScales(gamma_g=gamma_g, t2=t2, rho_crit=rho_crit)
-
-
-def f_diag_limit(bath: BathParams) -> float:
-    """Long-time plateau of the self-kernel, alpha kappa^2 / (3 pi): the
-    incomplete-decoherence level set by the UV cutoff."""
-    return bath.alpha * bath.kappa**2 / (3.0 * math.pi)
 
 
 def kappa_from_photon_energy(energy_ev: float, d_angstrom: float) -> float:

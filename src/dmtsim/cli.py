@@ -14,7 +14,7 @@ Scenario file layout::
     spacing = 1000.0
     dipole_direction = 0 0 1     ; lattice/gas only
     # chain keys: count, spacing, dipole_angle (radians)
-    # gas keys: density, exclusion_radius, horizon, seed,
+    # gas keys: density, exclusion_radius, horizon, seed (0 <= seed < 2**64),
     #           count_mode (poisson | fixed), fixed_count
 
     [selection]                  ; optional, defaults to the builder's center atom
@@ -34,11 +34,15 @@ Scenario file layout::
     directory = out
     prefix = run
 
+The file is read as UTF-8 without value interpolation, so % is an ordinary
+character.
+
 Exit codes: 0 success, 1 configuration error (message names the offending
-key; an output directory that cannot be made or written is reported as
-[output.directory]), 2 numerical failure (quadrature budget exhausted, a metric property
-violation, or a value outside a kernel's domain met while computing, such as
-a non-finite Si argument or a pair separation that over- or underflows).
+key; a file that is not valid UTF-8 INI is reported as [scenario], an output
+directory that cannot be made or written as [output.directory]), 2 numerical
+failure (quadrature budget exhausted, a metric property violation, or a value
+outside a kernel's domain met while computing, such as a non-finite Si
+argument or a pair separation that over- or underflows).
 
 Each curve is one pass of the metric engine over the whole time grid (see
 dmtsim.metric): the kernels run once per distinct pair (r, cos theta) and
@@ -91,17 +95,10 @@ __all__ = [
     "parse_scenario",
     "crossover_detect",
     "run",
-    "main",
     "CSV_HEADER",
 ]
 
 CSV_HEADER = "t,d_direct,d_indirect,d_total,valid_flag"
-
-_POLICIES = {
-    "closed": KernelPolicy.CLOSED_FORM,
-    "farfield": KernelPolicy.FAR_FIELD,
-    "quadrature": KernelPolicy.QUADRATURE,
-}
 
 _SWEEPABLE = ("kappa", "spacing", "dipole_tilt", "density", "exclusion_radius")
 
@@ -213,8 +210,11 @@ def _vector3(raw: str) -> tuple:
 
 def parse_scenario(path) -> Scenario:
     """Load and validate a scenario INI file."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ScenarioError("scenario", f"cannot parse scenario file {path!r}: {exc}") from None
     if not read:
         raise ScenarioError("scenario", f"cannot read scenario file {path!r}")
     for section in ("bath", "geometry", "time"):
@@ -338,13 +338,13 @@ def _apply_selection(config: AtomConfig, default: SelectionMask, indices) -> Sel
 
 
 def _sweep_variants(scenario: Scenario, seed_override):
-    """Yield (label, bath, config, mask, sweep_value) per curve."""
+    """Yield (label, bath, geometry params, config, mask, sweep_value) per
+    curve, the bath and params carrying the curve's swept value."""
     if scenario.sweep is None:
-        config, default = _build_geometry(
-            scenario.geometry_kind, scenario.geometry_params, seed_override
-        )
+        params = scenario.geometry_params
+        config, default = _build_geometry(scenario.geometry_kind, params, seed_override)
         mask = _apply_selection(config, default, scenario.selection)
-        yield scenario.prefix, scenario.bath, config, mask, None
+        yield scenario.prefix, scenario.bath, params, config, mask, None
         return
 
     param = scenario.sweep.parameter
@@ -372,7 +372,7 @@ def _sweep_variants(scenario: Scenario, seed_override):
         except (GeometryError, ValueError) as exc:
             raise ScenarioError("sweep.values", f"value {value:g}: {exc}") from None
         mask = _apply_selection(config, default, scenario.selection)
-        yield f"{scenario.prefix}_{param}={value:g}", bath, config, mask, value
+        yield f"{scenario.prefix}_{param}={value:g}", bath, params, config, mask, value
 
 
 def crossover_detect(times, d_direct, d_indirect):
@@ -414,21 +414,17 @@ def _write_csv(path: Path, times, d_dir, d_ind, valid):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _scale_lines(scenario, bath, config, mask) -> list:
+def _scale_lines(kind, params, bath, config, mask) -> list:
     out = []
-    if scenario.geometry_kind in ("lattice", "chain") and mask.n_selected == 1:
+    if kind in ("lattice", "chain") and mask.n_selected == 1:
         n_nn = effective_neighbors(config, mask)
-        scales = lattice_scales(scenario.geometry_params["spacing"], bath, n_nn)
+        scales = lattice_scales(params["spacing"], bath, n_nn)
         out.append(
             f"  lattice scales: N_nn = {n_nn:.6g}, t1 = {scales.t1:.6g}, "
             f"a_c = {scales.a_c:.6g}, gamma = {scales.gamma:.6g}"
         )
-    elif scenario.geometry_kind == "gas":
-        scales = gas_scales(
-            scenario.geometry_params["density"],
-            scenario.geometry_params["exclusion_radius"],
-            bath,
-        )
+    elif kind == "gas":
+        scales = gas_scales(params["density"], params["exclusion_radius"], bath)
         out.append(
             f"  gas scales: gamma_g = {scales.gamma_g:.6g}, t2 = {scales.t2:.6g}, "
             f"rho_crit = {scales.rho_crit:.6g}"
@@ -446,9 +442,10 @@ def run(
     try:
         if not isinstance(scenario, Scenario):
             scenario = parse_scenario(scenario)
-        if policy not in _POLICIES:
-            raise ScenarioError("policy", f"unknown kernel policy {policy!r}")
-        kernel_policy = _POLICIES[policy]
+        try:
+            kernel_policy = KernelPolicy(policy)
+        except ValueError:
+            raise ScenarioError("policy", f"unknown kernel policy {policy!r}") from None
         variants = list(_sweep_variants(scenario, seed_override))
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -460,7 +457,7 @@ def run(
     target = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
     times = scenario.time_grid.times()
 
-    report = [f"prefix: {scenario.prefix}", f"policy: {policy}"]
+    report = [f"prefix: {scenario.prefix}", f"policy: {kernel_policy.value}"]
     report.append(
         f"bath: alpha = {scenario.bath.alpha:.6g}, kappa = {scenario.bath.kappa:.6g}, "
         + (
@@ -479,7 +476,7 @@ def run(
     sweep_rows = []
     try:
         target.mkdir(parents=True, exist_ok=True)
-        for label, bath, config, mask, value in variants:
+        for label, bath, params, config, mask, value in variants:
             final, d_dir, d_ind, valid = _compute_curve(bath, config, mask, times, kernel_policy)
             _write_csv(target / f"{label}.csv", times, d_dir, d_ind, valid)
 
@@ -488,7 +485,7 @@ def run(
                 f"  geometry: {config.label}, atoms = {len(config)}, "
                 f"selected = {mask.n_selected}, unobserved = {len(mask.unobserved)}"
             )
-            report.extend(_scale_lines(scenario, bath, config, mask))
+            report.extend(_scale_lines(scenario.geometry_kind, params, bath, config, mask))
             cross = crossover_detect(times, d_dir, d_ind)
             report.append(
                 "  crossover (indirect overtakes direct): "
@@ -559,7 +556,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--policy",
-        choices=sorted(_POLICIES),
+        choices=[p.value for p in KernelPolicy],
         default="closed",
         help="indirect kernel evaluation route (default: closed)",
     )

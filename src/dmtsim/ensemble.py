@@ -24,13 +24,9 @@ __all__ = [
     "RNG_ALGORITHM",
     "average_phi00",
     "analytic_phi00_avg",
-    "MC_CSV_HEADER",
-    "mc_csv_row",
 ]
 
 RNG_ALGORITHM = "philox4x64-10 keyed (seed, sample_index)"
-
-MC_CSV_HEADER = "t,mean,std_error,n_samples,seed"
 
 
 class EnsembleError(ValueError):
@@ -53,7 +49,7 @@ class MCResult:
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -125,10 +121,3 @@ def analytic_phi00_avg(spec: GasSpec, bath: BathParams, t: float) -> float:
         * (l**-3 - t**-3)
     )
 
-
-def mc_csv_row(t: float, result: MCResult) -> str:
-    """One CSV row matching MC_CSV_HEADER, full round-trip precision."""
-    return (
-        f"{t:.17g},{result.mean:.17g},{result.std_error:.17g},"
-        f"{result.n_samples},{result.seed}"
-    )

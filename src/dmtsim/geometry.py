@@ -15,9 +15,20 @@ compare by identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+__all__ = [
+    "AtomConfig",
+    "SelectionMask",
+    "GasSpec",
+    "GeometryError",
+    "square_lattice_2d",
+    "chain_1d",
+    "sample_gas",
+    "pair_arrays",
+]
 
 
 class GeometryError(ValueError):
@@ -134,6 +145,7 @@ class GasSpec:
 
     density is atoms per cubic dipole length; exclusion_radius is the
     scattering length l (closest approach); horizon bounds the sampling ball.
+    seed is the Philox key, an integer in [0, 2**64).
     """
 
     density: float
@@ -142,6 +154,8 @@ class GasSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
+            raise GeometryError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (math.isfinite(self.density) and self.density > 0):
             raise GeometryError("density must be finite and > 0")
         if not (math.isfinite(self.exclusion_radius) and self.exclusion_radius > 0):
@@ -239,21 +253,6 @@ def sample_gas(
     return config, SelectionMask.from_selected(n + 1, [0])
 
 
-def pair_geometry(config: AtomConfig, i: int, j: int):
-    """Pair (r, theta) between atoms i and j; theta measured from the dipole
-    direction, folded into [0, pi]. Coincident atoms are a domain error."""
-    from .kernels import PairGeometry
-
-    if i == j:
-        raise GeometryError("pair_geometry needs two distinct atoms")
-    delta = config.positions[i] - config.positions[j]
-    r = float(np.linalg.norm(delta))
-    if r == 0.0:
-        raise GeometryError(f"atoms {i} and {j} coincide")
-    cos_t = float(np.clip(np.dot(config.dipole_direction, delta) / r, -1.0, 1.0))
-    return PairGeometry(r=r, theta=math.acos(cos_t))
-
-
 def pair_arrays(config: AtomConfig, indices_a, indices_b):
     """Vectorized (r, cos theta) between every atom of indices_a and of
     indices_b; shape (len(a), len(b)). Coincident pairs come out as r = 0 and
@@ -265,56 +264,3 @@ def pair_arrays(config: AtomConfig, indices_a, indices_b):
     dot = np.tensordot(delta, config.dipole_direction, axes=([2], [0]))
     cos_t = np.where(r > 0, dot / np.where(r > 0, r, 1.0), 1.0)
     return r, np.clip(cos_t, -1.0, 1.0)
-
-
-def apply_jitter(config: AtomConfig, sigma: float, seed: int) -> AtomConfig:
-    """Displace every atom by an isotropic Gaussian of std sigma per axis."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise GeometryError("sigma must be finite and >= 0")
-    if sigma == 0:
-        return config
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    pos = config.positions + rng.normal(0.0, sigma, config.positions.shape)
-    label = config.label + "+jitter" if config.label else "jitter"
-    return AtomConfig(pos, config.dipole_direction, label=label)
-
-
-def to_text(config: AtomConfig) -> str:
-    """Serialize: comment header (dipole direction, units, label), then one
-    atom per line as x y z with round-trip precision."""
-    u = config.dipole_direction
-    lines = [
-        f"# dipole_direction: {u[0]:.17g} {u[1]:.17g} {u[2]:.17g}",
-        "# units: dipole length d",
-        f"# label: {config.label}",
-    ]
-    for p in config.positions:
-        lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> AtomConfig:
-    """Parse the to_text format back into an AtomConfig."""
-    direction = None
-    label = ""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("dipole_direction:"):
-                direction = [float(v) for v in body.split(":", 1)[1].split()]
-            elif body.startswith("label:"):
-                label = body.split(":", 1)[1].strip()
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise GeometryError(f"atom line needs three coordinates: {line!r}")
-        rows.append([float(v) for v in parts])
-    if direction is None:
-        raise GeometryError("missing dipole_direction header")
-    if not rows:
-        raise GeometryError("no atom lines found")
-    return AtomConfig(np.array(rows), np.asarray(direction, dtype=float), label=label)

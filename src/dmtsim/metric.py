@@ -44,11 +44,14 @@ __all__ = [
     "build_metric",
     "distance",
     "decoherence",
-    "DecoherenceResult",
     "check_nonnegative",
     "check_triangle",
-    "find_null_pairs",
+    "NonNegativityReport",
+    "TriangleReport",
 ]
+
+# max |M_ij| below which squared distance tracks decoherence (validity_flag)
+_VALIDITY_THRESHOLD = 0.1
 
 
 class MetricError(ValueError):
@@ -96,16 +99,14 @@ def _as_codeword(s) -> Codeword:
 class MetricTensor:
     """Time slice of the metric: direct (4f) and indirect (2Phi) parts.
 
-    validity_flag is True while max |M_ij| stays below validity_threshold
-    (default 0.1), the small-coupling regime where squared distance tracks
-    decoherence.
+    validity_flag is True while max |M_ij| stays below 0.1, the
+    small-coupling regime where squared distance tracks decoherence.
     """
 
     time: float
     direct_part: np.ndarray
     indirect_part: np.ndarray
     validity_flag: bool
-    validity_threshold: float = 0.1
 
     def __post_init__(self):
         d = np.atleast_2d(np.asarray(self.direct_part, dtype=float))
@@ -133,12 +134,12 @@ class MetricTensor:
         return 1e-10 * abs(self.trace)
 
 
-def _diag_f(t: float, bath: BathParams, quad_tol) -> float:
+def _diag_f(t: float, bath: BathParams) -> float:
     """Coincident-point f at finite temperature: quadrature with a
     self-scaled tolerance."""
     geom = PairGeometry(r=0.0, theta=0.0)
-    first = reduced_quadrature(t, geom, bath, TimeKernel.F_KERNEL, tol=quad_tol or 1e-10)
-    if quad_tol is None and first > 0:
+    first = reduced_quadrature(t, geom, bath, TimeKernel.F_KERNEL, tol=1e-10)
+    if first > 0:
         return reduced_quadrature(
             t, geom, bath, TimeKernel.F_KERNEL, tol=max(1e-11 * first, 1e-18)
         )
@@ -179,7 +180,7 @@ def _distinct_pairs(r: np.ndarray, cos_t: np.ndarray):
     return keys[0], keys[1], first, inverse.reshape(-1)
 
 
-def _f_stack(config, mask, bath, times, quad_tol) -> np.ndarray:
+def _f_stack(config, mask, bath, times) -> np.ndarray:
     """f over the selected block at each positive time, shape (T, n, n).
 
     The diagonal is f_diag at zero temperature and a quadrature otherwise.
@@ -191,7 +192,7 @@ def _f_stack(config, mask, bath, times, quad_tol) -> np.ndarray:
     if bath.inv_temperature is None:
         diag = f_diag(times, bath)
     else:
-        diag = np.array([_diag_f(float(t), bath, quad_tol) for t in times])
+        diag = np.array([_diag_f(float(t), bath) for t in times])
     f = np.zeros((times.size, n, n))
     f[:, np.arange(n), np.arange(n)] = diag[:, None]
     if n == 1:
@@ -205,7 +206,7 @@ def _f_stack(config, mask, bath, times, quad_tol) -> np.ndarray:
     ]
     vals = np.empty(len(geoms))
     for row, t in enumerate(times):
-        tol = quad_tol if quad_tol is not None else max(1e-11 * float(diag[row]), 1e-300)
+        tol = max(1e-11 * float(diag[row]), 1e-300)
         for k, geom in enumerate(geoms):
             if geom is None:
                 vals[k] = diag[row]
@@ -245,8 +246,6 @@ def _assemble(
     bath: BathParams,
     times,
     kernel_policy: KernelPolicy = KernelPolicy.CLOSED_FORM,
-    validity_threshold: float = 0.1,
-    quad_tol: float | None = None,
 ):
     """Direct and indirect (T, n, n) stacks and (T,) validity flags of M(t)
     over a time grid; build_metric documents the assembly.
@@ -281,11 +280,10 @@ def _assemble(
     indirect = np.zeros((times.size, n, n))
     live = times > 0.0
     if live.any():
-        direct[live] = 4.0 * _f_stack(config, mask, bath, times[live], quad_tol)
+        direct[live] = 4.0 * _f_stack(config, mask, bath, times[live])
         if r_su.size:
             indirect[live] = _phi_gram(r_su, cos_su, bath, times[live], kernel_policy)
-    valid = np.max(np.abs(direct + indirect), axis=(1, 2)) < validity_threshold
-    valid[~live] = True
+    valid = np.max(np.abs(direct + indirect), axis=(1, 2)) < _VALIDITY_THRESHOLD
     return direct, indirect, valid
 
 
@@ -295,8 +293,6 @@ def build_metric(
     bath: BathParams,
     t: float,
     kernel_policy: KernelPolicy = KernelPolicy.CLOSED_FORM,
-    validity_threshold: float = 0.1,
-    quad_tol: float | None = None,
 ) -> MetricTensor:
     """Assemble M(t) = 4 f + 2 Phi for the selected atoms.
 
@@ -304,21 +300,18 @@ def build_metric(
     field, or QUADRATURE, the full radial integral with the cutoff-edge terms
     kept, evaluated in closed form and checked against reduced_quadrature.
     The direct part always uses the closed diagonal plus quadrature
-    off-diagonals (quad_tol, when given, is their tolerance), with the
-    off-diagonal tolerance otherwise tied to the diagonal magnitude so the
-    direct part's positive semidefiniteness is not drowned by quadrature
-    noise. Selected atoms may coincide (their kernel rows then agree
-    exactly); a selected-unobserved coincidence is rejected because phi
+    off-diagonals, with the off-diagonal tolerance tied to the diagonal
+    magnitude so the direct part's positive semidefiniteness is not drowned
+    by quadrature noise. Selected atoms may coincide (their kernel rows then
+    agree exactly); a selected-unobserved coincidence is rejected because phi
     diverges there.
 
     This is the one-time slice of the curve engine that the CLI runs over a
     whole time grid, so it equals that curve's row at t bit for bit.
     Quadrature failures are re-raised with the offending pair attached.
     """
-    direct, indirect, valid = _assemble(
-        config, mask, bath, [t], kernel_policy, validity_threshold, quad_tol
-    )
-    return MetricTensor(float(t), direct[0], indirect[0], bool(valid[0]), validity_threshold)
+    direct, indirect, valid = _assemble(config, mask, bath, [t], kernel_policy)
+    return MetricTensor(float(t), direct[0], indirect[0], bool(valid[0]))
 
 
 def _quadratic_forms(matrix: np.ndarray, deltas: np.ndarray, eps: float) -> np.ndarray:
@@ -430,40 +423,3 @@ def check_triangle(M: MetricTensor, triples: int, seed: int) -> TriangleReport:
         tolerance=slack,
     )
 
-
-def find_null_pairs(M: MetricTensor, max_n: int = 12, null_threshold: float | None = None):
-    """All codeword pairs s != s' with distance <= null_threshold (default
-    1e-8 sqrt(trace)), the candidate decoherence-free directions.
-
-    Exhaustive over difference directions in {-1, 0, +1}^n (canonical sign:
-    first nonzero entry +1), each null direction expanded over the 2^z
-    assignments of its zero coordinates. Refuses n > max_n.
-    """
-    n = M.n
-    if n > max_n:
-        raise MetricError(f"n = {n} exceeds max_n = {max_n} (2^n codewords)")
-    grids = np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * n), indexing="ij")
-    vs = np.stack([g.ravel() for g in grids], axis=1)
-    nonzero = vs != 0.0
-    has_any = nonzero.any(axis=1)
-    first = np.argmax(nonzero, axis=1)
-    lead = vs[np.arange(len(vs)), first]
-    vs = vs[has_any & (lead > 0)]
-    # vs holds half-differences (s - s')/2, so distance = sqrt(v M v)
-    q = np.einsum("ti,ij,tj->t", vs, M.matrix, vs)
-    if null_threshold is None:
-        thr = 1e-16 * max(M.trace, 0.0)
-    else:
-        thr = float(null_threshold) ** 2
-    pairs = []
-    for v in vs[q <= thr]:
-        free = np.flatnonzero(v == 0.0)
-        for assignment in range(1 << len(free)):
-            s = v.copy()
-            s2 = -v
-            for bit, idx in enumerate(free):
-                val = 1.0 if (assignment >> bit) & 1 else -1.0
-                s[idx] = val
-                s2[idx] = val
-            pairs.append((Codeword(tuple(int(b) for b in s)), Codeword(tuple(int(b) for b in s2))))
-    return pairs

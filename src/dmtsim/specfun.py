@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["sine_integral"]
+
 _SERIES_CUTOFF = 18.0
 _ASYMPTOTIC_CUTOFF = 40.0
 _SERIES_TERMS = 48

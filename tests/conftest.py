@@ -1,5 +1,8 @@
 """Shared oracles for the kernel tests, plus acceptance-suite reporting.
 
+pair_geometry is the scalar, one-pair-at-a-time oracle for the vectorized
+geometry.pair_arrays.
+
 The closed form of the pair kernel phi drops rapidly oscillating cutoff-edge
 terms. The full radial integral evaluates, in closed form, to
 phi_closed + phi_osc_correction with the correction below, so quadrature
@@ -23,6 +26,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def pair_geometry(config, i: int, j: int):
+    """PairGeometry (r, theta) between atoms i and j at distinct positions;
+    theta measured from the dipole direction, folded into [0, pi]."""
+    from dmtsim.kernels import PairGeometry
+
+    delta = config.positions[i] - config.positions[j]
+    r = float(np.linalg.norm(delta))
+    if r == 0.0:
+        raise ValueError(f"atoms {i} and {j} coincide")
+    cos_t = float(np.clip(np.dot(config.dipole_direction, delta) / r, -1.0, 1.0))
+    return PairGeometry(r=r, theta=math.acos(cos_t))
 
 
 def _sin_over(x_num: float, x_den: float) -> float:

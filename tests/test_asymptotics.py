@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import pair_geometry
 
 from dmtsim.asymptotics import (
     HBARC_EV_ANGSTROM,
@@ -9,7 +10,6 @@ from dmtsim.asymptotics import (
     LatticeScales,
     atoms_per_m3,
     effective_neighbors,
-    f_diag_limit,
     gas_scales,
     kappa_from_photon_energy,
     lattice_scales,
@@ -19,7 +19,6 @@ from dmtsim.geometry import (
     GeometryError,
     SelectionMask,
     chain_1d,
-    pair_geometry,
     square_lattice_2d,
 )
 from dmtsim.kernels import BathParams, f_diag
@@ -30,6 +29,11 @@ MAGIC_ANGLE = math.acos(1.0 / math.sqrt(3.0))
 
 def bath(kappa=0.1):
     return BathParams(alpha=ALPHA, kappa=kappa)
+
+
+def plateau(b):
+    """Long-time plateau of the self-kernel f, alpha kappa^2 / (3 pi)."""
+    return b.alpha * b.kappa**2 / (3.0 * math.pi)
 
 
 class TestEffectiveNeighbors:
@@ -97,7 +101,7 @@ class TestLatticeScales:
         for a, n_nn in [(1000.0, 4.634), (50.0, 1.0), (3.0, 12.7)]:
             s = lattice_scales(a, b, n_nn)
             d_ind_at_t1 = 2.0 * n_nn * (b.alpha * s.t1 / a**3) ** 2
-            ratio = 4.0 * f_diag_limit(b) / d_ind_at_t1
+            ratio = 4.0 * plateau(b) / d_ind_at_t1
             assert ratio == pytest.approx(2.0, rel=1e-12)
             assert ratio <= 2.0 * (1.0 + 1e-12)
 
@@ -151,7 +155,7 @@ class TestGasScales:
         b = bath(0.07)
         for rho, l in [(1e-3, 10.0), (0.5, 2.0), (1e-8, 300.0)]:
             s = gas_scales(rho, l, b)
-            ratio = 2.0 * (s.gamma_g * s.t2) ** 2 / (4.0 * f_diag_limit(b))
+            ratio = 2.0 * (s.gamma_g * s.t2) ** 2 / (4.0 * plateau(b))
             assert ratio == pytest.approx(8.0 * math.pi**2 * ALPHA / 5.0, rel=1e-12)
             assert 0.1 <= ratio <= 10.0
 
@@ -180,14 +184,15 @@ class TestFDiagLimit:
             b = bath(kappa)
             # ringing decays as 2 sin(x)/x, so at x = 1e7 the curve sits
             # within 2e-7 of the plateau
-            assert f_diag(1e7 / kappa, b) == pytest.approx(
-                f_diag_limit(b), rel=1e-6
-            )
+            assert f_diag(1e7 / kappa, b) == pytest.approx(plateau(b), rel=1e-6)
 
     def test_quadratic_in_cutoff(self):
-        assert f_diag_limit(bath(0.2)) == pytest.approx(
-            4.0 * f_diag_limit(bath(0.1)), rel=1e-15
-        )
+        # f = kappa^2 F(kappa t): at equal kappa t, doubling the cutoff
+        # quadruples the self-kernel, its plateau included
+        for x in (1e-2, 1.0, 30.0, 1e7):
+            assert f_diag(x / 0.2, bath(0.2)) == pytest.approx(
+                4.0 * f_diag(x / 0.1, bath(0.1)), rel=1e-12
+            )
 
 
 class TestUnitRestoration:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import pair_geometry
 
 import dmtsim
 from dmtsim.cli import (
@@ -47,6 +48,20 @@ def write_scenario(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_module(args, timeout=120):
+    """`python -m dmtsim args` from this checkout's sources."""
+    src = str(Path(dmtsim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "dmtsim", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
 
 
 def read_csv(path):
@@ -97,6 +112,40 @@ class TestParsing:
         text = SMOKE + "\n[sweep]\nparameter = density\nvalues = 1e-3\n"
         with pytest.raises(ScenarioError, match=r"\[sweep\.parameter\]"):
             parse_scenario(write_scenario(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "alpha = 1e-2\n" + SMOKE,
+            SMOKE + "\n[bath]\nalpha = 1e-2\n",
+            SMOKE.replace("kappa = 0.1", "kappa = 0.1\nkappa = 0.2"),
+            SMOKE.replace("prefix = smoke", "prefix = caf\xe9").encode("latin-1"),
+            SMOKE.replace("kappa = 0.1", "kappa = 10%"),
+            SMOKE.replace("kappa = 0.1", "kappa = %(nope)s"),
+        ],
+        ids=[
+            "missing_section_header",
+            "duplicate_section",
+            "duplicate_option",
+            "not_utf8",
+            "bare_percent",
+            "percent_reference",
+        ],
+    )
+    def test_malformed_file_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "scenario.ini"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        done = run_module([str(path), "--out-dir", str(tmp_path / "out")])
+        assert done.returncode == 1
+        assert done.stderr.startswith("config error:")
+        assert "Traceback" not in done.stderr
+
+    def test_percent_is_a_literal_character(self, tmp_path):
+        path = write_scenario(tmp_path, SMOKE.replace("prefix = smoke", "prefix = smoke%20"))
+        assert parse_scenario(path).prefix == "smoke%20"
 
     def test_time_grid_validation(self):
         with pytest.raises(ScenarioError, match="at least 2"):
@@ -355,10 +404,24 @@ prefix = wide
         center = int(mask.selected[0])
         for t, got in zip(curve["t"], curve["d_indirect"]):
             expected = 2.0 * sum(
-                dmtsim.phi_exact(t, dmtsim.pair_geometry(config, center, int(k)), bath) ** 2
+                dmtsim.phi_exact(t, pair_geometry(config, center, int(k)), bath) ** 2
                 for k in mask.unobserved
             )
             assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_negative_gas_seed_is_a_config_error(self, tmp_path, capsys):
+        text = SMOKE.replace(
+            "kind = lattice\nside = 5\nspacing = 1000",
+            "kind = gas\ndensity = 1e-3\nexclusion_radius = 10\nhorizon = 25\nseed = -1",
+        )
+        path = write_scenario(tmp_path, text)
+        assert run(path, out_dir=str(tmp_path / "out")) == 1
+        assert "seed" in capsys.readouterr().err
+        path = write_scenario(tmp_path, text.replace("seed = -1", "seed = 3"), "ok.ini")
+        assert run(path, out_dir=str(tmp_path / "out"), seed_override=-5) == 1
+        assert main([path, "--seed-override", "-5", "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error: [geometry] seed must be") == 2
 
     def test_unknown_policy_is_a_config_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SMOKE)
@@ -433,6 +496,53 @@ prefix = tilt
             assert f"spacing = {v:.6g}: d_indirect(t_end) = {d:.6g}" in report
 
 
+    def test_report_scales_follow_the_swept_value(self, tmp_path):
+        # t1 grows as a^3 and gamma_g, t2 follow the density: each curve's
+        # scale line is computed from its own swept value, not the base one
+        b = dmtsim.BathParams(alpha=0.0072973525693, kappa=0.1)
+        text = SMOKE + "\n[sweep]\nparameter = spacing\nvalues = 10 100 1000\n"
+        out = tmp_path / "lattice"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 0
+        blocks = report_blocks(out / "smoke_report.txt")
+        for a in (10.0, 100.0, 1000.0):
+            config, mask = dmtsim.square_lattice_2d(5, a, (0.0, 0.0, 1.0))
+            n_nn = dmtsim.effective_neighbors(config, mask)
+            s = dmtsim.lattice_scales(a, b, n_nn)
+            assert (
+                f"  lattice scales: N_nn = {n_nn:.6g}, t1 = {s.t1:.6g}, "
+                f"a_c = {s.a_c:.6g}, gamma = {s.gamma:.6g}"
+            ) in blocks[f"smoke_spacing={a:g}"]
+        gas = SMOKE.replace(
+            "kind = lattice\nside = 5\nspacing = 1000",
+            "kind = gas\ndensity = 1e-3\nexclusion_radius = 10\nhorizon = 25\n"
+            "count_mode = fixed\nfixed_count = 3",
+        )
+        gas += "\n[sweep]\nparameter = density\nvalues = 1e-4 1e-3 1e-2\n"
+        out = tmp_path / "gas"
+        assert run(write_scenario(tmp_path, gas, "gas.ini"), out_dir=str(out)) == 0
+        blocks = report_blocks(out / "smoke_report.txt")
+        for rho in (1e-4, 1e-3, 1e-2):
+            s = dmtsim.gas_scales(rho, 10.0, b)
+            assert (
+                f"  gas scales: gamma_g = {s.gamma_g:.6g}, t2 = {s.t2:.6g}, "
+                f"rho_crit = {s.rho_crit:.6g}"
+            ) in blocks[f"smoke_density={rho:g}"]
+
+
+def report_blocks(path):
+    """Report lines grouped by curve label."""
+    blocks, label = {}, None
+    for line in path.read_text().splitlines():
+        if line.startswith("curve "):
+            label = line[len("curve ") : -1]
+            blocks[label] = []
+        elif label is not None and line.startswith("  "):
+            blocks[label].append(line)
+        else:
+            label = None
+    return blocks
+
+
 class TestMain:
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -453,16 +563,7 @@ class TestMain:
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         path = write_scenario(tmp_path, SMOKE)
-        src = str(Path(dmtsim.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "dmtsim", path, "--out-dir", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        done = run_module([path, "--out-dir", str(tmp_path / "out")])
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         assert (tmp_path / "out" / "smoke.csv").exists()

@@ -7,14 +7,12 @@ from scipy import integrate
 
 from dmtsim.asymptotics import gas_scales
 from dmtsim.ensemble import (
-    MC_CSV_HEADER,
     EnsembleError,
     MCResult,
     RNG_ALGORITHM,
     _sample_rng,
     analytic_phi00_avg,
     average_phi00,
-    mc_csv_row,
 )
 from dmtsim.geometry import GasSpec, GeometryError, pair_arrays, sample_gas
 from dmtsim.kernels import BathParams
@@ -157,6 +155,14 @@ class TestMonteCarlo:
         with pytest.raises(GeometryError):
             average_phi00(spec(), bath(), 20.0, 4, count_mode="typo")
 
+    def test_seed_is_the_unmasked_philox_key(self):
+        # the top of the key range keys the substreams as given; GasSpec
+        # rejects seeds past it, which a 64-bit mask would alias
+        top = average_phi00(spec(seed=2**64 - 1), bath(), 20.0, 4)
+        assert top.seed == 2**64 - 1 and top.mean > 0.0
+        with pytest.raises(GeometryError, match="seed"):
+            spec(seed=2**64 + 3)
+
     def test_domain_errors(self):
         with pytest.raises(EnsembleError):
             average_phi00(spec(), bath(), 30.0, 100)
@@ -167,18 +173,6 @@ class TestMonteCarlo:
 
 
 class TestCsv:
-    def test_header_and_row_round_trip(self):
-        res = MCResult(mean=1.0 / 3.0, std_error=1e-9 / 7.0, n_samples=1000, seed=7)
-        row = mc_csv_row(20.0, res)
-        names = MC_CSV_HEADER.split(",")
-        fields = row.split(",")
-        assert names == ["t", "mean", "std_error", "n_samples", "seed"]
-        assert len(fields) == len(names)
-        assert float(fields[0]) == 20.0
-        assert float(fields[1]) == res.mean
-        assert float(fields[2]) == res.std_error
-        assert int(fields[3]) == 1000 and int(fields[4]) == 7
-
     def test_negative_error_bar_rejected(self):
         with pytest.raises(EnsembleError):
             MCResult(mean=0.0, std_error=-1.0, n_samples=2, seed=0)

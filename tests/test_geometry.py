@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import pair_geometry
 from hypothesis import given, settings, strategies as st
 
 from dmtsim.geometry import (
@@ -10,13 +11,10 @@ from dmtsim.geometry import (
     GasSpec,
     GeometryError,
     SelectionMask,
-    apply_jitter,
     chain_1d,
-    from_text,
-    pair_geometry,
+    pair_arrays,
     sample_gas,
     square_lattice_2d,
-    to_text,
 )
 from dmtsim.kernels import BathParams, PairGeometry, TimeKernel, phi_closed, reduced_quadrature
 
@@ -79,6 +77,20 @@ class TestTypes:
             GasSpec(density=0.0, exclusion_radius=1.0, horizon=10.0)
         with pytest.raises(GeometryError):
             GasSpec(density=1e-6, exclusion_radius=10.0, horizon=5.0)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, 2**64, 2**64 + 3, 3.0, "3"],
+        ids=["negative", "2**64", "2**64+3", "float", "string"],
+    )
+    def test_gas_seed_outside_philox_key_range_rejected(self, seed):
+        # a masked or wrapped seed would replay another seed's samples
+        with pytest.raises(GeometryError, match="seed"):
+            GasSpec(density=1e-6, exclusion_radius=1.0, horizon=10.0, seed=seed)
+
+    def test_gas_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)):
+            GasSpec(density=1e-6, exclusion_radius=1.0, horizon=10.0, seed=seed)
 
 
 _CONTAINERS = (list, tuple, np.array, lambda v: np.array(v, dtype=np.int32))
@@ -296,66 +308,69 @@ class TestGas:
 
 
 class TestPairGeometry:
+    """geometry.pair_arrays against the scalar pair_geometry oracle."""
+
     def test_perpendicular(self):
         config = AtomConfig(
             positions=[[0, 0, 0], [3, 0, 0]], dipole_direction=(0, 0, 1), label="pair"
         )
-        geom = pair_geometry(config, 0, 1)
-        assert geom.r == pytest.approx(3.0)
-        assert geom.theta == pytest.approx(math.pi / 2)
+        r, cos_t = pair_arrays(config, [0], [1])
+        assert r.shape == cos_t.shape == (1, 1)
+        assert r[0, 0] == pytest.approx(3.0)
+        assert math.acos(cos_t[0, 0]) == pytest.approx(math.pi / 2)
+        assert math.acos(cos_t[0, 0]) == pair_geometry(config, 0, 1).theta
 
     def test_parallel(self):
         config = AtomConfig(
             positions=[[0, 0, 0], [0, 0, 4]], dipole_direction=(0, 0, 1), label="pair"
         )
-        geom = pair_geometry(config, 0, 1)
-        assert geom.theta == pytest.approx(0.0, abs=1e-12) or geom.theta == pytest.approx(
-            math.pi, abs=1e-12
-        )
+        r, cos_t = pair_arrays(config, [0], [1])
+        assert r[0, 0] == pytest.approx(4.0)
+        assert abs(cos_t[0, 0]) == pytest.approx(1.0, abs=1e-15)
+        assert math.acos(cos_t[0, 0]) == pair_geometry(config, 0, 1).theta
 
     def test_cos2_symmetric_in_order(self):
         config = AtomConfig(
             positions=[[0, 0, 0], [1, 2, 3]], dipole_direction=(0, 0, 1), label="pair"
         )
-        a = pair_geometry(config, 0, 1)
-        b = pair_geometry(config, 1, 0)
-        assert math.cos(a.theta) ** 2 == pytest.approx(math.cos(b.theta) ** 2, rel=1e-12)
+        r_ab, cos_ab = pair_arrays(config, [0], [1])
+        r_ba, cos_ba = pair_arrays(config, [1], [0])
+        assert r_ab[0, 0] == r_ba[0, 0]
+        assert cos_ab[0, 0] == -cos_ba[0, 0]
+        assert cos_ab[0, 0] ** 2 == pytest.approx(cos_ba[0, 0] ** 2, rel=1e-12)
 
-    def test_same_index_rejected(self):
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(4)
+        config = AtomConfig(rng.normal(0.0, 5.0, (6, 3)), (0.6, 0.0, 0.8), label="cloud")
+        rows, cols = [0, 3], [1, 2, 4, 5, 3]
+        r, cos_t = pair_arrays(config, rows, cols)
+        assert r.shape == cos_t.shape == (2, 5)
+        for a, i in enumerate(rows):
+            for b, j in enumerate(cols):
+                if i == j:
+                    continue
+                geom = pair_geometry(config, i, j)
+                assert r[a, b] == pytest.approx(geom.r, rel=1e-15)
+                assert math.acos(cos_t[a, b]) == pytest.approx(geom.theta, abs=1e-14)
+
+    def test_same_index_is_coincident(self):
+        # the documented coincident contract: r = 0 and cos theta = 1
         config = AtomConfig(
             positions=[[0, 0, 0], [1, 0, 0]], dipole_direction=(0, 0, 1), label="pair"
         )
-        with pytest.raises(GeometryError):
-            pair_geometry(config, 1, 1)
+        r, cos_t = pair_arrays(config, [0, 1], [1])
+        assert r[1, 0] == 0.0 and cos_t[1, 0] == 1.0
+        assert r[0, 0] == 1.0
 
-    def test_coincident_rejected(self):
+    def test_coincident_pair_gives_zero_r_and_unit_cos(self):
         config = AtomConfig(
             positions=[[1, 1, 1], [1, 1, 1]], dipole_direction=(0, 0, 1), label="pair"
         )
-        with pytest.raises(GeometryError):
-            pair_geometry(config, 0, 1)
+        r, cos_t = pair_arrays(config, [0], [1])
+        assert r[0, 0] == 0.0 and cos_t[0, 0] == 1.0
 
 
 class TestJitter:
-    def test_zero_sigma_identity(self):
-        config, _ = square_lattice_2d(3, 1.0, (0, 0, 1))
-        out = apply_jitter(config, 0.0, seed=3)
-        np.testing.assert_array_equal(out.positions, config.positions)
-
-    def test_deterministic(self):
-        config, _ = square_lattice_2d(3, 1.0, (0, 0, 1))
-        a = apply_jitter(config, 0.1, seed=3)
-        b = apply_jitter(config, 0.1, seed=3)
-        np.testing.assert_array_equal(a.positions, b.positions)
-        c = apply_jitter(config, 0.1, seed=4)
-        assert not np.array_equal(a.positions, c.positions)
-
-    def test_displacement_scale(self):
-        config, _ = square_lattice_2d(31, 10.0, (0, 0, 1))
-        out = apply_jitter(config, 0.5, seed=11)
-        disp = out.positions - config.positions
-        assert disp.std() == pytest.approx(0.5, rel=0.05)
-
     def test_jitter_average_recovers_closed_form(self):
         # kappa sigma = 100: position jitter washes out the oscillatory
         # cutoff-edge terms, so the jitter-averaged exact (quadrature) kernel
@@ -371,8 +386,10 @@ class TestJitter:
         target = phi_closed(t, pair_geometry(base, 0, 1), b)
         vals = np.empty(100)
         for i in range(100):
-            jit = apply_jitter(base, sigma, seed=1000 + i)
-            geom = pair_geometry(jit, 0, 1)
+            # isotropic Gaussian displacement, sigma per axis, of both atoms
+            rng = np.random.Generator(np.random.Philox(key=1000 + i))
+            moved = base.positions + rng.normal(0.0, sigma, base.positions.shape)
+            geom = pair_geometry(AtomConfig(moved, base.dipole_direction), 0, 1)
             vals[i] = reduced_quadrature(t, geom, b, TimeKernel.PHI_KERNEL, tol=1e-16)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - target) <= 2.0 * se
@@ -380,18 +397,3 @@ class TestJitter:
         # itself; only the jitter average pins the closed form down
         assert vals.std(ddof=1) > 0.5 * abs(target)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        config, _ = chain_1d(4, 1.7, 0.3)
-        text = to_text(config)
-        back = from_text(text)
-        np.testing.assert_array_equal(back.positions, config.positions)
-        np.testing.assert_array_equal(back.dipole_direction, config.dipole_direction)
-        assert back.label == config.label
-
-    def test_round_trip_jittered(self):
-        config, _ = square_lattice_2d(3, 2.0, (0, 0, 1))
-        jit = apply_jitter(config, 0.25, seed=5)
-        back = from_text(to_text(jit))
-        np.testing.assert_array_equal(back.positions, jit.positions)

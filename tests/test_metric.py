@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import pair_geometry
 from hypothesis import given, settings, strategies as st
 
 from dmtsim.asymptotics import effective_neighbors
@@ -11,7 +12,6 @@ from dmtsim.geometry import (
     GeometryError,
     SelectionMask,
     chain_1d,
-    pair_geometry,
     sample_gas,
     square_lattice_2d,
 )
@@ -27,7 +27,6 @@ from dmtsim.kernels import (
     reduced_quadrature,
 )
 from dmtsim.metric import (
-    Codeword,
     KernelPolicy,
     MetricError,
     MetricTensor,
@@ -37,7 +36,6 @@ from dmtsim.metric import (
     check_triangle,
     decoherence,
     distance,
-    find_null_pairs,
 )
 
 ALPHA = 1.0 / 137.036
@@ -72,7 +70,6 @@ class TestBuildMetric:
         M = build_metric(config, mask, bath(), 0.0)
         assert np.all(M.matrix == 0.0)
         assert M.validity_flag
-        assert build_metric(config, mask, bath(), 0.0, validity_threshold=0.0).validity_flag
 
     def test_symmetry_exact(self):
         config, _ = square_lattice_2d(3, 4.0, (0, 0, 1))
@@ -158,7 +155,7 @@ class TestBuildMetric:
         big = build_metric(config, mask, b, 40.0, kernel_policy=KernelPolicy.FAR_FIELD)
         assert small.validity_flag
         assert not big.validity_flag
-        assert np.abs(big.matrix).max() >= big.validity_threshold
+        assert np.abs(big.matrix).max() >= 0.1
 
     def test_selected_unobserved_coincidence_rejected(self):
         config = AtomConfig(
@@ -421,9 +418,6 @@ class TestChecks:
 
 
 class TestNullPairs:
-    def test_identity_has_none(self):
-        assert find_null_pairs(synthetic(np.eye(3))) == []
-
     def test_coincident_selected_pair_gives_null_direction(self):
         # two selected atoms at the same site see identical kernels, rows of
         # M coincide, and (1,-1) vs (-1,1) becomes a zero-distance direction
@@ -435,8 +429,6 @@ class TestNullPairs:
         mask = SelectionMask(selected=(0, 1), unobserved=(2, 3))
         M = build_metric(config, mask, bath(0.5), 9.0)
         np.testing.assert_array_equal(M.matrix[0], M.matrix[1])
-        pairs = find_null_pairs(M)
-        assert (Codeword((1, -1)), Codeword((-1, 1))) in pairs
         assert distance(M, (1, -1), (-1, 1)) == 0.0
         # eigen-decomposition oracle: null eigenvector along (1, -1)
         eigvals, eigvecs = np.linalg.eigh(M.matrix)
@@ -445,11 +437,6 @@ class TestNullPairs:
         assert abs(null_vec @ np.array([1.0, -1.0]) / math.sqrt(2)) == pytest.approx(
             1.0, abs=1e-10
         )
-
-    def test_refuses_large_n(self):
-        M = synthetic(np.eye(13))
-        with pytest.raises(MetricError):
-            find_null_pairs(M, max_n=12)
 
 
 class TestMonotonicity:

@@ -1,0 +1,81 @@
+import dmtsim
+
+EXPORTS = {
+    "__version__",
+    # specfun
+    "sine_integral",
+    # kernels
+    "BathParams",
+    "KernelDomainError",
+    "PairGeometry",
+    "QuadratureError",
+    "TimeKernel",
+    "f_diag",
+    "phi_closed",
+    "phi_exact",
+    "phi_farfield",
+    "reduced_quadrature",
+    # geometry
+    "AtomConfig",
+    "GasSpec",
+    "GeometryError",
+    "SelectionMask",
+    "chain_1d",
+    "pair_arrays",
+    "sample_gas",
+    "square_lattice_2d",
+    # metric
+    "Codeword",
+    "KernelPolicy",
+    "MetricError",
+    "MetricTensor",
+    "NonNegativityReport",
+    "TriangleReport",
+    "build_metric",
+    "check_nonnegative",
+    "check_triangle",
+    "decoherence",
+    "distance",
+    # asymptotics
+    "GasScales",
+    "HBARC_EV_ANGSTROM",
+    "LatticeScales",
+    "atoms_per_m3",
+    "effective_neighbors",
+    "gas_scales",
+    "kappa_from_photon_energy",
+    "lattice_scales",
+    # ensemble
+    "EnsembleError",
+    "MCResult",
+    "RNG_ALGORITHM",
+    "analytic_phi00_avg",
+    "average_phi00",
+    # cli
+    "CSV_HEADER",
+    "Scenario",
+    "ScenarioError",
+    "Sweep",
+    "TimeGrid",
+    "crossover_detect",
+    "parse_scenario",
+    "run",
+}
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(dmtsim.__all__) == sorted(EXPORTS)
+    for name in dmtsim.__all__:
+        assert getattr(dmtsim, name) is not None
+    submodules = (
+        dmtsim.specfun,
+        dmtsim.kernels,
+        dmtsim.geometry,
+        dmtsim.metric,
+        dmtsim.asymptotics,
+        dmtsim.ensemble,
+        dmtsim.cli,
+    )
+    for module in submodules:
+        for name in module.__all__:
+            assert getattr(dmtsim, name) is getattr(module, name)
