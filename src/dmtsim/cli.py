@@ -6,28 +6,33 @@ Scenario file layout::
     [bath]
     alpha = 0.0072973525693
     kappa = 0.1
-    # inv_temperature = 2.0      ; omit for zero temperature
+    # inv_temperature = 2.0  (omit for zero temperature)
 
     [geometry]
-    kind = lattice               ; lattice | chain | gas
-    side = 31                    ; lattice: odd edge length
+    # kind: lattice | chain | gas; lattice keys: side (odd), spacing,
+    # dipole_direction (default 0 0 1)
+    kind = lattice
+    side = 31
     spacing = 1000.0
-    dipole_direction = 0 0 1     ; lattice/gas only
+    dipole_direction = 0 0 1
     # chain keys: count, spacing, dipole_angle (radians)
     # gas keys: density, exclusion_radius, horizon, seed (0 <= seed < 2**64),
-    #           count_mode (poisson | fixed), fixed_count
+    #           count_mode (poisson | fixed), fixed_count, dipole_direction
 
-    [selection]                  ; optional, defaults to the builder's center atom
-    indices = 0
+    # optional; defaults to the builder's center atom (480 on this lattice)
+    [selection]
+    indices = 480
 
     [time]
     start = 1e-3
     end = 1e11
     points = 225
-    spacing = log                ; log | linear
+    # spacing: log | linear
+    spacing = log
 
-    [sweep]                      ; optional
-    parameter = kappa            ; kappa | spacing | dipole_tilt | density | exclusion_radius
+    # optional; parameter: kappa | spacing | dipole_tilt | density | exclusion_radius
+    [sweep]
+    parameter = kappa
     values = 0.01 0.1 1
 
     [output]
@@ -35,7 +40,15 @@ Scenario file layout::
     prefix = run
 
 The file is read as UTF-8 without value interpolation, so % is an ordinary
-character.
+character; a ; or # after a value is part of the value, so a comment takes
+its own line.
+
+The [geometry] section must be valid as written, even a key the sweep
+replaces: errors of the file's own build name [geometry], those of a swept
+build [sweep.values]. kappa and dipole_tilt sweep any kind, any other
+parameter only a kind that reads that key. Sweep values need distinct {:g}
+labels, which name the CSVs. --seed-override replaces a gas seed and is a
+configuration error for a lattice or chain.
 
 Exit codes: 0 success, 1 configuration error (message names the offending
 key; a file that is not valid UTF-8 INI is reported as [scenario], an output
@@ -156,6 +169,11 @@ class Sweep:
             )
         if len(self.values) == 0:
             raise ScenarioError("sweep.values", "sweep needs at least one value")
+        labels = [f"{value:g}" for value in self.values]  # each names a curve's CSV
+        for i, label in enumerate(labels):
+            if labels.index(label) < i:
+                a, b = self.values[labels.index(label)], self.values[i]
+                raise ScenarioError("sweep.values", f"values {a!r} and {b!r} share label {label}")
 
 
 @dataclass(frozen=True)
@@ -181,31 +199,43 @@ def _get(cp, section, key, cast, default=_MISSING):
     raw = cp.get(section, key)
     try:
         return cast(raw)
-    except ScenarioError:
-        raise
     except (TypeError, ValueError):
         raise ScenarioError(f"{section}.{key}", f"cannot parse value {raw!r}") from None
 
 
-def _floats(raw: str) -> tuple:
+def _numbers(raw: str, cast=float) -> tuple:
     parts = raw.replace(",", " ").split()
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
-
-
-def _ints(raw: str) -> tuple:
-    parts = raw.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
+    return tuple(cast(p) for p in parts)
 
 
 def _vector3(raw: str) -> tuple:
-    vec = _floats(raw)
+    vec = _numbers(raw)
     if len(vec) != 3:
         raise ValueError("need exactly three components")
     return vec
+
+
+# The [geometry] keys each kind reads, in reading order, as (key, cast[,
+# default]). Lattice and chain keys are their builders' parameter names.
+_GEOMETRY_KEYS = {
+    "lattice": (
+        ("side", int),
+        ("spacing", float),
+        ("dipole_direction", _vector3, (0.0, 0.0, 1.0)),
+    ),
+    "chain": (("count", int), ("spacing", float), ("dipole_angle", float)),
+    "gas": (
+        ("density", float),
+        ("exclusion_radius", float),
+        ("horizon", float),
+        ("seed", int, 0),
+        ("count_mode", str, "poisson"),
+        ("fixed_count", int, None),
+        ("dipole_direction", _vector3, (0.0, 0.0, 1.0)),
+    ),
+}
 
 
 def parse_scenario(path) -> Scenario:
@@ -229,58 +259,32 @@ def parse_scenario(path) -> Scenario:
     except (KernelDomainError, ValueError) as exc:
         raise ScenarioError("bath", str(exc)) from None
 
-    kind = _get(cp, "geometry", "kind", str).strip().lower()
-    params: dict = {}
-    if kind == "lattice":
-        params["side"] = _get(cp, "geometry", "side", int)
-        params["spacing"] = _get(cp, "geometry", "spacing", float)
-        params["dipole_direction"] = _get(
-            cp, "geometry", "dipole_direction", _vector3, default=(0.0, 0.0, 1.0)
-        )
-    elif kind == "chain":
-        params["count"] = _get(cp, "geometry", "count", int)
-        params["spacing"] = _get(cp, "geometry", "spacing", float)
-        params["dipole_angle"] = _get(cp, "geometry", "dipole_angle", float)
-    elif kind == "gas":
-        params["density"] = _get(cp, "geometry", "density", float)
-        params["exclusion_radius"] = _get(cp, "geometry", "exclusion_radius", float)
-        params["horizon"] = _get(cp, "geometry", "horizon", float)
-        params["seed"] = _get(cp, "geometry", "seed", int, default=0)
-        params["count_mode"] = _get(cp, "geometry", "count_mode", str, default="poisson").strip()
-        params["fixed_count"] = _get(cp, "geometry", "fixed_count", int, default=None)
-        params["dipole_direction"] = _get(
-            cp, "geometry", "dipole_direction", _vector3, default=(0.0, 0.0, 1.0)
-        )
-    else:
+    kind = _get(cp, "geometry", "kind", str.lower)
+    if kind not in _GEOMETRY_KEYS:
         raise ScenarioError("geometry.kind", f"unknown geometry kind {kind!r}")
+    params = {entry[0]: _get(cp, "geometry", *entry) for entry in _GEOMETRY_KEYS[kind]}
 
     selection = None
     if cp.has_section("selection"):
-        selection = _get(cp, "selection", "indices", _ints)
+        selection = _get(cp, "selection", "indices", lambda raw: _numbers(raw, int))
 
     grid = TimeGrid(
         start=_get(cp, "time", "start", float),
         end=_get(cp, "time", "end", float),
         points=_get(cp, "time", "points", int),
-        spacing=_get(cp, "time", "spacing", str, default="log").strip().lower(),
+        spacing=_get(cp, "time", "spacing", str.lower, default="log"),
     )
 
     sweep = None
     if cp.has_section("sweep"):
         sweep = Sweep(
-            parameter=_get(cp, "sweep", "parameter", str).strip().lower(),
-            values=_get(cp, "sweep", "values", _floats),
+            parameter=_get(cp, "sweep", "parameter", str.lower),
+            values=_get(cp, "sweep", "values", _numbers),
         )
-        if sweep.parameter in ("density", "exclusion_radius") and kind != "gas":
-            raise ScenarioError("sweep.parameter", f"{sweep.parameter} sweep needs gas geometry")
-        if sweep.parameter == "spacing" and kind == "gas":
-            raise ScenarioError("sweep.parameter", "spacing sweep needs lattice or chain geometry")
-
-    out_dir = "out"
-    prefix = "run"
-    if cp.has_section("output"):
-        out_dir = _get(cp, "output", "directory", str, default="out").strip()
-        prefix = _get(cp, "output", "prefix", str, default="run").strip()
+        # kappa and dipole_tilt sweep any kind; any other parameter is a key
+        # that the kind reads
+        if sweep.parameter not in ("kappa", "dipole_tilt", *params):
+            raise ScenarioError("sweep.parameter", f"{kind} geometry has no {sweep.parameter}")
 
     return Scenario(
         bath=bath,
@@ -289,43 +293,18 @@ def parse_scenario(path) -> Scenario:
         time_grid=grid,
         selection=selection,
         sweep=sweep,
-        out_dir=out_dir,
-        prefix=prefix,
+        out_dir=_get(cp, "output", "directory", str, default="out"),
+        prefix=_get(cp, "output", "prefix", str, default="run"),
     )
 
 
-def _tilted_direction(tilt: float) -> tuple:
-    # rotate the reference z dipole toward x by the tilt angle
-    return (math.sin(tilt), 0.0, math.cos(tilt))
-
-
-def _build_geometry(
-    kind: str, params: dict, seed_override: int | None
-) -> tuple[AtomConfig, SelectionMask]:
+def _build_geometry(kind: str, params: dict) -> tuple[AtomConfig, SelectionMask]:
     if kind == "lattice":
-        return square_lattice_2d(
-            side=params["side"],
-            spacing=params["spacing"],
-            dipole_direction=params["dipole_direction"],
-        )
+        return square_lattice_2d(**params)
     if kind == "chain":
-        return chain_1d(
-            count=params["count"],
-            spacing=params["spacing"],
-            dipole_angle=params["dipole_angle"],
-        )
-    spec = GasSpec(
-        density=params["density"],
-        exclusion_radius=params["exclusion_radius"],
-        horizon=params["horizon"],
-        seed=params["seed"] if seed_override is None else seed_override,
-    )
-    return sample_gas(
-        spec,
-        count_mode=params["count_mode"],
-        fixed_count=params["fixed_count"],
-        dipole_direction=params["dipole_direction"],
-    )
+        return chain_1d(**params)
+    spec = GasSpec(params["density"], params["exclusion_radius"], params["horizon"], params["seed"])
+    return sample_gas(spec, params["count_mode"], params["fixed_count"], params["dipole_direction"])
 
 
 def _apply_selection(config: AtomConfig, default: SelectionMask, indices) -> SelectionMask:
@@ -337,42 +316,37 @@ def _apply_selection(config: AtomConfig, default: SelectionMask, indices) -> Sel
         raise ScenarioError("selection.indices", str(exc)) from None
 
 
-def _sweep_variants(scenario: Scenario, seed_override):
-    """Yield (label, bath, geometry params, config, mask, sweep_value) per
-    curve, the bath and params carrying the curve's swept value."""
-    if scenario.sweep is None:
-        params = scenario.geometry_params
-        config, default = _build_geometry(scenario.geometry_kind, params, seed_override)
+def _sweep_variants(scenario: Scenario):
+    """Yield (label, bath, geometry params, config, mask, sweep value) per
+    curve. The file's own geometry is built first, so its errors name
+    [geometry]; a curve whose params equal the file's reuses that build."""
+    kind, params = scenario.geometry_kind, scenario.geometry_params
+    try:
+        base = _build_geometry(kind, params)
+    except ValueError as exc:  # GeometryError, or numpy refusing a gas count
+        raise ScenarioError("geometry", str(exc)) from None
+    sweep = scenario.sweep
+    if sweep is None:
+        config, default = base
         mask = _apply_selection(config, default, scenario.selection)
         yield scenario.prefix, scenario.bath, params, config, mask, None
         return
-
-    param = scenario.sweep.parameter
-    for value in scenario.sweep.values:
-        bath = scenario.bath
-        params = dict(scenario.geometry_params)
-        if param == "kappa":
-            try:
-                bath = replace(scenario.bath, kappa=value)
-            except (KernelDomainError, ValueError) as exc:
-                raise ScenarioError("sweep.values", str(exc)) from None
-        elif param == "spacing":
-            params["spacing"] = value
-        elif param == "dipole_tilt":
-            if scenario.geometry_kind == "chain":
-                params["dipole_angle"] = value
-            else:
-                params["dipole_direction"] = _tilted_direction(value)
-        elif param == "density":
-            params["density"] = value
-        elif param == "exclusion_radius":
-            params["exclusion_radius"] = value
+    param = sweep.parameter
+    for value in sweep.values:
+        swept = dict(params)
+        if param == "dipole_tilt" and kind == "chain":
+            swept["dipole_angle"] = value
+        elif param == "dipole_tilt":  # the z dipole tilted toward x
+            swept["dipole_direction"] = (math.sin(value), 0.0, math.cos(value))
+        elif param != "kappa":
+            swept[param] = value
         try:
-            config, default = _build_geometry(scenario.geometry_kind, params, seed_override)
-        except (GeometryError, ValueError) as exc:
+            bath = replace(scenario.bath, kappa=value) if param == "kappa" else scenario.bath
+            config, default = base if swept == params else _build_geometry(kind, swept)
+        except ValueError as exc:
             raise ScenarioError("sweep.values", f"value {value:g}: {exc}") from None
         mask = _apply_selection(config, default, scenario.selection)
-        yield f"{scenario.prefix}_{param}={value:g}", bath, params, config, mask, value
+        yield f"{scenario.prefix}_{param}={value:g}", bath, swept, config, mask, value
 
 
 def crossover_detect(times, d_direct, d_indirect):
@@ -446,12 +420,14 @@ def run(
             kernel_policy = KernelPolicy(policy)
         except ValueError:
             raise ScenarioError("policy", f"unknown kernel policy {policy!r}") from None
-        variants = list(_sweep_variants(scenario, seed_override))
+        if seed_override is not None:
+            if scenario.geometry_kind != "gas":
+                raise ScenarioError("seed-override", "only gas geometry draws a seed")
+            params = {**scenario.geometry_params, "seed": seed_override}
+            scenario = replace(scenario, geometry_params=params)
+        variants = list(_sweep_variants(scenario))
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except GeometryError as exc:
-        print(f"config error: [geometry] {exc}", file=sys.stderr)
         return 1
 
     target = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
@@ -552,7 +528,7 @@ def main(argv=None) -> int:
     parser.add_argument("scenario", help="path to a scenario INI file")
     parser.add_argument("--out-dir", default=None, help="override the scenario output directory")
     parser.add_argument(
-        "--seed-override", type=int, default=None, help="replace the gas sampling seed"
+        "--seed-override", type=int, default=None, help="replace the seed of a gas geometry"
     )
     parser.add_argument(
         "--policy",

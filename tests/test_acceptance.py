@@ -9,11 +9,12 @@ pytest run leaves a greppable one-line summary per criterion.
 
 The pair-kernel cross-validation (4a) compares the radial quadrature with
 phi_exact, the closed form of the full integral. phi_closed is not the
-reference there: it deliberately drops rapidly oscillating cutoff-edge terms
-that jitter and ensemble averaging suppress in any real array, and those
-terms are an order-unity (at high kappa r even dominant) fraction of the
-exact integral for a single rigid pair. 4a prints that gap alongside its
-verdict so the omission stays visible.
+reference there: it deliberately drops rapidly oscillating cutoff-edge terms,
+and those terms are an order-unity (at high kappa r even dominant) fraction
+of the exact integral for a single rigid pair. Radial jitter averages them
+out of phi but not out of the metric's Phi = sum phi^2 (see the phi_closed
+docstring and ROADMAP item 4). 4a prints that gap alongside its verdict so
+the omission stays visible.
 """
 
 import math

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,19 @@ points = 13
 [output]
 prefix = smoke
 """
+
+# small geometries of each kind, to stand in for SMOKE's lattice
+GEOMETRY = {
+    "lattice": "kind = lattice\nside = 3\nspacing = 100",
+    "chain": "kind = chain\ncount = 3\nspacing = 100\ndipole_angle = 0.2",
+    "gas": "kind = gas\ndensity = 1e-3\nexclusion_radius = 10\nhorizon = 25\n"
+    "count_mode = fixed\nfixed_count = 3",
+}
+
+
+def with_geometry(geometry, extra=""):
+    """SMOKE with its [geometry] keys replaced by `geometry`, plus extra text."""
+    return SMOKE.replace("kind = lattice\nside = 5\nspacing = 1000", geometry) + extra
 
 
 def write_scenario(tmp_path, text, name="scenario.ini"):
@@ -162,6 +176,35 @@ class TestParsing:
             Sweep(parameter="alpha", values=(1.0,))
         with pytest.raises(ScenarioError, match="at least one"):
             Sweep(parameter="kappa", values=())
+
+    @pytest.mark.parametrize("values", ["0.1 0.1000001 0.2", "0.2 0.1 0.1"])
+    def test_sweep_values_need_distinct_labels(self, tmp_path, capsys, values):
+        # both values of a pair would write smoke_kappa=0.1.csv
+        text = SMOKE + f"\n[sweep]\nparameter = kappa\nvalues = {values}\n"
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [sweep.values] values 0.1 and 0.1")
+        assert "share label 0.1" in err
+        assert not list(out.glob("*.csv"))
+
+    def test_documented_example_runs(self, tmp_path):
+        block = dmtsim.cli.__doc__.split("Scenario file layout::\n\n")[1]
+        lines = []
+        for line in block.splitlines():
+            if line and not line.startswith("    "):
+                break
+            lines.append(line)
+        path = write_scenario(tmp_path, textwrap.dedent("\n".join(lines)))
+        sc = parse_scenario(path)
+        assert sc.geometry_kind == "lattice" and sc.selection == (480,)
+        out = tmp_path / "out"
+        assert run(path, out_dir=str(out)) == 0
+        assert sorted(f.name for f in out.glob("*.csv")) == [
+            "run_kappa=0.01.csv",
+            "run_kappa=0.1.csv",
+            "run_kappa=1.csv",
+        ]
 
 
 class TestCrossoverDetect:
@@ -428,6 +471,52 @@ prefix = wide
         assert run(path, out_dir=str(tmp_path / "out"), policy="magic") == 1
         assert "policy" in capsys.readouterr().err
 
+    def test_seed_override_needs_gas_geometry(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, SMOKE)
+        out = tmp_path / "out"
+        assert main([path, "--seed-override", "7", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: [seed-override]")
+        assert not list(out.glob("*.csv"))
+
+    def test_seed_override_equals_the_file_seed(self, tmp_path):
+        text = with_geometry(GEOMETRY["gas"] + "\nseed = 3")
+        path = write_scenario(tmp_path, text)
+        assert main([path, "--seed-override", "7", "--out-dir", str(tmp_path / "a")]) == 0
+        seven = write_scenario(tmp_path, text.replace("seed = 3", "seed = 7"), "seven.ini")
+        assert run(seven, out_dir=str(tmp_path / "b")) == 0
+        got = (tmp_path / "a" / "smoke.csv").read_bytes()
+        assert got == (tmp_path / "b" / "smoke.csv").read_bytes()
+        assert "seed override: 7" in (tmp_path / "a" / "smoke_report.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "geometry, sweep, message",
+        [
+            (GEOMETRY["gas"] + "\nseed = -1", True, "seed must be an integer"),
+            (GEOMETRY["gas"].replace("fixed", "Fixed"), True, "count_mode must be"),
+            # the swept key too must be valid as written
+            (GEOMETRY["gas"].replace("1e-3", "-1"), True, "density must be finite"),
+            # numpy refuses a Poisson mean this large
+            ("kind = gas\ndensity = 1e30\nexclusion_radius = 10\nhorizon = 25", False, "lam"),
+        ],
+        ids=["seed", "count_mode", "swept_key", "poisson_mean"],
+    )
+    def test_bad_file_geometry_names_geometry(self, tmp_path, capsys, geometry, sweep, message):
+        extra = "\n[sweep]\nparameter = density\nvalues = 1e-3 2e-3\n" if sweep else ""
+        text = with_geometry(geometry, extra)
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [geometry] ") and message in err
+        assert not list(out.glob("*.csv"))
+
+    def test_bad_swept_value_names_the_sweep(self, tmp_path, capsys):
+        text = with_geometry(GEOMETRY["gas"], "\n[sweep]\nparameter = density\nvalues = 1e-3 -1\n")
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [sweep.values] value -1: density must be finite")
+        assert not list(out.glob("*.csv"))
+
 
 class TestSweeps:
     def test_kappa_sweep_emits_one_curve_per_value(self, tmp_path):
@@ -527,6 +616,47 @@ prefix = tilt
                 f"  gas scales: gamma_g = {s.gamma_g:.6g}, t2 = {s.t2:.6g}, "
                 f"rho_crit = {s.rho_crit:.6g}"
             ) in blocks[f"smoke_density={rho:g}"]
+
+    def test_gas_kappa_sweep_reproduces_the_unswept_curve(self, tmp_path):
+        path = write_scenario(tmp_path, with_geometry(GEOMETRY["gas"]))
+        assert run(path, out_dir=str(tmp_path / "plain")) == 0
+        swept = with_geometry(GEOMETRY["gas"], "\n[sweep]\nparameter = kappa\nvalues = 0.05 0.1\n")
+        out = tmp_path / "swept"
+        assert run(write_scenario(tmp_path, swept, "swept.ini"), out_dir=str(out)) == 0
+        plain = (tmp_path / "plain" / "smoke.csv").read_bytes()
+        assert (out / "smoke_kappa=0.1.csv").read_bytes() == plain
+        assert (out / "smoke_kappa=0.05.csv").read_bytes() != plain
+
+
+SWEEP_VALUES = {
+    "kappa": (0.05, 0.1),
+    "spacing": (50.0, 100.0),
+    "dipole_tilt": (0.3, 0.6),
+    "density": (1e-3, 2e-3),
+    "exclusion_radius": (5.0, 10.0),
+}
+ALLOWED_SWEEPS = {
+    "lattice": {"kappa", "spacing", "dipole_tilt"},
+    "chain": {"kappa", "spacing", "dipole_tilt"},
+    "gas": {"kappa", "dipole_tilt", "density", "exclusion_radius"},
+}
+
+
+@pytest.mark.parametrize("param", sorted(SWEEP_VALUES))
+@pytest.mark.parametrize("kind", sorted(ALLOWED_SWEEPS))
+def test_sweep_parameter_and_geometry_kind(tmp_path, kind, param):
+    values = SWEEP_VALUES[param]
+    extra = f"\n[sweep]\nparameter = {param}\nvalues = {values[0]!r} {values[1]!r}\n"
+    path = write_scenario(tmp_path, with_geometry(GEOMETRY[kind], extra))
+    if param not in ALLOWED_SWEEPS[kind]:
+        with pytest.raises(ScenarioError, match=r"^\[sweep\.parameter\]"):
+            parse_scenario(path)
+        return
+    out = tmp_path / "out"
+    assert run(path, out_dir=str(out)) == 0
+    assert sorted(f.name for f in out.glob("*.csv")) == sorted(
+        f"smoke_{param}={v:g}.csv" for v in values
+    )
 
 
 def report_blocks(path):
