@@ -1,10 +1,13 @@
-"""Print a digest of the scenario runner's outputs over a fixed scenario list.
+"""Print a digest of the scenario runner's outputs over a fixed scenario list,
+and of the gas Monte Carlo.
 
 Runs each scenario through `dmtsim.cli.run` into a temporary directory and
 prints one `exit <name> <code>` line per run, then `sha256  <name>/<file>`
-for every CSV and report it wrote. `dmtsim` is imported from PYTHONPATH, so
-the same script digests any checkout; two checkouts give the same outputs
-exactly when their digests diff clean:
+for every CSV and report it wrote. Then prints the mean and standard error
+of `dmtsim.ensemble.average_phi00` at 12 significant digits for seeds 0-2
+under each kernel policy. `dmtsim` is imported from PYTHONPATH, so the same
+script digests any checkout; two checkouts give the same outputs (the
+Monte Carlo to 12 digits) exactly when their digests diff clean:
 
     PYTHONPATH=src python scripts/output_digest.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python scripts/output_digest.py > old.txt
@@ -20,6 +23,10 @@ import tempfile
 from pathlib import Path
 
 import dmtsim.cli
+from dmtsim.ensemble import average_phi00
+from dmtsim.geometry import GasSpec
+from dmtsim.kernels import BathParams
+from dmtsim.metric import KernelPolicy
 
 FIGURE = """
 [bath]
@@ -183,6 +190,12 @@ SCENARIOS = (
     ("gas_seed_override", GAS.format(extra=""), "closed", 7),
 )
 
+# Monte Carlo: about 110 atoms per sample, 29 of them inside the light cone
+MC_BATH = BathParams(alpha=0.0072973525693, kappa=0.1)
+MC_T = 20.0
+MC_SAMPLES = 200
+MC_SEEDS = (0, 1, 2)
+
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
@@ -197,6 +210,11 @@ def main() -> int:
             for out in sorted((root / name).glob("*")):
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()
                 print(f"{digest}  {name}/{out.name}")
+    for policy in KernelPolicy:
+        for seed in MC_SEEDS:
+            spec = GasSpec(density=1e-3, exclusion_radius=10.0, horizon=30.0, seed=seed)
+            res = average_phi00(spec, MC_BATH, MC_T, MC_SAMPLES, kernel_policy=policy)
+            print(f"mc {policy.value} seed {seed} {res.mean:.12e} {res.std_error:.12e}")
     return 0
 
 

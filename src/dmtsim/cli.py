@@ -46,9 +46,10 @@ its own line.
 The [geometry] section must be valid as written, even a key the sweep
 replaces: errors of the file's own build name [geometry], those of a swept
 build [sweep.values]. kappa and dipole_tilt sweep any kind, any other
-parameter only a kind that reads that key. Sweep values need distinct {:g}
-labels, which name the CSVs. --seed-override replaces a gas seed and is a
-configuration error for a lattice or chain.
+parameter only a kind that reads that key, and density only a Poisson gas
+(a fixed-count gas draws the same atoms at every density). Sweep values
+need distinct {:g} labels, which name the CSVs. --seed-override replaces a
+gas seed and is a configuration error for a lattice or chain.
 
 Exit codes: 0 success, 1 configuration error (message names the offending
 key; a file that is not valid UTF-8 INI is reported as [scenario], an output
@@ -285,6 +286,9 @@ def parse_scenario(path) -> Scenario:
         # that the kind reads
         if sweep.parameter not in ("kappa", "dipole_tilt", *params):
             raise ScenarioError("sweep.parameter", f"{kind} geometry has no {sweep.parameter}")
+        # a fixed-count gas draws the same atoms at every density
+        if sweep.parameter == "density" and params["count_mode"] == "fixed":
+            raise ScenarioError("sweep.parameter", "a fixed-count gas does not depend on density")
 
     return Scenario(
         bath=bath,
@@ -323,7 +327,7 @@ def _sweep_variants(scenario: Scenario):
     kind, params = scenario.geometry_kind, scenario.geometry_params
     try:
         base = _build_geometry(kind, params)
-    except ValueError as exc:  # GeometryError, or numpy refusing a gas count
+    except ValueError as exc:  # GeometryError, or numpy refusing an array size
         raise ScenarioError("geometry", str(exc)) from None
     sweep = scenario.sweep
     if sweep is None:

@@ -3,7 +3,13 @@
 Gas samples are independent draws of the atom cloud; per-sample substreams
 come from a counter-based Philox generator keyed by (seed, sample index), so
 results are reproducible across platforms and trivially parallelizable. The
-analytic finite-range far-field average is the validation oracle.
+estimator works on each sample's drawn (r, cos theta) directly, the first
+draws sample_gas takes from the same substream, and builds no positions.
+Count inputs are checked once, before any draw: a bad count_mode, a
+fixed_count that is not an integer >= 0 or a Poisson mean numpy cannot draw
+is a GeometryError, and an n_samples that is not an integer >= 2 an
+EnsembleError. The analytic finite-range far-field average is the
+validation oracle.
 """
 
 from __future__ import annotations
@@ -66,8 +72,10 @@ def average_phi00(
     over independent gas samples.
 
     Requires t <= spec.horizon so the light cone stays inside the sampled
-    ball, and n_samples >= 2 for a standard error. The master seed is
-    spec.seed; sample i uses the (seed, i) substream.
+    ball, and an integer n_samples >= 2 for a standard error. The master
+    seed is spec.seed; sample i uses the (seed, i) substream, and phi is
+    evaluated on its drawn (r, theta) with theta from the z axis, the
+    dipole of sample_gas's default configuration.
     """
     if not (math.isfinite(t) and t >= 0):
         raise EnsembleError("time must be finite and >= 0")
@@ -76,17 +84,12 @@ def average_phi00(
             f"t = {t:g} exceeds the sampling horizon {spec.horizon:g}; atoms inside "
             "the light cone would be missing"
         )
-    if n_samples < 2:
-        raise EnsembleError("n_samples must be >= 2")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 2):
+        raise EnsembleError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    draw = _geometry._shell_draws(spec, count_mode, fixed_count)
     totals = np.empty(n_samples)
     for i in range(n_samples):
-        config, mask = _geometry.sample_gas(
-            spec, count_mode=count_mode, fixed_count=fixed_count, rng=_sample_rng(spec.seed, i)
-        )
-        if len(mask.unobserved) == 0:
-            totals[i] = 0.0
-            continue
-        r, cos_t = _geometry.pair_arrays(config, mask.selected, mask.unobserved)
+        r, cos_t = draw(_sample_rng(spec.seed, i))
         phi = _phi_matrix(t, r, np.arccos(cos_t), bath, kernel_policy)
         totals[i] = float(np.sum(phi**2))
     mean = float(totals.mean())

@@ -211,6 +211,43 @@ def chain_1d(count: int, spacing: float, dipole_angle: float) -> tuple:
     return config, SelectionMask.from_selected(count, [center])
 
 
+# The largest Poisson mean numpy's Generator.poisson accepts ("lam value too
+# large" above it): int64 max minus ten of its square roots.
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
+
+
+def _shell_draws(spec: GasSpec, count_mode: str, fixed_count: int | None):
+    """Check a gas's count rule once and return draw(rng) -> (r, cos theta).
+
+    Each draw takes, in this order, the atom count (Poisson or fixed), then r
+    with r^3 uniform in [l^3, H^3], then cos theta uniform in [-1, 1), theta
+    measured from the z axis. These are the first draws sample_gas takes from
+    its generator, so a caller that needs no positions can stop here.
+    """
+    if count_mode not in ("poisson", "fixed"):
+        raise GeometryError("count_mode must be 'poisson' or 'fixed'")
+    l3 = spec.exclusion_radius**3
+    h3 = spec.horizon**3
+    if count_mode == "poisson":
+        mean = spec.density * 4.0 * math.pi / 3.0 * (h3 - l3)
+        if not mean <= _POISSON_MEAN_MAX:
+            raise GeometryError(
+                f"Poisson mean atom count {mean:g} exceeds numpy's largest lam, "
+                f"{_POISSON_MEAN_MAX:g}"
+            )
+    elif not (isinstance(fixed_count, (int, np.integer)) and fixed_count >= 0):
+        raise GeometryError(
+            f"fixed count_mode needs an integer fixed_count >= 0, got {fixed_count!r}"
+        )
+
+    def draw(rng: np.random.Generator):
+        n = int(rng.poisson(mean)) if count_mode == "poisson" else int(fixed_count)
+        r = (l3 + rng.random(n) * (h3 - l3)) ** (1.0 / 3.0)
+        return r, rng.uniform(-1.0, 1.0, n)
+
+    return draw
+
+
 def sample_gas(
     spec: GasSpec,
     count_mode: str = "poisson",
@@ -223,25 +260,16 @@ def sample_gas(
 
     Sampling is exact (r^3 uniform in [l^3, H^3], direction uniform on the
     sphere), so no rejection loop exists. count_mode "poisson" draws the atom
-    number from the shell-volume mean density * (4 pi / 3)(H^3 - l^3);
-    "fixed" uses fixed_count. Deterministic for a given seed; an explicit rng
-    overrides the seed for substream use.
+    number from the shell-volume mean density * (4 pi / 3)(H^3 - l^3), which
+    must not exceed numpy's Poisson limit (about 9.2e18); "fixed" uses
+    fixed_count, an integer >= 0. Deterministic for a given seed; an explicit
+    rng overrides the seed for substream use.
     """
-    if count_mode not in ("poisson", "fixed"):
-        raise GeometryError("count_mode must be 'poisson' or 'fixed'")
+    draw = _shell_draws(spec, count_mode, fixed_count)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    l3 = spec.exclusion_radius**3
-    h3 = spec.horizon**3
-    if count_mode == "poisson":
-        mean = spec.density * 4.0 * math.pi / 3.0 * (h3 - l3)
-        n = int(rng.poisson(mean))
-    else:
-        if fixed_count is None or fixed_count < 0:
-            raise GeometryError("fixed count_mode needs fixed_count >= 0")
-        n = int(fixed_count)
-    r = (l3 + rng.random(n) * (h3 - l3)) ** (1.0 / 3.0)
-    cos_t = rng.uniform(-1.0, 1.0, n)
+    r, cos_t = draw(rng)
+    n = r.size
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t**2))
     pos = np.empty((n + 1, 3))

@@ -51,6 +51,9 @@ GEOMETRY = {
     "gas": "kind = gas\ndensity = 1e-3\nexclusion_radius = 10\nhorizon = 25\n"
     "count_mode = fixed\nfixed_count = 3",
 }
+# a Poisson gas of about 61 atoms: a density sweep needs one, since a
+# fixed-count gas draws the same atoms at every density
+POISSON_GAS = "kind = gas\ndensity = 1e-3\nexclusion_radius = 10\nhorizon = 25"
 
 
 def with_geometry(geometry, extra=""):
@@ -126,6 +129,19 @@ class TestParsing:
         text = SMOKE + "\n[sweep]\nparameter = density\nvalues = 1e-3\n"
         with pytest.raises(ScenarioError, match=r"\[sweep\.parameter\]"):
             parse_scenario(write_scenario(tmp_path, text))
+
+    def test_density_sweep_needs_a_poisson_gas(self, tmp_path):
+        # a fixed-count gas draws the same atoms at every density: its curves
+        # would be identical and the report's minimizer meaningless
+        extra = "\n[sweep]\nparameter = density\nvalues = 1e-4 1e-3\n"
+        path = write_scenario(tmp_path, with_geometry(GEOMETRY["gas"], extra))
+        out = tmp_path / "out"
+        done = run_module([path, "--out-dir", str(out)])
+        assert done.returncode == 1
+        assert done.stderr.startswith(
+            "config error: [sweep.parameter] a fixed-count gas does not depend on density"
+        )
+        assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize(
         "text",
@@ -491,14 +507,16 @@ prefix = wide
     @pytest.mark.parametrize(
         "geometry, sweep, message",
         [
-            (GEOMETRY["gas"] + "\nseed = -1", True, "seed must be an integer"),
+            (POISSON_GAS + "\nseed = -1", True, "seed must be an integer"),
             (GEOMETRY["gas"].replace("fixed", "Fixed"), True, "count_mode must be"),
             # the swept key too must be valid as written
-            (GEOMETRY["gas"].replace("1e-3", "-1"), True, "density must be finite"),
+            (POISSON_GAS.replace("1e-3", "-1"), True, "density must be finite"),
             # numpy refuses a Poisson mean this large
             ("kind = gas\ndensity = 1e30\nexclusion_radius = 10\nhorizon = 25", False, "lam"),
+            # numpy refuses an array this long before allocating it
+            (GEOMETRY["chain"].replace("count = 3", "count = 10" + "0" * 20), False, "Maximum"),
         ],
-        ids=["seed", "count_mode", "swept_key", "poisson_mean"],
+        ids=["seed", "count_mode", "swept_key", "poisson_mean", "array_size"],
     )
     def test_bad_file_geometry_names_geometry(self, tmp_path, capsys, geometry, sweep, message):
         extra = "\n[sweep]\nparameter = density\nvalues = 1e-3 2e-3\n" if sweep else ""
@@ -510,7 +528,7 @@ prefix = wide
         assert not list(out.glob("*.csv"))
 
     def test_bad_swept_value_names_the_sweep(self, tmp_path, capsys):
-        text = with_geometry(GEOMETRY["gas"], "\n[sweep]\nparameter = density\nvalues = 1e-3 -1\n")
+        text = with_geometry(POISSON_GAS, "\n[sweep]\nparameter = density\nvalues = 1e-3 -1\n")
         out = tmp_path / "out"
         assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
         err = capsys.readouterr().err
@@ -601,12 +619,8 @@ prefix = tilt
                 f"  lattice scales: N_nn = {n_nn:.6g}, t1 = {s.t1:.6g}, "
                 f"a_c = {s.a_c:.6g}, gamma = {s.gamma:.6g}"
             ) in blocks[f"smoke_spacing={a:g}"]
-        gas = SMOKE.replace(
-            "kind = lattice\nside = 5\nspacing = 1000",
-            "kind = gas\ndensity = 1e-3\nexclusion_radius = 10\nhorizon = 25\n"
-            "count_mode = fixed\nfixed_count = 3",
-        )
-        gas += "\n[sweep]\nparameter = density\nvalues = 1e-4 1e-3 1e-2\n"
+        sweep = "\n[sweep]\nparameter = density\nvalues = 1e-4 1e-3 1e-2\n"
+        gas = with_geometry(POISSON_GAS, sweep)
         out = tmp_path / "gas"
         assert run(write_scenario(tmp_path, gas, "gas.ini"), out_dir=str(out)) == 0
         blocks = report_blocks(out / "smoke_report.txt")
@@ -647,7 +661,8 @@ ALLOWED_SWEEPS = {
 def test_sweep_parameter_and_geometry_kind(tmp_path, kind, param):
     values = SWEEP_VALUES[param]
     extra = f"\n[sweep]\nparameter = {param}\nvalues = {values[0]!r} {values[1]!r}\n"
-    path = write_scenario(tmp_path, with_geometry(GEOMETRY[kind], extra))
+    geometry = POISSON_GAS if (kind, param) == ("gas", "density") else GEOMETRY[kind]
+    path = write_scenario(tmp_path, with_geometry(geometry, extra))
     if param not in ALLOWED_SWEEPS[kind]:
         with pytest.raises(ScenarioError, match=r"^\[sweep\.parameter\]"):
             parse_scenario(path)

@@ -6,6 +6,7 @@ from conftest import phi_reference
 from scipy import integrate
 
 from dmtsim.asymptotics import gas_scales
+from dmtsim import ensemble
 from dmtsim.ensemble import (
     EnsembleError,
     MCResult,
@@ -14,9 +15,9 @@ from dmtsim.ensemble import (
     analytic_phi00_avg,
     average_phi00,
 )
-from dmtsim.geometry import GasSpec, GeometryError, pair_arrays, sample_gas
+from dmtsim.geometry import GasSpec, GeometryError, _shell_draws, pair_arrays, sample_gas
 from dmtsim.kernels import BathParams
-from dmtsim.metric import KernelPolicy, MetricError
+from dmtsim.metric import KernelPolicy, MetricError, _phi_matrix
 
 ALPHA = 1.0 / 137.036
 
@@ -170,6 +171,97 @@ class TestMonteCarlo:
             average_phi00(spec(), bath(), 20.0, 1)
         with pytest.raises(EnsembleError):
             average_phi00(spec(), bath(), -1.0, 100)
+
+
+COUNT_MODES = {"poisson": None, "fixed": 40}
+
+
+def position_route(s, b, t, n, policy, count_mode):
+    """average_phi00 as computed from rebuilt positions: each (seed, i)
+    substream builds sample_gas's configuration, and pair_arrays takes the
+    selected atom's (r, cos theta) to every other atom from the positions."""
+    totals = np.empty(n)
+    for i in range(n):
+        config, mask = sample_gas(
+            s, count_mode, COUNT_MODES[count_mode], rng=_sample_rng(s.seed, i)
+        )
+        r, cos_t = pair_arrays(config, mask.selected, mask.unobserved)
+        totals[i] = np.sum(_phi_matrix(t, r, np.arccos(cos_t), b, policy) ** 2)
+    return totals.mean(), totals.std(ddof=1) / math.sqrt(n)
+
+
+class TestSampledRoute:
+    @pytest.mark.parametrize("count_mode", sorted(COUNT_MODES))
+    @pytest.mark.parametrize("policy", list(KernelPolicy))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_position_route(self, seed, policy, count_mode):
+        # the averager works on the drawn (r, cos theta) directly; the rebuilt
+        # positions differ from them by rounding only
+        s, b, t, n = spec(seed=seed), bath(), 20.0, 12
+        got = average_phi00(s, b, t, n, policy, count_mode, COUNT_MODES[count_mode])
+        mean, std_error = position_route(s, b, t, n, policy, count_mode)
+        assert got.mean > 0.0
+        assert got.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("count_mode", sorted(COUNT_MODES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sample_gas_positions_come_from_the_draws(self, seed, count_mode):
+        s = spec(seed=seed)
+        l3, h3 = s.exclusion_radius**3, s.horizon**3
+        mean = s.density * 4.0 * math.pi / 3.0 * (h3 - l3)
+        for i in range(4):
+            r, cos_t = _shell_draws(s, count_mode, COUNT_MODES[count_mode])(_sample_rng(seed, i))
+            # the stream order: count, then r, then cos theta
+            rng = _sample_rng(seed, i)
+            n = int(rng.poisson(mean)) if count_mode == "poisson" else COUNT_MODES[count_mode]
+            assert np.array_equal(r, (l3 + rng.random(n) * (h3 - l3)) ** (1.0 / 3.0))
+            assert np.array_equal(cos_t, rng.uniform(-1.0, 1.0, n))
+            config, mask = sample_gas(
+                s, count_mode, COUNT_MODES[count_mode], rng=_sample_rng(seed, i)
+            )
+            pos = config.positions[mask.unobserved]
+            assert len(config) == r.size + 1 and np.all(config.positions[0] == 0.0)
+            np.testing.assert_allclose(np.linalg.norm(pos, axis=1), r, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(pos[:, 2] / r, cos_t, rtol=1e-15, atol=0)
+
+    def test_empty_samples_average_to_zero(self):
+        for policy in KernelPolicy:
+            res = average_phi00(spec(), bath(), 20.0, 3, policy, "fixed", 0)
+            assert res.mean == 0.0 and res.std_error == 0.0
+
+
+class TestCountInputs:
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            # numpy's Poisson draw refuses a mean this large
+            ({"s": spec(density=1e30)}, GeometryError, "Poisson mean atom count"),
+            ({"count_mode": "fixed", "fixed_count": 5.7}, GeometryError, "5.7"),
+            ({"count_mode": "fixed", "fixed_count": -1}, GeometryError, "fixed_count >= 0"),
+            ({"n_samples": 2.5}, EnsembleError, "integer"),
+        ],
+        ids=["poisson_mean", "fractional", "negative", "n_samples"],
+    )
+    def test_rejected_before_any_draw(self, monkeypatch, kwargs, error, message):
+        substreams = []
+        monkeypatch.setattr(ensemble, "_sample_rng", lambda *key: substreams.append(key))
+        args = {"s": spec(), "n_samples": 8, "count_mode": "poisson", "fixed_count": None}
+        args.update(kwargs)
+        with pytest.raises(error, match=message):
+            average_phi00(
+                args["s"], bath(), 20.0, args["n_samples"],
+                count_mode=args["count_mode"], fixed_count=args["fixed_count"],
+            )
+        assert substreams == []
+
+    def test_sample_gas_checks_the_same_counts(self):
+        with pytest.raises(GeometryError, match="lam"):
+            sample_gas(spec(density=1e30))
+        with pytest.raises(GeometryError, match="integer fixed_count"):
+            sample_gas(spec(), "fixed", 5.7)
+        config, _ = sample_gas(spec(), "fixed", np.int64(5))
+        assert len(config) == 6
 
 
 class TestCsv:
