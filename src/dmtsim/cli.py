@@ -153,9 +153,11 @@ class TimeGrid:
             raise ScenarioError("time.start", "times must be >= 0")
 
     def times(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.end, self.points)
-        return np.linspace(self.start, self.end, self.points)
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        try:
+            return space(self.start, self.end, self.points)
+        except MemoryError as exc:  # numpy refusing an array size
+            raise ScenarioError("time.points", str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -327,7 +329,7 @@ def _sweep_variants(scenario: Scenario):
     kind, params = scenario.geometry_kind, scenario.geometry_params
     try:
         base = _build_geometry(kind, params)
-    except ValueError as exc:  # GeometryError, or numpy refusing an array size
+    except (ValueError, MemoryError) as exc:  # GeometryError, or numpy refusing an array
         raise ScenarioError("geometry", str(exc)) from None
     sweep = scenario.sweep
     if sweep is None:
@@ -347,7 +349,7 @@ def _sweep_variants(scenario: Scenario):
         try:
             bath = replace(scenario.bath, kappa=value) if param == "kappa" else scenario.bath
             config, default = base if swept == params else _build_geometry(kind, swept)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             raise ScenarioError("sweep.values", f"value {value:g}: {exc}") from None
         mask = _apply_selection(config, default, scenario.selection)
         yield f"{scenario.prefix}_{param}={value:g}", bath, swept, config, mask, value
@@ -430,12 +432,12 @@ def run(
             params = {**scenario.geometry_params, "seed": seed_override}
             scenario = replace(scenario, geometry_params=params)
         variants = list(_sweep_variants(scenario))
+        times = scenario.time_grid.times()
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     target = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
-    times = scenario.time_grid.times()
 
     report = [f"prefix: {scenario.prefix}", f"policy: {kernel_policy.value}"]
     report.append(

@@ -10,9 +10,9 @@ entry of M stays small; the validity flag tracks that regime.
 One engine assembles M over a whole time grid. A kernel value depends on a
 pair only through its (r, cos theta), so the engine reduces the
 selected-unobserved and selected-selected pairs once per curve to their
-distinct keys and evaluates phi on (time, key) blocks and f once per key and
-time. build_metric is that engine at a single t; the CLI runs it once per
-curve.
+distinct keys and evaluates phi on (time, key) blocks and f in one batched
+quadrature over the keys per time. build_metric is that engine at a single
+t; the CLI runs it once per curve.
 """
 
 from __future__ import annotations
@@ -25,16 +25,9 @@ import numpy as np
 
 from . import geometry as _geometry
 from .geometry import AtomConfig, GeometryError, SelectionMask
-from .kernels import (
-    BathParams,
-    KernelDomainError,
-    PairGeometry,
-    QuadratureError,
-    TimeKernel,
-    f_diag,
-    reduced_quadrature,
-)
-from .kernels import _phi_closed_rt, _phi_edge_rt, _phi_farfield_rt
+from .kernels import BathParams, KernelDomainError, TimeKernel, f_diag
+from .kernels import _BLOCK, _phi_closed_rt, _phi_edge_rt, _phi_farfield_rt
+from .kernels import _quadrature_rt, _stalled
 
 __all__ = [
     "KernelPolicy",
@@ -134,18 +127,6 @@ class MetricTensor:
         return 1e-10 * abs(self.trace)
 
 
-def _diag_f(t: float, bath: BathParams) -> float:
-    """Coincident-point f at finite temperature: quadrature with a
-    self-scaled tolerance."""
-    geom = PairGeometry(r=0.0, theta=0.0)
-    first = reduced_quadrature(t, geom, bath, TimeKernel.F_KERNEL, tol=1e-10)
-    if first > 0:
-        return reduced_quadrature(
-            t, geom, bath, TimeKernel.F_KERNEL, tol=max(1e-11 * first, 1e-18)
-        )
-    return first
-
-
 def _phi_matrix(t, r, theta, bath: BathParams, policy: KernelPolicy) -> np.ndarray:
     """phi over broadcastable arrays of t and (r, theta) under a kernel policy.
 
@@ -165,12 +146,6 @@ def _phi_matrix(t, r, theta, bath: BathParams, policy: KernelPolicy) -> np.ndarr
     return phi
 
 
-# (time, key) elements per phi block. The kernels and Si hold several
-# temporaries of a block's size: one block for a whole figure curve (225
-# times x 119 keys) raised the curve's peak traced memory from 0.8 to 3.5 MB.
-_PHI_BLOCK = 4096
-
-
 def _distinct_pairs(r: np.ndarray, cos_t: np.ndarray):
     """Distinct (r, cos theta) keys of flat pair arrays: (r_keys, cos_keys,
     first pair index per key, inverse) with r == r_keys[inverse]."""
@@ -180,44 +155,47 @@ def _distinct_pairs(r: np.ndarray, cos_t: np.ndarray):
     return keys[0], keys[1], first, inverse.reshape(-1)
 
 
+def _f_keys(t, r, cos2, bath, tol, pairs=None) -> np.ndarray:
+    """f at one t over (r, cos^2 theta) keys; the first key missing tol raises."""
+    values, errors = _quadrature_rt(t, r, cos2, bath, TimeKernel.F_KERNEL, tol)
+    missed = np.flatnonzero(errors > tol)
+    if missed.size:
+        k = missed[0]
+        where = "" if pairs is None else f"direct pair ({pairs[0, k]},{pairs[1, k]}): "
+        raise _stalled(float(errors[k]), tol, where)
+    return values
+
+
 def _f_stack(config, mask, bath, times) -> np.ndarray:
     """f over the selected block at each positive time, shape (T, n, n).
 
-    The diagonal is f_diag at zero temperature and a quadrature otherwise.
-    Off-diagonals are one quadrature per distinct pair key and time, with a
-    tolerance shared by every pair at that time; coincident selected atoms
-    take the diagonal value, their exact reduction.
+    The diagonal is f_diag at zero temperature and otherwise a quadrature at
+    tol 1e-10, repeated at 1e-11 of its value. Off-diagonals are one batched
+    quadrature per time over the distinct pair keys at 1e-11 of the
+    diagonal; coincident selected atoms take the diagonal, their exact
+    reduction.
     """
     n = mask.n_selected
-    if bath.inv_temperature is None:
-        diag = f_diag(times, bath)
-    else:
-        diag = np.array([_diag_f(float(t), bath) for t in times])
     f = np.zeros((times.size, n, n))
-    f[:, np.arange(n), np.arange(n)] = diag[:, None]
-    if n == 1:
-        return f
+    i = np.arange(n)
+    if bath.inv_temperature is None:
+        f[:, i, i] = f_diag(times, bath)[:, None]
+        if n == 1:
+            return f
     r_ss, cos_ss = _geometry.pair_arrays(config, mask.selected, mask.selected)
     upper = np.triu_indices(n, 1)
     r_k, cos_k, first, inverse = _distinct_pairs(r_ss[upper], cos_ss[upper])
-    geoms = [
-        None if r == 0.0 else PairGeometry(r=float(r), theta=math.acos(c))
-        for r, c in zip(r_k, cos_k)
-    ]
-    vals = np.empty(len(geoms))
+    apart = r_k > 0.0
+    pairs = mask.selected[np.stack(upper)[:, first[apart]]]
+    r_k, cos2_k = r_k[apart], cos_k[apart] ** 2
     for row, t in enumerate(times):
-        tol = max(1e-11 * float(diag[row]), 1e-300)
-        for k, geom in enumerate(geoms):
-            if geom is None:
-                vals[k] = diag[row]
-                continue
-            try:
-                vals[k] = reduced_quadrature(float(t), geom, bath, TimeKernel.F_KERNEL, tol=tol)
-            except QuadratureError as exc:
-                i, j = mask.selected[upper[0][first[k]]], mask.selected[upper[1][first[k]]]
-                raise QuadratureError(
-                    f"direct pair ({i},{j}): {exc}", achieved_error=exc.achieved_error
-                ) from exc
+        if bath.inv_temperature is not None:
+            (diag,) = _f_keys(t, [0.0], [1.0], bath, 1e-10)
+            if diag > 0:
+                (diag,) = _f_keys(t, [0.0], [1.0], bath, max(1e-11 * diag, 1e-18))
+            f[row, i, i] = diag
+        vals = np.full(apart.size, f[row, 0, 0])
+        vals[apart] = _f_keys(t, r_k, cos2_k, bath, max(1e-11 * f[row, 0, 0], 1e-300), pairs)
         f[row][upper] = f[row][upper[::-1]] = vals[inverse]
     return f
 
@@ -228,7 +206,7 @@ def _phi_gram(r_su, cos_su, bath, times, policy) -> np.ndarray:
     n, m = r_su.shape
     r_k, cos_k, _, inverse = _distinct_pairs(r_su.ravel(), cos_su.ravel())
     theta_k = np.arccos(cos_k)
-    step = max(1, _PHI_BLOCK // r_k.size)
+    step = max(1, _BLOCK // r_k.size)
     out = np.empty((times.size, n, n))
     for start in range(0, times.size, step):
         block = times[start : start + step, None]
@@ -299,12 +277,12 @@ def build_metric(
     kernel_policy selects only the phi evaluation: the Si closed form, its far
     field, or QUADRATURE, the full radial integral with the cutoff-edge terms
     kept, evaluated in closed form and checked against reduced_quadrature.
-    The direct part always uses the closed diagonal plus quadrature
-    off-diagonals, with the off-diagonal tolerance tied to the diagonal
-    magnitude so the direct part's positive semidefiniteness is not drowned
-    by quadrature noise. Selected atoms may coincide (their kernel rows then
-    agree exactly); a selected-unobserved coincidence is rejected because phi
-    diverges there.
+    The direct part is the closed diagonal (a quadrature at finite
+    temperature) plus off-diagonals from one batched quadrature over the
+    distinct pair keys, at a tolerance tied to the diagonal so quadrature
+    noise cannot drown its positive semidefiniteness. Selected atoms may
+    coincide (their kernel rows then agree exactly); a selected-unobserved
+    coincidence is rejected because phi diverges there.
 
     This is the one-time slice of the curve engine that the CLI runs over a
     whole time grid, so it equals that curve's row at t bit for bit.

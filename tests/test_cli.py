@@ -515,8 +515,10 @@ prefix = wide
             ("kind = gas\ndensity = 1e30\nexclusion_radius = 10\nhorizon = 25", False, "lam"),
             # numpy refuses an array this long before allocating it
             (GEOMETRY["chain"].replace("count = 3", "count = 10" + "0" * 20), False, "Maximum"),
+            # a MemoryError: numpy refuses 711 PiB of coordinates at once
+            (GEOMETRY["chain"].replace("count = 3", "count = 10" + "0" * 16), False, "allocate"),
         ],
-        ids=["seed", "count_mode", "swept_key", "poisson_mean", "array_size"],
+        ids=["seed", "count_mode", "swept_key", "poisson_mean", "array_size", "out_of_memory"],
     )
     def test_bad_file_geometry_names_geometry(self, tmp_path, capsys, geometry, sweep, message):
         extra = "\n[sweep]\nparameter = density\nvalues = 1e-3 2e-3\n" if sweep else ""
@@ -526,6 +528,24 @@ prefix = wide
         err = capsys.readouterr().err
         assert err.startswith("config error: [geometry] ") and message in err
         assert not list(out.glob("*.csv"))
+
+    def test_out_of_memory_swept_value_names_the_sweep(self, tmp_path, capsys):
+        # a Poisson mean of 6e14 atoms: numpy refuses their 4.35 PiB at once
+        text = with_geometry(POISSON_GAS, "\n[sweep]\nparameter = density\nvalues = 1e-3 1e10\n")
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [sweep.values] value 1e+10: Unable to allocate")
+        assert not list(out.glob("*.csv"))
+
+    def test_out_of_memory_time_grid_names_points(self, tmp_path, capsys):
+        # numpy refuses 728 TiB of times at once
+        text = SMOKE.replace("points = 13", "points = 100000000000000")
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [time.points] Unable to allocate")
+        assert not list(out.glob("*"))
 
     def test_bad_swept_value_names_the_sweep(self, tmp_path, capsys):
         text = with_geometry(POISSON_GAS, "\n[sweep]\nparameter = density\nvalues = 1e-3 -1\n")

@@ -143,7 +143,7 @@ class TestMonteCarlo:
                     for rv, cv in zip(r.ravel(), cos_t.ravel())
                 )
             )
-        assert qu.mean == pytest.approx(float(np.mean(totals)), rel=1e-6)
+        assert qu.mean == pytest.approx(float(np.mean(totals)), rel=1e-6, abs=0)
         assert qu.mean > 0.0
 
     def test_fixed_count_mode(self):

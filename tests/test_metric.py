@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -301,6 +302,16 @@ class TestCurveEngine:
         times = data.draw(engine_times(kappa, 3.0))
         b = BathParams(alpha=ALPHA, kappa=kappa, inv_temperature=2.0)
         assert_engine_matches_oracle(config, mask, b, times, policy)
+
+    @pytest.mark.parametrize("inv_temperature", [None, 2.0])
+    def test_matches_per_pair_oracle_over_several_key_blocks(self, inv_temperature):
+        # 25 atoms under a tilted dipole: 75 distinct pair keys, which fill
+        # 3 quadrature blocks at t = 0.1 and 81 at t = 3e3 (the far field
+        # keeps the scalar phi oracle cheap; f does not depend on the policy)
+        config, _ = square_lattice_2d(9, 10.0, (math.sin(0.7), 0.0, math.cos(0.7)))
+        mask = SelectionMask.from_selected(81, sorted(random.Random(1).sample(range(81), 25)))
+        b = BathParams(alpha=ALPHA, kappa=0.3, inv_temperature=inv_temperature)
+        assert_engine_matches_oracle(config, mask, b, [0.1, 30.0, 3e3], KernelPolicy.FAR_FIELD)
 
     def test_quadrature_error_names_first_pair_of_its_key(self):
         # (2,1) and (1,0) share a key; both keys exceed the panel budget
