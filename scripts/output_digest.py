@@ -197,15 +197,24 @@ MC_SAMPLES = 200
 MC_SEEDS = (0, 1, 2)
 
 
+def run_scenarios(root) -> list:
+    """Run each scenario into root/<name>/; returns the (name, exit code) list."""
+    root = Path(root)
+    codes = []
+    for name, text, policy, seed_override in SCENARIOS:
+        path = root / f"{name}.ini"
+        path.write_text(text)
+        code = dmtsim.cli.run(
+            str(path), out_dir=str(root / name), seed_override=seed_override, policy=policy
+        )
+        codes.append((name, code))
+    return codes
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, text, policy, seed_override in SCENARIOS:
-            path = root / f"{name}.ini"
-            path.write_text(text)
-            code = dmtsim.cli.run(
-                str(path), out_dir=str(root / name), seed_override=seed_override, policy=policy
-            )
+        for name, code in run_scenarios(root):
             print(f"exit {name} {code}")
             for out in sorted((root / name).glob("*")):
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()

@@ -448,10 +448,6 @@ def run(
             else f"inv_temperature = {scenario.bath.inv_temperature:.6g}"
         )
     )
-    report.append(
-        "dipole advisory (kappa >= 1): "
-        + ("ok" if scenario.bath.dipole_advisory else "outside nominal regime")
-    )
     if seed_override is not None:
         report.append(f"seed override: {seed_override}")
 
@@ -466,6 +462,10 @@ def run(
             report.append(
                 f"  geometry: {config.label}, atoms = {len(config)}, "
                 f"selected = {mask.n_selected}, unobserved = {len(mask.unobserved)}"
+            )
+            report.append(
+                "  dipole advisory (kappa >= 1): "
+                + ("outside nominal regime" if bath.dipole_advisory else "ok")
             )
             report.extend(_scale_lines(scenario.geometry_kind, params, bath, config, mask))
             cross = crossover_detect(times, d_dir, d_ind)

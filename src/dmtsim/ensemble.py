@@ -4,7 +4,8 @@ Gas samples are independent draws of the atom cloud; per-sample substreams
 come from a counter-based Philox generator keyed by (seed, sample index), so
 results are reproducible across platforms and trivially parallelizable. The
 estimator works on each sample's drawn (r, cos theta) directly, the first
-draws sample_gas takes from the same substream, and builds no positions.
+draws sample_gas takes from the same substream, and evaluates phi on
+(r, cos^2 theta); it builds no positions.
 Count inputs are checked once, before any draw: a bad count_mode, a
 fixed_count that is not an integer >= 0 or a Poisson mean numpy cannot draw
 is a GeometryError, and an n_samples that is not an integer >= 2 an
@@ -74,7 +75,7 @@ def average_phi00(
     Requires t <= spec.horizon so the light cone stays inside the sampled
     ball, and an integer n_samples >= 2 for a standard error. The master
     seed is spec.seed; sample i uses the (seed, i) substream, and phi is
-    evaluated on its drawn (r, theta) with theta from the z axis, the
+    evaluated on its drawn (r, cos^2 theta) with theta from the z axis, the
     dipole of sample_gas's default configuration.
     """
     if not (math.isfinite(t) and t >= 0):
@@ -90,7 +91,7 @@ def average_phi00(
     totals = np.empty(n_samples)
     for i in range(n_samples):
         r, cos_t = draw(_sample_rng(spec.seed, i))
-        phi = _phi_matrix(t, r, np.arccos(cos_t), bath, kernel_policy)
+        phi = _phi_matrix(t, r, cos_t**2, bath, kernel_policy)
         totals[i] = float(np.sum(phi**2))
     mean = float(totals.mean())
     std_error = float(totals.std(ddof=1) / math.sqrt(n_samples))

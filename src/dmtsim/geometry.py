@@ -84,12 +84,6 @@ def _index_array(values) -> np.ndarray:
 
 def _has_repeats(idx: np.ndarray) -> bool:
     """Whether a non-negative index array holds some value twice."""
-    if idx.size < 2:
-        return False
-    if idx.max() < 4 * idx.size:
-        # dense indices, as every builder makes: one O(N) count, no sort
-        return bool(np.bincount(idx).max() > 1)
-    # sparse indices: a count array would be as long as the largest index
     s = np.sort(idx)
     return bool(np.any(s[1:] == s[:-1]))
 

@@ -200,17 +200,25 @@ def f_diag(t, bath: BathParams):
     return out
 
 
-def _phi_closed_rt(t, r, theta, alpha: float, kappa: float):
-    """Vectorized Si-based closed phi over arrays of (r, theta) at common t.
+def _scalar_cos2(t: float, geom: PairGeometry, name: str) -> float:
+    """cos^2 theta of a scalar phi's pair, after checking t >= 0 and r > 0."""
+    if not (math.isfinite(t) and t >= 0):
+        raise KernelDomainError("time must be finite and >= 0")
+    if geom.r == 0:
+        raise KernelDomainError(f"{name} requires r > 0")
+    return math.cos(geom.theta) ** 2
 
-    phi = (alpha (3 cos^2 theta - 1) t / (pi r^3))
+
+def _phi_closed_rt(t, r, c2, alpha: float, kappa: float):
+    """Vectorized Si-based closed phi over arrays of (r, c2 = cos^2 theta) at
+    common t.
+
+    phi = (alpha (3 c2 - 1) t / (pi r^3))
           [2 Si(kappa r) - Si(kappa (r + t)) - Si(kappa (r - t))],
     algebraically identical to the two-bracket angular form. Cutoff-edge
     oscillatory terms are omitted by construction.
     """
     r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    c2 = np.cos(theta) ** 2
     bracket = (
         2.0 * sine_integral(kappa * r)
         - sine_integral(kappa * (r + t))
@@ -229,20 +237,18 @@ def phi_closed(t: float, geom: PairGeometry, bath: BathParams) -> float:
     t = 3r, theta = 0.7, the mean of phi_exact is within 2% of the mean of
     phi_closed, while the mean of phi_exact^2 is about 540x the mean of
     phi_closed^2 (about 610x at sigma = 3/kappa). Which cutoff the curves
-    should trust is ROADMAP item 4.
+    should trust is ROADMAP item 5.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise KernelDomainError("time must be finite and >= 0")
-    if geom.r == 0:
-        raise KernelDomainError("phi_closed requires r > 0")
-    return float(_phi_closed_rt(t, geom.r, geom.theta, bath.alpha, bath.kappa))
+    c2 = _scalar_cos2(t, geom, "phi_closed")
+    return float(_phi_closed_rt(t, geom.r, c2, bath.alpha, bath.kappa))
 
 
-def _phi_edge_rt(t, r, theta, alpha: float, kappa: float):
-    """Vectorized cutoff-edge terms that _phi_closed_rt omits.
+def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
+    """Vectorized cutoff-edge terms that _phi_closed_rt omits, over arrays of
+    (r, c2 = cos^2 theta).
 
-    With k = kappa, c2 = cos^2 theta, and sinc_-(t) = sin(k (t - r))/(t - r),
-    whose removable singularity at t = r has the limit k,
+    With k = kappa and sinc_-(t) = sin(k (t - r))/(t - r), whose removable
+    singularity at t = r has the limit k,
 
         i0    = [t sin(kr)/r^2 - t k cos(kr)/r - sinc_-/2
                  + sin(k (t + r))/(2 (t + r))] / r
@@ -254,7 +260,6 @@ def _phi_edge_rt(t, r, theta, alpha: float, kappa: float):
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    c2 = np.cos(np.asarray(theta, dtype=float)) ** 2
     minus = t - r
     plus = t + r
     with np.errstate(invalid="ignore"):
@@ -282,20 +287,15 @@ def phi_exact(t: float, geom: PairGeometry, bath: BathParams) -> float:
     and grow like kappa r for in-plane pairs; they do not vanish at the magic
     angle. Requires t >= 0 and geom.r > 0; phi_exact(0) = 0.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise KernelDomainError("time must be finite and >= 0")
-    if geom.r == 0:
-        raise KernelDomainError("phi_exact requires r > 0")
-    args = (t, geom.r, geom.theta, bath.alpha, bath.kappa)
+    c2 = _scalar_cos2(t, geom, "phi_exact")
+    args = (t, geom.r, c2, bath.alpha, bath.kappa)
     return float(_phi_closed_rt(*args) + _phi_edge_rt(*args))
 
 
-def _phi_farfield_rt(t, r, theta, alpha: float):
-    """Vectorized far-field phi: alpha (t/r^3)(3 cos^2 theta - 1) Theta(t/r - 1),
-    with Theta(0) = 1."""
+def _phi_farfield_rt(t, r, c2, alpha: float):
+    """Vectorized far-field phi over arrays of (r, c2 = cos^2 theta):
+    alpha (t/r^3)(3 c2 - 1) Theta(t/r - 1), with Theta(0) = 1."""
     r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    c2 = np.cos(theta) ** 2
     lightcone = (t >= r).astype(float)
     return alpha * t / r**3 * (3.0 * c2 - 1.0) * lightcone
 
@@ -306,11 +306,8 @@ def phi_farfield(t: float, geom: PairGeometry, bath: BathParams) -> float:
     Valid for kappa |r - t| >> 1 and kappa (r + t) >> 1; the caller owns the
     regime check.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise KernelDomainError("time must be finite and >= 0")
-    if geom.r == 0:
-        raise KernelDomainError("phi_farfield requires r > 0")
-    return float(_phi_farfield_rt(t, geom.r, geom.theta, bath.alpha))
+    c2 = _scalar_cos2(t, geom, "phi_farfield")
+    return float(_phi_farfield_rt(t, geom.r, c2, bath.alpha))
 
 
 # -- quadrature --------------------------------------------------------------

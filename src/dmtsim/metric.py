@@ -8,7 +8,7 @@ distance between codewords approximates their mutual decoherence while every
 entry of M stays small; the validity flag tracks that regime.
 
 One engine assembles M over a whole time grid. A kernel value depends on a
-pair only through its (r, cos theta), so the engine reduces the
+pair only through its (r, cos^2 theta), so the engine reduces the
 selected-unobserved and selected-selected pairs once per curve to their
 distinct keys and evaluates phi on (time, key) blocks and f in one batched
 quadrature over the keys per time. build_metric is that engine at a single
@@ -127,8 +127,9 @@ class MetricTensor:
         return 1e-10 * abs(self.trace)
 
 
-def _phi_matrix(t, r, theta, bath: BathParams, policy: KernelPolicy) -> np.ndarray:
-    """phi over broadcastable arrays of t and (r, theta) under a kernel policy.
+def _phi_matrix(t, r, c2, bath: BathParams, policy: KernelPolicy) -> np.ndarray:
+    """phi over broadcastable arrays of t and (r, c2 = cos^2 theta) under a
+    kernel policy.
 
     QUADRATURE is the full radial integral: the closed part plus the
     cutoff-edge terms, exact at every temperature since phi has no thermal
@@ -139,18 +140,19 @@ def _phi_matrix(t, r, theta, bath: BathParams, policy: KernelPolicy) -> np.ndarr
     if not np.all(np.isfinite(r)):
         raise KernelDomainError("pair separation r must be finite and >= 0")
     if policy is KernelPolicy.FAR_FIELD:
-        return _phi_farfield_rt(t, r, theta, bath.alpha)
-    phi = _phi_closed_rt(t, r, theta, bath.alpha, bath.kappa)
+        return _phi_farfield_rt(t, r, c2, bath.alpha)
+    phi = _phi_closed_rt(t, r, c2, bath.alpha, bath.kappa)
     if policy is KernelPolicy.QUADRATURE:
-        phi = phi + _phi_edge_rt(t, r, theta, bath.alpha, bath.kappa)
+        phi = phi + _phi_edge_rt(t, r, c2, bath.alpha, bath.kappa)
     return phi
 
 
 def _distinct_pairs(r: np.ndarray, cos_t: np.ndarray):
-    """Distinct (r, cos theta) keys of flat pair arrays: (r_keys, cos_keys,
-    first pair index per key, inverse) with r == r_keys[inverse]."""
+    """Distinct (r, cos^2 theta) keys of flat pair arrays: (r_keys, cos2_keys,
+    first pair index per key, inverse) with r == r_keys[inverse]. Pairs at
+    theta and pi - theta share a key."""
     keys, first, inverse = np.unique(
-        np.stack([r, cos_t]), axis=1, return_index=True, return_inverse=True
+        np.stack([r, cos_t**2]), axis=1, return_index=True, return_inverse=True
     )
     return keys[0], keys[1], first, inverse.reshape(-1)
 
@@ -184,10 +186,10 @@ def _f_stack(config, mask, bath, times) -> np.ndarray:
             return f
     r_ss, cos_ss = _geometry.pair_arrays(config, mask.selected, mask.selected)
     upper = np.triu_indices(n, 1)
-    r_k, cos_k, first, inverse = _distinct_pairs(r_ss[upper], cos_ss[upper])
+    r_k, cos2_k, first, inverse = _distinct_pairs(r_ss[upper], cos_ss[upper])
     apart = r_k > 0.0
     pairs = mask.selected[np.stack(upper)[:, first[apart]]]
-    r_k, cos2_k = r_k[apart], cos_k[apart] ** 2
+    r_k, cos2_k = r_k[apart], cos2_k[apart]
     for row, t in enumerate(times):
         if bath.inv_temperature is not None:
             (diag,) = _f_keys(t, [0.0], [1.0], bath, 1e-10)
@@ -202,17 +204,17 @@ def _f_stack(config, mask, bath, times) -> np.ndarray:
 
 def _phi_gram(r_su, cos_su, bath, times, policy) -> np.ndarray:
     """2 Phi_ij = 2 sum_k phi_ik phi_jk over the unobserved atoms at each
-    positive time, shape (T, n, n), from phi on (time, key) blocks."""
+    positive time, shape (T, n, n), from phi on (time, (r, cos^2 theta) key)
+    blocks."""
     n, m = r_su.shape
-    r_k, cos_k, _, inverse = _distinct_pairs(r_su.ravel(), cos_su.ravel())
-    theta_k = np.arccos(cos_k)
+    r_k, cos2_k, _, inverse = _distinct_pairs(r_su.ravel(), cos_su.ravel())
     step = max(1, _BLOCK // r_k.size)
     out = np.empty((times.size, n, n))
     for start in range(0, times.size, step):
         block = times[start : start + step, None]
         # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
         # and so its last bits, then do not depend on the block's length
-        phi = np.take(_phi_matrix(block, r_k, theta_k, bath, policy), inverse, axis=1)
+        phi = np.take(_phi_matrix(block, r_k, cos2_k, bath, policy), inverse, axis=1)
         phi = phi.reshape(-1, n, m)
         out[start : start + step] = 2.0 * (phi @ phi.transpose(0, 2, 1))
     return out
@@ -228,7 +230,7 @@ def _assemble(
     """Direct and indirect (T, n, n) stacks and (T,) validity flags of M(t)
     over a time grid; build_metric documents the assembly.
 
-    Every kernel value depends on a pair only through its (r, cos theta), so
+    Every kernel value depends on a pair only through its (r, cos^2 theta), so
     each pair block is reduced once per curve to its distinct keys (a lattice
     has 8-fold symmetry), and the kernels run on (time, key) blocks whose
     results are scattered back through the inverse index. Rows at t = 0 are

@@ -13,7 +13,7 @@ reference there: it deliberately drops rapidly oscillating cutoff-edge terms,
 and those terms are an order-unity (at high kappa r even dominant) fraction
 of the exact integral for a single rigid pair. Radial jitter averages them
 out of phi but not out of the metric's Phi = sum phi^2 (see the phi_closed
-docstring and ROADMAP item 4). 4a prints that gap alongside its verdict so
+docstring and ROADMAP item 5). 4a prints that gap alongside its verdict so
 the omission stays visible.
 """
 

@@ -651,6 +651,15 @@ prefix = tilt
                 f"rho_crit = {s.rho_crit:.6g}"
             ) in blocks[f"smoke_density={rho:g}"]
 
+    def test_dipole_advisory_follows_each_curves_kappa(self, tmp_path):
+        text = SMOKE + "\n[sweep]\nparameter = kappa\nvalues = 0.1 1\n"
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 0
+        blocks = report_blocks(out / "smoke_report.txt")
+        line = "  dipole advisory (kappa >= 1): "
+        assert line + "ok" in blocks["smoke_kappa=0.1"]
+        assert line + "outside nominal regime" in blocks["smoke_kappa=1"]
+
     def test_gas_kappa_sweep_reproduces_the_unswept_curve(self, tmp_path):
         path = write_scenario(tmp_path, with_geometry(GEOMETRY["gas"]))
         assert run(path, out_dir=str(tmp_path / "plain")) == 0

@@ -186,7 +186,7 @@ def position_route(s, b, t, n, policy, count_mode):
             s, count_mode, COUNT_MODES[count_mode], rng=_sample_rng(s.seed, i)
         )
         r, cos_t = pair_arrays(config, mask.selected, mask.unobserved)
-        totals[i] = np.sum(_phi_matrix(t, r, np.arccos(cos_t), b, policy) ** 2)
+        totals[i] = np.sum(_phi_matrix(t, r, cos_t**2, b, policy) ** 2)
     return totals.mean(), totals.std(ddof=1) / math.sqrt(n)
 
 

@@ -313,6 +313,21 @@ class TestCurveEngine:
         b = BathParams(alpha=ALPHA, kappa=0.3, inv_temperature=inv_temperature)
         assert_engine_matches_oracle(config, mask, b, [0.1, 30.0, 3e3], KernelPolicy.FAR_FIELD)
 
+    @pytest.mark.parametrize("policy", list(KernelPolicy))
+    def test_flipping_the_dipole_leaves_the_metric_bit_identical(self, policy):
+        # u and -u give every pair the same cos^2 theta, so the same keys
+        u = np.array([math.sin(0.7), 0.0, math.cos(0.7)])
+        b = BathParams(alpha=ALPHA, kappa=0.3)
+        times = np.logspace(-1, 4, 9)
+        stacks = []
+        for direction in (u, -u):
+            config, _ = square_lattice_2d(7, 10.0, direction)
+            mask = SelectionMask.from_selected(len(config), [3, 10, 24, 30])
+            stacks.append(_assemble(config, mask, b, times, policy))
+        (d_up, i_up, _), (d_down, i_down, _) = stacks
+        assert np.array_equal(d_up, d_down)
+        assert np.array_equal(i_up, i_down)
+
     def test_quadrature_error_names_first_pair_of_its_key(self):
         # (2,1) and (1,0) share a key; both keys exceed the panel budget
         config, _ = chain_1d(3, 1e7, 0.3)
