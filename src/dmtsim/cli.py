@@ -56,10 +56,11 @@ key; a file that is not valid UTF-8 INI is reported as [scenario], an output
 directory that cannot be made or written as [output.directory]), 2 numerical
 failure (quadrature budget exhausted, a metric property violation, or a value
 outside a kernel's domain met while computing, such as a non-finite Si
-argument or a pair separation that over- or underflows).
+argument, a pair separation that over- or underflows or a power of kappa
+that overflows).
 
 Each curve is one pass of the metric engine over the whole time grid (see
-dmtsim.metric): the kernels run once per distinct pair (r, cos theta) and
+dmtsim.metric): the kernels run once per distinct pair (r, cos^2 theta) and
 time, in blocks of times, and only the tensor at the final time is built,
 for the property checks.
 
@@ -292,6 +293,11 @@ def parse_scenario(path) -> Scenario:
         if sweep.parameter == "density" and params["count_mode"] == "fixed":
             raise ScenarioError("sweep.parameter", "a fixed-count gas does not depend on density")
 
+    out_dir = _get(cp, "output", "directory", str, default="out")
+    prefix = _get(cp, "output", "prefix", str, default="run")
+    for key, name in (("directory", out_dir), ("prefix", prefix)):
+        if "\0" in name:
+            raise ScenarioError(f"output.{key}", "a file name cannot hold a NUL byte")
     return Scenario(
         bath=bath,
         geometry_kind=kind,
@@ -299,8 +305,8 @@ def parse_scenario(path) -> Scenario:
         time_grid=grid,
         selection=selection,
         sweep=sweep,
-        out_dir=_get(cp, "output", "directory", str, default="out"),
-        prefix=_get(cp, "output", "prefix", str, default="run"),
+        out_dir=out_dir,
+        prefix=prefix,
     )
 
 
@@ -340,13 +346,13 @@ def _sweep_variants(scenario: Scenario):
     param = sweep.parameter
     for value in sweep.values:
         swept = dict(params)
-        if param == "dipole_tilt" and kind == "chain":
-            swept["dipole_angle"] = value
-        elif param == "dipole_tilt":  # the z dipole tilted toward x
-            swept["dipole_direction"] = (math.sin(value), 0.0, math.cos(value))
-        elif param != "kappa":
-            swept[param] = value
         try:
+            if param == "dipole_tilt" and kind == "chain":
+                swept["dipole_angle"] = value
+            elif param == "dipole_tilt":  # the z dipole tilted toward x
+                swept["dipole_direction"] = (math.sin(value), 0.0, math.cos(value))
+            elif param != "kappa":
+                swept[param] = value
             bath = replace(scenario.bath, kappa=value) if param == "kappa" else scenario.bath
             config, default = base if swept == params else _build_geometry(kind, swept)
         except (ValueError, MemoryError) as exc:
@@ -440,8 +446,11 @@ def run(
     target = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
 
     report = [f"prefix: {scenario.prefix}", f"policy: {kernel_policy.value}"]
+    # under a kappa sweep each curve label names its own kappa
+    swept = scenario.sweep is not None and scenario.sweep.parameter == "kappa"
+    kappa = "kappa swept" if swept else f"kappa = {scenario.bath.kappa:.6g}"
     report.append(
-        f"bath: alpha = {scenario.bath.alpha:.6g}, kappa = {scenario.bath.kappa:.6g}, "
+        f"bath: alpha = {scenario.bath.alpha:.6g}, {kappa}, "
         + (
             "zero temperature"
             if scenario.bath.inv_temperature is None
@@ -488,20 +497,18 @@ def run(
             if not (nn.passed and tri.passed):
                 raise MetricError(f"metric property check failed for curve {label}")
             if value is not None:
-                sweep_rows.append((value, float(d_ind[-1])))
+                sweep_rows.append((value, float(d_ind[-1]), mask.n_selected == 1))
 
         if scenario.sweep is not None and sweep_rows:
-            report.append(f"sweep summary ({scenario.sweep.parameter}):")
-            for value, ind_end in sweep_rows:
-                report.append(
-                    f"  {scenario.sweep.parameter} = {value:.6g}: "
-                    f"d_indirect(t_end) = {ind_end:.6g}, phi00(t_end) = {ind_end / 2.0:.6g}"
-                )
-            best = min(sweep_rows, key=lambda row: row[1])
-            report.append(
-                f"  minimizer: {scenario.sweep.parameter} = {best[0]:.6g} "
-                f"(phi00 = {best[1] / 2.0:.6g})"
-            )
+            param = scenario.sweep.parameter
+            report.append(f"sweep summary ({param}):")
+            # d_indirect / 2 = sum_ij Phi_ij is Phi_00 only for one selected atom
+            for value, end, single in sweep_rows:
+                phi00 = f", phi00(t_end) = {end / 2.0:.6g}" if single else ""
+                report.append(f"  {param} = {value:.6g}: d_indirect(t_end) = {end:.6g}{phi00}")
+            value, end, single = min(sweep_rows, key=lambda row: row[1])
+            best = f"phi00 = {end / 2.0:.6g}" if single else f"d_indirect(t_end) = {end:.6g}"
+            report.append(f"  minimizer: {param} = {value:.6g} ({best})")
 
         (target / f"{scenario.prefix}_report.txt").write_text("\n".join(report) + "\n")
     except QuadratureError as exc:
@@ -511,9 +518,9 @@ def run(
             file=sys.stderr,
         )
         return 2
-    except ValueError as exc:
-        # MetricError, KernelDomainError, GeometryError (a selected atom on
-        # an unobserved one) and specfun's non-finite argument error
+    except (ValueError, ArithmeticError) as exc:
+        # MetricError, KernelDomainError, GeometryError (a selected atom on an
+        # unobserved one), specfun's non-finite argument, an overflowing power
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

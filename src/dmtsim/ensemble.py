@@ -7,10 +7,10 @@ estimator works on each sample's drawn (r, cos theta) directly, the first
 draws sample_gas takes from the same substream, and evaluates phi on
 (r, cos^2 theta); it builds no positions.
 Count inputs are checked once, before any draw: a bad count_mode, a
-fixed_count that is not an integer >= 0 or a Poisson mean numpy cannot draw
-is a GeometryError, and an n_samples that is not an integer >= 2 an
-EnsembleError. The analytic finite-range far-field average is the
-validation oracle.
+fixed_count that is not an integer >= 0, a Poisson mean numpy cannot draw or
+a horizon**3 that overflows is a GeometryError, and an n_samples that is not
+an integer >= 2 an EnsembleError. The analytic finite-range far-field
+average is the validation oracle.
 """
 
 from __future__ import annotations

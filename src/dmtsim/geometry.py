@@ -211,7 +211,7 @@ _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.
 
 
 def _shell_draws(spec: GasSpec, count_mode: str, fixed_count: int | None):
-    """Check a gas's count rule once and return draw(rng) -> (r, cos theta).
+    """Check a gas's shell and count rule once; return draw(rng) -> (r, cos t).
 
     Each draw takes, in this order, the atom count (Poisson or fixed), then r
     with r^3 uniform in [l^3, H^3], then cos theta uniform in [-1, 1), theta
@@ -220,8 +220,11 @@ def _shell_draws(spec: GasSpec, count_mode: str, fixed_count: int | None):
     """
     if count_mode not in ("poisson", "fixed"):
         raise GeometryError("count_mode must be 'poisson' or 'fixed'")
-    l3 = spec.exclusion_radius**3
-    h3 = spec.horizon**3
+    try:
+        l3 = spec.exclusion_radius**3
+        h3 = spec.horizon**3
+    except OverflowError:
+        raise GeometryError(f"horizon**3 overflows a float (horizon = {spec.horizon:g})") from None
     if count_mode == "poisson":
         mean = spec.density * 4.0 * math.pi / 3.0 * (h3 - l3)
         if not mean <= _POISSON_MEAN_MAX:

@@ -31,7 +31,6 @@ from .kernels import _quadrature_rt, _stalled
 
 __all__ = [
     "KernelPolicy",
-    "Codeword",
     "MetricTensor",
     "MetricError",
     "build_metric",
@@ -48,7 +47,7 @@ _VALIDITY_THRESHOLD = 0.1
 
 
 class MetricError(ValueError):
-    """Codeword/tensor misuse, or a quadratic form negative beyond tolerance."""
+    """Bad codeword or tensor input, or a quadratic form negative beyond tolerance."""
 
 
 class KernelPolicy(enum.Enum):
@@ -63,29 +62,6 @@ class KernelPolicy(enum.Enum):
     CLOSED_FORM = "closed"
     FAR_FIELD = "farfield"
     QUADRATURE = "quadrature"
-
-
-@dataclass(frozen=True)
-class Codeword:
-    """Pointer-basis label: entries are -1 or +1."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if not bits or any(b not in (-1, 1) for b in bits):
-            raise MetricError("codeword entries must be -1 or +1")
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=float)
-
-
-def _as_codeword(s) -> Codeword:
-    return s if isinstance(s, Codeword) else Codeword(tuple(s))
 
 
 @dataclass(frozen=True)
@@ -294,9 +270,15 @@ def build_metric(
     return MetricTensor(float(t), direct[0], indirect[0], bool(valid[0]))
 
 
-def _quadratic_forms(matrix: np.ndarray, deltas: np.ndarray, eps: float) -> np.ndarray:
-    """Clamped quadratic forms of rows of deltas; hard error below -eps."""
-    q = np.einsum("ti,ij,tj->t", deltas, matrix, deltas)
+def _forms(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x^T matrix x over the last axis of a stack of rows x. Two two-operand
+    einsums: three operands run slower, and matmul's BLAS route bimodally."""
+    return np.einsum("...i,...i->...", x, np.einsum("ij,...j->...i", matrix, x))
+
+
+def _clamped_forms(matrix: np.ndarray, x: np.ndarray, eps: float) -> np.ndarray:
+    """_forms with negatives down to -eps clamped to zero; below -eps raises."""
+    q = _forms(matrix, x)
     worst = float(q.min()) if q.size else 0.0
     if worst < -eps:
         raise MetricError(
@@ -306,17 +288,15 @@ def _quadratic_forms(matrix: np.ndarray, deltas: np.ndarray, eps: float) -> np.n
 
 
 def distance(M: MetricTensor, s, s2) -> float:
-    """Metric distance (1/2) sqrt((s - s2)^T M (s - s2)) between codewords.
-
-    Tiny negative quadratic forms (>= -epsilon) clamp to zero; anything more
-    negative raises, because assembled tensors are PSD up to numerics.
-    """
-    a, b = _as_codeword(s), _as_codeword(s2)
-    if len(a) != M.n or len(b) != M.n:
+    """Metric distance (1/2) sqrt((s - s2)^T M (s - s2)) between codewords,
+    sequences of n entries that are each exactly -1 or +1. A quadratic form
+    below -epsilon raises; one in [-epsilon, 0) clamps to zero."""
+    if len(s) != M.n or len(s2) != M.n:
         raise MetricError(f"codeword length must match n = {M.n}")
-    delta = (a.as_array() - b.as_array())[None, :]
-    q = _quadratic_forms(M.matrix, delta, M.epsilon)
-    return 0.5 * math.sqrt(float(q[0]))
+    words = np.asarray([s, s2], dtype=float)
+    if not np.all(np.abs(words) == 1.0):
+        raise MetricError("codeword entries must be -1 or +1")
+    return 0.5 * math.sqrt(float(_clamped_forms(M.matrix, words[0] - words[1], M.epsilon)))
 
 
 @dataclass(frozen=True)
@@ -351,8 +331,8 @@ def check_nonnegative(M: MetricTensor, trials: int, seed: int) -> NonNegativityR
         raise MetricError("trials must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
     x = rng.standard_normal((trials, M.n))
-    total = np.einsum("ti,ij,tj->t", x, M.matrix, x)
-    direct = np.einsum("ti,ij,tj->t", x, M.direct_part, x)
+    total = _forms(M.matrix, x)
+    direct = _forms(M.direct_part, x)
     eigs = np.linalg.eigvalsh(M.indirect_part)
     tol = M.epsilon
     tol_direct = 1e-10 * abs(float(np.trace(M.direct_part)))
@@ -389,9 +369,9 @@ def check_triangle(M: MetricTensor, triples: int, seed: int) -> TriangleReport:
     s = rng.integers(0, 2, size=(3, triples, M.n)).astype(float) * 2.0 - 1.0
     mat = M.matrix
     eps = M.epsilon
-    d12 = 0.5 * np.sqrt(_quadratic_forms(mat, s[0] - s[1], eps))
-    d23 = 0.5 * np.sqrt(_quadratic_forms(mat, s[1] - s[2], eps))
-    d13 = 0.5 * np.sqrt(_quadratic_forms(mat, s[0] - s[2], eps))
+    d12 = 0.5 * np.sqrt(_clamped_forms(mat, s[0] - s[1], eps))
+    d23 = 0.5 * np.sqrt(_clamped_forms(mat, s[1] - s[2], eps))
+    d13 = 0.5 * np.sqrt(_clamped_forms(mat, s[0] - s[2], eps))
     violation = d13 - d12 - d23
     trace = max(M.trace, 0.0)
     slack = 1e-10 * max(trace, M.n * math.sqrt(trace))

@@ -404,6 +404,41 @@ points = 5
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "text, code, prefix",
+        [
+            (with_geometry(POISSON_GAS.replace("25", "1e200")), 1, "config error: [geometry] "),
+            (
+                with_geometry(POISSON_GAS.replace("10", "1e103").replace("25", "2e103")),
+                1,
+                "config error: [geometry] ",
+            ),
+            (
+                SMOKE + "\n[sweep]\nparameter = dipole_tilt\nvalues = 0 inf\n",
+                1,
+                "config error: [sweep.values] value inf: ",
+            ),
+            # kappa**2 in f_diag, kappa**4 in the gas scales after the CSV
+            (SMOKE.replace("kappa = 0.1", "kappa = 1e160"), 2, "numerical error: "),
+            (
+                with_geometry(POISSON_GAS).replace("kappa = 0.1", "kappa = 1e100"),
+                2,
+                "numerical error: ",
+            ),
+            (SMOKE.replace("prefix = smoke", "prefix = a\0b"), 1, "config error: [output.prefix] "),
+            (SMOKE + "directory = a\0b\n", 1, "config error: [output.directory] "),
+        ],
+        ids=[
+            "horizon", "exclusion_radius", "tilt", "lattice_kappa", "gas_kappa", "nul_prefix",
+            "nul_directory",
+        ],
+    )
+    def test_overflow_and_nul_byte_inputs_exit_cleanly(self, tmp_path, text, code, prefix):
+        done = run_module([write_scenario(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert done.returncode == code
+        assert done.stderr.startswith(prefix)
+        assert "Traceback" not in done.stderr
+
     def test_unwritable_output_directory_is_a_config_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SMOKE)
         blocker = tmp_path / "not_a_directory"
@@ -570,6 +605,14 @@ class TestSweeps:
         assert "sweep summary (kappa):" in report
         assert "minimizer: kappa" in report
 
+    def test_kappa_sweep_header_names_no_file_kappa(self, tmp_path):
+        text = SMOKE + "\n[sweep]\nparameter = kappa\nvalues = 0.01 1\n"
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 0
+        lines = (out / "smoke_report.txt").read_text().splitlines()
+        assert not [line for line in lines if "kappa = 0.1" in line]
+        assert "bath: alpha = 0.00729735, kappa swept, zero temperature" in lines
+
     def test_chain_tilt_sweep_finds_the_magic_angle(self, tmp_path):
         text = f"""
 [bath]
@@ -621,6 +664,20 @@ prefix = tilt
         assert f"minimizer: spacing = {best:.6g}" in report
         for v, d in ends.items():
             assert f"spacing = {v:.6g}: d_indirect(t_end) = {d:.6g}" in report
+
+    def test_multi_atom_sweep_summary_names_no_phi00(self, tmp_path):
+        # d_indirect / 2 sums Phi_ij over every selected pair, not Phi_00
+        extra = "\n[selection]\nindices = 11 12 13\n"
+        extra += "[sweep]\nparameter = spacing\nvalues = 800 1000\n"
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, SMOKE + extra), out_dir=str(out)) == 0
+        ends = {
+            v: read_csv(out / f"smoke_spacing={v:g}.csv")["d_indirect"][-1] for v in (800.0, 1000.0)
+        }
+        best = min(ends, key=ends.get)
+        report = (out / "smoke_report.txt").read_text()
+        assert "phi00" not in report
+        assert f"minimizer: spacing = {best:.6g} (d_indirect(t_end) = {ends[best]:.6g})" in report
 
 
     def test_report_scales_follow_the_swept_value(self, tmp_path):

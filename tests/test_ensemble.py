@@ -240,8 +240,11 @@ class TestCountInputs:
             ({"count_mode": "fixed", "fixed_count": 5.7}, GeometryError, "5.7"),
             ({"count_mode": "fixed", "fixed_count": -1}, GeometryError, "fixed_count >= 0"),
             ({"n_samples": 2.5}, EnsembleError, "integer"),
+            # the shell volume's H^3 and l^3 overflow a float
+            ({"s": spec(horizon=1e200)}, GeometryError, "overflows"),
+            ({"s": spec(l=1e103, horizon=2e103)}, GeometryError, "overflows"),
         ],
-        ids=["poisson_mean", "fractional", "negative", "n_samples"],
+        ids=["poisson_mean", "fractional", "negative", "n_samples", "horizon", "exclusion"],
     )
     def test_rejected_before_any_draw(self, monkeypatch, kwargs, error, message):
         substreams = []

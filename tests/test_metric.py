@@ -366,6 +366,9 @@ class TestDistance:
         M = synthetic(np.eye(2))
         with pytest.raises(MetricError):
             distance(M, (1, 0), (1, 1))
+        # an entry is never truncated to -1 or +1
+        with pytest.raises(MetricError, match=r"-1 or \+1"):
+            distance(M, (1.5, 1), (1, 1))
 
     def test_offdiagonal_distinguishes_global_flip_from_partial(self):
         # three close atoms: flipping all three differs from flipping two,
@@ -429,6 +432,16 @@ class TestChecks:
         M = build_metric(config, mask, bath(0.5), 10.0)
         report = check_triangle(M, triples=5000, seed=5)
         assert report.passed
+
+    def test_negative_forms_fail_or_raise(self):
+        # trace 0 makes epsilon 0, so every negative form is beyond tolerance
+        M = synthetic(np.diag([1.0, -1.0]))
+        report = check_nonnegative(M, trials=200, seed=1)
+        assert not report.passed and report.min_form < 0.0
+        with pytest.raises(MetricError, match="below -epsilon"):
+            distance(M, (1, 1), (1, -1))
+        with pytest.raises(MetricError, match="below -epsilon"):
+            check_triangle(M, triples=200, seed=2)
 
     def test_triangle_random_gram_tensors(self):
         rng = np.random.default_rng(6)

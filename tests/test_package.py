@@ -25,7 +25,6 @@ EXPORTS = {
     "sample_gas",
     "square_lattice_2d",
     # metric
-    "Codeword",
     "KernelPolicy",
     "MetricError",
     "MetricTensor",
