@@ -77,6 +77,8 @@ def effective_neighbors(config: AtomConfig, mask: SelectionMask) -> float:
     """
     if mask.n_selected != 1:
         raise GeometryError("effective_neighbors is defined for exactly one selected atom")
+    if mask.n_atoms != len(config):
+        raise GeometryError(f"mask covers {mask.n_atoms} atoms, the configuration {len(config)}")
     if mask.unobserved.size == 0:
         return 0.0
     r, cos_t = _geometry.pair_arrays(config, mask.selected, mask.unobserved)

@@ -17,7 +17,7 @@ Scenario file layout::
     dipole_direction = 0 0 1
     # chain keys: count, spacing, dipole_angle (radians)
     # gas keys: density, exclusion_radius, horizon, seed (0 <= seed < 2**64),
-    #           count_mode (poisson | fixed), fixed_count, dipole_direction
+    #           count_mode (poisson | fixed), fixed_count (exactly under fixed), dipole_direction
 
     # optional; defaults to the builder's center atom (480 on this lattice)
     [selection]
@@ -52,12 +52,12 @@ need distinct {:g} labels, which name the CSVs. --seed-override replaces a
 gas seed and is a configuration error for a lattice or chain.
 
 Exit codes: 0 success, 1 configuration error (message names the offending
-key; a file that is not valid UTF-8 INI is reported as [scenario], an output
-directory that cannot be made or written as [output.directory]), 2 numerical
-failure (quadrature budget exhausted, a metric property violation, or a value
-outside a kernel's domain met while computing, such as a non-finite Si
-argument, a pair separation that over- or underflows or a power of kappa
-that overflows).
+key; a file that is not valid UTF-8 INI is reported as [scenario], a kappa
+whose fourth power overflows as [bath] or [sweep.values], an output directory
+that cannot be made or written as [output.directory]), 2 numerical failure
+(quadrature budget exhausted, a metric property violation, or a value outside
+a kernel's domain met while computing, such as a non-finite Si argument or a
+pair separation that over- or underflows).
 
 Each curve is one pass of the metric engine over the whole time grid (see
 dmtsim.metric): the kernels run once per distinct pair (r, cos^2 theta) and
@@ -315,8 +315,13 @@ def _build_geometry(kind: str, params: dict) -> tuple[AtomConfig, SelectionMask]
         return square_lattice_2d(**params)
     if kind == "chain":
         return chain_1d(**params)
-    spec = GasSpec(params["density"], params["exclusion_radius"], params["horizon"], params["seed"])
-    return sample_gas(spec, params["count_mode"], params["fixed_count"], params["dipole_direction"])
+    mode, count = params["count_mode"], params["fixed_count"]
+    if mode not in ("poisson", "fixed"):
+        raise GeometryError("count_mode must be 'poisson' or 'fixed'")
+    if (mode == "fixed") != (count is not None):
+        raise GeometryError(f"fixed_count is given exactly when count_mode = fixed, not {mode}")
+    spec = GasSpec(*(params[k] for k in ("density", "exclusion_radius", "horizon", "seed")), count)
+    return sample_gas(spec, params["dipole_direction"])
 
 
 def _apply_selection(config: AtomConfig, default: SelectionMask, indices) -> SelectionMask:
@@ -419,15 +424,14 @@ def _scale_lines(kind, params, bath, config, mask) -> list:
 
 
 def run(
-    scenario,
+    path,
     out_dir=None,
     seed_override: int | None = None,
     policy: str = "closed",
 ) -> int:
-    """Execute a scenario (path or Scenario object). Returns the exit code."""
+    """Execute the scenario file at path. Returns the exit code."""
     try:
-        if not isinstance(scenario, Scenario):
-            scenario = parse_scenario(scenario)
+        scenario = parse_scenario(path)
         try:
             kernel_policy = KernelPolicy(policy)
         except ValueError:
@@ -439,11 +443,14 @@ def run(
             scenario = replace(scenario, geometry_params=params)
         variants = list(_sweep_variants(scenario))
         times = scenario.time_grid.times()
+        target = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
+        try:
+            target.mkdir(parents=True, exist_ok=True)
+        except (ValueError, OSError) as exc:  # a NUL byte, a file in the way, ...
+            raise ScenarioError("output.directory", str(exc)) from None
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    target = Path(out_dir) if out_dir is not None else Path(scenario.out_dir)
 
     report = [f"prefix: {scenario.prefix}", f"policy: {kernel_policy.value}"]
     # under a kappa sweep each curve label names its own kappa
@@ -462,7 +469,6 @@ def run(
 
     sweep_rows = []
     try:
-        target.mkdir(parents=True, exist_ok=True)
         for label, bath, params, config, mask, value in variants:
             final, d_dir, d_ind, valid = _compute_curve(bath, config, mask, times, kernel_policy)
             _write_csv(target / f"{label}.csv", times, d_dir, d_ind, valid)
@@ -520,7 +526,7 @@ def run(
         return 2
     except (ValueError, ArithmeticError) as exc:
         # MetricError, KernelDomainError, GeometryError (a selected atom on an
-        # unobserved one), specfun's non-finite argument, an overflowing power
+        # unobserved one), specfun's non-finite argument, a float overflow
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

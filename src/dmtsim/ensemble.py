@@ -6,11 +6,9 @@ results are reproducible across platforms and trivially parallelizable. The
 estimator works on each sample's drawn (r, cos theta) directly, the first
 draws sample_gas takes from the same substream, and evaluates phi on
 (r, cos^2 theta); it builds no positions.
-Count inputs are checked once, before any draw: a bad count_mode, a
-fixed_count that is not an integer >= 0, a Poisson mean numpy cannot draw or
-a horizon**3 that overflows is a GeometryError, and an n_samples that is not
-an integer >= 2 an EnsembleError. The analytic finite-range far-field
-average is the validation oracle.
+The count rule is the GasSpec's own, checked when the spec is built; an
+n_samples that is not an integer >= 2 is an EnsembleError raised before any
+draw. The analytic finite-range far-field average is the validation oracle.
 """
 
 from __future__ import annotations
@@ -66,17 +64,16 @@ def average_phi00(
     t: float,
     n_samples: int,
     kernel_policy: KernelPolicy = KernelPolicy.FAR_FIELD,
-    count_mode: str = "poisson",
-    fixed_count: int | None = None,
 ) -> MCResult:
     """Mean and standard error of Phi_00(t) = sum_k phi(t, r_k, theta_k)^2
     over independent gas samples.
 
     Requires t <= spec.horizon so the light cone stays inside the sampled
     ball, and an integer n_samples >= 2 for a standard error. The master
-    seed is spec.seed; sample i uses the (seed, i) substream, and phi is
-    evaluated on its drawn (r, cos^2 theta) with theta from the z axis, the
-    dipole of sample_gas's default configuration.
+    seed is spec.seed and its count rule spec.fixed_count; sample i uses the
+    (seed, i) substream, and phi is evaluated on its drawn (r, cos^2 theta)
+    with theta from the z axis, the dipole of sample_gas's default
+    configuration.
     """
     if not (math.isfinite(t) and t >= 0):
         raise EnsembleError("time must be finite and >= 0")
@@ -87,10 +84,9 @@ def average_phi00(
         )
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 2):
         raise EnsembleError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    draw = _geometry._shell_draws(spec, count_mode, fixed_count)
     totals = np.empty(n_samples)
     for i in range(n_samples):
-        r, cos_t = draw(_sample_rng(spec.seed, i))
+        r, cos_t = _geometry._shell_draws(spec, _sample_rng(spec.seed, i))
         phi = _phi_matrix(t, r, cos_t**2, bath, kernel_policy)
         totals[i] = float(np.sum(phi**2))
     mean = float(totals.mean())

@@ -5,17 +5,17 @@ single unit dipole direction. Builders normalize the direction they are
 given; a directly constructed AtomConfig must already be normalized to
 1e-12.
 
-A SelectionMask splits atom indices into the selected (observed) atoms and
-the unobserved ones. Both fields are read-only 1-D int64 arrays, checked once
-with vectorized numpy when the mask is built, so code that consumes a mask
-indexes positions with them directly and loops over no atom in Python. Masks
-compare by identity.
+A SelectionMask selects observed atoms out of a configuration's n_atoms and
+leaves every other atom unobserved, so it covers its whole configuration.
+Its read-only int64 index arrays are checked once with vectorized numpy when
+it is built; consumers index positions with them directly and loop over no
+atom in Python. A GasSpec likewise carries and checks its own count rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,55 +82,49 @@ def _index_array(values) -> np.ndarray:
     return _as_readonly(a, np.int64)
 
 
-def _has_repeats(idx: np.ndarray) -> bool:
-    """Whether a non-negative index array holds some value twice."""
-    s = np.sort(idx)
-    return bool(np.any(s[1:] == s[:-1]))
-
-
 @dataclass(frozen=True, eq=False)
 class SelectionMask:
-    """Ordered selected indices (the observed atoms) and the unobserved ones.
+    """A selection out of n_atoms atoms: the selected (observed) indices in
+    the caller's order, and every other atom unobserved.
 
-    Both fields are read-only 1-D int64 arrays, validated once here: at least
-    one atom is selected, every index is a non-negative integer, and no index
-    appears twice across the two fields. Masks compare by identity.
+    selected is checked once here: at least one entry, each an integer in
+    [0, n_atoms) and none repeated. unobserved is derived, never passed in:
+    the ascending complement of selected in range(n_atoms). Both are read-only
+    1-D int64 arrays. Masks compare by identity.
     """
 
+    n_atoms: int
     selected: np.ndarray
-    unobserved: np.ndarray
+    unobserved: np.ndarray = field(init=False)
 
     def __post_init__(self):
         sel = _index_array(self.selected)
-        uno = _index_array(self.unobserved)
         if sel.size < 1:
             raise GeometryError("at least one atom must be selected")
-        both = np.concatenate([sel, uno])
-        if both.min() < 0:
-            raise GeometryError(f"mask indices must be non-negative: {both[both < 0].tolist()}")
-        if _has_repeats(both):
-            overlap = np.intersect1d(sel, uno)
-            if overlap.size:
-                raise GeometryError(f"selected and unobserved overlap: {overlap.tolist()}")
+        bad = sel[(sel < 0) | (sel >= self.n_atoms)]
+        if bad.size:
+            raise GeometryError(f"selected indices out of range: {bad.tolist()}")
+        keep = np.ones(self.n_atoms, dtype=bool)
+        keep[sel] = False
+        uno = np.flatnonzero(keep)
+        if uno.size + sel.size != self.n_atoms:
             raise GeometryError("duplicate indices in selection mask")
         object.__setattr__(self, "selected", sel)
-        object.__setattr__(self, "unobserved", uno)
+        object.__setattr__(self, "unobserved", _as_readonly(uno, np.int64))
 
     @classmethod
     def from_selected(cls, n_atoms: int, selected) -> "SelectionMask":
-        """Mask over atoms 0..n_atoms-1: selected in the caller's order, the
-        rest unobserved in ascending order."""
-        sel = _index_array(selected)
-        bad = sel[(sel < 0) | (sel >= n_atoms)]
-        if bad.size:
-            raise GeometryError(f"selected indices out of range: {bad.tolist()}")
-        keep = np.ones(n_atoms, dtype=bool)
-        keep[sel] = False
-        return cls(selected=sel, unobserved=np.flatnonzero(keep))
+        """Mask over atoms 0..n_atoms-1 with selected in the caller's order."""
+        return cls(n_atoms, selected)
 
     @property
     def n_selected(self) -> int:
         return int(self.selected.size)
+
+
+# The largest Poisson mean numpy's Generator.poisson accepts ("lam value too
+# large" above it): int64 max minus ten of its square roots.
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -139,13 +133,17 @@ class GasSpec:
 
     density is atoms per cubic dipole length; exclusion_radius is the
     scattering length l (closest approach); horizon bounds the sampling ball.
-    seed is the Philox key, an integer in [0, 2**64).
+    seed is the Philox key, an integer in [0, 2**64). fixed_count is the
+    count rule: an integer >= 0 fixes the atom number, None draws it from a
+    Poisson law of mean density * (4 pi / 3)(H^3 - l^3), at most numpy's
+    limit (about 9.2e18). Every check runs here; H^3 must be finite under both.
     """
 
     density: float
     exclusion_radius: float
     horizon: float
     seed: int = 0
+    fixed_count: int | None = None
 
     def __post_init__(self):
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
@@ -156,6 +154,19 @@ class GasSpec:
             raise GeometryError("exclusion_radius must be finite and > 0")
         if not (math.isfinite(self.horizon) and self.horizon > self.exclusion_radius):
             raise GeometryError("horizon must exceed exclusion_radius")
+        count = self.fixed_count
+        if count is not None and not (isinstance(count, (int, np.integer)) and count >= 0):
+            raise GeometryError(f"fixed_count must be an integer >= 0, got {count!r}")
+        try:
+            l3, h3 = float(self.exclusion_radius) ** 3, float(self.horizon) ** 3
+        except OverflowError:
+            raise GeometryError(f"horizon**3 overflows at horizon = {self.horizon:g}") from None
+        mean = self.density * 4.0 * math.pi / 3.0 * (h3 - l3)
+        if count is None and not mean <= _POISSON_MEAN_MAX:
+            raise GeometryError(
+                f"Poisson mean atom count {mean:g} exceeds numpy's largest lam, "
+                f"{_POISSON_MEAN_MAX:g}"
+            )
 
 
 def _normalized(direction) -> np.ndarray:
@@ -205,50 +216,27 @@ def chain_1d(count: int, spacing: float, dipole_angle: float) -> tuple:
     return config, SelectionMask.from_selected(count, [center])
 
 
-# The largest Poisson mean numpy's Generator.poisson accepts ("lam value too
-# large" above it): int64 max minus ten of its square roots.
-_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
+def _shell_draws(spec: GasSpec, rng: np.random.Generator) -> tuple:
+    """(r, cos theta) of a gas sample's unobserved atoms.
 
-
-def _shell_draws(spec: GasSpec, count_mode: str, fixed_count: int | None):
-    """Check a gas's shell and count rule once; return draw(rng) -> (r, cos t).
-
-    Each draw takes, in this order, the atom count (Poisson or fixed), then r
-    with r^3 uniform in [l^3, H^3], then cos theta uniform in [-1, 1), theta
-    measured from the z axis. These are the first draws sample_gas takes from
-    its generator, so a caller that needs no positions can stop here.
+    Takes, in this order, the atom count (Poisson unless spec.fixed_count is
+    set), then r with r^3 uniform in [l^3, H^3], then cos theta uniform in
+    [-1, 1), theta measured from the z axis. These are the first draws
+    sample_gas takes from its generator, so a caller that needs no positions
+    can stop here.
     """
-    if count_mode not in ("poisson", "fixed"):
-        raise GeometryError("count_mode must be 'poisson' or 'fixed'")
-    try:
-        l3 = spec.exclusion_radius**3
-        h3 = spec.horizon**3
-    except OverflowError:
-        raise GeometryError(f"horizon**3 overflows a float (horizon = {spec.horizon:g})") from None
-    if count_mode == "poisson":
-        mean = spec.density * 4.0 * math.pi / 3.0 * (h3 - l3)
-        if not mean <= _POISSON_MEAN_MAX:
-            raise GeometryError(
-                f"Poisson mean atom count {mean:g} exceeds numpy's largest lam, "
-                f"{_POISSON_MEAN_MAX:g}"
-            )
-    elif not (isinstance(fixed_count, (int, np.integer)) and fixed_count >= 0):
-        raise GeometryError(
-            f"fixed count_mode needs an integer fixed_count >= 0, got {fixed_count!r}"
-        )
-
-    def draw(rng: np.random.Generator):
-        n = int(rng.poisson(mean)) if count_mode == "poisson" else int(fixed_count)
-        r = (l3 + rng.random(n) * (h3 - l3)) ** (1.0 / 3.0)
-        return r, rng.uniform(-1.0, 1.0, n)
-
-    return draw
+    l3 = spec.exclusion_radius**3
+    h3 = spec.horizon**3
+    if spec.fixed_count is None:
+        n = int(rng.poisson(spec.density * 4.0 * math.pi / 3.0 * (h3 - l3)))
+    else:
+        n = int(spec.fixed_count)
+    r = (l3 + rng.random(n) * (h3 - l3)) ** (1.0 / 3.0)
+    return r, rng.uniform(-1.0, 1.0, n)
 
 
 def sample_gas(
     spec: GasSpec,
-    count_mode: str = "poisson",
-    fixed_count: int | None = None,
     dipole_direction=(0.0, 0.0, 1.0),
     rng: np.random.Generator | None = None,
 ) -> tuple:
@@ -256,16 +244,13 @@ def sample_gas(
     exclusion_radius <= r <= horizon.
 
     Sampling is exact (r^3 uniform in [l^3, H^3], direction uniform on the
-    sphere), so no rejection loop exists. count_mode "poisson" draws the atom
-    number from the shell-volume mean density * (4 pi / 3)(H^3 - l^3), which
-    must not exceed numpy's Poisson limit (about 9.2e18); "fixed" uses
-    fixed_count, an integer >= 0. Deterministic for a given seed; an explicit
-    rng overrides the seed for substream use.
+    sphere), so no rejection loop exists. The atom count follows the spec's
+    count rule, checked when the GasSpec was built. Deterministic for a given
+    seed; an explicit rng overrides the seed for substream use.
     """
-    draw = _shell_draws(spec, count_mode, fixed_count)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    r, cos_t = draw(rng)
+    r, cos_t = _shell_draws(spec, rng)
     n = r.size
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t**2))

@@ -79,7 +79,7 @@ class BathParams:
     alpha : float
         Dimensionless atom-field coupling strength, > 0.
     kappa : float
-        Dimensionless UV cutoff (max wavenumber times dipole length), > 0.
+        Dimensionless UV cutoff (max wavenumber times dipole length), > 0, kappa**4 finite.
     inv_temperature : float or None
         Inverse temperature beta entering coth(beta q / 2); None means zero
         temperature (coth = 1).
@@ -94,6 +94,10 @@ class BathParams:
             raise KernelDomainError("alpha must be finite and > 0")
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise KernelDomainError("kappa must be finite and > 0")
+        try:
+            float(self.kappa) ** 4  # the largest power of kappa taken (gas_scales)
+        except OverflowError:
+            raise KernelDomainError(f"kappa**4 overflows at kappa = {self.kappa:g}") from None
         if self.inv_temperature is not None:
             if not (math.isfinite(self.inv_temperature) and self.inv_temperature > 0):
                 raise KernelDomainError("inv_temperature must be finite and > 0 when given")

@@ -217,11 +217,9 @@ def _assemble(
         raise MetricError("time must be finite and >= 0")
     if not isinstance(kernel_policy, KernelPolicy):
         raise MetricError("kernel_policy must be a KernelPolicy member")
+    if mask.n_atoms != len(config):
+        raise MetricError(f"mask covers {mask.n_atoms} atoms, the configuration {len(config)}")
     n = mask.n_selected
-    indices = np.concatenate([mask.selected, mask.unobserved])
-    bad = indices[(indices < 0) | (indices >= len(config))]
-    if bad.size:
-        raise MetricError(f"mask indices out of range: {bad.tolist()}")
 
     r_su, cos_su = _geometry.pair_arrays(config, mask.selected, mask.unobserved)
     coincident = np.argwhere(r_su == 0.0)
@@ -260,7 +258,8 @@ def build_metric(
     distinct pair keys, at a tolerance tied to the diagonal so quadrature
     noise cannot drown its positive semidefiniteness. Selected atoms may
     coincide (their kernel rows then agree exactly); a selected-unobserved
-    coincidence is rejected because phi diverges there.
+    coincidence is rejected because phi diverges there, and so is a mask
+    built for another atom count than len(config).
 
     This is the one-time slice of the curve engine that the CLI runs over a
     whole time grid, so it equals that curve's row at t bit for bit.

@@ -191,10 +191,9 @@ def test_3_metric_properties_on_random_configurations():
                 exclusion_radius=float(rng.uniform(1, 20)),
                 horizon=float(rng.uniform(30, 60)),
                 seed=int(rng.integers(0, 2**31)),
+                fixed_count=int(rng.integers(3, 26)),
             )
-            config, _ = sample_gas(
-                spec, count_mode="fixed", fixed_count=int(rng.integers(3, 26))
-            )
+            config, _ = sample_gas(spec)
         n = len(config)
         k = int(rng.integers(1, min(6, n) + 1))
         selected = tuple(int(j) for j in rng.choice(n, size=k, replace=False))

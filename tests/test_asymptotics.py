@@ -43,7 +43,7 @@ class TestEffectiveNeighbors:
             dipole_direction=(0, 0, 1),
             label="pair",
         )
-        mask = SelectionMask(selected=(0,), unobserved=(1,))
+        mask = SelectionMask.from_selected(2, (0,))
         assert effective_neighbors(config, mask) == 1.0
 
     def test_empty_unobserved_gives_zero(self):
@@ -81,8 +81,16 @@ class TestEffectiveNeighbors:
             dipole_direction=(0, 0, 1),
             label="bad",
         )
-        mask = SelectionMask(selected=(0,), unobserved=(1,))
+        mask = SelectionMask.from_selected(2, (0,))
         with pytest.raises(GeometryError):
+            effective_neighbors(config, mask)
+
+    @pytest.mark.parametrize("n_atoms", [3, 27])
+    def test_mask_for_another_atom_count_rejected(self, n_atoms):
+        # a mask over 3 of the 25 atoms would trace out 2 of the 24 neighbors
+        config, _ = square_lattice_2d(5, 7.0, (0, 0, 1))
+        mask = SelectionMask.from_selected(n_atoms, (0,))
+        with pytest.raises(GeometryError, match=f"mask covers {n_atoms} atoms"):
             effective_neighbors(config, mask)
 
 

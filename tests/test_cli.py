@@ -418,19 +418,25 @@ points = 5
                 1,
                 "config error: [sweep.values] value inf: ",
             ),
-            # kappa**2 in f_diag, kappa**4 in the gas scales after the CSV
-            (SMOKE.replace("kappa = 0.1", "kappa = 1e160"), 2, "numerical error: "),
+            # kappa**4, the largest power of kappa taken (in the gas scales),
+            # must be finite, in the file and in a sweep
+            (SMOKE.replace("kappa = 0.1", "kappa = 1e160"), 1, "config error: [bath] "),
             (
                 with_geometry(POISSON_GAS).replace("kappa = 0.1", "kappa = 1e100"),
-                2,
-                "numerical error: ",
+                1,
+                "config error: [bath] ",
+            ),
+            (
+                SMOKE + "\n[sweep]\nparameter = kappa\nvalues = 0.1 1e160\n",
+                1,
+                "config error: [sweep.values] value 1e+160: kappa**4 overflows",
             ),
             (SMOKE.replace("prefix = smoke", "prefix = a\0b"), 1, "config error: [output.prefix] "),
             (SMOKE + "directory = a\0b\n", 1, "config error: [output.directory] "),
         ],
         ids=[
-            "horizon", "exclusion_radius", "tilt", "lattice_kappa", "gas_kappa", "nul_prefix",
-            "nul_directory",
+            "horizon", "exclusion_radius", "tilt", "lattice_kappa", "gas_kappa", "kappa_sweep",
+            "nul_prefix", "nul_directory",
         ],
     )
     def test_overflow_and_nul_byte_inputs_exit_cleanly(self, tmp_path, text, code, prefix):
@@ -438,6 +444,12 @@ points = 5
         assert done.returncode == code
         assert done.stderr.startswith(prefix)
         assert "Traceback" not in done.stderr
+
+    def test_nul_byte_out_dir_is_a_config_error(self, tmp_path, capsys):
+        # the output directory is made while the configuration is checked
+        assert run(write_scenario(tmp_path, SMOKE), out_dir=str(tmp_path / "a\0b")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [output.directory] ") and "null byte" in err
 
     def test_unwritable_output_directory_is_a_config_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SMOKE)
@@ -552,8 +564,14 @@ prefix = wide
             (GEOMETRY["chain"].replace("count = 3", "count = 10" + "0" * 20), False, "Maximum"),
             # a MemoryError: numpy refuses 711 PiB of coordinates at once
             (GEOMETRY["chain"].replace("count = 3", "count = 10" + "0" * 16), False, "allocate"),
+            # a count is read only under count_mode = fixed, and needed there
+            (POISSON_GAS + "\nfixed_count = 5", False, "fixed_count"),
+            (POISSON_GAS + "\ncount_mode = fixed", False, "fixed_count"),
         ],
-        ids=["seed", "count_mode", "swept_key", "poisson_mean", "array_size", "out_of_memory"],
+        ids=[
+            "seed", "count_mode", "swept_key", "poisson_mean", "array_size", "out_of_memory",
+            "poisson_with_fixed_count", "fixed_without_count",
+        ],
     )
     def test_bad_file_geometry_names_geometry(self, tmp_path, capsys, geometry, sweep, message):
         extra = "\n[sweep]\nparameter = density\nvalues = 1e-3 2e-3\n" if sweep else ""

@@ -26,9 +26,9 @@ def bath(kappa=0.1):
     return BathParams(alpha=ALPHA, kappa=kappa)
 
 
-def spec(density=1.7053e-3, l=10.0, horizon=25.0, seed=7):
+def spec(density=1.7053e-3, l=10.0, horizon=25.0, seed=7, fixed_count=None):
     return GasSpec(
-        density=density, exclusion_radius=l, horizon=horizon, seed=seed
+        density=density, exclusion_radius=l, horizon=horizon, seed=seed, fixed_count=fixed_count
     )
 
 
@@ -124,18 +124,13 @@ class TestMonteCarlo:
         # replay the exact substreams the averager uses and evaluate the
         # closed + oscillatory reference on every sampled atom: the two
         # routes must agree to quadrature accuracy, not statistically
-        s = spec(seed=5)
+        s = spec(seed=5, fixed_count=6)
         b = bath(0.5)
         t, n = 20.0, 8
-        qu = average_phi00(
-            s, b, t, n, kernel_policy=KernelPolicy.QUADRATURE,
-            count_mode="fixed", fixed_count=6,
-        )
+        qu = average_phi00(s, b, t, n, kernel_policy=KernelPolicy.QUADRATURE)
         totals = []
         for i in range(n):
-            config, mask = sample_gas(
-                s, count_mode="fixed", fixed_count=6, rng=_sample_rng(s.seed, i)
-            )
+            config, mask = sample_gas(s, rng=_sample_rng(s.seed, i))
             r, cos_t = pair_arrays(config, mask.selected, mask.unobserved)
             totals.append(
                 sum(
@@ -147,14 +142,12 @@ class TestMonteCarlo:
         assert qu.mean > 0.0
 
     def test_fixed_count_mode(self):
-        res = average_phi00(
-            spec(), bath(), 20.0, 16, count_mode="fixed", fixed_count=57
-        )
+        res = average_phi00(spec(fixed_count=57), bath(), 20.0, 16)
         assert res.mean > 0.0
         with pytest.raises(GeometryError):
-            average_phi00(spec(), bath(), 20.0, 4, count_mode="fixed")
+            spec(fixed_count=-57)
         with pytest.raises(GeometryError):
-            average_phi00(spec(), bath(), 20.0, 4, count_mode="typo")
+            spec(fixed_count="57")
 
     def test_seed_is_the_unmasked_philox_key(self):
         # the top of the key range keys the substreams as given; GasSpec
@@ -176,15 +169,13 @@ class TestMonteCarlo:
 COUNT_MODES = {"poisson": None, "fixed": 40}
 
 
-def position_route(s, b, t, n, policy, count_mode):
+def position_route(s, b, t, n, policy):
     """average_phi00 as computed from rebuilt positions: each (seed, i)
     substream builds sample_gas's configuration, and pair_arrays takes the
     selected atom's (r, cos theta) to every other atom from the positions."""
     totals = np.empty(n)
     for i in range(n):
-        config, mask = sample_gas(
-            s, count_mode, COUNT_MODES[count_mode], rng=_sample_rng(s.seed, i)
-        )
+        config, mask = sample_gas(s, rng=_sample_rng(s.seed, i))
         r, cos_t = pair_arrays(config, mask.selected, mask.unobserved)
         totals[i] = np.sum(_phi_matrix(t, r, cos_t**2, b, policy) ** 2)
     return totals.mean(), totals.std(ddof=1) / math.sqrt(n)
@@ -197,9 +188,9 @@ class TestSampledRoute:
     def test_matches_the_position_route(self, seed, policy, count_mode):
         # the averager works on the drawn (r, cos theta) directly; the rebuilt
         # positions differ from them by rounding only
-        s, b, t, n = spec(seed=seed), bath(), 20.0, 12
-        got = average_phi00(s, b, t, n, policy, count_mode, COUNT_MODES[count_mode])
-        mean, std_error = position_route(s, b, t, n, policy, count_mode)
+        s, b, t, n = spec(seed=seed, fixed_count=COUNT_MODES[count_mode]), bath(), 20.0, 12
+        got = average_phi00(s, b, t, n, policy)
+        mean, std_error = position_route(s, b, t, n, policy)
         assert got.mean > 0.0
         assert got.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
         assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
@@ -207,19 +198,17 @@ class TestSampledRoute:
     @pytest.mark.parametrize("count_mode", sorted(COUNT_MODES))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sample_gas_positions_come_from_the_draws(self, seed, count_mode):
-        s = spec(seed=seed)
+        s = spec(seed=seed, fixed_count=COUNT_MODES[count_mode])
         l3, h3 = s.exclusion_radius**3, s.horizon**3
         mean = s.density * 4.0 * math.pi / 3.0 * (h3 - l3)
         for i in range(4):
-            r, cos_t = _shell_draws(s, count_mode, COUNT_MODES[count_mode])(_sample_rng(seed, i))
+            r, cos_t = _shell_draws(s, _sample_rng(seed, i))
             # the stream order: count, then r, then cos theta
             rng = _sample_rng(seed, i)
             n = int(rng.poisson(mean)) if count_mode == "poisson" else COUNT_MODES[count_mode]
             assert np.array_equal(r, (l3 + rng.random(n) * (h3 - l3)) ** (1.0 / 3.0))
             assert np.array_equal(cos_t, rng.uniform(-1.0, 1.0, n))
-            config, mask = sample_gas(
-                s, count_mode, COUNT_MODES[count_mode], rng=_sample_rng(seed, i)
-            )
+            config, mask = sample_gas(s, rng=_sample_rng(seed, i))
             pos = config.positions[mask.unobserved]
             assert len(config) == r.size + 1 and np.all(config.positions[0] == 0.0)
             np.testing.assert_allclose(np.linalg.norm(pos, axis=1), r, rtol=1e-15, atol=0)
@@ -227,7 +216,7 @@ class TestSampledRoute:
 
     def test_empty_samples_average_to_zero(self):
         for policy in KernelPolicy:
-            res = average_phi00(spec(), bath(), 20.0, 3, policy, "fixed", 0)
+            res = average_phi00(spec(fixed_count=0), bath(), 20.0, 3, policy)
             assert res.mean == 0.0 and res.std_error == 0.0
 
 
@@ -236,35 +225,41 @@ class TestCountInputs:
         "kwargs, error, message",
         [
             # numpy's Poisson draw refuses a mean this large
-            ({"s": spec(density=1e30)}, GeometryError, "Poisson mean atom count"),
-            ({"count_mode": "fixed", "fixed_count": 5.7}, GeometryError, "5.7"),
-            ({"count_mode": "fixed", "fixed_count": -1}, GeometryError, "fixed_count >= 0"),
+            ({"density": 1e30}, GeometryError, "Poisson mean atom count"),
+            ({"fixed_count": 5.7}, GeometryError, "5.7"),
+            ({"fixed_count": -1}, GeometryError, "integer >= 0"),
             ({"n_samples": 2.5}, EnsembleError, "integer"),
             # the shell volume's H^3 and l^3 overflow a float
-            ({"s": spec(horizon=1e200)}, GeometryError, "overflows"),
-            ({"s": spec(l=1e103, horizon=2e103)}, GeometryError, "overflows"),
+            ({"horizon": 1e200}, GeometryError, "overflows"),
+            ({"l": 1e103, "horizon": 2e103}, GeometryError, "overflows"),
         ],
         ids=["poisson_mean", "fractional", "negative", "n_samples", "horizon", "exclusion"],
     )
     def test_rejected_before_any_draw(self, monkeypatch, kwargs, error, message):
+        # gas checks run when the spec is built, the sample count's before
+        # the first substream
         substreams = []
         monkeypatch.setattr(ensemble, "_sample_rng", lambda *key: substreams.append(key))
-        args = {"s": spec(), "n_samples": 8, "count_mode": "poisson", "fixed_count": None}
-        args.update(kwargs)
+        n_samples = kwargs.pop("n_samples", 8)
         with pytest.raises(error, match=message):
-            average_phi00(
-                args["s"], bath(), 20.0, args["n_samples"],
-                count_mode=args["count_mode"], fixed_count=args["fixed_count"],
-            )
+            average_phi00(spec(**kwargs), bath(), 20.0, n_samples)
         assert substreams == []
 
     def test_sample_gas_checks_the_same_counts(self):
         with pytest.raises(GeometryError, match="lam"):
-            sample_gas(spec(density=1e30))
-        with pytest.raises(GeometryError, match="integer fixed_count"):
-            sample_gas(spec(), "fixed", 5.7)
-        config, _ = sample_gas(spec(), "fixed", np.int64(5))
+            spec(density=1e30)
+        with pytest.raises(GeometryError, match="integer >= 0"):
+            spec(fixed_count=5.7)
+        config, _ = sample_gas(spec(fixed_count=np.int64(5)))
         assert len(config) == 6
+
+    @pytest.mark.parametrize("horizon", [1e200, 2e103])
+    def test_fixed_count_cube_overflow_is_a_geometry_error(self, horizon):
+        # the count is fixed, but the radii still draw from [l^3, H^3]
+        with pytest.raises(GeometryError, match="overflows"):
+            sample_gas(spec(horizon=horizon, fixed_count=3))
+        with pytest.raises(GeometryError, match="overflows"):
+            average_phi00(spec(horizon=horizon, fixed_count=3), bath(), 20.0, 4)
 
 
 class TestCsv:

@@ -164,7 +164,7 @@ class TestBuildMetric:
             dipole_direction=(0, 0, 1),
             label="bad",
         )
-        mask = SelectionMask(selected=(0,), unobserved=(1, 2))
+        mask = SelectionMask.from_selected(3, (0,))
         with pytest.raises(GeometryError) as exc_info:
             build_metric(config, mask, bath(), 1.0)
         assert "0" in str(exc_info.value) and "1" in str(exc_info.value)
@@ -179,9 +179,16 @@ class TestBuildMetric:
 
     def test_mask_out_of_range_rejected(self):
         config, _ = chain_1d(3, 1.0, 0.0)
-        mask = SelectionMask(selected=(5,), unobserved=())
+        mask = SelectionMask.from_selected(6, (5,))
         with pytest.raises(MetricError):
             build_metric(config, mask, bath(), 1.0)
+
+    def test_mask_for_fewer_atoms_rejected(self):
+        # a mask over 3 of the 25 atoms would trace out 2 of the 24 spectators
+        config, _ = square_lattice_2d(5, 1.0, (0, 0, 1))
+        mask = SelectionMask.from_selected(3, (0,))
+        with pytest.raises(MetricError, match="mask covers 3 atoms"):
+            build_metric(config, mask, bath(), 50.0)
 
     @pytest.mark.parametrize("side, t", [(3, 1.0), (1, 0.0)])
     def test_string_policy_rejected(self, side, t):
@@ -242,8 +249,9 @@ def engine_scenes(draw):
         tilt = draw(st.floats(0.0, 1.5))
         config, _ = square_lattice_2d(3, spacing, (math.sin(tilt), 0.0, math.cos(tilt)))
     else:
-        spec = GasSpec(1e-2, spacing, 3.0 * spacing, seed=draw(st.integers(0, 2**16)))
-        config, _ = sample_gas(spec, count_mode="fixed", fixed_count=draw(st.integers(1, 6)))
+        seed, count = draw(st.integers(0, 2**16)), draw(st.integers(1, 6))
+        spec = GasSpec(1e-2, spacing, 3.0 * spacing, seed=seed, fixed_count=count)
+        config, _ = sample_gas(spec)
     chosen = draw(
         st.lists(st.integers(0, len(config) - 1), min_size=1, max_size=4, unique=True)
     )
@@ -465,7 +473,7 @@ class TestNullPairs:
             dipole_direction=(0, 0, 1),
             label="degenerate",
         )
-        mask = SelectionMask(selected=(0, 1), unobserved=(2, 3))
+        mask = SelectionMask.from_selected(4, (0, 1))
         M = build_metric(config, mask, bath(0.5), 9.0)
         np.testing.assert_array_equal(M.matrix[0], M.matrix[1])
         assert distance(M, (1, -1), (-1, 1)) == 0.0
