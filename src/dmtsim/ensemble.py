@@ -4,8 +4,11 @@ Gas samples are independent draws of the atom cloud; per-sample substreams
 come from a counter-based Philox generator keyed by (seed, sample index), so
 results are reproducible across platforms and trivially parallelizable. The
 estimator works on each sample's drawn (r, cos theta) directly, the first
-draws sample_gas takes from the same substream, and evaluates phi on
-(r, cos^2 theta); it builds no positions.
+draws sample_gas takes from the same substream in the same order (count,
+then n radii, then n cosines), and evaluates phi on (r, cos^2 theta); it
+builds no positions. Under the far field it evaluates only the atoms with
+r <= t: every other atom sits outside the sharp light cone and contributes
+exactly 0.
 The count rule is the GasSpec's own, checked when the spec is built; an
 n_samples that is not an integer >= 2 is an EnsembleError raised before any
 draw. The analytic finite-range far-field average is the validation oracle.
@@ -21,7 +24,7 @@ import numpy as np
 from . import geometry as _geometry
 from .geometry import GasSpec
 from .kernels import BathParams
-from .metric import KernelPolicy, _phi_matrix
+from .metric import KernelPolicy, _phi_matrix, _phi_reach
 
 __all__ = [
     "EnsembleError",
@@ -73,7 +76,11 @@ def average_phi00(
     seed is spec.seed and its count rule spec.fixed_count; sample i uses the
     (seed, i) substream, and phi is evaluated on its drawn (r, cos^2 theta)
     with theta from the z axis, the dipole of sample_gas's default
-    configuration.
+    configuration. The draws keep their order (count, then n radii, then n
+    cosines), but FAR_FIELD evaluates phi only on the atoms with r <= t;
+    every other atom contributes exactly 0 there. The closed form and the
+    quadrature evaluate every atom, since their phi is nonzero outside the
+    light cone.
     """
     if not (math.isfinite(t) and t >= 0):
         raise EnsembleError("time must be finite and >= 0")
@@ -85,8 +92,9 @@ def average_phi00(
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 2):
         raise EnsembleError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     totals = np.empty(n_samples)
+    reach = _phi_reach(t, kernel_policy)
     for i in range(n_samples):
-        r, cos_t = _geometry._shell_draws(spec, _sample_rng(spec.seed, i))
+        r, cos_t = _geometry._shell_draws(spec, _sample_rng(spec.seed, i), reach)
         phi = _phi_matrix(t, r, cos_t**2, bath, kernel_policy)
         totals[i] = float(np.sum(phi**2))
     mean = float(totals.mean())

@@ -71,6 +71,11 @@ class AtomConfig:
         return self.positions.shape[0]
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, not a bool (bool is an int subclass)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _index_array(values) -> np.ndarray:
     """A read-only 1-D int64 copy of an index sequence; entries must be
     integers (a float such as 1.5 is rejected, never truncated)."""
@@ -87,10 +92,11 @@ class SelectionMask:
     """A selection out of n_atoms atoms: the selected (observed) indices in
     the caller's order, and every other atom unobserved.
 
-    selected is checked once here: at least one entry, each an integer in
-    [0, n_atoms) and none repeated. unobserved is derived, never passed in:
-    the ascending complement of selected in range(n_atoms). Both are read-only
-    1-D int64 arrays. Masks compare by identity.
+    n_atoms must be an integer, never a bool or a float. selected is checked
+    once here: at least one entry, each an integer in [0, n_atoms) and none
+    repeated. unobserved is derived, never passed in: the ascending
+    complement of selected in range(n_atoms). Both are read-only 1-D int64
+    arrays. Masks compare by identity.
     """
 
     n_atoms: int
@@ -98,6 +104,8 @@ class SelectionMask:
     unobserved: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not _is_integer(self.n_atoms):
+            raise GeometryError(f"n_atoms must be an integer, got {self.n_atoms!r}")
         sel = _index_array(self.selected)
         if sel.size < 1:
             raise GeometryError("at least one atom must be selected")
@@ -136,7 +144,8 @@ class GasSpec:
     seed is the Philox key, an integer in [0, 2**64). fixed_count is the
     count rule: an integer >= 0 fixes the atom number, None draws it from a
     Poisson law of mean density * (4 pi / 3)(H^3 - l^3), at most numpy's
-    limit (about 9.2e18). Every check runs here; H^3 must be finite under both.
+    limit (about 9.2e18). A bool is refused as either integer. Every check
+    runs here; H^3 must be finite under both.
     """
 
     density: float
@@ -146,7 +155,7 @@ class GasSpec:
     fixed_count: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
+        if not (_is_integer(self.seed) and 0 <= int(self.seed) < 2**64):
             raise GeometryError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (math.isfinite(self.density) and self.density > 0):
             raise GeometryError("density must be finite and > 0")
@@ -155,7 +164,7 @@ class GasSpec:
         if not (math.isfinite(self.horizon) and self.horizon > self.exclusion_radius):
             raise GeometryError("horizon must exceed exclusion_radius")
         count = self.fixed_count
-        if count is not None and not (isinstance(count, (int, np.integer)) and count >= 0):
+        if count is not None and not (_is_integer(count) and count >= 0):
             raise GeometryError(f"fixed_count must be an integer >= 0, got {count!r}")
         try:
             l3, h3 = float(self.exclusion_radius) ** 3, float(self.horizon) ** 3
@@ -216,14 +225,21 @@ def chain_1d(count: int, spacing: float, dipole_angle: float) -> tuple:
     return config, SelectionMask.from_selected(count, [center])
 
 
-def _shell_draws(spec: GasSpec, rng: np.random.Generator) -> tuple:
-    """(r, cos theta) of a gas sample's unobserved atoms.
+def _shell_draws(spec: GasSpec, rng: np.random.Generator, reach: float = math.inf) -> tuple:
+    """(r, cos theta) of a gas sample's unobserved atoms with r <= reach.
 
-    Takes, in this order, the atom count (Poisson unless spec.fixed_count is
-    set), then r with r^3 uniform in [l^3, H^3], then cos theta uniform in
-    [-1, 1), theta measured from the z axis. These are the first draws
+    Takes, in this order, the atom count n (Poisson unless spec.fixed_count
+    is set), then n uniforms for r, with r^3 uniform in [l^3, H^3], then n
+    for cos theta, uniform in [-1, 1) with theta measured from the z axis;
+    the 2n uniforms come from one generator call. These are the first draws
     sample_gas takes from its generator, so a caller that needs no positions
-    can stop here.
+    can stop here. A reach below the horizon, such as the far-field light
+    cone r <= t, keeps only the atoms with r <= reach, with the same
+    (r, cos theta) bits as the unrestricted draw; the stream order and the
+    position after the draws do not change. A loose cut on the r uniform
+    picks the candidates before the cube root, and an exact cut on r
+    follows. A caller passes a reach only where every atom beyond it
+    contributes exactly 0.
     """
     l3 = spec.exclusion_radius**3
     h3 = spec.horizon**3
@@ -231,8 +247,18 @@ def _shell_draws(spec: GasSpec, rng: np.random.Generator) -> tuple:
         n = int(rng.poisson(spec.density * 4.0 * math.pi / 3.0 * (h3 - l3)))
     else:
         n = int(spec.fixed_count)
-    r = (l3 + rng.random(n) * (h3 - l3)) ** (1.0 / 3.0)
-    return r, rng.uniform(-1.0, 1.0, n)
+    draws = rng.random(2 * n)
+    u, v = draws[:n], draws[n:]
+    if reach < spec.horizon:
+        # the slack on reach^3 covers rounding in r and in this threshold
+        near = u <= (reach**3 * (1.0 + 1e-9) - l3) / (h3 - l3)
+        u, v = u[near], v[near]
+    r = (l3 + u * (h3 - l3)) ** (1.0 / 3.0)
+    cos_t = -1.0 + 2.0 * v  # numpy's uniform(-1.0, 1.0) on the same uniforms
+    if reach < spec.horizon:
+        inside = r <= reach
+        r, cos_t = r[inside], cos_t[inside]
+    return r, cos_t
 
 
 def sample_gas(

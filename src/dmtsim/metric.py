@@ -123,6 +123,13 @@ def _phi_matrix(t, r, c2, bath: BathParams, policy: KernelPolicy) -> np.ndarray:
     return phi
 
 
+def _phi_reach(t, policy: KernelPolicy) -> float:
+    """The largest r at which phi(t, r, .) can be nonzero under a policy: t
+    for FAR_FIELD's sharp light cone, inf for CLOSED_FORM and QUADRATURE,
+    whose phi is nonzero outside the cone."""
+    return t if policy is KernelPolicy.FAR_FIELD else math.inf
+
+
 def _distinct_pairs(r: np.ndarray, cos_t: np.ndarray):
     """Distinct (r, cos^2 theta) keys of flat pair arrays: (r_keys, cos2_keys,
     first pair index per key, inverse) with r == r_keys[inverse]. Pairs at

@@ -214,6 +214,22 @@ class TestSampledRoute:
             np.testing.assert_allclose(np.linalg.norm(pos, axis=1), r, rtol=1e-15, atol=0)
             np.testing.assert_allclose(pos[:, 2] / r, cos_t, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("count_mode", sorted(COUNT_MODES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reach_keeps_the_unrestricted_draws_inside_it(self, seed, count_mode):
+        # the atoms kept are bit for bit the unrestricted draws with r <= reach
+        s = spec(seed=seed, fixed_count=COUNT_MODES[count_mode])
+        for i in range(4):
+            r_all, cos_all = _shell_draws(s, _sample_rng(seed, i))
+            edge = float(np.sort(r_all)[r_all.size // 2])  # one drawn atom's r
+            for reach in (0.5 * s.exclusion_radius, edge, 20.0, s.horizon):
+                r, cos_t = _shell_draws(s, _sample_rng(seed, i), reach)
+                inside = r_all <= reach
+                assert np.array_equal(r, r_all[inside])
+                assert np.array_equal(cos_t, cos_all[inside])
+            assert _shell_draws(s, _sample_rng(seed, i), 0.5 * s.exclusion_radius)[0].size == 0
+            assert edge in _shell_draws(s, _sample_rng(seed, i), edge)[0]
+
     def test_empty_samples_average_to_zero(self):
         for policy in KernelPolicy:
             res = average_phi00(spec(fixed_count=0), bath(), 20.0, 3, policy)
@@ -228,12 +244,18 @@ class TestCountInputs:
             ({"density": 1e30}, GeometryError, "Poisson mean atom count"),
             ({"fixed_count": 5.7}, GeometryError, "5.7"),
             ({"fixed_count": -1}, GeometryError, "integer >= 0"),
+            # bool is an int subclass: True would draw one atom, or key Philox with 1
+            ({"fixed_count": True}, GeometryError, "fixed_count must be an integer"),
+            ({"seed": True}, GeometryError, "seed must be an integer"),
             ({"n_samples": 2.5}, EnsembleError, "integer"),
             # the shell volume's H^3 and l^3 overflow a float
             ({"horizon": 1e200}, GeometryError, "overflows"),
             ({"l": 1e103, "horizon": 2e103}, GeometryError, "overflows"),
         ],
-        ids=["poisson_mean", "fractional", "negative", "n_samples", "horizon", "exclusion"],
+        ids=[
+            "poisson_mean", "fractional", "negative", "bool_count", "bool_seed",
+            "n_samples", "horizon", "exclusion",
+        ],
     )
     def test_rejected_before_any_draw(self, monkeypatch, kwargs, error, message):
         # gas checks run when the spec is built, the sample count's before

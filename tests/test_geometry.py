@@ -56,6 +56,14 @@ class TestTypes:
             SelectionMask(n_atoms=3, selected=(0,), unobserved=(1,))
         assert SelectionMask(3, (2,)).unobserved.tolist() == [0, 1]
 
+    def test_non_integer_atom_count_rejected(self):
+        # a float or bool count is refused by name, not by numpy's TypeError
+        with pytest.raises(GeometryError, match="n_atoms must be an integer, got 5.0"):
+            SelectionMask.from_selected(5.0, [0])
+        with pytest.raises(GeometryError, match="n_atoms must be an integer, got True"):
+            SelectionMask(True, [0])
+        assert SelectionMask(np.int64(3), [0]).unobserved.tolist() == [1, 2]
+
     def test_non_integer_index_rejected(self):
         with pytest.raises(GeometryError, match="integers"):
             SelectionMask.from_selected(5, [1.5])
