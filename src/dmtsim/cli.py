@@ -17,7 +17,7 @@ Scenario file layout::
     dipole_direction = 0 0 1
     # chain keys: count, spacing, dipole_angle (radians)
     # gas keys: density, exclusion_radius, horizon, seed (0 <= seed < 2**64),
-    #           count_mode (poisson | fixed), fixed_count (exactly under fixed), dipole_direction
+    #           fixed_count (omit for a Poisson count), dipole_direction
 
     # optional; defaults to the builder's center atom (480 on this lattice)
     [selection]
@@ -41,15 +41,17 @@ Scenario file layout::
 
 The file is read as UTF-8 without value interpolation, so % is an ordinary
 character; a ; or # after a value is part of the value, so a comment takes
-its own line.
+its own line. A section or key not named above, a [DEFAULT] section, or a
+prefix that is not a plain file name is a configuration error.
 
 The [geometry] section must be valid as written, even a key the sweep
 replaces: errors of the file's own build name [geometry], those of a swept
 build [sweep.values]. kappa and dipole_tilt sweep any kind, any other
-parameter only a kind that reads that key, and density only a Poisson gas
-(a fixed-count gas draws the same atoms at every density). Sweep values
-need distinct {:g} labels, which name the CSVs. --seed-override replaces a
-gas seed and is a configuration error for a lattice or chain.
+parameter only a kind that reads that key, and density only a gas without a
+fixed_count (a fixed-count gas draws the same atoms at every density).
+Sweep values need distinct {:g} labels, which name the CSVs.
+--seed-override replaces a gas seed and is a configuration error for a
+lattice or chain.
 
 Exit codes: 0 success, 1 configuration error (message names the offending
 key; a file that is not valid UTF-8 INI is reported as [scenario], a kappa
@@ -76,6 +78,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -88,6 +91,7 @@ from .geometry import (
     GasSpec,
     GeometryError,
     SelectionMask,
+    _is_integer,
     chain_1d,
     sample_gas,
     square_lattice_2d,
@@ -142,8 +146,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.spacing not in ("log", "linear"):
             raise ScenarioError("time.spacing", "must be 'log' or 'linear'")
-        if self.points < 2:
-            raise ScenarioError("time.points", "need at least 2 grid points")
+        if not (_is_integer(self.points) and self.points >= 2):
+            raise ScenarioError("time.points", f"need an integer, at least 2, got {self.points!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.end)):
             raise ScenarioError("time.start", "grid endpoints must be finite")
         if self.start >= self.end:
@@ -192,13 +196,10 @@ class Scenario:
     prefix: str = "run"
 
 
-_MISSING = object()
-
-
-def _get(cp, section, key, cast, default=_MISSING):
+def _get(cp, section, key, cast, *default):
     if not cp.has_option(section, key):
-        if default is not _MISSING:
-            return default
+        if default:
+            return default[0]
         raise ScenarioError(f"{section}.{key}", "missing required key")
     raw = cp.get(section, key)
     try:
@@ -221,24 +222,32 @@ def _vector3(raw: str) -> tuple:
     return vec
 
 
-# The [geometry] keys each kind reads, in reading order, as (key, cast[,
-# default]). Lattice and chain keys are their builders' parameter names.
-_GEOMETRY_KEYS = {
-    "lattice": (
-        ("side", int),
-        ("spacing", float),
-        ("dipole_direction", _vector3, (0.0, 0.0, 1.0)),
-    ),
-    "chain": (("count", int), ("spacing", float), ("dipole_angle", float)),
-    "gas": (
-        ("density", float),
-        ("exclusion_radius", float),
-        ("horizon", float),
-        ("seed", int, 0),
-        ("count_mode", str, "poisson"),
-        ("fixed_count", int, None),
-        ("dipole_direction", _vector3, (0.0, 0.0, 1.0)),
-    ),
+# Every key a scenario file may hold, as (key, cast[, default]) per section;
+# [geometry] holds kind and the keys of that kind. Bath, time and sweep keys
+# are the fields of BathParams, TimeGrid and Sweep, geometry keys those of the
+# lattice and chain builders and of GasSpec (plus the gas dipole_direction).
+_KEYS = {
+    "bath": (("alpha", float), ("kappa", float), ("inv_temperature", float, None)),
+    "geometry": {
+        "lattice": (
+            ("side", int),
+            ("spacing", float),
+            ("dipole_direction", _vector3, (0.0, 0.0, 1.0)),
+        ),
+        "chain": (("count", int), ("spacing", float), ("dipole_angle", float)),
+        "gas": (
+            ("density", float),
+            ("exclusion_radius", float),
+            ("horizon", float),
+            ("seed", int, 0),
+            ("fixed_count", int, None),
+            ("dipole_direction", _vector3, (0.0, 0.0, 1.0)),
+        ),
+    },
+    "selection": (("indices", lambda raw: _numbers(raw, int)),),
+    "time": (("start", float), ("end", float), ("points", int), ("spacing", str.lower, "log")),
+    "sweep": (("parameter", str.lower), ("values", _numbers)),
+    "output": (("directory", str, "out"), ("prefix", str, "run")),
 }
 
 
@@ -251,53 +260,52 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError("scenario", f"cannot parse scenario file {path!r}: {exc}") from None
     if not read:
         raise ScenarioError("scenario", f"cannot read scenario file {path!r}")
+    # configparser copies [DEFAULT]'s keys into every section
+    for section in ([cp.default_section] if cp.defaults() else []) + cp.sections():
+        if section not in _KEYS:
+            raise ScenarioError(section, "unknown section")
     for section in ("bath", "geometry", "time"):
         if not cp.has_section(section):
             raise ScenarioError(section, "missing required section")
+    kind = _get(cp, "geometry", "kind", str.lower)
+    if kind not in _KEYS["geometry"]:
+        raise ScenarioError("geometry.kind", f"unknown geometry kind {kind!r}")
+    keys = {**_KEYS, "geometry": _KEYS["geometry"][kind]}
+    for section in cp.sections():
+        known = [entry[0] for entry in keys[section]]
+        for key in cp.options(section):
+            if key not in known and (section, key) != ("geometry", "kind"):
+                raise ScenarioError(f"{section}.{key}", "unknown key")
+    # [selection] and [sweep] are optional; every key of [output] has a default
+    values = {
+        section: {entry[0]: _get(cp, section, *entry) for entry in entries}
+        for section, entries in keys.items()
+        if cp.has_section(section) or section == "output"
+    }
 
-    alpha = _get(cp, "bath", "alpha", float)
-    kappa = _get(cp, "bath", "kappa", float)
-    inv_temperature = _get(cp, "bath", "inv_temperature", float, default=None)
     try:
-        bath = BathParams(alpha=alpha, kappa=kappa, inv_temperature=inv_temperature)
+        bath = BathParams(**values["bath"])
     except (KernelDomainError, ValueError) as exc:
         raise ScenarioError("bath", str(exc)) from None
+    params = values["geometry"]
+    selection = values["selection"]["indices"] if "selection" in values else None
+    grid = TimeGrid(**values["time"])
 
-    kind = _get(cp, "geometry", "kind", str.lower)
-    if kind not in _GEOMETRY_KEYS:
-        raise ScenarioError("geometry.kind", f"unknown geometry kind {kind!r}")
-    params = {entry[0]: _get(cp, "geometry", *entry) for entry in _GEOMETRY_KEYS[kind]}
-
-    selection = None
-    if cp.has_section("selection"):
-        selection = _get(cp, "selection", "indices", lambda raw: _numbers(raw, int))
-
-    grid = TimeGrid(
-        start=_get(cp, "time", "start", float),
-        end=_get(cp, "time", "end", float),
-        points=_get(cp, "time", "points", int),
-        spacing=_get(cp, "time", "spacing", str.lower, default="log"),
-    )
-
-    sweep = None
-    if cp.has_section("sweep"):
-        sweep = Sweep(
-            parameter=_get(cp, "sweep", "parameter", str.lower),
-            values=_get(cp, "sweep", "values", _numbers),
-        )
-        # kappa and dipole_tilt sweep any kind; any other parameter is a key
-        # that the kind reads
+    sweep = Sweep(**values["sweep"]) if "sweep" in values else None
+    if sweep is not None:
+        # kappa and dipole_tilt sweep any kind, any other parameter a kind with that key
         if sweep.parameter not in ("kappa", "dipole_tilt", *params):
             raise ScenarioError("sweep.parameter", f"{kind} geometry has no {sweep.parameter}")
         # a fixed-count gas draws the same atoms at every density
-        if sweep.parameter == "density" and params["count_mode"] == "fixed":
+        if sweep.parameter == "density" and params["fixed_count"] is not None:
             raise ScenarioError("sweep.parameter", "a fixed-count gas does not depend on density")
 
-    out_dir = _get(cp, "output", "directory", str, default="out")
-    prefix = _get(cp, "output", "prefix", str, default="run")
-    for key, name in (("directory", out_dir), ("prefix", prefix)):
+    for key, name in values["output"].items():
         if "\0" in name:
             raise ScenarioError(f"output.{key}", "a file name cannot hold a NUL byte")
+    prefix = values["output"]["prefix"]
+    if prefix in ("", ".", "..") or any(sep and sep in prefix for sep in ("/", os.sep, os.altsep)):
+        raise ScenarioError("output.prefix", "must be a file name, without a directory part")
     return Scenario(
         bath=bath,
         geometry_kind=kind,
@@ -305,7 +313,7 @@ def parse_scenario(path) -> Scenario:
         time_grid=grid,
         selection=selection,
         sweep=sweep,
-        out_dir=out_dir,
+        out_dir=values["output"]["directory"],
         prefix=prefix,
     )
 
@@ -315,12 +323,7 @@ def _build_geometry(kind: str, params: dict) -> tuple[AtomConfig, SelectionMask]
         return square_lattice_2d(**params)
     if kind == "chain":
         return chain_1d(**params)
-    mode, count = params["count_mode"], params["fixed_count"]
-    if mode not in ("poisson", "fixed"):
-        raise GeometryError("count_mode must be 'poisson' or 'fixed'")
-    if (mode == "fixed") != (count is not None):
-        raise GeometryError(f"fixed_count is given exactly when count_mode = fixed, not {mode}")
-    spec = GasSpec(*(params[k] for k in ("density", "exclusion_radius", "horizon", "seed")), count)
+    spec = GasSpec(**{key: v for key, v in params.items() if key != "dipole_direction"})
     return sample_gas(spec, params["dipole_direction"])
 
 
@@ -456,14 +459,9 @@ def run(
     # under a kappa sweep each curve label names its own kappa
     swept = scenario.sweep is not None and scenario.sweep.parameter == "kappa"
     kappa = "kappa swept" if swept else f"kappa = {scenario.bath.kappa:.6g}"
-    report.append(
-        f"bath: alpha = {scenario.bath.alpha:.6g}, {kappa}, "
-        + (
-            "zero temperature"
-            if scenario.bath.inv_temperature is None
-            else f"inv_temperature = {scenario.bath.inv_temperature:.6g}"
-        )
-    )
+    beta = scenario.bath.inv_temperature
+    temperature = "zero temperature" if beta is None else f"inv_temperature = {beta:.6g}"
+    report.append(f"bath: alpha = {scenario.bath.alpha:.6g}, {kappa}, {temperature}")
     if seed_override is not None:
         report.append(f"seed override: {seed_override}")
 

@@ -191,8 +191,10 @@ def square_lattice_2d(side: int, spacing: float, dipole_direction) -> tuple:
 
     Grid indices run row-major from -(side-1)/2 to +(side-1)/2 in x and y.
     """
-    if side % 2 == 0 or side < 1:
-        raise GeometryError("lattice side must be odd (a center atom must exist)")
+    if not (_is_integer(side) and side >= 1 and side % 2 == 1):
+        raise GeometryError(
+            f"lattice side must be an odd integer (a center atom must exist), got {side!r}"
+        )
     if not (math.isfinite(spacing) and spacing > 0):
         raise GeometryError("spacing must be finite and > 0")
     half = (side - 1) // 2
@@ -211,8 +213,8 @@ def chain_1d(count: int, spacing: float, dipole_angle: float) -> tuple:
     The center atom (index count//2; the lower median for even counts) is
     selected.
     """
-    if count < 1:
-        raise GeometryError("chain needs count >= 1")
+    if not (_is_integer(count) and count >= 1):
+        raise GeometryError(f"chain needs an integer count >= 1, got {count!r}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise GeometryError("spacing must be finite and > 0")
     if not math.isfinite(dipole_angle):

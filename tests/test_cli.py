@@ -48,8 +48,7 @@ prefix = smoke
 GEOMETRY = {
     "lattice": "kind = lattice\nside = 3\nspacing = 100",
     "chain": "kind = chain\ncount = 3\nspacing = 100\ndipole_angle = 0.2",
-    "gas": "kind = gas\ndensity = 1e-3\nexclusion_radius = 10\nhorizon = 25\n"
-    "count_mode = fixed\nfixed_count = 3",
+    "gas": "kind = gas\ndensity = 1e-3\nexclusion_radius = 10\nhorizon = 25\nfixed_count = 3",
 }
 # a Poisson gas of about 61 atoms: a density sweep needs one, since a
 # fixed-count gas draws the same atoms at every density
@@ -125,6 +124,60 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"\[geometry\.kind\]"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (
+                SMOKE.replace("kappa = 0.1", "kappa = 0.1\ninv_temperatur = 2.0"),
+                "bath.inv_temperatur",
+            ),
+            (SMOKE + "\n[sweeps]\nparameter = kappa\nvalues = 0.05 0.1\n", "sweeps"),
+            (SMOKE + "\n[selction]\nindices = 0\n", "selction"),
+            (
+                SMOKE.replace("spacing = 1000", "spacing = 1000\ndipole_directon = 1 0 0"),
+                "geometry.dipole_directon",
+            ),
+            # a key of another kind
+            (with_geometry(GEOMETRY["chain"] + "\nside = 3"), "geometry.side"),
+            # the count rule is fixed_count alone
+            (with_geometry(GEOMETRY["gas"] + "\ncount_mode = fixed"), "geometry.count_mode"),
+            # configparser would copy its keys into every section
+            ("[DEFAULT]\nkappa = 0.2\n" + SMOKE, "DEFAULT"),
+        ],
+        ids=[
+            "bath_key", "sweep_section", "selection_section", "geometry_key", "other_kinds_key",
+            "count_mode", "default_section",
+        ],
+    )
+    def test_unknown_key_or_section_is_a_config_error(self, tmp_path, capsys, text, key):
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
+        kind = "unknown key" if "." in key else "unknown section"
+        assert capsys.readouterr().err == f"config error: [{key}] {kind}\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_empty_default_section_is_allowed(self, tmp_path):
+        sc = parse_scenario(write_scenario(tmp_path, "[DEFAULT]\n" + SMOKE))
+        assert sc.bath.kappa == 0.1
+
+    def test_missing_required_key_names_it(self, tmp_path, capsys):
+        text = SMOKE.replace("kappa = 0.1\n", "")
+        assert run(write_scenario(tmp_path, text), out_dir=str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "config error: [bath.kappa] missing required key\n"
+
+    @pytest.mark.parametrize(
+        "prefix",
+        ["sub/x", "../escaped", ".", "..", ""],
+        ids=["sub", "up", "dot", "dotdot", "empty"],
+    )
+    def test_prefix_is_a_plain_file_name(self, tmp_path, capsys, prefix):
+        text = SMOKE.replace("prefix = smoke", f"prefix = {prefix}")
+        out = tmp_path / "a" / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [output.prefix] must be a file name")
+        assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.txt"))
+
     def test_gas_sweep_parameter_needs_gas_geometry(self, tmp_path):
         text = SMOKE + "\n[sweep]\nparameter = density\nvalues = 1e-3\n"
         with pytest.raises(ScenarioError, match=r"\[sweep\.parameter\]"):
@@ -186,6 +239,12 @@ class TestParsing:
             TimeGrid(start=0.0, end=1.0, points=5, spacing="log")
         grid = TimeGrid(start=0.0, end=1.0, points=5, spacing="linear")
         assert grid.times()[0] == 0.0 and grid.times()[-1] == 1.0
+
+    def test_time_grid_points_must_be_an_integer(self):
+        for points in (5.5, 5.0, True):
+            with pytest.raises(ScenarioError, match="at least 2") as exc_info:
+                TimeGrid(start=1.0, end=2.0, points=points)
+            assert exc_info.value.key == "time.points"
 
     def test_sweep_validation(self):
         with pytest.raises(ScenarioError, match="unknown parameter"):
@@ -304,7 +363,6 @@ density = 1.7e-3
 exclusion_radius = 10
 horizon = 25
 seed = 3
-count_mode = fixed
 fixed_count = 40
 
 [time]
@@ -457,11 +515,9 @@ points = 5
         blocker.write_text("")
         assert run(path, out_dir=str(blocker)) == 1
         assert run(path, out_dir=str(blocker / "out")) == 1
-        # the directory is made, but the CSV's parent is not
-        nested = write_scenario(
-            tmp_path, SMOKE.replace("prefix = smoke", "prefix = missing/smoke"), "nested.ini"
-        )
-        assert run(nested, out_dir=str(tmp_path / "out")) == 1
+        # the directory is made, but a directory stands in the CSV's place
+        (tmp_path / "out" / "smoke.csv").mkdir(parents=True)
+        assert run(path, out_dir=str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.count("config error: [output.directory]") == 3
 
@@ -555,7 +611,6 @@ prefix = wide
         "geometry, sweep, message",
         [
             (POISSON_GAS + "\nseed = -1", True, "seed must be an integer"),
-            (GEOMETRY["gas"].replace("fixed", "Fixed"), True, "count_mode must be"),
             # the swept key too must be valid as written
             (POISSON_GAS.replace("1e-3", "-1"), True, "density must be finite"),
             # numpy refuses a Poisson mean this large
@@ -564,14 +619,8 @@ prefix = wide
             (GEOMETRY["chain"].replace("count = 3", "count = 10" + "0" * 20), False, "Maximum"),
             # a MemoryError: numpy refuses 711 PiB of coordinates at once
             (GEOMETRY["chain"].replace("count = 3", "count = 10" + "0" * 16), False, "allocate"),
-            # a count is read only under count_mode = fixed, and needed there
-            (POISSON_GAS + "\nfixed_count = 5", False, "fixed_count"),
-            (POISSON_GAS + "\ncount_mode = fixed", False, "fixed_count"),
         ],
-        ids=[
-            "seed", "count_mode", "swept_key", "poisson_mean", "array_size", "out_of_memory",
-            "poisson_with_fixed_count", "fixed_without_count",
-        ],
+        ids=["seed", "swept_key", "poisson_mean", "array_size", "out_of_memory"],
     )
     def test_bad_file_geometry_names_geometry(self, tmp_path, capsys, geometry, sweep, message):
         extra = "\n[sweep]\nparameter = density\nvalues = 1e-3 2e-3\n" if sweep else ""
@@ -622,6 +671,13 @@ class TestSweeps:
         report = (out / "smoke_report.txt").read_text()
         assert "sweep summary (kappa):" in report
         assert "minimizer: kappa" in report
+
+    def test_finite_temperature_header(self, tmp_path):
+        text = SMOKE.replace("kappa = 0.1", "kappa = 0.1\ninv_temperature = 2.0")
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 0
+        lines = (out / "smoke_report.txt").read_text().splitlines()
+        assert "bath: alpha = 0.00729735, kappa = 0.1, inv_temperature = 2" in lines
 
     def test_kappa_sweep_header_names_no_file_kappa(self, tmp_path):
         text = SMOKE + "\n[sweep]\nparameter = kappa\nvalues = 0.01 1\n"

@@ -64,6 +64,15 @@ class TestTypes:
             SelectionMask(True, [0])
         assert SelectionMask(np.int64(3), [0]).unobserved.tolist() == [1, 2]
 
+    @pytest.mark.parametrize("count", [5.0, True])
+    @pytest.mark.parametrize("build", [chain_1d, square_lattice_2d], ids=["chain", "lattice"])
+    def test_builder_count_must_be_an_integer(self, build, count):
+        # a float reached numpy's TypeError, and True built a one-atom lattice
+        rest = (1.0, 0.0) if build is chain_1d else (1.0, (0.0, 0.0, 1.0))
+        with pytest.raises(GeometryError, match=f"integer.*, got {count!r}$"):
+            build(count, *rest)
+        assert len(build(np.int64(3), *rest)[0]) == (3 if build is chain_1d else 9)
+
     def test_non_integer_index_rejected(self):
         with pytest.raises(GeometryError, match="integers"):
             SelectionMask.from_selected(5, [1.5])
