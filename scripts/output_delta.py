@@ -1,16 +1,19 @@
-"""Print how far the scenario runner's CSVs move between two source trees.
+"""Print how far the scenario runner's outputs move between two source trees.
 
-Runs `output_digest.py`'s SCENARIOS once under each of OLD_SRC and NEW_SRC,
-each in a child process with that tree on PYTHONPATH, then prints every CSV
-whose bytes differ with the largest relative change of each column,
-|new - old| / |old| (inf where old is 0 and new is not), and names any CSV
-that only one tree wrote:
+Runs `output_digest.py`'s SCENARIOS and Monte Carlo once under each of
+OLD_SRC and NEW_SRC, each in a child process with that tree on PYTHONPATH.
+Then prints every CSV whose bytes differ with the largest relative change of
+each column, |new - old| / |old| (inf where old is 0 and new is not), every
+report whose bytes differ, every scenario exit code or Monte Carlo line that
+differs, and names any CSV or report that only one tree wrote. The last line
+says whether every output is byte-identical:
 
     python scripts/output_delta.py /path/to/old/checkout/src src
 """
 
 from __future__ import annotations
 
+import difflib
 import os
 import subprocess
 import sys
@@ -20,7 +23,17 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
-CHILD = "import sys, output_digest; output_digest.run_scenarios(sys.argv[1])"
+CHILD = "import sys, output_delta; output_delta.write_outputs_here(sys.argv[1])"
+
+
+def write_outputs_here(root) -> None:
+    """Run the digest's scenarios into root, and write their exit lines and
+    the Monte Carlo lines to root/lines.txt."""
+    import output_digest  # imports dmtsim from this process's PYTHONPATH
+
+    root = Path(root)
+    lines = [f"exit {name} {code}" for name, code in output_digest.run_scenarios(root)]
+    (root / "lines.txt").write_text("\n".join(lines + output_digest.mc_lines()) + "\n")
 
 
 def write_outputs(src: str, root: Path) -> None:
@@ -44,6 +57,23 @@ def column_deltas(old: Path, new: Path) -> dict:
     return out
 
 
+def compare_files(roots, pattern: str, kind: str, detail=None) -> int:
+    """Print the files matching pattern that one tree wrote alone or whose
+    bytes differ, with detail(old, new) if given; returns how many do."""
+    old_files, new_files = ({p.relative_to(r) for p in r.glob(pattern)} for r in roots)
+    for rel in sorted(old_files ^ new_files):
+        print(f"{rel}: only in {'old' if rel in old_files else 'new'}")
+    changed = 0
+    for rel in sorted(old_files & new_files):
+        old, new = (r / rel for r in roots)
+        if old.read_bytes() == new.read_bytes():
+            continue
+        changed += 1
+        print(f"{rel}: " + (detail(old, new) if detail else "differs"))
+    print(f"{changed} of {len(old_files & new_files)} common {kind} differ")
+    return changed + len(old_files ^ new_files)
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -52,18 +82,20 @@ def main(argv) -> int:
         roots = [Path(tmp) / "old", Path(tmp) / "new"]
         for src, root in zip(argv, roots):
             write_outputs(src, root)
-        old_csvs, new_csvs = ({p.relative_to(r) for p in r.glob("*/*.csv")} for r in roots)
-        for rel in sorted(old_csvs ^ new_csvs):
-            print(f"{rel}: only in {'old' if rel in old_csvs else 'new'}")
-        changed = 0
-        for rel in sorted(old_csvs & new_csvs):
-            old, new = (r / rel for r in roots)
-            if old.read_bytes() == new.read_bytes():
-                continue
-            changed += 1
-            deltas = column_deltas(old, new)
-            print(f"{rel}: " + ", ".join(f"{c} {d:.2e}" for c, d in deltas.items()))
-        print(f"{changed} of {len(old_csvs & new_csvs)} common CSVs differ")
+        differ = compare_files(
+            roots,
+            "*/*.csv",
+            "CSVs",
+            lambda old, new: ", ".join(
+                f"{c} {d:.2e}" for c, d in column_deltas(old, new).items()
+            ),
+        )
+        differ += compare_files(roots, "*/*_report.txt", "reports")
+        old_lines, new_lines = ((r / "lines.txt").read_text().splitlines() for r in roots)
+        moved = list(difflib.unified_diff(old_lines, new_lines, "old", "new", n=0, lineterm=""))
+        print("\n".join(moved) if moved else "exit codes and Monte Carlo lines identical")
+        differ += len(moved)
+    print("every output is byte-identical" if differ == 0 else "outputs differ")
     return 0
 
 

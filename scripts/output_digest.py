@@ -211,6 +211,17 @@ def run_scenarios(root) -> list:
     return codes
 
 
+def mc_lines() -> list:
+    """One `mc <policy> seed <seed> <mean> <std error>` line per policy and seed."""
+    lines = []
+    for policy in KernelPolicy:
+        for seed in MC_SEEDS:
+            spec = GasSpec(density=1e-3, exclusion_radius=10.0, horizon=30.0, seed=seed)
+            res = average_phi00(spec, MC_BATH, MC_T, MC_SAMPLES, kernel_policy=policy)
+            lines.append(f"mc {policy.value} seed {seed} {res.mean:.12e} {res.std_error:.12e}")
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -219,11 +230,7 @@ def main() -> int:
             for out in sorted((root / name).glob("*")):
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()
                 print(f"{digest}  {name}/{out.name}")
-    for policy in KernelPolicy:
-        for seed in MC_SEEDS:
-            spec = GasSpec(density=1e-3, exclusion_radius=10.0, horizon=30.0, seed=seed)
-            res = average_phi00(spec, MC_BATH, MC_T, MC_SAMPLES, kernel_policy=policy)
-            print(f"mc {policy.value} seed {seed} {res.mean:.12e} {res.std_error:.12e}")
+    print("\n".join(mc_lines()))
     return 0
 
 

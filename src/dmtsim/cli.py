@@ -42,7 +42,9 @@ Scenario file layout::
 The file is read as UTF-8 without value interpolation, so % is an ordinary
 character; a ; or # after a value is part of the value, so a comment takes
 its own line. A section or key not named above, a [DEFAULT] section, or a
-prefix that is not a plain file name is a configuration error.
+prefix that is not a plain file name is a configuration error, and so is a
+prefix that makes a CSV or report name longer than the output directory's
+file system allows; every name is checked before the first curve runs.
 
 The [geometry] section must be valid as written, even a key the sweep
 replaces: errors of the file's own build name [geometry], those of a swept
@@ -57,9 +59,9 @@ Exit codes: 0 success, 1 configuration error (message names the offending
 key; a file that is not valid UTF-8 INI is reported as [scenario], a kappa
 whose fourth power overflows as [bath] or [sweep.values], an output directory
 that cannot be made or written as [output.directory]), 2 numerical failure
-(quadrature budget exhausted, a metric property violation, or a value outside
-a kernel's domain met while computing, such as a non-finite Si argument or a
-pair separation that over- or underflows).
+(quadrature budget exhausted, a metric property violation, a metric that is
+not finite, or a value outside a kernel's domain met while computing, such as
+a non-finite Si argument or a pair separation that over- or underflows).
 
 Each curve is one pass of the metric engine over the whole time grid (see
 dmtsim.metric): the kernels run once per distinct pair (r, cos^2 theta) and
@@ -400,6 +402,22 @@ def _compute_curve(bath, config, mask, times, policy):
     return final, d_dir, d_ind, valid
 
 
+def _check_name_lengths(target: Path, names) -> None:
+    """Refuse an output file name longer than target's file system allows,
+    before any curve is computed."""
+    try:
+        limit = os.pathconf(target, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, or no such limit
+        limit = 255
+    for name in names:
+        size = len(os.fsencode(name))
+        if size > limit > 0:
+            raise ScenarioError(
+                "output.prefix",
+                f"file name ...{name[-24:]} is {size} bytes, over the limit of {limit}",
+            )
+
+
 def _write_csv(path: Path, times, d_dir, d_ind, valid):
     lines = [CSV_HEADER]
     for t, dd, di, ok in zip(times, d_dir, d_ind, valid):
@@ -451,6 +469,8 @@ def run(
             target.mkdir(parents=True, exist_ok=True)
         except (ValueError, OSError) as exc:  # a NUL byte, a file in the way, ...
             raise ScenarioError("output.directory", str(exc)) from None
+        names = [f"{variant[0]}.csv" for variant in variants]
+        _check_name_lengths(target, names + [f"{scenario.prefix}_report.txt"])
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -62,7 +62,7 @@ class AtomConfig:
         u = np.asarray(self.dipole_direction, dtype=float)
         if u.shape != (3,) or not np.all(np.isfinite(u)):
             raise GeometryError("dipole_direction must be a finite 3-vector")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+        if abs(_length(u) - 1.0) > 1e-12:
             raise GeometryError("dipole_direction must be unit length to 1e-12")
         object.__setattr__(self, "positions", _as_readonly(pos))
         object.__setattr__(self, "dipole_direction", _as_readonly(u))
@@ -178,12 +178,26 @@ class GasSpec:
             )
 
 
+# below this length a vector's squared length is subnormal or 0
+_LENGTH_MIN = math.sqrt(np.finfo(float).tiny)
+
+
+def _length(u: np.ndarray) -> float:
+    """|u| of a finite 3-vector; a nonzero u whose squared length over- or
+    underflows the float range raises instead of warning."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(u))
+    if np.any(u) and not _LENGTH_MIN <= norm < math.inf:
+        flow = "overflows" if norm == math.inf else "underflows"
+        raise GeometryError(f"dipole direction length {flow} when squared; scale it toward 1")
+    return norm
+
+
 def _normalized(direction) -> np.ndarray:
     u = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(u)
-    if u.shape != (3,) or not np.all(np.isfinite(u)) or norm == 0:
+    if u.shape != (3,) or not np.all(np.isfinite(u)) or not np.any(u):
         raise GeometryError("dipole direction must be a finite nonzero 3-vector")
-    return u / norm
+    return u / _length(u)
 
 
 def square_lattice_2d(side: int, spacing: float, dipole_direction) -> tuple:

@@ -8,11 +8,14 @@ distance between codewords approximates their mutual decoherence while every
 entry of M stays small; the validity flag tracks that regime.
 
 One engine assembles M over a whole time grid. A kernel value depends on a
-pair only through its (r, cos^2 theta), so the engine reduces the
-selected-unobserved and selected-selected pairs once per curve to their
-distinct keys and evaluates phi on (time, key) blocks and f in one batched
-quadrature over the keys per time. build_metric is that engine at a single
-t; the CLI runs it once per curve.
+pair only through its (r, cos^2 theta), so the engine reduces each pair
+block once per curve to one key table: the block's sorted distinct keys,
+each key's first atom pair, and every pair's key index. phi runs on
+(time, key) blocks of the selected x unobserved table, where a key at r = 0
+is a rejected coincidence. f runs on the n x n selected table, whose key 0
+(r = 0) is the diagonal and every coincident selected pair; its keys at
+r > 0 take one batched quadrature per time. build_metric is that engine at
+a single t; the CLI runs it once per curve.
 """
 
 from __future__ import annotations
@@ -113,8 +116,6 @@ def _phi_matrix(t, r, c2, bath: BathParams, policy: KernelPolicy) -> np.ndarray:
     """
     if not isinstance(policy, KernelPolicy):
         raise MetricError("kernel_policy must be a KernelPolicy member")
-    if not np.all(np.isfinite(r)):
-        raise KernelDomainError("pair separation r must be finite and >= 0")
     if policy is KernelPolicy.FAR_FIELD:
         return _phi_farfield_rt(t, r, c2, bath.alpha)
     phi = _phi_closed_rt(t, r, c2, bath.alpha, bath.kappa)
@@ -130,14 +131,27 @@ def _phi_reach(t, policy: KernelPolicy) -> float:
     return t if policy is KernelPolicy.FAR_FIELD else math.inf
 
 
-def _distinct_pairs(r: np.ndarray, cos_t: np.ndarray):
-    """Distinct (r, cos^2 theta) keys of flat pair arrays: (r_keys, cos2_keys,
-    first pair index per key, inverse) with r == r_keys[inverse]. Pairs at
-    theta and pi - theta share a key."""
+def _key_table(config: AtomConfig, rows, cols):
+    """The distinct (r, cos^2 theta) keys of a rows x cols pair block, sorted
+    by r and then cos^2 theta: (r_keys, cos2_keys, pairs, inverse). pairs[:, k]
+    is key k's first (row, col) atom pair in row-major order, and inverse,
+    shaped like the block, holds each pair's key. Pairs at theta and
+    pi - theta share a key; coincident atoms (r = 0, cos theta = 1) all share
+    the first key. A separation that overflows raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, cos_t = _geometry.pair_arrays(config, rows, cols)
+    if not np.all(np.isfinite(r)):
+        raise KernelDomainError("pair separation r must be finite and >= 0")
+    # complex keys r + i cos^2 theta sort by r, then cos^2 theta, in a 1-D
+    # np.unique several times faster than one over the columns of a 2-row array
     keys, first, inverse = np.unique(
-        np.stack([r, cos_t**2]), axis=1, return_index=True, return_inverse=True
+        r.ravel() + 1j * cos_t.ravel() ** 2, return_index=True, return_inverse=True
     )
-    return keys[0], keys[1], first, inverse.reshape(-1)
+    i, j = np.unravel_index(first, r.shape)
+    pairs = np.stack([rows[i], cols[j]])
+    # contiguous copies: numpy's SIMD sin and cos, and so the kernels' last
+    # bits, may take another route on a strided view
+    return keys.real.copy(), keys.imag.copy(), pairs, inverse.reshape(r.shape)
 
 
 def _f_keys(t, r, cos2, bath, tol, pairs=None) -> np.ndarray:
@@ -154,43 +168,33 @@ def _f_keys(t, r, cos2, bath, tol, pairs=None) -> np.ndarray:
 def _f_stack(config, mask, bath, times) -> np.ndarray:
     """f over the selected block at each positive time, shape (T, n, n).
 
-    The diagonal is f_diag at zero temperature and otherwise a quadrature at
-    tol 1e-10, repeated at 1e-11 of its value. Off-diagonals are one batched
-    quadrature per time over the distinct pair keys at 1e-11 of the
-    diagonal; coincident selected atoms take the diagonal, their exact
-    reduction.
+    Key 0 of the block's key table (r = 0) is the diagonal and every
+    coincident selected pair: f_diag at zero temperature, otherwise a
+    quadrature at tol 1e-10, repeated at 1e-11 of its value. The keys at
+    r > 0 take one batched quadrature per time at 1e-11 of the diagonal.
     """
-    n = mask.n_selected
-    f = np.zeros((times.size, n, n))
-    i = np.arange(n)
-    if bath.inv_temperature is None:
-        f[:, i, i] = f_diag(times, bath)[:, None]
-        if n == 1:
-            return f
-    r_ss, cos_ss = _geometry.pair_arrays(config, mask.selected, mask.selected)
-    upper = np.triu_indices(n, 1)
-    r_k, cos2_k, first, inverse = _distinct_pairs(r_ss[upper], cos_ss[upper])
-    apart = r_k > 0.0
-    pairs = mask.selected[np.stack(upper)[:, first[apart]]]
-    r_k, cos2_k = r_k[apart], cos2_k[apart]
-    for row, t in enumerate(times):
-        if bath.inv_temperature is not None:
-            (diag,) = _f_keys(t, [0.0], [1.0], bath, 1e-10)
-            if diag > 0:
-                (diag,) = _f_keys(t, [0.0], [1.0], bath, max(1e-11 * diag, 1e-18))
-            f[row, i, i] = diag
-        vals = np.full(apart.size, f[row, 0, 0])
-        vals[apart] = _f_keys(t, r_k, cos2_k, bath, max(1e-11 * f[row, 0, 0], 1e-300), pairs)
-        f[row][upper] = f[row][upper[::-1]] = vals[inverse]
-    return f
+    r_k, cos2_k, pairs, inverse = _key_table(config, mask.selected, mask.selected)
+    f = np.zeros((times.size, r_k.size))
+    warm = bath.inv_temperature is not None
+    if not warm:
+        f[:, 0] = f_diag(times, bath)
+    if warm or r_k.size > 1:
+        for row, t in enumerate(times):
+            if warm:
+                (diag,) = _f_keys(t, r_k[:1], cos2_k[:1], bath, 1e-10)
+                if diag > 0:
+                    (diag,) = _f_keys(t, r_k[:1], cos2_k[:1], bath, max(1e-11 * diag, 1e-18))
+                f[row, 0] = diag
+            tol = max(1e-11 * f[row, 0], 1e-300)
+            f[row, 1:] = _f_keys(t, r_k[1:], cos2_k[1:], bath, tol, pairs[:, 1:])
+    return np.take(f, inverse, axis=1)
 
 
-def _phi_gram(r_su, cos_su, bath, times, policy) -> np.ndarray:
+def _phi_gram(r_k, cos2_k, inverse, bath, times, policy) -> np.ndarray:
     """2 Phi_ij = 2 sum_k phi_ik phi_jk over the unobserved atoms at each
-    positive time, shape (T, n, n), from phi on (time, (r, cos^2 theta) key)
-    blocks."""
-    n, m = r_su.shape
-    r_k, cos2_k, _, inverse = _distinct_pairs(r_su.ravel(), cos_su.ravel())
+    positive time, shape (T, n, n), from phi on (time, key) blocks of the
+    selected x unobserved key table."""
+    n = inverse.shape[0]
     step = max(1, _BLOCK // r_k.size)
     out = np.empty((times.size, n, n))
     for start in range(0, times.size, step):
@@ -198,8 +202,8 @@ def _phi_gram(r_su, cos_su, bath, times, policy) -> np.ndarray:
         # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
         # and so its last bits, then do not depend on the block's length
         phi = np.take(_phi_matrix(block, r_k, cos2_k, bath, policy), inverse, axis=1)
-        phi = phi.reshape(-1, n, m)
-        out[start : start + step] = 2.0 * (phi @ phi.transpose(0, 2, 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # _assemble reports non-finite M
+            out[start : start + step] = 2.0 * (phi @ phi.transpose(0, 2, 1))
     return out
 
 
@@ -214,7 +218,7 @@ def _assemble(
     over a time grid; build_metric documents the assembly.
 
     Every kernel value depends on a pair only through its (r, cos^2 theta), so
-    each pair block is reduced once per curve to its distinct keys (a lattice
+    each pair block is reduced once per curve to its key table (a lattice
     has 8-fold symmetry), and the kernels run on (time, key) blocks whose
     results are scattered back through the inverse index. Rows at t = 0 are
     exact zeros.
@@ -228,13 +232,10 @@ def _assemble(
         raise MetricError(f"mask covers {mask.n_atoms} atoms, the configuration {len(config)}")
     n = mask.n_selected
 
-    r_su, cos_su = _geometry.pair_arrays(config, mask.selected, mask.unobserved)
-    coincident = np.argwhere(r_su == 0.0)
-    if coincident.size:
-        i, k = coincident[0]
+    r_k, cos2_k, pairs, inverse = _key_table(config, mask.selected, mask.unobserved)
+    if r_k.size and r_k[0] == 0.0:
         raise GeometryError(
-            f"selected atom {mask.selected[i]} coincides with unobserved atom "
-            f"{mask.unobserved[k]} (r = 0)"
+            f"selected atom {pairs[0, 0]} coincides with unobserved atom {pairs[1, 0]} (r = 0)"
         )
 
     direct = np.zeros((times.size, n, n))
@@ -242,8 +243,11 @@ def _assemble(
     live = times > 0.0
     if live.any():
         direct[live] = 4.0 * _f_stack(config, mask, bath, times[live])
-        if r_su.size:
-            indirect[live] = _phi_gram(r_su, cos_su, bath, times[live], kernel_policy)
+        if r_k.size:
+            indirect[live] = _phi_gram(r_k, cos2_k, inverse, bath, times[live], kernel_policy)
+    bad = ~(np.isfinite(direct) & np.isfinite(indirect)).all(axis=(1, 2))
+    if bad.any():
+        raise MetricError(f"direct or indirect part of M is not finite at t = {times[bad][0]:.6g}")
     valid = np.max(np.abs(direct + indirect), axis=(1, 2)) < _VALIDITY_THRESHOLD
     return direct, indirect, valid
 
@@ -260,13 +264,15 @@ def build_metric(
     kernel_policy selects only the phi evaluation: the Si closed form, its far
     field, or QUADRATURE, the full radial integral with the cutoff-edge terms
     kept, evaluated in closed form and checked against reduced_quadrature.
-    The direct part is the closed diagonal (a quadrature at finite
-    temperature) plus off-diagonals from one batched quadrature over the
-    distinct pair keys, at a tolerance tied to the diagonal so quadrature
-    noise cannot drown its positive semidefiniteness. Selected atoms may
-    coincide (their kernel rows then agree exactly); a selected-unobserved
-    coincidence is rejected because phi diverges there, and so is a mask
-    built for another atom count than len(config).
+    Both parts come from the key tables of their pair blocks. Key 0 of the
+    selected block (r = 0) is the diagonal and every coincident selected
+    pair, so coincident selected atoms get identical kernel rows; its f is
+    the closed f_diag (a quadrature at finite temperature). The keys at
+    r > 0 take one batched quadrature at a tolerance tied to the diagonal,
+    so quadrature noise cannot drown its positive semidefiniteness. A
+    selected-unobserved coincidence is rejected because phi diverges there,
+    and so are a separation that overflows, a mask built for another atom
+    count than len(config), and an M that is not finite.
 
     This is the one-time slice of the curve engine that the CLI runs over a
     whole time grid, so it equals that curve's row at t bit for bit.

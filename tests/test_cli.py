@@ -462,6 +462,31 @@ points = 5
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ") and message in err
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["report", "sweep_csv"])
+    def test_too_long_file_name_is_refused_before_computing(
+        self, tmp_path, capsys, monkeypatch, sweep
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        limit = os.pathconf(out, "PC_NAME_MAX")
+        # a kappa sweep names the CSV prefix + "_kappa=0.01.csv" (15 bytes
+        # more) and the report prefix + "_report.txt" (11 more): only the CSV
+        # is too long
+        prefix = "p" * (limit - 12) if sweep else "p" * 300
+        text = SMOKE.replace("prefix = smoke", f"prefix = {prefix}")
+        if sweep:
+            text += "\n[sweep]\nparameter = kappa\nvalues = 0.1 0.01\n"
+
+        def engine(*args):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(dmtsim.cli, "_assemble", engine)
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [output.prefix] file name ...")
+        assert f"over the limit of {limit}" in err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize(
         "text, code, prefix",
         [
@@ -491,17 +516,49 @@ points = 5
             ),
             (SMOKE.replace("prefix = smoke", "prefix = a\0b"), 1, "config error: [output.prefix] "),
             (SMOKE + "directory = a\0b\n", 1, "config error: [output.directory] "),
+            # the dipole's squared length leaves the float range
+            (
+                SMOKE.replace("spacing = 1000", "spacing = 1000\ndipole_direction = 1e300 0 0"),
+                1,
+                "config error: [geometry] dipole direction length overflows when squared",
+            ),
+            (
+                SMOKE.replace("spacing = 1000", "spacing = 1000\ndipole_direction = 1e-200 0 0"),
+                1,
+                "config error: [geometry] dipole direction length underflows when squared",
+            ),
+            # every atom selected: only the selected block holds the
+            # separations, which overflow to inf before any quadrature
+            (
+                with_geometry(
+                    "kind = chain\ncount = 3\nspacing = 1e200\ndipole_angle = 0.3",
+                    "\n[selection]\nindices = 0 1 2\n",
+                ),
+                2,
+                "numerical error: pair separation r must be finite",
+            ),
+            # alpha = 1e300 overflows the Gram product of two selected atoms
+            (
+                with_geometry(
+                    "kind = chain\ncount = 3\nspacing = 10\ndipole_angle = 0.2",
+                    "\n[selection]\nindices = 0 1\n",
+                ).replace("alpha = 0.0072973525693", "alpha = 1e300"),
+                2,
+                "numerical error: direct or indirect part of M is not finite at t = ",
+            ),
         ],
         ids=[
             "horizon", "exclusion_radius", "tilt", "lattice_kappa", "gas_kappa", "kappa_sweep",
-            "nul_prefix", "nul_directory",
+            "nul_prefix", "nul_directory", "dipole_overflow", "dipole_underflow",
+            "selected_separation", "gram",
         ],
     )
     def test_overflow_and_nul_byte_inputs_exit_cleanly(self, tmp_path, text, code, prefix):
         done = run_module([write_scenario(tmp_path, text), "--out-dir", str(tmp_path / "out")])
         assert done.returncode == code
         assert done.stderr.startswith(prefix)
-        assert "Traceback" not in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_nul_byte_out_dir_is_a_config_error(self, tmp_path, capsys):
         # the output directory is made while the configuration is checked

@@ -27,6 +27,27 @@ class TestTypes:
         with pytest.raises(GeometryError):
             AtomConfig(positions=[[0, 0, 0]], dipole_direction=(0, 0, 2), label="x")
 
+    @pytest.mark.parametrize(
+        "direction, flow",
+        [((1e300, 0, 0), "overflows"), ((1e-200, 0, 0), "underflows")],
+        ids=["overflow", "underflow"],
+    )
+    def test_dipole_length_that_over_or_underflows_is_named(self, direction, flow):
+        # the squared length leaves the float range: named, with no numpy warning
+        with pytest.raises(GeometryError, match=f"dipole direction length {flow} when squared"):
+            square_lattice_2d(3, 10.0, direction)
+        with pytest.raises(GeometryError, match=f"dipole direction length {flow} when squared"):
+            AtomConfig(positions=[[0, 0, 0]], dipole_direction=direction)
+
+    def test_ordinary_dipole_direction_keeps_its_bits(self):
+        u = np.array([3.0, 1e-170, 4.0])
+        config, _ = square_lattice_2d(1, 1.0, u)
+        assert np.array_equal(config.dipole_direction, u / np.linalg.norm(u))
+        with pytest.raises(GeometryError, match="finite nonzero"):
+            square_lattice_2d(1, 1.0, (0, 0, 0))
+        with pytest.raises(GeometryError, match="unit length"):
+            AtomConfig(positions=[[0, 0, 0]], dipole_direction=(0, 0, 0))
+
     def test_positions_must_be_finite(self):
         with pytest.raises(GeometryError):
             AtomConfig(

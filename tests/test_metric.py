@@ -344,6 +344,14 @@ class TestCurveEngine:
         with pytest.raises(QuadratureError, match=r"direct pair \(2,1\)"):
             _assemble(config, mask, b, [0.0, 1e7])
 
+    def test_overflowing_gram_product_is_a_metric_error(self):
+        # phi ~ alpha = 1e300 squares past the float range in the Gram product
+        config, _ = chain_1d(3, 10.0, 0.3)
+        mask = SelectionMask.from_selected(3, [0, 1])
+        b = BathParams(alpha=1e300, kappa=0.1)
+        with pytest.raises(MetricError, match=r"not finite at t = 1$"):
+            _assemble(config, mask, b, [0.0, 1.0, 10.0])
+
     def test_times_validated(self):
         config, mask = chain_1d(2, 1.0, 0.0)
         for times in ([1.0, -1.0], [float("nan")], [0.0, float("inf")]):
@@ -466,15 +474,25 @@ class TestChecks:
 
 class TestNullPairs:
     def test_coincident_selected_pair_gives_null_direction(self):
+        self._check_null_direction(None)
+
+    def test_coincident_selected_pair_gives_null_direction_warm(self):
+        self._check_null_direction(2.0)
+
+    @staticmethod
+    def _check_null_direction(beta):
         # two selected atoms at the same site see identical kernels, rows of
-        # M coincide, and (1,-1) vs (-1,1) becomes a zero-distance direction
+        # M coincide, and (1,-1) vs (-1,1) becomes a zero-distance direction;
+        # their pair shares the diagonal's r = 0 key on both f routes
+        # (zero temperature for beta None, the thermal route otherwise)
         config = AtomConfig(
             positions=[[0, 0, 0], [0, 0, 0], [4, 0, 0], [0, 5, 0]],
             dipole_direction=(0, 0, 1),
             label="degenerate",
         )
         mask = SelectionMask.from_selected(4, (0, 1))
-        M = build_metric(config, mask, bath(0.5), 9.0)
+        M = build_metric(config, mask, BathParams(ALPHA, 0.5, inv_temperature=beta), 9.0)
+        assert np.all(M.direct_part == M.direct_part[0, 0]) and M.direct_part[0, 0] > 0
         np.testing.assert_array_equal(M.matrix[0], M.matrix[1])
         assert distance(M, (1, -1), (-1, 1)) == 0.0
         # eigen-decomposition oracle: null eigenvector along (1, -1)
