@@ -98,9 +98,8 @@ from .geometry import (
     sample_gas,
     square_lattice_2d,
 )
-from .kernels import BathParams, KernelDomainError, QuadratureError
+from .kernels import BathParams, KernelDomainError, KernelPolicy, QuadratureError
 from .metric import (
-    KernelPolicy,
     MetricError,
     MetricTensor,
     _assemble,

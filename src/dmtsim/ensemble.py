@@ -10,8 +10,9 @@ builds no positions. Under the far field it evaluates only the atoms with
 r <= t: every other atom sits outside the sharp light cone and contributes
 exactly 0.
 The count rule is the GasSpec's own, checked when the spec is built; an
-n_samples that is not an integer >= 2 is an EnsembleError raised before any
-draw. The analytic finite-range far-field average is the validation oracle.
+n_samples that is not an integer >= 2, or a kernel_policy that is not a
+KernelPolicy member, is an EnsembleError raised before any draw. The
+analytic finite-range far-field average is the validation oracle.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 
 from . import geometry as _geometry
 from .geometry import GasSpec
-from .kernels import BathParams
-from .metric import KernelPolicy, _phi_matrix, _phi_reach
+from .kernels import BathParams, KernelPolicy, _phi, _phi_reach
 
 __all__ = [
     "EnsembleError",
@@ -38,7 +38,7 @@ RNG_ALGORITHM = "philox4x64-10 keyed (seed, sample_index)"
 
 
 class EnsembleError(ValueError):
-    """Invalid ensemble input (time outside the sampled shell, too few samples)."""
+    """Invalid ensemble input (time outside the shell, too few samples, bad policy)."""
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,15 @@ def average_phi00(
     over independent gas samples.
 
     Requires t <= spec.horizon so the light cone stays inside the sampled
-    ball, and an integer n_samples >= 2 for a standard error. The master
-    seed is spec.seed and its count rule spec.fixed_count; sample i uses the
-    (seed, i) substream, and phi is evaluated on its drawn (r, cos^2 theta)
-    with theta from the z axis, the dipole of sample_gas's default
-    configuration. The draws keep their order (count, then n radii, then n
-    cosines), but FAR_FIELD evaluates phi only on the atoms with r <= t;
-    every other atom contributes exactly 0 there. The closed form and the
-    quadrature evaluate every atom, since their phi is nonzero outside the
-    light cone.
+    ball, an integer n_samples >= 2 for a standard error, and a KernelPolicy
+    member, all checked before the first draw. The master seed is spec.seed
+    and its count rule spec.fixed_count; sample i uses the (seed, i)
+    substream, and phi is evaluated on its drawn (r, cos^2 theta) with theta
+    from the z axis, the dipole of sample_gas's default configuration. The
+    draws keep their order (count, then n radii, then n cosines), but
+    FAR_FIELD evaluates phi only on the atoms with r <= t; every other atom
+    contributes exactly 0 there. The closed form and the quadrature evaluate
+    every atom, since their phi is nonzero outside the light cone.
     """
     if not (math.isfinite(t) and t >= 0):
         raise EnsembleError("time must be finite and >= 0")
@@ -91,11 +91,13 @@ def average_phi00(
         )
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 2):
         raise EnsembleError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    if not isinstance(kernel_policy, KernelPolicy):
+        raise EnsembleError("kernel_policy must be a KernelPolicy member")
     totals = np.empty(n_samples)
     reach = _phi_reach(t, kernel_policy)
     for i in range(n_samples):
         r, cos_t = _geometry._shell_draws(spec, _sample_rng(spec.seed, i), reach)
-        phi = _phi_matrix(t, r, cos_t**2, bath, kernel_policy)
+        phi = _phi(t, r, cos_t**2, bath, kernel_policy)
         totals[i] = float(np.sum(phi**2))
     mean = float(totals.mean())
     std_error = float(totals.std(ddof=1) / math.sqrt(n_samples))

@@ -24,7 +24,8 @@ its one-key form. The closed phi form drops cutoff-edge oscillatory terms
 (sin kr, cos kr, kr cos kr); the quadrature keeps them, so the two agree
 only up to that known envelope. phi_exact adds them back: it is the closed
 form of the full radial integral, which the phi quadrature is checked
-against and the metric's QUADRATURE kernel policy evaluates.
+against. _phi maps each KernelPolicy to its phi formula, for the scalar phis,
+the metric engine and the gas Monte Carlo alike.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .specfun import sine_integral
 
 __all__ = [
     "BathParams",
+    "KernelPolicy",
     "PairGeometry",
     "TimeKernel",
     "KernelDomainError",
@@ -133,6 +135,17 @@ class TimeKernel(enum.Enum):
     PHI_KERNEL = "phi"
 
 
+class KernelPolicy(enum.Enum):
+    """Which phi formula _phi evaluates: CLOSED_FORM is phi_closed's Si form
+    without the cutoff-edge terms, FAR_FIELD its sharp light-cone limit
+    (phi_farfield), QUADRATURE the full radial integral in closed form
+    (phi_exact), which reduced_quadrature is checked against."""
+
+    CLOSED_FORM = "closed"
+    FAR_FIELD = "farfield"
+    QUADRATURE = "quadrature"
+
+
 # -- closed forms ------------------------------------------------------------
 
 
@@ -204,15 +217,6 @@ def f_diag(t, bath: BathParams):
     return out
 
 
-def _scalar_cos2(t: float, geom: PairGeometry, name: str) -> float:
-    """cos^2 theta of a scalar phi's pair, after checking t >= 0 and r > 0."""
-    if not (math.isfinite(t) and t >= 0):
-        raise KernelDomainError("time must be finite and >= 0")
-    if geom.r == 0:
-        raise KernelDomainError(f"{name} requires r > 0")
-    return math.cos(geom.theta) ** 2
-
-
 def _phi_closed_rt(t, r, c2, alpha: float, kappa: float):
     """Vectorized Si-based closed phi over arrays of (r, c2 = cos^2 theta) at
     common t.
@@ -229,22 +233,6 @@ def _phi_closed_rt(t, r, c2, alpha: float, kappa: float):
         - sine_integral(kappa * (r - t))
     )
     return alpha * (3.0 * c2 - 1.0) * t / (math.pi * r**3) * bracket
-
-
-def phi_closed(t: float, geom: PairGeometry, bath: BathParams) -> float:
-    """Pair kernel phi in the Si-based closed form (oscillatory terms dropped).
-
-    Requires t >= 0 and geom.r > 0; the diagonal has no phi. phi_exact keeps
-    the dropped cutoff-edge terms and gives the full radial integral. Radial
-    jitter averages those terms out of phi but not out of the metric's
-    Phi = sum phi^2: with Gaussian jitter sigma = 10/kappa at kappa r = 100,
-    t = 3r, theta = 0.7, the mean of phi_exact is within 2% of the mean of
-    phi_closed, while the mean of phi_exact^2 is about 540x the mean of
-    phi_closed^2 (about 610x at sigma = 3/kappa). Which cutoff the curves
-    should trust is ROADMAP item 5.
-    """
-    c2 = _scalar_cos2(t, geom, "phi_closed")
-    return float(_phi_closed_rt(t, geom.r, c2, bath.alpha, bath.kappa))
 
 
 def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
@@ -282,6 +270,56 @@ def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
     return 2.0 * alpha / math.pi * ((1.0 - c2) * i0 + (3.0 * c2 - 1.0) * aniso)
 
 
+def _phi_farfield_rt(t, r, c2, alpha: float):
+    """Vectorized far-field phi over arrays of (r, c2 = cos^2 theta):
+    alpha (t/r^3)(3 c2 - 1) Theta(t/r - 1), with Theta(0) = 1."""
+    r = np.asarray(r, dtype=float)
+    lightcone = (t >= r).astype(float)
+    return alpha * t / r**3 * (3.0 * c2 - 1.0) * lightcone
+
+
+def _phi_reach(t, policy: KernelPolicy) -> float:
+    """The largest r at which phi(t, r, .) can be nonzero: t for the far
+    field's sharp light cone, inf for the two forms nonzero outside it."""
+    return t if policy is KernelPolicy.FAR_FIELD else math.inf
+
+
+def _phi(t, r, c2, bath: BathParams, policy: KernelPolicy):
+    """phi over broadcastable arrays of t and (r, c2 = cos^2 theta) under a
+    KernelPolicy member; QUADRATURE is the closed part plus the cutoff-edge
+    terms, exact at every temperature since phi has no thermal factor."""
+    if policy is KernelPolicy.FAR_FIELD:
+        return _phi_farfield_rt(t, r, c2, bath.alpha)
+    phi = _phi_closed_rt(t, r, c2, bath.alpha, bath.kappa)
+    if policy is KernelPolicy.QUADRATURE:
+        phi = phi + _phi_edge_rt(t, r, c2, bath.alpha, bath.kappa)
+    return phi
+
+
+def _scalar_phi(t: float, geom: PairGeometry, bath: BathParams, policy: KernelPolicy) -> float:
+    """_phi at one time and pair, after checking t >= 0 and r > 0."""
+    if not (math.isfinite(t) and t >= 0):
+        raise KernelDomainError("time must be finite and >= 0")
+    if geom.r == 0:
+        raise KernelDomainError("phi requires r > 0; the diagonal has no phi")
+    return float(_phi(t, geom.r, math.cos(geom.theta) ** 2, bath, policy))
+
+
+def phi_closed(t: float, geom: PairGeometry, bath: BathParams) -> float:
+    """Pair kernel phi in the Si-based closed form (oscillatory terms dropped).
+
+    Requires t >= 0 and geom.r > 0; the diagonal has no phi. phi_exact keeps
+    the dropped cutoff-edge terms and gives the full radial integral. Radial
+    jitter averages those terms out of phi but not out of the metric's
+    Phi = sum phi^2: with Gaussian jitter sigma = 10/kappa at kappa r = 100,
+    t = 3r, theta = 0.7, the mean of phi_exact is within 2% of the mean of
+    phi_closed, while the mean of phi_exact^2 is about 540x the mean of
+    phi_closed^2 (about 610x at sigma = 3/kappa). Which cutoff the curves
+    should trust is ROADMAP item 5.
+    """
+    return _scalar_phi(t, geom, bath, KernelPolicy.CLOSED_FORM)
+
+
 def phi_exact(t: float, geom: PairGeometry, bath: BathParams) -> float:
     """Pair kernel phi as the closed form of the full radial integral.
 
@@ -291,17 +329,7 @@ def phi_exact(t: float, geom: PairGeometry, bath: BathParams) -> float:
     and grow like kappa r for in-plane pairs; they do not vanish at the magic
     angle. Requires t >= 0 and geom.r > 0; phi_exact(0) = 0.
     """
-    c2 = _scalar_cos2(t, geom, "phi_exact")
-    args = (t, geom.r, c2, bath.alpha, bath.kappa)
-    return float(_phi_closed_rt(*args) + _phi_edge_rt(*args))
-
-
-def _phi_farfield_rt(t, r, c2, alpha: float):
-    """Vectorized far-field phi over arrays of (r, c2 = cos^2 theta):
-    alpha (t/r^3)(3 c2 - 1) Theta(t/r - 1), with Theta(0) = 1."""
-    r = np.asarray(r, dtype=float)
-    lightcone = (t >= r).astype(float)
-    return alpha * t / r**3 * (3.0 * c2 - 1.0) * lightcone
+    return _scalar_phi(t, geom, bath, KernelPolicy.QUADRATURE)
 
 
 def phi_farfield(t: float, geom: PairGeometry, bath: BathParams) -> float:
@@ -310,8 +338,7 @@ def phi_farfield(t: float, geom: PairGeometry, bath: BathParams) -> float:
     Valid for kappa |r - t| >> 1 and kappa (r + t) >> 1; the caller owns the
     regime check.
     """
-    c2 = _scalar_cos2(t, geom, "phi_farfield")
-    return float(_phi_farfield_rt(t, geom.r, c2, bath.alpha))
+    return _scalar_phi(t, geom, bath, KernelPolicy.FAR_FIELD)
 
 
 # -- quadrature --------------------------------------------------------------
@@ -387,7 +414,8 @@ def _quadrature_rt(t: float, r, cos2, bath: BathParams, time_kernel: TimeKernel,
     """
     r, cos2 = np.asarray(r, dtype=float), np.asarray(cos2, dtype=float)
     values, errors = np.zeros(r.size), np.full(r.size, math.inf)
-    need = np.maximum(8.0, np.ceil(bath.kappa * (t + r) / math.pi))
+    with np.errstate(over="ignore"):  # an infinite count is over budget below
+        need = np.maximum(8.0, np.ceil(bath.kappa * (t + r) / math.pi))
     prefactor = bath.alpha / math.pi
     start = 0
     while start < r.size:

@@ -12,15 +12,15 @@ pair only through its (r, cos^2 theta), so the engine reduces each pair
 block once per curve to one key table: the block's sorted distinct keys,
 each key's first atom pair, and every pair's key index. phi runs on
 (time, key) blocks of the selected x unobserved table, where a key at r = 0
-is a rejected coincidence. f runs on the n x n selected table, whose key 0
-(r = 0) is the diagonal and every coincident selected pair; its keys at
-r > 0 take one batched quadrature per time. build_metric is that engine at
-a single t; the CLI runs it once per curve.
+is a rejected coincidence, through the formula kernels maps the kernel
+policy to. f runs on the n x n selected table, whose key 0 (r = 0) is the
+diagonal and every coincident selected pair; its keys at r > 0 take one
+batched quadrature per time. build_metric is that engine at a single t; the
+CLI runs it once per curve.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -28,12 +28,10 @@ import numpy as np
 
 from . import geometry as _geometry
 from .geometry import AtomConfig, GeometryError, SelectionMask
-from .kernels import BathParams, KernelDomainError, TimeKernel, f_diag
-from .kernels import _BLOCK, _phi_closed_rt, _phi_edge_rt, _phi_farfield_rt
-from .kernels import _quadrature_rt, _stalled
+from .kernels import BathParams, KernelDomainError, KernelPolicy, TimeKernel, f_diag
+from .kernels import _BLOCK, _phi, _quadrature_rt, _stalled
 
 __all__ = [
-    "KernelPolicy",
     "MetricTensor",
     "MetricError",
     "build_metric",
@@ -51,20 +49,6 @@ _VALIDITY_THRESHOLD = 0.1
 
 class MetricError(ValueError):
     """Bad codeword or tensor input, or a quadratic form negative beyond tolerance."""
-
-
-class KernelPolicy(enum.Enum):
-    """Which phi evaluation feeds the indirect part.
-
-    CLOSED_FORM is the Si-based form without the cutoff-edge terms, FAR_FIELD
-    its sharp light-cone limit. QUADRATURE is the full radial integral with
-    the cutoff-edge terms kept, evaluated in closed form (the phi_exact
-    formula) and checked against reduced_quadrature.
-    """
-
-    CLOSED_FORM = "closed"
-    FAR_FIELD = "farfield"
-    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -104,31 +88,6 @@ class MetricTensor:
     def epsilon(self) -> float:
         """Negativity tolerance for quadratic forms: 1e-10 x trace."""
         return 1e-10 * abs(self.trace)
-
-
-def _phi_matrix(t, r, c2, bath: BathParams, policy: KernelPolicy) -> np.ndarray:
-    """phi over broadcastable arrays of t and (r, c2 = cos^2 theta) under a
-    kernel policy.
-
-    QUADRATURE is the full radial integral: the closed part plus the
-    cutoff-edge terms, exact at every temperature since phi has no thermal
-    factor.
-    """
-    if not isinstance(policy, KernelPolicy):
-        raise MetricError("kernel_policy must be a KernelPolicy member")
-    if policy is KernelPolicy.FAR_FIELD:
-        return _phi_farfield_rt(t, r, c2, bath.alpha)
-    phi = _phi_closed_rt(t, r, c2, bath.alpha, bath.kappa)
-    if policy is KernelPolicy.QUADRATURE:
-        phi = phi + _phi_edge_rt(t, r, c2, bath.alpha, bath.kappa)
-    return phi
-
-
-def _phi_reach(t, policy: KernelPolicy) -> float:
-    """The largest r at which phi(t, r, .) can be nonzero under a policy: t
-    for FAR_FIELD's sharp light cone, inf for CLOSED_FORM and QUADRATURE,
-    whose phi is nonzero outside the cone."""
-    return t if policy is KernelPolicy.FAR_FIELD else math.inf
 
 
 def _key_table(config: AtomConfig, rows, cols):
@@ -201,7 +160,7 @@ def _phi_gram(r_k, cos2_k, inverse, bath, times, policy) -> np.ndarray:
         block = times[start : start + step, None]
         # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
         # and so its last bits, then do not depend on the block's length
-        phi = np.take(_phi_matrix(block, r_k, cos2_k, bath, policy), inverse, axis=1)
+        phi = np.take(_phi(block, r_k, cos2_k, bath, policy), inverse, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):  # _assemble reports non-finite M
             out[start : start + step] = 2.0 * (phi @ phi.transpose(0, 2, 1))
     return out

@@ -137,6 +137,23 @@ class TestLatticeScales:
         assert s2.a_c == pytest.approx(s1.a_c / 2.0 ** (2.0 / 3.0), rel=1e-12)
         assert s2.gamma == pytest.approx(4.0 * s1.gamma, rel=1e-12)
 
+    def test_crossover_time_survives_under_and_overflow(self):
+        # 3 pi alpha N_nn underflows to 0 at alpha = 5e-324, and a^3 overflows
+        # past a = 5.6e102: t1 is then the same ratio in logs, inf past the
+        # float range, never a ZeroDivisionError or OverflowError
+        tiny = BathParams(alpha=5e-324, kappa=0.1)
+        exact = 0.1 * 1e3 / (math.sqrt(3.0 * math.pi * 0.0507) * math.sqrt(5e-324))
+        assert lattice_scales(10.0, tiny, 0.0507).t1 == pytest.approx(exact, rel=1e-12)
+        b = bath(0.1)
+        a = 6e102
+        exact = 0.1 * a * a * a / math.sqrt(3.0 * math.pi * b.alpha * 4.5)
+        assert math.isfinite(exact)
+        assert lattice_scales(a, b, 4.5).t1 == pytest.approx(exact, rel=1e-12)
+        assert lattice_scales(1e120, b, 4.5).t1 == math.inf
+        # an ordinary spacing keeps the direct formula's bits
+        direct = 0.1 * 1000.0**3 / math.sqrt(3.0 * math.pi * b.alpha * 4.634)
+        assert lattice_scales(1000.0, b, 4.634).t1 == direct
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             lattice_scales(0.0, bath(), 1.0)

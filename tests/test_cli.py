@@ -434,8 +434,9 @@ points = 2
             (10.0, 1000.0, 1e308, "closed", "sine_integral requires finite input"),
             # |r| overflows to inf: KernelDomainError
             (0.1, 1e200, 10.0, "quadrature", "pair separation r must be finite"),
-            # |r| of a denormal spacing underflows to 0: GeometryError
-            (0.1, 1e-320, 10.0, "closed", "coincides with unobserved atom"),
+            # a denormal spacing squares to 0; GeometryError names the
+            # underflow rather than a coincident pair
+            (0.1, 1e-320, 10.0, "closed", "underflows when squared"),
         ],
         ids=["si_overflow", "kernel_domain", "coincident_pair"],
     )
@@ -546,11 +547,32 @@ points = 5
                 2,
                 "numerical error: direct or indirect part of M is not finite at t = ",
             ),
+            # kappa (t + r) overflows the direct pair's panel count at the
+            # last time: over budget, with no numpy warning
+            (
+                with_geometry(
+                    "kind = chain\ncount = 3\nspacing = 10\ndipole_angle = 0.2",
+                    "\n[selection]\nindices = 0 1\n",
+                )
+                .replace("kappa = 0.1", "kappa = 1000")
+                .replace("start = 1e-3", "start = 1")
+                .replace("end = 1e3\npoints = 13", "end = 1.7e308\npoints = 2"),
+                2,
+                "numerical error: quadrature budget exhausted (achieved error inf): "
+                "direct pair (0,1): oscillation count exceeds 262144 panels",
+            ),
+            # distinct atoms whose squared separation underflows are not a
+            # coincidence
+            (
+                with_geometry("kind = chain\ncount = 3\nspacing = 1e-300\ndipole_angle = 0.2"),
+                2,
+                "numerical error: separation of atoms 1 and 0 underflows when squared",
+            ),
         ],
         ids=[
             "horizon", "exclusion_radius", "tilt", "lattice_kappa", "gas_kappa", "kappa_sweep",
             "nul_prefix", "nul_directory", "dipole_overflow", "dipole_underflow",
-            "selected_separation", "gram",
+            "selected_separation", "gram", "panel_count", "separation_underflow",
         ],
     )
     def test_overflow_and_nul_byte_inputs_exit_cleanly(self, tmp_path, text, code, prefix):
@@ -559,6 +581,21 @@ points = 5
         assert done.stderr.startswith(prefix)
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
         assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_underflowing_scale_denominator_still_writes_the_report(self, tmp_path):
+        # 3 pi alpha N_nn underflows to 0: the scale line reports t1 from
+        # logs instead of failing the finished curve
+        text = with_geometry("kind = chain\ncount = 3\nspacing = 10\ndipole_angle = 0.9")
+        text = text.replace("alpha = 0.0072973525693", "alpha = 5e-324")
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 0
+        (line,) = [
+            line
+            for line in (out / "smoke_report.txt").read_text().splitlines()
+            if "lattice scales:" in line
+        ]
+        assert "t1 = 6.509" in line and "e+163" in line
+        assert np.all(np.isfinite(read_csv(out / "smoke.csv")["d_total"]))
 
     def test_nul_byte_out_dir_is_a_config_error(self, tmp_path, capsys):
         # the output directory is made while the configuration is checked

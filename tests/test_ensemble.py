@@ -16,8 +16,7 @@ from dmtsim.ensemble import (
     average_phi00,
 )
 from dmtsim.geometry import GasSpec, GeometryError, _shell_draws, pair_arrays, sample_gas
-from dmtsim.kernels import BathParams
-from dmtsim.metric import KernelPolicy, MetricError, _phi_matrix
+from dmtsim.kernels import BathParams, KernelPolicy, _phi
 
 ALPHA = 1.0 / 137.036
 
@@ -99,10 +98,18 @@ class TestMonteCarlo:
         assert res.mean == 0.0
         assert res.std_error == 0.0
 
-    def test_string_policy_rejected(self):
-        # the value of a policy member is not the member
-        with pytest.raises(MetricError, match="KernelPolicy member"):
+    def test_string_policy_rejected(self, monkeypatch):
+        # the value of a policy member is not the member; it is refused with
+        # the other inputs, before any sample is drawn
+        draws, shell_draws = [], ensemble._geometry._shell_draws
+        monkeypatch.setattr(
+            ensemble._geometry,
+            "_shell_draws",
+            lambda *args: draws.append(args) or shell_draws(*args),
+        )
+        with pytest.raises(EnsembleError, match="KernelPolicy member"):
             average_phi00(spec(horizon=60.0), bath(), 20.0, 4, kernel_policy="farfield")
+        assert draws == []
 
     def test_seed_determinism(self):
         a = average_phi00(spec(seed=42), bath(), 20.0, 64)
@@ -177,7 +184,7 @@ def position_route(s, b, t, n, policy):
     for i in range(n):
         config, mask = sample_gas(s, rng=_sample_rng(s.seed, i))
         r, cos_t = pair_arrays(config, mask.selected, mask.unobserved)
-        totals[i] = np.sum(_phi_matrix(t, r, cos_t**2, b, policy) ** 2)
+        totals[i] = np.sum(_phi(t, r, cos_t**2, b, policy) ** 2)
     return totals.mean(), totals.std(ddof=1) / math.sqrt(n)
 
 

@@ -398,6 +398,18 @@ class TestPairGeometry:
         assert r[1, 0] == 0.0 and cos_t[1, 0] == 1.0
         assert r[0, 0] == 1.0
 
+    @pytest.mark.parametrize("gap", [1e-300, 1e-160])
+    def test_separation_that_underflows_when_squared_is_named(self, gap):
+        # r^2 underflows to 0 or to a subnormal: distinct atoms must not pass
+        # for coincident ones
+        config = AtomConfig(
+            positions=[[0, 0, 0], [1, 1, 1], [0, 0, gap]], dipole_direction=(0, 0, 1), label="c"
+        )
+        with pytest.raises(GeometryError, match="separation of atoms 2 and 0 underflows"):
+            pair_arrays(config, [1, 2], [0, 1])
+        r, _ = pair_arrays(config, [0, 1], [0, 1])
+        assert r[0, 0] == 0.0 and r[0, 1] == np.linalg.norm([1.0, 1.0, 1.0])
+
     def test_coincident_pair_gives_zero_r_and_unit_cos(self):
         config = AtomConfig(
             positions=[[1, 1, 1], [1, 1, 1]], dipole_direction=(0, 0, 1), label="pair"
