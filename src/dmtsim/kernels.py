@@ -25,7 +25,8 @@ its one-key form. The closed phi form drops cutoff-edge oscillatory terms
 only up to that known envelope. phi_exact adds them back: it is the closed
 form of the full radial integral, which the phi quadrature is checked
 against. _phi maps each KernelPolicy to its phi formula, for the scalar phis,
-the metric engine and the gas Monte Carlo alike.
+the metric engine and the gas Monte Carlo alike, and _f a bath to its f
+formulas over the metric engine's pair-key table.
 """
 
 from __future__ import annotations
@@ -400,17 +401,19 @@ def _time_factor(q: np.ndarray, t: float, kernel: TimeKernel, beta) -> np.ndarra
     return 2.0 * out
 
 
-def _quadrature_rt(t: float, r, cos2, bath: BathParams, time_kernel: TimeKernel, tol: float):
-    """Radial quadrature over arrays of (r, cos^2 theta) keys at one t:
-    (values, absolute error estimates).
+def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float, pairs=None):
+    """Radial quadrature over arrays of (r, cos^2 theta) keys at one t, each
+    to absolute error tol.
 
     Composite Gauss-Legendre with panels no wider than half the period of the
     fastest oscillation (cos qt and the trig terms of W(qr) beat at t + r),
     shared by consecutive keys in blocks of about _BLOCK integrand values.
     Each pass evaluates 15- and 7-point rules per panel; a key's summed rule
     difference is its error estimate, and keys still above tol rerun on
-    doubled panels. A key that misses tol within _MAX_PANELS panels keeps its
-    smallest estimate (inf if its oscillation count alone exceeds the budget).
+    doubled panels. The first key that misses tol within _MAX_PANELS panels
+    raises QuadratureError with its smallest estimate (inf if its oscillation
+    count alone exceeds the budget), prefixed with its atom pair when
+    pairs[:, k] names key k's pair.
     """
     r, cos2 = np.asarray(r, dtype=float), np.asarray(cos2, dtype=float)
     values, errors = np.zeros(r.size), np.full(r.size, math.inf)
@@ -438,15 +441,44 @@ def _quadrature_rt(t: float, r, cos2, bath: BathParams, time_kernel: TimeKernel,
             errors[active] = np.minimum(errors[active], err)
             active = active[err > tol]
             n_panels *= 2
+        if active.size:  # the keys that missed tol, ascending
+            k = active[0]
+            error = float(errors[k])
+            where = "" if pairs is None else f"direct pair ({pairs[0, k]},{pairs[1, k]}): "
+            if math.isinf(error):
+                why = f"oscillation count exceeds {_MAX_PANELS} panels"
+            else:
+                why = f"quadrature stalled at error estimate {error:.3e} (tol {tol:.3e})"
+            raise QuadratureError(where + why, error)
         start = stop
-    return values, errors
+    return values
 
 
-def _stalled(error: float, tol: float, where: str = "") -> QuadratureError:
-    if math.isinf(error):
-        return QuadratureError(f"{where}oscillation count exceeds {_MAX_PANELS} panels", error)
-    stalled = f"quadrature stalled at error estimate {error:.3e} (tol {tol:.3e})"
-    return QuadratureError(where + stalled, error)
+def _f(times, r, c2, bath: BathParams, pairs) -> np.ndarray:
+    """f at each positive time over a key table of (r, c2 = cos^2 theta),
+    shape (T, K); key 0 is r = 0 and pairs[:, k] names key k's atom pair.
+
+    Key 0 is the closed _f_diag_array at zero temperature, otherwise a
+    quadrature at tol 1e-10, repeated at 1e-11 of its value. The keys at
+    r > 0 take one batched quadrature per time at 1e-11 of key 0, so
+    quadrature noise cannot drown the block's positive semidefiniteness.
+    """
+    f = np.zeros((times.size, r.size))
+    warm = bath.inv_temperature is not None
+    if not warm:
+        f[:, 0] = _f_diag_array(times, bath.alpha, bath.kappa)
+    if warm or r.size > 1:
+        kernel = TimeKernel.F_KERNEL
+        for row, t in enumerate(times):
+            if warm:
+                (diag,) = _quadrature_rt(t, r[:1], c2[:1], bath, kernel, 1e-10)
+                if diag > 0:
+                    tol = max(1e-11 * diag, 1e-18)
+                    (diag,) = _quadrature_rt(t, r[:1], c2[:1], bath, kernel, tol)
+                f[row, 0] = diag
+            tol = max(1e-11 * f[row, 0], 1e-300)
+            f[row, 1:] = _quadrature_rt(t, r[1:], c2[1:], bath, kernel, tol, pairs[:, 1:])
+    return f
 
 
 def reduced_quadrature(
@@ -477,9 +509,5 @@ def reduced_quadrature(
         raise KernelDomainError("time_kernel must be a TimeKernel member")
     if t == 0.0:
         return 0.0  # both time factors vanish identically at t = 0
-    value, error = _quadrature_rt(
-        t, [geom.r], [math.cos(geom.theta) ** 2], bath, time_kernel, tol
-    )
-    if error[0] > tol:
-        raise _stalled(float(error[0]), tol)
-    return float(value[0])
+    (value,) = _quadrature_rt(t, [geom.r], [math.cos(geom.theta) ** 2], bath, time_kernel, tol)
+    return float(value)

@@ -13,10 +13,9 @@ block once per curve to one key table: the block's sorted distinct keys,
 each key's first atom pair, and every pair's key index. phi runs on
 (time, key) blocks of the selected x unobserved table, where a key at r = 0
 is a rejected coincidence, through the formula kernels maps the kernel
-policy to. f runs on the n x n selected table, whose key 0 (r = 0) is the
-diagonal and every coincident selected pair; its keys at r > 0 take one
-batched quadrature per time. build_metric is that engine at a single t; the
-CLI runs it once per curve.
+policy to. f runs through kernels' f route on the n x n selected table,
+whose key 0 (r = 0) is the diagonal and every coincident selected pair.
+build_metric is that engine at a single t; the CLI runs it once per curve.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ import numpy as np
 
 from . import geometry as _geometry
 from .geometry import AtomConfig, GeometryError, SelectionMask
-from .kernels import BathParams, KernelDomainError, KernelPolicy, TimeKernel, f_diag
-from .kernels import _BLOCK, _phi, _quadrature_rt, _stalled
+from .kernels import BathParams, KernelDomainError, KernelPolicy
+from .kernels import _BLOCK, _f, _phi
 
 __all__ = [
     "MetricTensor",
@@ -113,40 +112,12 @@ def _key_table(config: AtomConfig, rows, cols):
     return keys.real.copy(), keys.imag.copy(), pairs, inverse.reshape(r.shape)
 
 
-def _f_keys(t, r, cos2, bath, tol, pairs=None) -> np.ndarray:
-    """f at one t over (r, cos^2 theta) keys; the first key missing tol raises."""
-    values, errors = _quadrature_rt(t, r, cos2, bath, TimeKernel.F_KERNEL, tol)
-    missed = np.flatnonzero(errors > tol)
-    if missed.size:
-        k = missed[0]
-        where = "" if pairs is None else f"direct pair ({pairs[0, k]},{pairs[1, k]}): "
-        raise _stalled(float(errors[k]), tol, where)
-    return values
-
-
 def _f_stack(config, mask, bath, times) -> np.ndarray:
-    """f over the selected block at each positive time, shape (T, n, n).
-
-    Key 0 of the block's key table (r = 0) is the diagonal and every
-    coincident selected pair: f_diag at zero temperature, otherwise a
-    quadrature at tol 1e-10, repeated at 1e-11 of its value. The keys at
-    r > 0 take one batched quadrature per time at 1e-11 of the diagonal.
-    """
+    """f over the selected block at each positive time, shape (T, n, n), from
+    kernels._f on the block's key table, whose key 0 (r = 0) is the diagonal
+    and every coincident selected pair."""
     r_k, cos2_k, pairs, inverse = _key_table(config, mask.selected, mask.selected)
-    f = np.zeros((times.size, r_k.size))
-    warm = bath.inv_temperature is not None
-    if not warm:
-        f[:, 0] = f_diag(times, bath)
-    if warm or r_k.size > 1:
-        for row, t in enumerate(times):
-            if warm:
-                (diag,) = _f_keys(t, r_k[:1], cos2_k[:1], bath, 1e-10)
-                if diag > 0:
-                    (diag,) = _f_keys(t, r_k[:1], cos2_k[:1], bath, max(1e-11 * diag, 1e-18))
-                f[row, 0] = diag
-            tol = max(1e-11 * f[row, 0], 1e-300)
-            f[row, 1:] = _f_keys(t, r_k[1:], cos2_k[1:], bath, tol, pairs[:, 1:])
-    return np.take(f, inverse, axis=1)
+    return np.take(_f(times, r_k, cos2_k, bath, pairs), inverse, axis=1)
 
 
 def _phi_gram(r_k, cos2_k, inverse, bath, times, policy) -> np.ndarray:
@@ -226,16 +197,16 @@ def build_metric(
     Both parts come from the key tables of their pair blocks. Key 0 of the
     selected block (r = 0) is the diagonal and every coincident selected
     pair, so coincident selected atoms get identical kernel rows; its f is
-    the closed f_diag (a quadrature at finite temperature). The keys at
-    r > 0 take one batched quadrature at a tolerance tied to the diagonal,
-    so quadrature noise cannot drown its positive semidefiniteness. A
-    selected-unobserved coincidence is rejected because phi diverges there,
-    and so are a separation that overflows, a mask built for another atom
-    count than len(config), and an M that is not finite.
+    closed at zero temperature and a quadrature otherwise, and the keys at
+    r > 0 take one batched quadrature at a tolerance tied to the diagonal.
+    A selected-unobserved coincidence is rejected because phi diverges
+    there, and so are a separation that overflows, a mask built for another
+    atom count than len(config), and an M that is not finite.
 
     This is the one-time slice of the curve engine that the CLI runs over a
-    whole time grid, so it equals that curve's row at t bit for bit.
-    Quadrature failures are re-raised with the offending pair attached.
+    whole time grid, so it equals that curve's row at t bit for bit. A
+    quadrature that misses its tolerance raises QuadratureError naming the
+    key's atom pair.
     """
     direct, indirect, valid = _assemble(config, mask, bath, [t], kernel_policy)
     return MetricTensor(float(t), direct[0], indirect[0], bool(valid[0]))
