@@ -95,21 +95,29 @@ def lattice_scales(a: float, bath: BathParams, n_nn: float) -> LatticeScales:
     t1 = kappa a^3 / sqrt(3 pi alpha N_nn)   (infinite when N_nn = 0: no
     crossover exists), a_c = (12 pi alpha N_nn)^(1/6) kappa^(-2/3),
     gamma = sqrt(alpha / 12 pi) kappa^2. t1 is reordered where a^3 overflows
-    or 3 pi alpha N_nn underflows to 0, and inf past the float range.
+    or 3 pi alpha N_nn underflows to 0, and inf past the float range; a_c and
+    gamma are reordered where 12 pi alpha N_nn or alpha / 12 pi is subnormal.
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError("spacing a must be finite and > 0")
     if not (math.isfinite(n_nn) and n_nn >= 0):
         raise ValueError("n_nn must be finite and >= 0")
     alpha, kappa = bath.alpha, bath.kappa
-    gamma = math.sqrt(alpha / (12.0 * math.pi)) * kappa**2
+    tiny = np.finfo(float).tiny
+    if alpha / (12.0 * math.pi) >= tiny:
+        gamma = math.sqrt(alpha / (12.0 * math.pi)) * kappa**2
+    else:
+        gamma = math.sqrt(alpha) / math.sqrt(12.0 * math.pi) * kappa**2
     if n_nn == 0.0:
         return LatticeScales(n_nn=0.0, t1=math.inf, a_c=0.0, gamma=gamma)
     try:
         t1 = kappa * a**3 / math.sqrt(3.0 * math.pi * alpha * n_nn)
     except (OverflowError, ZeroDivisionError):
         t1 = kappa / math.sqrt(3.0 * math.pi * n_nn) / math.sqrt(alpha) * a * a * a
-    a_c = (12.0 * math.pi * alpha * n_nn) ** (1.0 / 6.0) / kappa ** (2.0 / 3.0)
+    if 12.0 * math.pi * alpha * n_nn >= tiny:
+        a_c = (12.0 * math.pi * alpha * n_nn) ** (1.0 / 6.0) / kappa ** (2.0 / 3.0)
+    else:
+        a_c = (12.0 * math.pi) ** (1 / 6) * alpha ** (1 / 6) * n_nn ** (1 / 6) / kappa ** (2 / 3)
     return LatticeScales(n_nn=float(n_nn), t1=t1, a_c=a_c, gamma=gamma)
 
 

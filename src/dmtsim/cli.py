@@ -53,7 +53,7 @@ parameter only a kind that reads that key, and density only a gas without a
 fixed_count (a fixed-count gas draws the same atoms at every density).
 Sweep values need distinct {:g} labels, which name the CSVs.
 --seed-override replaces a gas seed and is a configuration error for a
-lattice or chain.
+lattice or chain, or outside the seed range, where it names [seed-override].
 
 Exit codes: 0 success, 1 configuration error (message names the offending
 key; a file that is not valid UTF-8 INI is reported as [scenario], a kappa
@@ -459,6 +459,10 @@ def run(
         if seed_override is not None:
             if scenario.geometry_kind != "gas":
                 raise ScenarioError("seed-override", "only gas geometry draws a seed")
+            try:  # GasSpec's seed rule, on a spec whose other fields are valid
+                GasSpec(density=1.0, exclusion_radius=1.0, horizon=2.0, seed=seed_override)
+            except GeometryError as exc:
+                raise ScenarioError("seed-override", str(exc)) from None
             params = {**scenario.geometry_params, "seed": seed_override}
             scenario = replace(scenario, geometry_params=params)
         variants = list(_sweep_variants(scenario))

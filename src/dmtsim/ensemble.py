@@ -11,8 +11,9 @@ r <= t: every other atom sits outside the sharp light cone and contributes
 exactly 0.
 The count rule is the GasSpec's own, checked when the spec is built; an
 n_samples that is not an integer >= 2, or a kernel_policy that is not a
-KernelPolicy member, is an EnsembleError raised before any draw. The
-analytic finite-range far-field average is the validation oracle.
+KernelPolicy member, is an EnsembleError raised before any draw, and so is a
+sample whose Phi_00 is not finite, once drawn. The analytic finite-range
+far-field average is the validation oracle.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def average_phi00(
     draws keep their order (count, then n radii, then n cosines), but
     FAR_FIELD evaluates phi only on the atoms with r <= t; every other atom
     contributes exactly 0 there. The closed form and the quadrature evaluate
-    every atom, since their phi is nonzero outside the light cone.
+    every atom, since their phi is nonzero outside the light cone. A sample
+    whose Phi_00 is not finite raises EnsembleError naming it.
     """
     if not (math.isfinite(t) and t >= 0):
         raise EnsembleError("time must be finite and >= 0")
@@ -97,8 +99,10 @@ def average_phi00(
     reach = _phi_reach(t, kernel_policy)
     for i in range(n_samples):
         r, cos_t = _geometry._shell_draws(spec, _sample_rng(spec.seed, i), reach)
-        phi = _phi(t, r, cos_t**2, bath, kernel_policy)
-        totals[i] = float(np.sum(phi**2))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked next
+            totals[i] = np.sum(_phi(t, r, cos_t**2, bath, kernel_policy) ** 2)
+        if not math.isfinite(totals[i]):
+            raise EnsembleError(f"Phi_00 of sample {i} is not finite at t = {t:g}")
     mean = float(totals.mean())
     std_error = float(totals.std(ddof=1) / math.sqrt(n_samples))
     return MCResult(mean=mean, std_error=std_error, n_samples=n_samples, seed=spec.seed)

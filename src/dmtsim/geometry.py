@@ -145,7 +145,7 @@ class GasSpec:
     count rule: an integer >= 0 fixes the atom number, None draws it from a
     Poisson law of mean density * (4 pi / 3)(H^3 - l^3), at most numpy's
     limit (about 9.2e18). A bool is refused as either integer. Every check
-    runs here; H^3 must be finite under both.
+    runs here; H^3 must be finite and l^3 normal under both.
     """
 
     density: float
@@ -170,6 +170,10 @@ class GasSpec:
             l3, h3 = float(self.exclusion_radius) ** 3, float(self.horizon) ** 3
         except OverflowError:
             raise GeometryError(f"horizon**3 overflows at horizon = {self.horizon:g}") from None
+        if l3 < np.finfo(float).tiny:  # subnormal or 0: gas_scales divides by l^3
+            raise GeometryError(
+                f"exclusion_radius**3 underflows at exclusion_radius = {self.exclusion_radius:g}"
+            )
         mean = self.density * 4.0 * math.pi / 3.0 * (h3 - l3)
         if count is None and not mean <= _POISSON_MEAN_MAX:
             raise GeometryError(
@@ -212,7 +216,8 @@ def square_lattice_2d(side: int, spacing: float, dipole_direction) -> tuple:
     if not (math.isfinite(spacing) and spacing > 0):
         raise GeometryError("spacing must be finite and > 0")
     half = (side - 1) // 2
-    coords = np.arange(-half, half + 1, dtype=float) * spacing
+    with np.errstate(over="ignore"):  # AtomConfig refuses positions that overflow
+        coords = np.arange(-half, half + 1, dtype=float) * spacing
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     pos = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(side * side)])
     center = (side * side - 1) // 2  # row-major index of (0, 0)
@@ -234,7 +239,8 @@ def chain_1d(count: int, spacing: float, dipole_angle: float) -> tuple:
     if not math.isfinite(dipole_angle):
         raise GeometryError("dipole_angle must be finite")
     center = count // 2
-    xs = (np.arange(count, dtype=float) - center) * spacing
+    with np.errstate(over="ignore"):  # AtomConfig refuses positions that overflow
+        xs = (np.arange(count, dtype=float) - center) * spacing
     pos = np.column_stack([xs, np.zeros(count), np.zeros(count)])
     u = np.array([math.cos(dipole_angle), math.sin(dipole_angle), 0.0])
     config = AtomConfig(pos, _normalized(u), label=f"chain{count}")

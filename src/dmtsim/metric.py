@@ -129,10 +129,11 @@ def _phi_gram(r_k, cos2_k, inverse, bath, times, policy) -> np.ndarray:
     out = np.empty((times.size, n, n))
     for start in range(0, times.size, step):
         block = times[start : start + step, None]
-        # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
-        # and so its last bits, then do not depend on the block's length
-        phi = np.take(_phi(block, r_k, cos2_k, bath, policy), inverse, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):  # _assemble reports non-finite M
+        # _assemble reports a non-finite M; where r^3 overflows, phi takes its limit 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
+            # and so its last bits, then do not depend on the block's length
+            phi = np.take(_phi(block, r_k, cos2_k, bath, policy), inverse, axis=1)
             out[start : start + step] = 2.0 * (phi @ phi.transpose(0, 2, 1))
     return out
 

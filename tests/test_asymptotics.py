@@ -154,6 +154,24 @@ class TestLatticeScales:
         direct = 0.1 * 1000.0**3 / math.sqrt(3.0 * math.pi * b.alpha * 4.634)
         assert lattice_scales(1000.0, b, 4.634).t1 == direct
 
+    def test_critical_spacing_and_rate_survive_subnormal_couplings(self):
+        # on the alpha = 5e-324 chain 12 pi alpha N_nn is subnormal and
+        # alpha / 12 pi underflows to 0; both scales match their logs
+        config, mask = chain_1d(3, 10.0, 0.9)
+        n_nn = effective_neighbors(config, mask)
+        tiny = BathParams(alpha=5e-324, kappa=0.1)
+        s = lattice_scales(10.0, tiny, n_nn)
+        logs = math.log(12.0 * math.pi) + math.log(5e-324) + math.log(n_nn)
+        a_c = math.exp(logs / 6.0 - 2.0 / 3.0 * math.log(0.1))
+        assert s.a_c == pytest.approx(a_c, rel=1e-12, abs=0.0)
+        logs = 0.5 * (math.log(5e-324) - math.log(12.0 * math.pi)) + 2.0 * math.log(0.1)
+        assert s.gamma == pytest.approx(math.exp(logs), rel=1e-12, abs=0.0)
+        # an ordinary coupling keeps the direct formulas' bits
+        b = bath(0.1)
+        s = lattice_scales(1000.0, b, 4.634)
+        assert s.a_c == (12.0 * math.pi * b.alpha * 4.634) ** (1.0 / 6.0) / 0.1 ** (2.0 / 3.0)
+        assert s.gamma == math.sqrt(b.alpha / (12.0 * math.pi)) * 0.1**2
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             lattice_scales(0.0, bath(), 1.0)

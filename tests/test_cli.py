@@ -677,7 +677,7 @@ prefix = wide
         assert run(path, out_dir=str(tmp_path / "out"), seed_override=-5) == 1
         assert main([path, "--seed-override", "-5", "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.count("config error: [geometry] seed must be") == 2
+        assert err.count("config error: [seed-override] seed must be") == 2
 
     def test_unknown_policy_is_a_config_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SMOKE)
@@ -689,6 +689,47 @@ prefix = wide
         out = tmp_path / "out"
         assert main([path, "--seed-override", "7", "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: [seed-override]")
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_override_outside_the_key_range_names_its_option(self, tmp_path, capsys, seed):
+        path = write_scenario(tmp_path, with_geometry(GEOMETRY["gas"]))
+        out = tmp_path / "out"
+        assert main([path, "--seed-override", seed, "--out-dir", str(out)]) == 1
+        message = f"[seed-override] seed must be an integer in [0, 2**64), got {seed}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_gas_exclusion_radius_whose_cube_underflows(self, tmp_path, capsys):
+        # l^3 = 0 used to reach gas_scales' division after the CSV was written
+        geometry = (
+            "kind = gas\ndensity = 0.0024\nexclusion_radius = 1e-300\nhorizon = 15.5\n"
+            "fixed_count = 4"
+        )
+        text = with_geometry(geometry, "\n[selection]\nindices = 3 0 4\n")
+        grid = "start = 1.85\nend = 9.2e5\npoints = 4"
+        text = text.replace("start = 1e-3\nend = 1e3\npoints = 13", grid)
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [geometry] exclusion_radius**3 underflows")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["closed", "farfield", "quadrature"])
+    def test_separations_whose_cube_leaves_the_float_range(self, tmp_path, capsys, policy):
+        # r^3 overflows at spacing 1e120, where phi takes its limit 0, and
+        # underflows to 0 at 1e-120, where M is not finite; neither warns
+        grid = "start = 1e-3\nend = 1e5\npoints = 5"
+        text = SMOKE.replace("start = 1e-3\nend = 1e3\npoints = 13", grid)
+        far = text.replace("side = 5\nspacing = 1000", "side = 3\nspacing = 1e120")
+        out = tmp_path / "far"
+        assert run(write_scenario(tmp_path, far), out_dir=str(out), policy=policy) == 0
+        assert np.all(read_csv(out / "smoke.csv")["d_indirect"] == 0.0)
+        near = text.replace("side = 5\nspacing = 1000", "side = 3\nspacing = 1e-120")
+        out = tmp_path / "near"
+        assert run(write_scenario(tmp_path, near, "near.ini"), out_dir=str(out), policy=policy) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical error: direct or indirect part of M is not finite at t = 0.001\n"
         assert not list(out.glob("*.csv"))
 
     def test_seed_override_equals_the_file_seed(self, tmp_path):

@@ -111,6 +111,14 @@ class TestMonteCarlo:
             average_phi00(spec(horizon=60.0), bath(), 20.0, 4, kernel_policy="farfield")
         assert draws == []
 
+    @pytest.mark.parametrize("policy", list(KernelPolicy))
+    def test_non_finite_sample_is_named(self, policy):
+        # phi ~ alpha = 1e300 squares past the float range in sample 0's sum
+        s = GasSpec(density=1e-3, exclusion_radius=10.0, horizon=40.0)
+        b = BathParams(alpha=1e300, kappa=0.1)
+        with pytest.raises(EnsembleError, match=r"sample 0 is not finite at t = 20$"):
+            average_phi00(s, b, 20.0, 4, policy)
+
     def test_seed_determinism(self):
         a = average_phi00(spec(seed=42), bath(), 20.0, 64)
         b_ = average_phi00(spec(seed=42), bath(), 20.0, 64)

@@ -120,6 +120,14 @@ class TestTypes:
         with pytest.raises(GeometryError, match="seed"):
             GasSpec(density=1e-6, exclusion_radius=1.0, horizon=10.0, seed=seed)
 
+    def test_gas_exclusion_radius_whose_cube_is_subnormal_rejected(self):
+        # gas_scales divides by l^3; a cube below the smallest normal float
+        # (l below about 2.8e-103) is refused where the spec is built
+        for radius in (1e-300, 2.8e-103):
+            with pytest.raises(GeometryError, match=r"exclusion_radius\*\*3 underflows"):
+                GasSpec(density=1e-3, exclusion_radius=radius, horizon=10.0)
+        GasSpec(density=1e-3, exclusion_radius=2.9e-103, horizon=10.0)
+
     def test_gas_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)):
             GasSpec(density=1e-6, exclusion_radius=1.0, horizon=10.0, seed=seed)
@@ -186,6 +194,11 @@ class TestLattice:
         dists = np.linalg.norm(others - center, axis=1)
         assert sorted(set(np.round(dists, 12))) == [1.0, pytest.approx(math.sqrt(2))]
 
+    def test_positions_past_the_float_range_rejected(self):
+        # 2 x 1.7e308 overflows where the coordinates are made
+        with pytest.raises(GeometryError, match="positions must be finite"):
+            square_lattice_2d(5, 1.7e308, (0, 0, 1))
+
     def test_single_site(self):
         config, mask = square_lattice_2d(1, 5.0, (0, 0, 1))
         assert len(config) == 1
@@ -233,6 +246,10 @@ class TestChain:
         assert mask.selected == (2,)
         xs = config.positions[:, 0]
         assert np.allclose(np.diff(xs), 2.0)
+
+    def test_positions_past_the_float_range_rejected(self):
+        with pytest.raises(GeometryError, match="positions must be finite"):
+            chain_1d(5, 1.7e308, 0.6)
 
     def test_single_atom(self):
         config, mask = chain_1d(1, 1.0, 0.0)

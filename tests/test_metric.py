@@ -344,6 +344,23 @@ class TestCurveEngine:
         with pytest.raises(QuadratureError, match=r"direct pair \(2,1\)"):
             _assemble(config, mask, b, [0.0, 1e7])
 
+    def test_warm_diagonal_over_budget_names_no_pair(self):
+        # kappa t / pi = 3.2e6 panels at r = 0: the diagonal has no pair
+        config, mask = chain_1d(1, 1e7, 0.3)
+        b = BathParams(alpha=ALPHA, kappa=1.0, inv_temperature=2.0)
+        with pytest.raises(QuadratureError, match=r"^oscillation count exceeds 262144 panels$"):
+            build_metric(config, mask, b, 1e7)
+
+    @pytest.mark.parametrize("selected, pair", [([0, 1], "(0,1)"), ([1, 0], "(1,0)")])
+    def test_warm_off_diagonal_over_budget_names_its_pair(self, selected, pair):
+        config, _ = chain_1d(2, 1e7, 0.3)
+        mask = SelectionMask.from_selected(2, selected)
+        b = BathParams(alpha=ALPHA, kappa=1.0, inv_temperature=2.0)
+        with pytest.raises(QuadratureError) as info:
+            build_metric(config, mask, b, 1.0)
+        assert str(info.value).startswith(f"direct pair {pair}: oscillation count exceeds")
+        assert info.value.achieved_error == math.inf
+
     def test_overflowing_gram_product_is_a_metric_error(self):
         # phi ~ alpha = 1e300 squares past the float range in the Gram product
         config, _ = chain_1d(3, 10.0, 0.3)
