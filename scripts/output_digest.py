@@ -166,6 +166,31 @@ spacing = linear
 prefix = warm
 """
 
+# three selected atoms to t = 1e11: the zero-temperature f off-diagonals at
+# times where a panel budget once stopped the curve
+LATE_CHAIN = """
+[bath]
+alpha = 0.0072973525693
+kappa = 1.0
+
+[geometry]
+kind = chain
+count = 6
+spacing = 100
+dipole_angle = 0.7
+
+[selection]
+indices = 1 2 3
+
+[time]
+start = 1e-3
+end = 1e11
+points = 57
+
+[output]
+prefix = late
+"""
+
 CODEWORD_INDICES = " ".join(str(i) for i in sorted(random.Random(0).sample(range(81), 40)))
 GAS_SWEEP = "\n[sweep]\nparameter = {}\nvalues = {}\n"
 GAS_DENSITY_SWEEP = "\n[selection]\nindices = 0 1 2\n" + GAS_SWEEP.format(
@@ -188,6 +213,7 @@ SCENARIOS = (
     ("gas_kappa", GAS.format(extra=GAS_KAPPA_SWEEP), "closed", None),
     ("warm_chain", WARM_CHAIN, "closed", None),
     ("gas_seed_override", GAS.format(extra=""), "closed", 7),
+    ("late_chain", LATE_CHAIN, "closed", None),
 )
 
 # Monte Carlo: about 110 atoms per sample, 29 of them inside the light cone

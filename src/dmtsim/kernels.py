@@ -17,16 +17,21 @@ derived from the transverse completeness identity sum_pol (u.eps)^2 =
 1 - (u.khat)^2; W(0) = 2/3 so the r = 0 F-kernel integral reproduces the
 coincident-point closed form exactly, which pins the (alpha/pi) prefactor.
 
-The diagonal f and the Si-based phi have closed forms; everything else goes
-through an oscillation-aware composite Gauss-Legendre quadrature over arrays
-of keys on a panel grid shared within each key block; reduced_quadrature is
-its one-key form. The closed phi form drops cutoff-edge oscillatory terms
-(sin kr, cos kr, kr cos kr); the quadrature keeps them, so the two agree
-only up to that known envelope. phi_exact adds them back: it is the closed
-form of the full radial integral, which the phi quadrature is checked
-against. _phi maps each KernelPolicy to its phi formula, for the scalar phis,
-the metric engine and the gas Monte Carlo alike, and _f a bath to its f
-formulas over the metric engine's pair-key table.
+At zero temperature f is closed, on and off the diagonal (the off-diagonal
+form in Si's sibling Cin, with short Gauss-Legendre integrals and a series
+in W's moments where its differences cancel), and so is phi in its Si-based
+form. A warm f has no closed form here: it goes through an
+oscillation-aware composite Gauss-Legendre quadrature over arrays of keys on
+a panel grid shared within each key block, with a panel budget that it
+exceeds past kappa (t + r) of about 8.2e5; reduced_quadrature is its one-key
+form and the oracle of every closed form. The closed phi form drops
+cutoff-edge oscillatory terms (sin kr, cos kr, kr cos kr); the quadrature
+keeps them, so the two agree only up to that known envelope. phi_exact adds
+them back: it is the closed form of the full radial integral, which the phi
+quadrature is checked against. _phi maps each KernelPolicy to its phi
+formula, for the scalar phis, the metric engine and the gas Monte Carlo
+alike, and _f a bath to its f formulas over the metric engine's pair-key
+table.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun as _specfun
 from .specfun import sine_integral
 
 __all__ = [
@@ -161,7 +167,8 @@ def _f_diag_array(t: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
         x = kappa * t
-    pref = 2.0 * alpha / (3.0 * math.pi)
+    # 2 alpha / 3 pi bit for bit, finite for every finite alpha
+    pref = 2.0 * (alpha / (3.0 * math.pi))
     out = np.zeros_like(t)
 
     small = (x < 0.5) & (x > 0)
@@ -172,7 +179,11 @@ def _f_diag_array(t: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
         for k in range(2, 10):
             series += ((-1) ** k) * (2 * k - 1) / math.factorial(2 * k) * power
             power *= xs2
-        out[small] = pref * kappa**2 * series
+        scale = pref * kappa**2
+        # the series underflows to 0 at tiny kappa t, so where the scale
+        # overflows, kappa^2 meets the series first
+        with np.errstate(over="ignore"):  # only an f past the float range
+            out[small] = scale * series if math.isfinite(scale) else pref * (kappa**2 * series)
     big = x >= 0.5
     if big.any():
         tb = t[big]
@@ -181,7 +192,8 @@ def _f_diag_array(t: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
         # t^2 overflows only the kappa^2/2 limit is left
         with np.errstate(over="ignore", invalid="ignore"):
             osc = (1.0 - np.cos(xb) - xb * np.sin(xb)) / tb**2
-        out[big] = pref * (kappa**2 / 2.0 + np.where(np.isfinite(xb), osc, 0.0))
+        with np.errstate(over="ignore"):  # only an f past the float range
+            out[big] = pref * (kappa**2 / 2.0 + np.where(np.isfinite(xb), osc, 0.0))
     return out
 
 
@@ -216,6 +228,251 @@ def f_diag(t, bath: BathParams):
     if arr.ndim == 0:
         return float(out[0])
     return out
+
+
+# -- f off the diagonal at zero temperature ---------------------------------
+#
+# With x = kappa r, h = kappa t and G(y) = (1 - cos y)/y, whose antiderivative
+# is Cin, integrating q W(qr) (1 - cos qt) over (0, kappa] (the j1 part by
+# parts, since (sin qr - qr cos qr)/q^2 = d/dq[-sin(qr)/q]) gives
+#
+#     f = (alpha kappa^2 / pi) [(1 - c2) D/(2x) + (3 c2 - 1) B/x^3],
+#     D = 2 G(x) - G(x + h) - G(x - h),
+#     B = -sin x (1 - cos h) + (h/2) [Cin(x + h) - Cin(|x - h|)].
+#
+# D is a second difference and the Cin bracket a first difference, so both
+# cancel where h or x is small; _second_difference turns them into short
+# integrals of G'' instead, and below x = _MOMENT_CUTOFF a series in W's
+# moments takes over.
+
+_GL_SHORT = np.polynomial.legendre.leggauss(12)
+_SHORT = 2.0  # widths up to which _second_difference integrates
+_G2_SERIES_CUTOFF = 1.0
+_MOMENT_CUTOFF = 0.5  # kappa r below which f is W's moment series
+_MOMENT_TERMS = 8  # powers x^0 .. x^14 of W: x^16/17! < 1e-19 at x = 0.5
+_MOMENT_SERIES_TERMS = 13  # powers h^2 .. h^26: h^28/28! < 1e-20 at h = 2
+_LOG_CUTOFF = 40.0  # Cin differences of arguments past this take the log route
+
+
+def _g(y: np.ndarray) -> np.ndarray:
+    """G(y) = (1 - cos y)/y = 2 sin^2(y/2)/y, with G(0) = 0."""
+    y = np.asarray(y, dtype=float)
+    return np.divide(2.0 * np.sin(0.5 * y) ** 2, y, out=np.zeros_like(y), where=y != 0)
+
+
+def _g2_pair(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """G''(c + u) + G''(c - u), with G''(y) = (cos y - 2 sin(y)/y
+    + 2 (1 - cos y)/y^2)/y, odd. The sine and cosine of c +- u come from
+    angle addition, so a large center keeps the phase of c itself: its O(1)
+    oscillations in B then cancel those of sin x (1 - cos h) exactly. Below
+    |y| = 1, where the closed form cancels, G'' is its odd Maclaurin series
+    sum_{k>=2} (-1)^(k+1) (2k-1)(2k-2) y^(2k-3)/(2k)! (ten terms reach 4e-19).
+    """
+    sin_c, cos_c, sin_u, cos_u = np.sin(c), np.cos(c), np.sin(u), np.cos(u)
+    total = 0.0
+    for sign in (1.0, -1.0):
+        y = c + sign * u
+        small = np.abs(y) < _G2_SERIES_CUTOFF
+        g2 = np.empty_like(y)
+        if small.any():
+            ys = y[small]
+            y2 = ys * ys
+            power = ys.copy()  # y^(2k-3)
+            series = np.zeros_like(ys)
+            for k in range(2, 12):
+                coefficient = (-1) ** (k + 1) * (2 * k - 1) * (2 * k - 2) / math.factorial(2 * k)
+                series += coefficient * power
+                power *= y2
+            g2[small] = series
+        big = ~small
+        if big.any():
+            sin_y = (sin_c * cos_u + sign * cos_c * sin_u)[big]
+            cos_y = (cos_c * cos_u - sign * sin_c * sin_u)[big]
+            yb = y[big]
+            g2[big] = (cos_y - 2.0 * sin_y / yb + 2.0 * (1.0 - cos_y) / yb / yb) / yb
+        total = total + g2
+    return total
+
+
+def _second_difference(pair, c, w, order: int) -> np.ndarray:
+    """int_0^w (w - u)^order / order! pair(c, u) du over arrays of centers c
+    and widths 0 <= w <= _SHORT, by 12-point Gauss-Legendre, where
+    pair(c, u) = F''(c + u) + F''(c - u).
+
+    Order 1 is F(c + w) + F(c - w) - 2 F(c), minus the second difference,
+    and order 2 is P(c + w) - P(c - w) - 2 w P'(c) for an antiderivative P
+    of F: Taylor remainders that the direct differences lose to cancellation
+    when w is small. The integrand is entire and oscillates with period 2 pi
+    in u, so 12 nodes over a width of 2 leave truncation near 1e-20.
+    """
+    c, w = np.asarray(c, dtype=float), np.asarray(w, dtype=float)
+    xi, weight = _GL_SHORT
+    u = 0.5 * w[:, None] * (1.0 + xi)
+    values = (w[:, None] - u) ** order / math.factorial(order) * pair(c[:, None], u)
+    total = np.zeros_like(w)
+    for k in range(xi.size):  # node by node: the same bits at any array length
+        total += weight[k] * values[:, k]
+    return 0.5 * w * total
+
+
+def _x_minus_sin(x: np.ndarray) -> np.ndarray:
+    """x - sin x, by its Maclaurin series sum_{k>=1} (-1)^(k+1) x^(2k+1)/(2k+1)!
+    below |x| = 1 (nine terms reach 1e-19 relative)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < 1.0
+    if small.any():
+        xs = x[small]
+        x2 = xs * xs
+        term = xs * x2 / 6.0
+        total = term.copy()
+        for k in range(2, 10):
+            term *= -x2 / ((2 * k) * (2 * k + 1))
+            total += term
+        out[small] = total
+    out[~small] = x[~small] - np.sin(x[~small])
+    return out
+
+
+def _cin_difference(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Cin(x + h) - Cin(|x - h|) for x, h > 0.
+
+    Where |x - h| >= _LOG_CUTOFF it is, with Cin(y) = gamma + ln y - Ci(y)
+    and Ci = f_aux sin - g_aux cos, log1p(2 min(x, h)/|x - h|) - Ci(x + h)
+    + Ci(|x - h|): no loss to Cin's ln growth, and the sines and cosines of
+    x +- h come from angle addition, so that h/2 times their O(1/h)
+    oscillation cancels sin x (1 - cos h) in B at the phase of h itself.
+    """
+    plus, minus = x + h, np.abs(x - h)
+    out = np.empty_like(plus)
+    far = minus >= _LOG_CUTOFF
+    if far.any():
+        xf, hf = x[far], h[far]
+        sin_x, cos_x, sin_h, cos_h = np.sin(xf), np.cos(xf), np.sin(hf), np.cos(hf)
+        sign = np.sign(xf - hf)
+        ci = []
+        for y, sin_y, cos_y in (
+            (plus[far], sin_x * cos_h + cos_x * sin_h, cos_x * cos_h - sin_x * sin_h),
+            (minus[far], sign * (sin_x * cos_h - cos_x * sin_h), cos_x * cos_h + sin_x * sin_h),
+        ):
+            with np.errstate(over="ignore"):  # past 1.3e154 g_aux underflows to 0
+                f_aux, g_aux = _specfun._auxiliary(y)
+            ci.append(f_aux * sin_y - g_aux * cos_y)
+        out[far] = np.log1p(2.0 * np.minimum(xf, hf) / minus[far]) - ci[0] + ci[1]
+    near = ~far
+    if near.any():
+        out[near] = _specfun._cin(plus[near]) - _specfun._cin(minus[near])
+    return out
+
+
+def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """f pi / (alpha kappa^2) for x = kappa r <= _MOMENT_CUTOFF as
+    sum_k w_k x^(2k) M_k(h), with W(y) = sum_k w_k y^(2k) and the moments
+    M_k(h) = int_0^1 s^(2k+1) (1 - cos sh) ds.
+
+    M_k is its own Maclaurin series in h up to h = 2 and
+    1/(2k+2) - int_0^1 s^(2k+1) cos(sh) ds beyond, the integral by upward
+    recurrence, which amplifies rounding by at most n!/h^n in the n-th
+    moment: 4e7 at n = 15, h = 2, against a weight x^14/15! of 5e-17.
+    """
+    total = np.zeros_like(x)
+    x2 = x * x
+    power = np.ones_like(x)  # x^(2k)
+    moments = np.zeros((_MOMENT_TERMS,) + x.shape)
+    low = h <= 2.0
+    if low.any():
+        hl2 = h[low] ** 2
+        term = np.ones_like(hl2)  # (-1)^(j+1) h^(2j)/(2j)!
+        for j in range(1, _MOMENT_SERIES_TERMS + 1):
+            term *= (1.0 if j == 1 else -1.0) * hl2 / ((2 * j - 1) * (2 * j))
+            for k in range(_MOMENT_TERMS):
+                moments[k, low] += term / (2 * k + 2 * j + 2)
+    high = ~low
+    if high.any():
+        hh = h[high]
+        sin_h, cos_h = np.sin(hh) / hh, np.cos(hh) / hh
+        cos_n, sin_n = sin_h, 2.0 * np.sin(0.5 * hh) ** 2 / hh  # n = 0
+        for n in range(1, 2 * _MOMENT_TERMS):
+            cos_n, sin_n = sin_h - n / hh * sin_n, -cos_h + n / hh * cos_n
+            if n % 2:
+                moments[n // 2, high] = 1.0 / (n + 1) - cos_n
+    for k in range(_MOMENT_TERMS):
+        w_k = (-1) ** k * (
+            (1.0 - c2) / math.factorial(2 * k + 1)
+            + (3.0 * c2 - 1.0) * (2 * k + 2) / math.factorial(2 * k + 3)
+        )
+        total += w_k * power * moments[k]
+        power *= x2
+    return total
+
+
+def _f_shape(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """f pi / (alpha kappa^2) at x = kappa r > 0 and h = kappa t > 0 over
+    flat arrays, from the closed form above; h = inf is the late limit
+    (1 - c2) G(x)/x + (3 c2 - 1)(x - sin x)/x^3.
+
+    Routes: W's moment series below x = _MOMENT_CUTOFF. Otherwise D is
+    _second_difference (order 1, center x, width h) for h <= _SHORT and
+    direct beyond. B, writing E for the Cin bracket and T(c, w) for
+    _second_difference(G'', c, w, 2), so that E = 2 w G(c) + T(c, w):
+    h^2 G(x) - sin x (1 - cos h) + (h/2) T(x, h) where h <= min(x, _SHORT),
+    else (x - sin x)(1 - cos h) + (h/2) T(h, x) where x <= _SHORT (no
+    cancellation left there), else the direct form with _cin_difference.
+    """
+    out = np.empty_like(x)
+    late = np.isinf(h)
+    if late.any():
+        xl, cl = x[late], c2[late]
+        out[late] = (1.0 - cl) * _g(xl) / xl + (3.0 * cl - 1.0) * (_x_minus_sin(xl) / xl) / xl / xl
+    small = ~late & (x <= _MOMENT_CUTOFF)
+    if small.any():
+        out[small] = _moment_series(x[small], h[small], c2[small])
+    main = ~late & ~small
+    if main.any():
+        x, h, c2 = x[main], h[main], c2[main]
+        one_minus_cos = 2.0 * np.sin(0.5 * h) ** 2
+        d = np.empty_like(x)
+        short = h <= _SHORT
+        if short.any():
+            d[short] = -_second_difference(_g2_pair, x[short], h[short], 1)
+        if (~short).any():
+            xs, hs = x[~short], h[~short]
+            d[~short] = 2.0 * _g(xs) - _g(xs + hs) - _g(xs - hs)
+        b = np.empty_like(x)
+        brief = short & (h <= x)  # width h about center x
+        if brief.any():
+            xb, hb = x[brief], h[brief]
+            b[brief] = (
+                hb * hb * _g(xb)
+                - np.sin(xb) * one_minus_cos[brief]
+                + 0.5 * hb * _second_difference(_g2_pair, xb, hb, 2)
+            )
+        near = ~brief & (x <= _SHORT)  # width x about center h
+        if near.any():
+            xn, hn = x[near], h[near]
+            b[near] = _x_minus_sin(xn) * one_minus_cos[near] + 0.5 * hn * _second_difference(
+                _g2_pair, hn, xn, 2
+            )
+        wide = ~brief & ~near
+        if wide.any():
+            xw, hw = x[wide], h[wide]
+            b[wide] = -np.sin(xw) * one_minus_cos[wide] + 0.5 * hw * _cin_difference(xw, hw)
+        out[main] = (1.0 - c2) * d / (2.0 * x) + (3.0 * c2 - 1.0) * (b / x) / x / x
+    return out
+
+
+def _f_closed_rt(t, r, c2, alpha: float, kappa: float) -> np.ndarray:
+    """Zero-temperature f over broadcastable arrays of t > 0 and (r > 0,
+    c2 = cos^2 theta): alpha/pi times (kappa^2 times _f_shape), the order
+    _f_diag_array takes where its scale overflows, so that only an f past
+    the float range overflows. Where kappa t overflows, f takes its late
+    limit."""
+    t, r, c2 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, r, c2)))
+    with np.errstate(over="ignore"):  # kappa t = inf is the late limit
+        h = kappa * t
+    shape = _f_shape((kappa * r).ravel(), h.ravel(), c2.ravel())
+    with np.errstate(over="ignore"):  # only an f past the float range
+        return alpha / math.pi * (kappa**2 * shape).reshape(t.shape)
 
 
 def _phi_closed_rt(t, r, c2, alpha: float, kappa: float):
@@ -386,19 +643,7 @@ def _time_factor(q: np.ndarray, t: float, kernel: TimeKernel, beta) -> np.ndarra
         if beta is not None:
             val = val / np.tanh(0.5 * beta * q)
         return val
-    # PHI: 2 (qt - sin qt); series below x = 0.1 where the difference is
-    # cubically small and the direct form loses digits
-    x = q * t
-    out = np.empty_like(x)
-    small = np.abs(x) < 0.1
-    if small.any():
-        xs = x[small]
-        x2 = xs * xs
-        out[small] = xs * x2 / 6.0 * (1.0 - x2 / 20.0 + x2**2 / 840.0 - x2**3 / 60480.0)
-    big = ~small
-    if big.any():
-        out[big] = x[big] - np.sin(x[big])
-    return 2.0 * out
+    return 2.0 * _x_minus_sin(q * t)
 
 
 def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float, pairs=None):
@@ -419,6 +664,9 @@ def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float,
     values, errors = np.zeros(r.size), np.full(r.size, math.inf)
     with np.errstate(over="ignore"):  # an infinite count is over budget below
         need = np.maximum(8.0, np.ceil(bath.kappa * (t + r) / math.pi))
+    # any count past the budget fails alike; capping it keeps the block
+    # widths below from overflowing
+    need = np.minimum(need, 2.0 * _MAX_PANELS)
     prefactor = bath.alpha / math.pi
     start = 0
     while start < r.size:
@@ -458,26 +706,31 @@ def _f(times, r, c2, bath: BathParams, pairs) -> np.ndarray:
     """f at each positive time over a key table of (r, c2 = cos^2 theta),
     shape (T, K); key 0 is r = 0 and pairs[:, k] names key k's atom pair.
 
-    Key 0 is the closed _f_diag_array at zero temperature, otherwise a
-    quadrature at tol 1e-10, repeated at 1e-11 of its value. The keys at
-    r > 0 take one batched quadrature per time at 1e-11 of key 0, so
-    quadrature noise cannot drown the block's positive semidefiniteness.
+    At zero temperature f is closed throughout: key 0 is _f_diag_array and
+    the keys at r > 0 are _f_closed_rt over the whole table at once, with no
+    quadrature. A warm bath has no closed f here: key 0 is a quadrature at an
+    absolute tol of 1e-10 (or 1e-10 alpha kappa^2 where that is larger, so
+    the first pass scales with the bath), repeated at 1e-11 of its value, and
+    the keys at r > 0 take one batched quadrature per time at 1e-11 of key 0,
+    so quadrature noise cannot drown the block's positive semidefiniteness.
     """
-    f = np.zeros((times.size, r.size))
-    warm = bath.inv_temperature is not None
-    if not warm:
+    if bath.inv_temperature is None:
+        f = np.empty((times.size, r.size))
         f[:, 0] = _f_diag_array(times, bath.alpha, bath.kappa)
-    if warm or r.size > 1:
-        kernel = TimeKernel.F_KERNEL
-        for row, t in enumerate(times):
-            if warm:
-                (diag,) = _quadrature_rt(t, r[:1], c2[:1], bath, kernel, 1e-10)
-                if diag > 0:
-                    tol = max(1e-11 * diag, 1e-18)
-                    (diag,) = _quadrature_rt(t, r[:1], c2[:1], bath, kernel, tol)
-                f[row, 0] = diag
-            tol = max(1e-11 * f[row, 0], 1e-300)
-            f[row, 1:] = _quadrature_rt(t, r[1:], c2[1:], bath, kernel, tol, pairs[:, 1:])
+        if r.size > 1:  # one selected atom, as in the lattice figure, has none
+            f[:, 1:] = _f_closed_rt(times[:, None], r[1:], c2[1:], bath.alpha, bath.kappa)
+        return f
+    f = np.zeros((times.size, r.size))
+    kernel = TimeKernel.F_KERNEL
+    first_tol = 1e-10 * max(1.0, bath.alpha * bath.kappa**2)
+    for row, t in enumerate(times):
+        (diag,) = _quadrature_rt(t, r[:1], c2[:1], bath, kernel, first_tol)
+        if diag > 0:
+            tol = max(1e-11 * diag, 1e-18)
+            (diag,) = _quadrature_rt(t, r[:1], c2[:1], bath, kernel, tol)
+        f[row, 0] = diag
+        tol = max(1e-11 * diag, 1e-300)
+        f[row, 1:] = _quadrature_rt(t, r[1:], c2[1:], bath, kernel, tol, pairs[:, 1:])
     return f
 
 

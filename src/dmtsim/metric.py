@@ -173,7 +173,9 @@ def _assemble(
     indirect = np.zeros((times.size, n, n))
     live = times > 0.0
     if live.any():
-        direct[live] = 4.0 * _f_stack(config, mask, bath, times[live])
+        f = _f_stack(config, mask, bath, times[live])
+        with np.errstate(over="ignore"):  # a non-finite M is reported below
+            direct[live] = 4.0 * f
         if r_k.size:
             indirect[live] = _phi_gram(r_k, cos2_k, inverse, bath, times[live], kernel_policy)
     bad = ~(np.isfinite(direct) & np.isfinite(indirect)).all(axis=(1, 2))
@@ -197,15 +199,16 @@ def build_metric(
     kept, evaluated in closed form and checked against reduced_quadrature.
     Both parts come from the key tables of their pair blocks. Key 0 of the
     selected block (r = 0) is the diagonal and every coincident selected
-    pair, so coincident selected atoms get identical kernel rows; its f is
-    closed at zero temperature and a quadrature otherwise, and the keys at
-    r > 0 take one batched quadrature at a tolerance tied to the diagonal.
+    pair, so coincident selected atoms get identical kernel rows. At zero
+    temperature every f is closed, so no panel budget limits t; under a warm
+    bath key 0 is a quadrature and the keys at r > 0 take one batched
+    quadrature at a tolerance tied to the diagonal.
     A selected-unobserved coincidence is rejected because phi diverges
     there, and so are a separation that overflows, a mask built for another
     atom count than len(config), and an M that is not finite.
 
     This is the one-time slice of the curve engine that the CLI runs over a
-    whole time grid, so it equals that curve's row at t bit for bit. A
+    whole time grid, so it equals that curve's row at t bit for bit. A warm
     quadrature that misses its tolerance raises QuadratureError naming the
     key's atom pair.
     """

@@ -115,3 +115,34 @@ def scipy_radial_integral(t, r, theta, bath, kernel: str):
         val, _ = scipy.integrate.quad(integrand, lo, hi, limit=200)
         total += val
     return bath.alpha / math.pi * total
+
+
+def cold_f_quadrature(t: float, geom, bath, diag: float) -> float:
+    """Zero-temperature f at a pair by reduced_quadrature at tol 1e-14 x diag,
+    the diagonal f(t, 0): the oracle of the closed off-diagonal form.
+
+    The quadrature's error estimate has a rounding floor: W's trig form
+    cancels at small q r (about 1.2e-14 of f near kappa r = 0.1 with
+    cos^2 theta = 1), and the rounding of q t grows with kappa t (8.5e-14
+    at kappa t = 1e4, 6e-13 at 1e5). Where the floor lies above the tol but
+    below 1e-13 x diag the value is taken at that floor; above it the oracle
+    does not run and None is returned. The panel budget is 2^14 here: these
+    integrands converge within a doubling of their oscillation count (at
+    most 6,400 panels wherever the tests call this), so a stall that doubled
+    on to the library's 262,144 panels would only repeat the noise.
+    """
+    from dmtsim import kernels
+    from dmtsim.kernels import QuadratureError, TimeKernel, reduced_quadrature
+
+    budget, kernels._MAX_PANELS = kernels._MAX_PANELS, 2**14
+    try:
+        try:
+            return reduced_quadrature(
+                t, geom, bath, TimeKernel.F_KERNEL, tol=max(1e-14 * diag, 1e-300)
+            )
+        except QuadratureError as err:
+            if not err.achieved_error <= 1e-13 * diag:
+                return None
+            return reduced_quadrature(t, geom, bath, TimeKernel.F_KERNEL, tol=err.achieved_error)
+    finally:
+        kernels._MAX_PANELS = budget

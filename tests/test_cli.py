@@ -21,6 +21,9 @@ from dmtsim.cli import (
     parse_scenario,
     run,
 )
+from dmtsim.geometry import SelectionMask, chain_1d
+from dmtsim.kernels import BathParams
+from dmtsim.metric import _assemble
 
 ALPHA = 1.0 / 137.036
 MAGIC_ANGLE = math.acos(1.0 / math.sqrt(3.0))
@@ -402,10 +405,13 @@ prefix = cloud
         assert "config error:" in capsys.readouterr().err
 
     def test_quadrature_budget_exhaustion_is_a_numerical_error(self, tmp_path, capsys):
+        # only a warm f runs the quadrature: at t = 1 the diagonal fits the
+        # panel budget and the pair at 1e7 does not
         text = """
 [bath]
 alpha = 0.0072973525693
 kappa = 1.0
+inv_temperature = 2
 
 [geometry]
 kind = chain
@@ -417,14 +423,38 @@ dipole_angle = 0.3
 indices = 0 1
 
 [time]
-start = 1e6
-end = 1e7
+start = 1
+end = 10
 points = 2
 """
         path = write_scenario(tmp_path, text)
         assert run(path, out_dir=str(tmp_path / "out"), policy="quadrature") == 2
         err = capsys.readouterr().err
         assert "numerical error: quadrature budget exhausted" in err
+
+    def test_late_chain_runs_past_the_old_panel_budget(self, tmp_path):
+        # three selected atoms to t = 1e11 at kappa 1: the zero-temperature f
+        # off-diagonals are closed, where a quadrature ran out of panels past
+        # t ~ 8.2e5; tier-1 turns any numpy RuntimeWarning into a failure
+        text = with_geometry(
+            "kind = chain\ncount = 6\nspacing = 100\ndipole_angle = 0.7",
+            "\n[selection]\nindices = 1 2 3\n",
+        )
+        text = text.replace("kappa = 0.1", "kappa = 1.0").replace(
+            "end = 1e3\npoints = 13", "end = 1e11\npoints = 57"
+        )
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 0
+        csv = read_csv(out / "smoke.csv")
+        assert csv["t"][-1] == 1e11
+        assert np.all(np.isfinite(csv["d_direct"])) and np.all(csv["d_direct"] > 0)
+        # by t = 1e11 every f entry has settled on its late limit; the three
+        # selected atoms alone carry the same pairs, with no phi to overflow
+        config, _ = chain_1d(3, 100.0, 0.7)
+        mask = SelectionMask.from_selected(3, [0, 1, 2])
+        bath = BathParams(alpha=0.0072973525693, kappa=1.0)
+        direct, _, _ = _assemble(config, mask, bath, [1e300])
+        assert csv["d_direct"][-1] == pytest.approx(direct.sum(), rel=1e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -547,8 +577,22 @@ points = 5
                 2,
                 "numerical error: direct or indirect part of M is not finite at t = ",
             ),
-            # kappa (t + r) overflows the direct pair's panel count at the
-            # last time: over budget, with no numpy warning
+            # a warm bath: the direct pair's panel count is over budget at
+            # t = 1, where the diagonal fits, with no numpy warning
+            (
+                with_geometry(
+                    "kind = chain\ncount = 3\nspacing = 1e7\ndipole_angle = 0.2",
+                    "\n[selection]\nindices = 0 1\n",
+                )
+                .replace("kappa = 0.1", "kappa = 1000\ninv_temperature = 2")
+                .replace("start = 1e-3", "start = 1")
+                .replace("end = 1e3\npoints = 13", "end = 1.7e308\npoints = 2"),
+                2,
+                "numerical error: quadrature budget exhausted (achieved error inf): "
+                "direct pair (0,1): oscillation count exceeds 262144 panels",
+            ),
+            # zero temperature: kappa t overflows at the last time; f takes its
+            # late limit with no numpy warning, then Si meets kappa (r + t)
             (
                 with_geometry(
                     "kind = chain\ncount = 3\nspacing = 10\ndipole_angle = 0.2",
@@ -558,8 +602,7 @@ points = 5
                 .replace("start = 1e-3", "start = 1")
                 .replace("end = 1e3\npoints = 13", "end = 1.7e308\npoints = 2"),
                 2,
-                "numerical error: quadrature budget exhausted (achieved error inf): "
-                "direct pair (0,1): oscillation count exceeds 262144 panels",
+                "numerical error: sine_integral requires finite input",
             ),
             # distinct atoms whose squared separation underflows are not a
             # coincidence
@@ -572,7 +615,8 @@ points = 5
         ids=[
             "horizon", "exclusion_radius", "tilt", "lattice_kappa", "gas_kappa", "kappa_sweep",
             "nul_prefix", "nul_directory", "dipole_overflow", "dipole_underflow",
-            "selected_separation", "gram", "panel_count", "separation_underflow",
+            "selected_separation", "gram", "panel_count", "cold_kappa_t_overflow",
+            "separation_underflow",
         ],
     )
     def test_overflow_and_nul_byte_inputs_exit_cleanly(self, tmp_path, text, code, prefix):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import phi_osc_correction, phi_reference, scipy_radial_integral
+from conftest import cold_f_quadrature, phi_osc_correction, phi_reference, scipy_radial_integral
+from data.cin_reference import F_REFERENCE
 from dmtsim.kernels import (
+    _f_closed_rt,
+    _second_difference,
     BathParams,
     KernelDomainError,
     PairGeometry,
@@ -365,3 +369,107 @@ class TestFOffdiag:
             12.0, PairGeometry(r=30.0, theta=math.pi - 0.3), b, TimeKernel.F_KERNEL, tol=1e-13
         )
         assert a == pytest.approx(c, rel=1e-9)
+
+
+def _cos2(theta):
+    return math.cos(theta) ** 2
+
+
+class TestFClosed:
+    """The zero-temperature f off the diagonal in closed form, against the
+    radial quadrature (conftest.cold_f_quadrature, tol 1e-14 of f(t, 0))
+    wherever that runs, and against frozen mpmath values beyond."""
+
+    B = BathParams(alpha=ALPHA, kappa=1.0)  # so kappa r = r and kappa t = t
+
+    def closed(self, t, r, c2, b=B):
+        return float(_f_closed_rt(t, r, c2, b.alpha, b.kappa))
+
+    def test_matches_quadrature_on_grid(self):
+        # the quadrature's floor grows with kappa t (the rounding of q t): it
+        # is 8.5e-14 of f(t, 0) at 1e4 and 6e-13 at 1e5, past the oracle's
+        # reach, so the grid stops at 1e4; F_REFERENCE goes on to 1e11
+        compared = 0
+        for r in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+            for t in (1e-6, 1e-4, 1e-2, 1.0, 2.0, 10.0, 100.0, 1e3, 1e4, r):
+                diag = f_diag(t, self.B)
+                for theta in (math.pi / 2, MAGIC, math.pi / 4, 0.0):
+                    want = cold_f_quadrature(t, PairGeometry(r, theta), self.B, diag)
+                    if want is None:
+                        continue
+                    got = self.closed(t, r, _cos2(theta))
+                    assert abs(got - want) <= 1e-12 * diag, (r, t, theta)
+                    compared += 1
+        assert compared == 8 * 10 * 4
+
+    def test_matches_frozen_mpmath_values(self):
+        # F = f pi / (alpha kappa^2): alpha = pi and kappa = 1 give F itself
+        for x, h, c2, want in F_REFERENCE:
+            got = float(_f_closed_rt(h, x, c2, math.pi, 1.0))
+            scale = f_diag(h, BathParams(alpha=math.pi, kappa=1.0))
+            assert abs(got - want) <= 1e-13 * scale, (x, h, c2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_r=st.floats(-3.0, 4.0),
+        gap=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6), st.floats(-0.5, 2.0)),
+        theta=st.one_of(st.just(MAGIC), st.floats(0.0, math.pi)),
+        kappa=st.floats(0.05, 1.0),
+    )
+    def test_near_the_light_cone_and_far_out(self, log_r, gap, theta, kappa):
+        # t = r (1 + gap): t = r exactly, t ~ r, and a spread around it; r up
+        # to 1e4 / kappa; the magic angle, where only the j0 part is left
+        b = BathParams(alpha=ALPHA, kappa=kappa)
+        r = 10.0**log_r / kappa
+        t = r * (1.0 + gap)
+        assume(t > 0.0 and kappa * t <= 1e3)
+        diag = f_diag(t, b)
+        want = cold_f_quadrature(t, PairGeometry(r, theta), b, diag)
+        assume(want is not None)
+        assert abs(self.closed(t, r, _cos2(theta), b) - want) <= 1e-12 * diag
+
+    def test_tends_to_the_diagonal(self):
+        t = np.geomspace(1e-6, 1e11, 35)
+        for theta in (0.0, MAGIC, 1.2):
+            got = _f_closed_rt(t, 1e-9, _cos2(theta), ALPHA, 1.0)
+            np.testing.assert_allclose(got, f_diag(t, self.B), rtol=1e-15, atol=0.0)
+
+    def test_late_limit_where_kappa_t_overflows(self):
+        # f -> (alpha/pi) int_0^kappa q W(q r) dq, the cos qt part averaging
+        # out; a 40-point Gauss-Legendre rule per radian of q r is a second
+        # route to that smooth integral
+        b = BathParams(alpha=ALPHA, kappa=10.0)
+        xi, weight = np.polynomial.legendre.leggauss(40)
+        for r, theta in ((0.03, 0.4), (0.7, 0.0), (5.0, MAGIC), (300.0, 1.3)):
+            c2 = _cos2(theta)
+            edges = np.linspace(0.0, b.kappa, int(b.kappa * r) + 2)
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+            q = (mid[:, None] + half[:, None] * xi).ravel()
+            x = q * r
+            j0 = np.sin(x) / x
+            series = 1 / 3 - x**2 / 30 + x**4 / 840 - x**6 / 45360 + x**8 / 3991680
+            j1x = np.where(x > 0.05, (np.sin(x) - x * np.cos(x)) / x**3, series)
+            integrand = (q * ((1.0 - c2) * j0 + (3.0 * c2 - 1.0) * j1x)).reshape(-1, xi.size)
+            want = ALPHA / math.pi * float(np.sum((integrand @ weight) * half))
+            late = self.closed(1e308, r, c2, b)  # kappa t = 1e309 overflows
+            assert late == pytest.approx(want, rel=1e-12, abs=1e-13 * f_diag(1e308, b))
+            # a finite kappa t far out joins the limit
+            assert self.closed(1e300, r, c2, b) == pytest.approx(late, rel=1e-12)
+
+    def test_second_difference_helper(self):
+        # F = sin, F'' = -sin: F(c + w) + F(c - w) - 2 F(c) = -2 sin c (1 - cos w)
+        # = -4 sin c sin^2(w/2), to full relative accuracy at small w
+        def pair(c, u):
+            return -np.sin(c + u) - np.sin(c - u)
+
+        c = np.array([0.3, 2.0, 1e4, 7.0, 0.01])
+        w = np.array([1e-7, 1e-3, 0.5, 2.0, 1.3])
+        got = _second_difference(pair, c, w, 1)
+        np.testing.assert_allclose(got, -4.0 * np.sin(c) * np.sin(0.5 * w) ** 2, rtol=1e-14)
+        # order 2 with P' = F = sin, P = -cos: P(c + w) - P(c - w) - 2 w P'(c)
+        # = -2 sin c (w - sin w), the bracket summed as its Maclaurin series
+        w_minus_sin = sum(
+            (-1) ** (k + 1) * w ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(1, 20)
+        )
+        got = _second_difference(pair, c, w, 2)
+        np.testing.assert_allclose(got, -2.0 * np.sin(c) * w_minus_sin, rtol=1e-14)

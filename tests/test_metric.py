@@ -3,9 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from conftest import pair_geometry
+from conftest import cold_f_quadrature, pair_geometry
 from hypothesis import given, settings, strategies as st
 
+from dmtsim import kernels
 from dmtsim.asymptotics import effective_neighbors
 from dmtsim.geometry import (
     AtomConfig,
@@ -169,14 +170,6 @@ class TestBuildMetric:
             build_metric(config, mask, bath(), 1.0)
         assert "0" in str(exc_info.value) and "1" in str(exc_info.value)
 
-    def test_kernel_error_carries_pair_indices(self):
-        config, _ = chain_1d(2, 1e7, 0.3)
-        mask = SelectionMask.from_selected(2, [0, 1])
-        b = BathParams(alpha=ALPHA, kappa=1.0)
-        with pytest.raises(QuadratureError) as exc_info:
-            build_metric(config, mask, b, 1e7, kernel_policy=KernelPolicy.QUADRATURE)
-        assert "pair" in str(exc_info.value)
-
     def test_mask_out_of_range_rejected(self):
         config, _ = chain_1d(3, 1.0, 0.0)
         mask = SelectionMask.from_selected(6, (5,))
@@ -210,8 +203,10 @@ def _f_oracle(t, geom, b, tol):
 
 
 def oracle_metric(config, mask, b, t, policy):
-    """(direct, indirect, valid) at one t from scalar kernels, pair by pair,
-    with build_metric's documented quadrature tolerances."""
+    """(direct, indirect, valid) at one t from scalar kernels, pair by pair:
+    a warm f with build_metric's documented quadrature tolerances, a cold
+    off-diagonal f by the quadrature at 1e-14 of the diagonal
+    (conftest.cold_f_quadrature; every pair here is within its reach)."""
     sel, unobs = list(mask.selected), list(mask.unobserved)
     n = len(sel)
     if t == 0.0:
@@ -229,7 +224,10 @@ def oracle_metric(config, mask, b, t, policy):
                 f[i, j] = diag
             else:
                 geom = pair_geometry(config, sel[i], sel[j])
-                f[i, j] = _f_oracle(t, geom, b, max(1e-11 * diag, 1e-300))
+                if b.inv_temperature is None:
+                    f[i, j] = cold_f_quadrature(t, geom, b, diag)
+                else:
+                    f[i, j] = _f_oracle(t, geom, b, max(1e-11 * diag, 1e-300))
     phi = np.array(
         [[_PHI_ORACLE[policy](t, pair_geometry(config, i, k), b) for k in unobs] for i in sel]
     ).reshape(n, len(unobs))
@@ -337,12 +335,13 @@ class TestCurveEngine:
         assert np.array_equal(i_up, i_down)
 
     def test_quadrature_error_names_first_pair_of_its_key(self):
-        # (2,1) and (1,0) share a key; both keys exceed the panel budget
+        # (2,1) and (1,0) share a key; under a warm bath both keys exceed the
+        # panel budget at t = 1, where the diagonal fits
         config, _ = chain_1d(3, 1e7, 0.3)
         mask = SelectionMask.from_selected(3, [2, 1, 0])
-        b = BathParams(alpha=ALPHA, kappa=1.0)
+        b = BathParams(alpha=ALPHA, kappa=1.0, inv_temperature=2.0)
         with pytest.raises(QuadratureError, match=r"direct pair \(2,1\)"):
-            _assemble(config, mask, b, [0.0, 1e7])
+            _assemble(config, mask, b, [0.0, 1.0])
 
     def test_warm_diagonal_over_budget_names_no_pair(self):
         # kappa t / pi = 3.2e6 panels at r = 0: the diagonal has no pair
@@ -351,15 +350,78 @@ class TestCurveEngine:
         with pytest.raises(QuadratureError, match=r"^oscillation count exceeds 262144 panels$"):
             build_metric(config, mask, b, 1e7)
 
-    @pytest.mark.parametrize("selected, pair", [([0, 1], "(0,1)"), ([1, 0], "(1,0)")])
-    def test_warm_off_diagonal_over_budget_names_its_pair(self, selected, pair):
+    @pytest.mark.parametrize(
+        "selected, pair, policy",
+        [
+            ([0, 1], "(0,1)", KernelPolicy.CLOSED_FORM),
+            ([1, 0], "(1,0)", KernelPolicy.CLOSED_FORM),
+            # the phi policy does not reach the f route
+            ([0, 1], "(0,1)", KernelPolicy.QUADRATURE),
+        ],
+        ids=["selected0-(0,1)", "selected1-(1,0)", "quadrature_policy"],
+    )
+    def test_warm_off_diagonal_over_budget_names_its_pair(self, selected, pair, policy):
         config, _ = chain_1d(2, 1e7, 0.3)
         mask = SelectionMask.from_selected(2, selected)
         b = BathParams(alpha=ALPHA, kappa=1.0, inv_temperature=2.0)
         with pytest.raises(QuadratureError) as info:
-            build_metric(config, mask, b, 1.0)
+            build_metric(config, mask, b, 1.0, kernel_policy=policy)
         assert str(info.value).startswith(f"direct pair {pair}: oscillation count exceeds")
         assert info.value.achieved_error == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_warm_panel_count_past_the_float_range_is_over_budget(self):
+        # kappa t / pi = 5.4e307 panels for the diagonal: the block widths
+        # (15 nodes per panel) would overflow, but the count is over budget
+        config, mask = chain_1d(1, 10.0, 0.3)
+        b = BathParams(alpha=ALPHA, kappa=1.0, inv_temperature=2.0)
+        with pytest.raises(QuadratureError, match=r"^oscillation count exceeds 262144 panels$"):
+            build_metric(config, mask, b, 1.7e308)
+
+    def test_warm_diagonal_first_pass_scales_with_the_bath(self):
+        # an absolute first-pass tol of 1e-10 is a stall at alpha = 1e300;
+        # f is linear in alpha
+        config, mask = chain_1d(1, 10.0, 0.3)
+        huge = build_metric(config, mask, BathParams(1e300, 0.1, inv_temperature=2.0), 1.0)
+        unit = build_metric(config, mask, BathParams(1.0, 0.1, inv_temperature=2.0), 1.0)
+        assert huge.direct_part[0, 0] == pytest.approx(1e300 * unit.direct_part[0, 0], rel=1e-9)
+
+    def test_cold_f_runs_no_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr(kernels, "_quadrature_rt", no_quadrature)
+        config, _ = square_lattice_2d(5, 10.0, (math.sin(0.7), 0.0, math.cos(0.7)))
+        mask = SelectionMask.from_selected(25, [0, 6, 12, 13, 24])
+        times = np.logspace(-6, 11, 18)
+        direct, indirect, _ = _assemble(config, mask, BathParams(ALPHA, 0.3), times)
+        assert np.all(np.isfinite(direct)) and np.all(direct.diagonal(axis1=1, axis2=2) > 0)
+        with pytest.raises(AssertionError, match="the quadrature ran"):
+            _assemble(config, mask, BathParams(ALPHA, 0.3, inv_temperature=2.0), times[:1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa", [1.0, 10.0])
+    def test_extreme_alpha_at_tiny_times_gives_finite_f(self, kappa):
+        # 2 alpha / 3 pi overflows at alpha = 1.7e308, and kappa^2 times it at
+        # kappa 10, while the series at t = 1e-200 underflows to 0
+        config, _ = chain_1d(2, 3.0, 0.4)
+        mask = SelectionMask.from_selected(2, [0, 1])
+        b = BathParams(alpha=1.7e308, kappa=kappa)
+        M = build_metric(config, mask, b, 1e-200)
+        assert np.all(M.direct_part == 0.0)
+        assert f_diag(1e-200, b) == 0.0
+        # where f is representable it is kept: 1e-150 leaves (kappa t)^2/8 = 1e-301
+        direct, _, _ = _assemble(config, mask, BathParams(1.0, kappa), [1e-150])
+        scaled = build_metric(config, mask, b, 1e-150).direct_part
+        np.testing.assert_allclose(scaled, 1.7e308 * direct[0], rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_f_past_the_float_range_is_a_non_finite_metric(self):
+        # alpha kappa^2 / pi = 5e309: f itself overflows, without a warning
+        config, _ = chain_1d(2, 3.0, 0.4)
+        mask = SelectionMask.from_selected(2, [0, 1])
+        with pytest.raises(MetricError, match=r"not finite at t = 1$"):
+            build_metric(config, mask, BathParams(alpha=1.7e308, kappa=10.0), 1.0)
 
     def test_overflowing_gram_product_is_a_metric_error(self):
         # phi ~ alpha = 1e300 squares past the float range in the Gram product

@@ -6,11 +6,13 @@ import scipy.special
 from hypothesis import given, strategies as st
 
 from dmtsim.specfun import (
+    _cin,
     _si_asymptotic,
     _si_continued_fraction,
     _si_series,
     sine_integral,
 )
+from data.cin_reference import CIN_REFERENCE
 from data.si_reference import SI_REFERENCE
 
 SI_MAX = 1.8519370519824663  # global maximum, attained at pi
@@ -124,3 +126,28 @@ def test_rejects_non_finite():
         sine_integral(float("inf"))
     with pytest.raises(ValueError):
         sine_integral(np.array([1.0, float("nan")]))
+
+
+def test_cin_frozen_reference_table():
+    # 1e-15 absolute up to x = 40, where Cin <= 4.3; relative beyond
+    for x, ref in CIN_REFERENCE:
+        for arg in (x, -x):  # Cin is even
+            got = float(_cin(np.array([arg]))[0])
+            if x < 40.0:
+                assert abs(got - ref) <= 1e-15, f"x = {arg}"
+            else:
+                assert abs(got - ref) <= 1e-15 * ref, f"x = {arg}"
+
+
+def test_cin_small_argument_relative():
+    # Cin(x) = x^2/4 - x^4/96 + ...: the series keeps relative accuracy
+    for x in (1e-150, 1e-8, 1e-4):
+        assert float(_cin(np.array([x]))[0]) == pytest.approx(x * x / 4.0, rel=1e-15)
+    assert float(_cin(np.array([0.0]))[0]) == 0.0
+
+
+def test_cin_matches_scipy_through_every_branch():
+    x = np.concatenate([np.linspace(1e-2, 60.0, 3000), np.geomspace(60.0, 1e12, 2000)])
+    _, ci = scipy.special.sici(x)
+    ref = np.euler_gamma + np.log(x) - ci
+    np.testing.assert_allclose(_cin(x), ref, rtol=2e-15, atol=2e-15)
