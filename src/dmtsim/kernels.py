@@ -156,47 +156,6 @@ class KernelPolicy(enum.Enum):
 # -- closed forms ------------------------------------------------------------
 
 
-def _f_diag_array(t: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
-    """Coincident-point f at zero temperature, series-switched near t = 0.
-
-    f(t) = (2 alpha / 3 pi) (kappa^2/2 + (1 - cos kt - kt sin kt)/t^2).
-    The parenthesis cancels to O((kt)^2 kappa^2) as t -> 0; below kt = 0.5 the
-    expansion (2 alpha/3 pi) kappa^2 sum_{k>=2} (-1)^k (2k-1) (kt)^(2k-2)/(2k)!
-    avoids the cancellation.
-    """
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
-        x = kappa * t
-    # 2 alpha / 3 pi bit for bit, finite for every finite alpha
-    pref = 2.0 * (alpha / (3.0 * math.pi))
-    out = np.zeros_like(t)
-
-    small = (x < 0.5) & (x > 0)
-    if small.any():
-        xs2 = x[small] ** 2
-        series = np.zeros_like(xs2)
-        power = xs2.copy()  # x^(2k-2) entering iteration k
-        for k in range(2, 10):
-            series += ((-1) ** k) * (2 * k - 1) / math.factorial(2 * k) * power
-            power *= xs2
-        scale = pref * kappa**2
-        # the series underflows to 0 at tiny kappa t, so where the scale
-        # overflows, kappa^2 meets the series first
-        with np.errstate(over="ignore"):  # only an f past the float range
-            out[small] = scale * series if math.isfinite(scale) else pref * (kappa**2 * series)
-    big = x >= 0.5
-    if big.any():
-        tb = t[big]
-        xb = x[big]
-        # the oscillating term is bounded by (2 + x)/t^2, so where kappa t or
-        # t^2 overflows only the kappa^2/2 limit is left
-        with np.errstate(over="ignore", invalid="ignore"):
-            osc = (1.0 - np.cos(xb) - xb * np.sin(xb)) / tb**2
-        with np.errstate(over="ignore"):  # only an f past the float range
-            out[big] = pref * (kappa**2 / 2.0 + np.where(np.isfinite(xb), osc, 0.0))
-    return out
-
-
 def f_diag(t, bath: BathParams):
     """Self-kernel f(t) of one atom, zero temperature, closed form.
 
@@ -211,9 +170,10 @@ def f_diag(t, bath: BathParams):
     Returns
     -------
     float or ndarray
-        (2 alpha/3 pi)(kappa^2/2 + (1 - cos kt - kt sin kt)/t^2), with the
-        t -> 0 limit (0) taken analytically, and the late-time limit
-        (2 alpha/3 pi) kappa^2/2 where kappa t overflows.
+        (2 alpha/3 pi)(kappa^2/2 + (1 - cos kt - kt sin kt)/t^2), as
+        _f_closed_rt at r = 0, whose moment series is this form there: 0 at
+        t = 0, and the late-time limit (2 alpha/3 pi) kappa^2/2 where kappa t
+        overflows.
     """
     if bath.inv_temperature is not None:
         raise KernelDomainError(
@@ -224,13 +184,13 @@ def f_diag(t, bath: BathParams):
         raise KernelDomainError("time must be finite")
     if np.any(arr < 0):
         raise KernelDomainError("time must be >= 0")
-    out = _f_diag_array(np.atleast_1d(arr), bath.alpha, bath.kappa)
+    out = _f_closed_rt(arr, 0.0, 1.0, bath.alpha, bath.kappa)
     if arr.ndim == 0:
-        return float(out[0])
+        return float(out)
     return out
 
 
-# -- f off the diagonal at zero temperature ---------------------------------
+# -- f at zero temperature ---------------------------------------------------
 #
 # With x = kappa r, h = kappa t and G(y) = (1 - cos y)/y, whose antiderivative
 # is Cin, integrating q W(qr) (1 - cos qt) over (0, kappa] (the j1 part by
@@ -242,8 +202,8 @@ def f_diag(t, bath: BathParams):
 #
 # D is a second difference and the Cin bracket a first difference, so both
 # cancel where h or x is small; _second_difference turns them into short
-# integrals of G'' instead, and below x = _MOMENT_CUTOFF a series in W's
-# moments takes over.
+# integrals of G'' instead, and up to x = _MOMENT_CUTOFF a series in W's
+# moments takes over; at x = 0, the diagonal, only its first term is left.
 
 _GL_SHORT = np.polynomial.legendre.leggauss(12)
 _SHORT = 2.0  # widths up to which _second_difference integrates
@@ -366,28 +326,35 @@ def _cin_difference(x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """f pi / (alpha kappa^2) for x = kappa r <= _MOMENT_CUTOFF as
-    sum_k w_k x^(2k) M_k(h), with W(y) = sum_k w_k y^(2k) and the moments
-    M_k(h) = int_0^1 s^(2k+1) (1 - cos sh) ds.
+    """f pi / (alpha kappa^2) for x = kappa r <= _MOMENT_CUTOFF and
+    0 <= h <= inf as sum_k w_k x^(2k) M_k(h), with W(y) = sum_k w_k y^(2k)
+    and the moments M_k(h) = int_0^1 s^(2k+1) (1 - cos sh) ds. At x = 0
+    only w_0 M_0(h) = (2/3)(1/2 + (1 - cos h - h sin h)/h^2) is left: the
+    diagonal.
 
-    M_k is its own Maclaurin series in h up to h = 2 and
-    1/(2k+2) - int_0^1 s^(2k+1) cos(sh) ds beyond, the integral by upward
-    recurrence, which amplifies rounding by at most n!/h^n in the n-th
-    moment: 4e7 at n = 15, h = 2, against a weight x^14/15! of 5e-17.
+    M_k is its own Maclaurin series in h up to h = 2, summed for all k at
+    once, and 1/(2k+2) - int_0^1 s^(2k+1) cos(sh) ds beyond, the integral by
+    upward recurrence, which amplifies rounding by at most n!/h^n in the
+    n-th moment: 4e7 at n = 15, h = 2, against a weight x^14/15! of 5e-17.
+    At h = inf the integral averages out and M_k is 1/(2k+2).
     """
     total = np.zeros_like(x)
     x2 = x * x
     power = np.ones_like(x)  # x^(2k)
-    moments = np.zeros((_MOMENT_TERMS,) + x.shape)
+    denominators = 2 * np.arange(_MOMENT_TERMS)[:, None] + 2  # 2k + 2
+    moments = np.empty((_MOMENT_TERMS,) + x.shape)
     low = h <= 2.0
     if low.any():
         hl2 = h[low] ** 2
         term = np.ones_like(hl2)  # (-1)^(j+1) h^(2j)/(2j)!
+        series = np.zeros((_MOMENT_TERMS, hl2.size))
         for j in range(1, _MOMENT_SERIES_TERMS + 1):
             term *= (1.0 if j == 1 else -1.0) * hl2 / ((2 * j - 1) * (2 * j))
-            for k in range(_MOMENT_TERMS):
-                moments[k, low] += term / (2 * k + 2 * j + 2)
-    high = ~low
+            series += term / (denominators + 2 * j)
+        moments[:, low] = series
+    late = np.isinf(h)
+    moments[:, late] = 1.0 / denominators
+    high = ~low & ~late
     if high.any():
         hh = h[high]
         sin_h, cos_h = np.sin(hh) / hh, np.cos(hh) / hh
@@ -407,11 +374,12 @@ def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 
 def _f_shape(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """f pi / (alpha kappa^2) at x = kappa r > 0 and h = kappa t > 0 over
-    flat arrays, from the closed form above; h = inf is the late limit
-    (1 - c2) G(x)/x + (3 c2 - 1)(x - sin x)/x^3.
+    """f pi / (alpha kappa^2) at x = kappa r >= 0 and h = kappa t >= 0 over
+    flat arrays, from the closed form above; h = inf is the late limit.
 
-    Routes: W's moment series below x = _MOMENT_CUTOFF. Otherwise D is
+    Routes: W's moment series for every x <= _MOMENT_CUTOFF, the diagonal
+    x = 0 and h = inf included. Beyond it, h = inf is
+    (1 - c2) G(x)/x + (3 c2 - 1)(x - sin x)/x^3; otherwise D is
     _second_difference (order 1, center x, width h) for h <= _SHORT and
     direct beyond. B, writing E for the Cin bracket and T(c, w) for
     _second_difference(G'', c, w, 2), so that E = 2 w G(c) + T(c, w):
@@ -420,14 +388,14 @@ def _f_shape(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
     cancellation left there), else the direct form with _cin_difference.
     """
     out = np.empty_like(x)
-    late = np.isinf(h)
+    small = x <= _MOMENT_CUTOFF
+    if small.any():
+        out[small] = _moment_series(x[small], h[small], c2[small])
+    late = ~small & np.isinf(h)
     if late.any():
         xl, cl = x[late], c2[late]
         out[late] = (1.0 - cl) * _g(xl) / xl + (3.0 * cl - 1.0) * (_x_minus_sin(xl) / xl) / xl / xl
-    small = ~late & (x <= _MOMENT_CUTOFF)
-    if small.any():
-        out[small] = _moment_series(x[small], h[small], c2[small])
-    main = ~late & ~small
+    main = ~small & ~late
     if main.any():
         x, h, c2 = x[main], h[main], c2[main]
         one_minus_cos = 2.0 * np.sin(0.5 * h) ** 2
@@ -462,11 +430,10 @@ def _f_shape(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 
 def _f_closed_rt(t, r, c2, alpha: float, kappa: float) -> np.ndarray:
-    """Zero-temperature f over broadcastable arrays of t > 0 and (r > 0,
-    c2 = cos^2 theta): alpha/pi times (kappa^2 times _f_shape), the order
-    _f_diag_array takes where its scale overflows, so that only an f past
-    the float range overflows. Where kappa t overflows, f takes its late
-    limit."""
+    """Zero-temperature f over broadcastable arrays of t >= 0 and (r >= 0,
+    c2 = cos^2 theta), the diagonal r = 0 included: alpha/pi times (kappa^2
+    times _f_shape), in that order so that only an f past the float range
+    overflows. Where kappa t overflows, f takes its late limit."""
     t, r, c2 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, r, c2)))
     with np.errstate(over="ignore"):  # kappa t = inf is the late limit
         h = kappa * t
@@ -706,20 +673,15 @@ def _f(times, r, c2, bath: BathParams, pairs) -> np.ndarray:
     """f at each positive time over a key table of (r, c2 = cos^2 theta),
     shape (T, K); key 0 is r = 0 and pairs[:, k] names key k's atom pair.
 
-    At zero temperature f is closed throughout: key 0 is _f_diag_array and
-    the keys at r > 0 are _f_closed_rt over the whole table at once, with no
-    quadrature. A warm bath has no closed f here: key 0 is a quadrature at an
+    At zero temperature f is closed throughout: _f_closed_rt over the whole
+    table at once, key 0 included, with no quadrature. A warm bath has no closed f here: key 0 is a quadrature at an
     absolute tol of 1e-10 (or 1e-10 alpha kappa^2 where that is larger, so
     the first pass scales with the bath), repeated at 1e-11 of its value, and
     the keys at r > 0 take one batched quadrature per time at 1e-11 of key 0,
     so quadrature noise cannot drown the block's positive semidefiniteness.
     """
     if bath.inv_temperature is None:
-        f = np.empty((times.size, r.size))
-        f[:, 0] = _f_diag_array(times, bath.alpha, bath.kappa)
-        if r.size > 1:  # one selected atom, as in the lattice figure, has none
-            f[:, 1:] = _f_closed_rt(times[:, None], r[1:], c2[1:], bath.alpha, bath.kappa)
-        return f
+        return _f_closed_rt(times[:, None], r, c2, bath.alpha, bath.kappa)
     f = np.zeros((times.size, r.size))
     kernel = TimeKernel.F_KERNEL
     first_tol = 1e-10 * max(1.0, bath.alpha * bath.kappa**2)
