@@ -19,7 +19,9 @@ h = kappa t and c2 = cos^2 theta:
 evaluated at 60 digits, where the cancellations that the float routes avoid
 cost nothing. Its points bracket the routes' cutoffs (x = 0.5 and 2, h = 2,
 |x - h| = 40) and reach h = 1e11, beyond where the radial quadrature can
-check f to 1e-14 of the diagonal; t = r exactly is included.
+check f to 1e-14 of the diagonal; t = r exactly is included. Its last rows
+are the diagonal x = 0, where F = (2/3)(1/2 + (1 - cos h - h sin h)/h^2)
+at every c2.
 """
 
 import mpmath
@@ -52,13 +54,15 @@ def g(y):
 
 def f_shape(x, h, c2):
     x, h, c2 = mpmath.mpf(x), mpmath.mpf(h), mpmath.mpf(c2)
+    if x == 0:
+        return (mpmath.mpf(1) / 2 + (1 - mpmath.cos(h) - h * mpmath.sin(h)) / h**2) * 2 / 3
     d = 2 * g(x) - g(x + h) - g(x - h)
     b = -mpmath.sin(x) * (1 - mpmath.cos(h)) + h / 2 * (cin(x + h) - cin(x - h))
     return (1 - c2) * d / (2 * x) + (3 * c2 - 1) * b / x**3
 
 
 def main():
-    print('"""Frozen Cin and zero-temperature off-diagonal f reference values.')
+    print('"""Frozen Cin and zero-temperature f reference values.')
     print()
     print("Generated by scripts/make_cin_reference.py with mpmath at 60 decimal")
     print('digits, rounded to the nearest float64. Do not edit by hand."""')
@@ -70,7 +74,7 @@ def main():
     print()
     print("# (x = kappa r, h = kappa t, cos^2 theta, f pi / (alpha kappa^2))")
     print("F_REFERENCE = [")
-    points = [(x, h) for x in F_X for h in F_H] + F_EXTRA
+    points = [(x, h) for x in F_X for h in F_H] + F_EXTRA + [(0.0, h) for h in F_H]
     for x, h in points:
         for c2 in F_C2:
             print(f"    ({x!r}, {h!r}, {c2!r}, {float(f_shape(x, h, c2))!r}),")

@@ -191,6 +191,31 @@ points = 57
 prefix = late
 """
 
+# two atoms 1e-110 apart at kappa t = 1e301 and past the float range: the
+# late limit at a kappa r where the trig form's x^3 underflows
+LATE_TINY_CHAIN = """
+[bath]
+alpha = 0.0072973525693
+kappa = 10
+
+[geometry]
+kind = chain
+count = 2
+spacing = 1e-110
+dipole_angle = 0
+
+[selection]
+indices = 0 1
+
+[time]
+start = 1e300
+end = 1e308
+points = 3
+
+[output]
+prefix = late_tiny
+"""
+
 CODEWORD_INDICES = " ".join(str(i) for i in sorted(random.Random(0).sample(range(81), 40)))
 GAS_SWEEP = "\n[sweep]\nparameter = {}\nvalues = {}\n"
 GAS_DENSITY_SWEEP = "\n[selection]\nindices = 0 1 2\n" + GAS_SWEEP.format(
@@ -214,6 +239,7 @@ SCENARIOS = (
     ("warm_chain", WARM_CHAIN, "closed", None),
     ("gas_seed_override", GAS.format(extra=""), "closed", 7),
     ("late_chain", LATE_CHAIN, "closed", None),
+    ("late_tiny_chain", LATE_TINY_CHAIN, "closed", None),
 )
 
 # Monte Carlo: about 110 atoms per sample, 29 of them inside the light cone

@@ -17,21 +17,21 @@ derived from the transverse completeness identity sum_pol (u.eps)^2 =
 1 - (u.khat)^2; W(0) = 2/3 so the r = 0 F-kernel integral reproduces the
 coincident-point closed form exactly, which pins the (alpha/pi) prefactor.
 
-At zero temperature f is closed, on and off the diagonal (the off-diagonal
-form in Si's sibling Cin, with short Gauss-Legendre integrals and a series
-in W's moments where its differences cancel), and so is phi in its Si-based
-form. A warm f has no closed form here: it goes through an
-oscillation-aware composite Gauss-Legendre quadrature over arrays of keys on
-a panel grid shared within each key block, with a panel budget that it
-exceeds past kappa (t + r) of about 8.2e5; reduced_quadrature is its one-key
-form and the oracle of every closed form. The closed phi form drops
-cutoff-edge oscillatory terms (sin kr, cos kr, kr cos kr); the quadrature
-keeps them, so the two agree only up to that known envelope. phi_exact adds
-them back: it is the closed form of the full radial integral, which the phi
-quadrature is checked against. _phi maps each KernelPolicy to its phi
-formula, for the scalar phis, the metric engine and the gas Monte Carlo
-alike, and _f a bath to its f formulas over the metric engine's pair-key
-table.
+At zero temperature f is one closed form for every pair, the diagonal r = 0
+included (in Si's sibling Cin, with short Gauss-Legendre integrals and a
+series in W's moments where its differences cancel; at r = 0 that series is
+the coincident-point form), and so is phi in its Si-based form. A warm f has
+no closed form here: it goes through an oscillation-aware composite
+Gauss-Legendre quadrature over arrays of keys on a panel grid shared within
+each key block, with a panel budget that it exceeds past kappa (t + r) of
+about 8.2e5; reduced_quadrature is its one-key form and the oracle of every
+closed form. The closed phi form drops cutoff-edge oscillatory terms
+(sin kr, cos kr, kr cos kr); the quadrature keeps them, so the two agree
+only up to that known envelope. phi_exact adds them back: it is the closed
+form of the full radial integral, which the phi quadrature is checked
+against. _phi maps each KernelPolicy to its phi formula, for the scalar
+phis, the metric engine and the gas Monte Carlo alike, and _f a bath to its
+f formulas over the metric engine's pair-key table.
 """
 
 from __future__ import annotations
@@ -91,7 +91,9 @@ class BathParams:
         Dimensionless UV cutoff (max wavenumber times dipole length), > 0, kappa**4 finite.
     inv_temperature : float or None
         Inverse temperature beta entering coth(beta q / 2); None means zero
-        temperature (coth = 1).
+        temperature (coth = 1). When given, beta kappa must not underflow
+        below the smallest normal float, so that beta q / 2 stays positive
+        at every positive quadrature node q.
     """
 
     alpha: float
@@ -110,6 +112,11 @@ class BathParams:
         if self.inv_temperature is not None:
             if not (math.isfinite(self.inv_temperature) and self.inv_temperature > 0):
                 raise KernelDomainError("inv_temperature must be finite and > 0 when given")
+            if self.inv_temperature * self.kappa < np.finfo(float).tiny:
+                raise KernelDomainError(
+                    f"inv_temperature * kappa underflows at inv_temperature = "
+                    f"{self.inv_temperature:g}, kappa = {self.kappa:g}"
+                )
 
     @property
     def dipole_advisory(self) -> bool:
@@ -608,7 +615,11 @@ def _time_factor(q: np.ndarray, t: float, kernel: TimeKernel, beta) -> np.ndarra
         # 1 - cos(qt) = 2 sin^2(qt/2), cancellation-free at small qt
         val = 2.0 * np.sin(0.5 * q * t) ** 2
         if beta is not None:
-            val = val / np.tanh(0.5 * beta * q)
+            with np.errstate(over="ignore"):  # tanh(inf) = 1, the cold limit
+                tanh = np.tanh(0.5 * beta * q)
+            # the factor falls like q t^2 / beta to 0 at a node q = 0, which a
+            # subnormal kappa rounds to; elsewhere BathParams keeps tanh > 0
+            val = np.divide(val, tanh, out=np.zeros_like(val), where=q > 0)
         return val
     return 2.0 * _x_minus_sin(q * t)
 

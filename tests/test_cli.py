@@ -456,6 +456,40 @@ points = 2
         direct, _, _ = _assemble(config, mask, bath, [1e300])
         assert csv["d_direct"][-1] == pytest.approx(direct.sum(), rel=1e-9)
 
+    def test_tiny_separation_keeps_the_late_limit(self, tmp_path):
+        # kappa r = 1e-109: at kappa t = 1e301 and at an overflowing kappa t
+        # every f entry is the diagonal's plateau alpha kappa^2 / (3 pi), and
+        # d_direct sums the four entries of 4 f
+        text = """
+[bath]
+alpha = 0.0072973525693
+kappa = 10
+
+[geometry]
+kind = chain
+count = 2
+spacing = 1e-110
+dipole_angle = 0
+
+[selection]
+indices = 0 1
+
+[time]
+start = 1e300
+end = 1e308
+points = 3
+
+[output]
+prefix = tiny
+"""
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 0
+        csv = read_csv(out / "tiny.csv")
+        assert csv["t"][-1] == 1e308
+        assert csv["d_direct"][-1] == csv["d_direct"][-2]
+        plateau = 0.0072973525693 * 10.0**2 / (3.0 * math.pi)
+        assert csv["d_direct"][-1] == pytest.approx(16.0 * plateau, rel=1e-14)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "kappa, spacing, end, policy, message",
@@ -611,12 +645,24 @@ points = 5
                 2,
                 "numerical error: separation of atoms 1 and 0 underflows when squared",
             ),
+            # a warm bath whose beta kappa underflows, from either factor: the
+            # quadrature's tanh(beta q / 2) would be 0 at positive nodes
+            (
+                SMOKE.replace("kappa = 0.1", "kappa = 5e-324\ninv_temperature = 2"),
+                1,
+                "config error: [bath] inv_temperature * kappa underflows",
+            ),
+            (
+                SMOKE.replace("kappa = 0.1", "kappa = 0.1\ninv_temperature = 5e-324"),
+                1,
+                "config error: [bath] inv_temperature * kappa underflows",
+            ),
         ],
         ids=[
             "horizon", "exclusion_radius", "tilt", "lattice_kappa", "gas_kappa", "kappa_sweep",
             "nul_prefix", "nul_directory", "dipole_overflow", "dipole_underflow",
             "selected_separation", "gram", "panel_count", "cold_kappa_t_overflow",
-            "separation_underflow",
+            "separation_underflow", "warm_kappa_underflow", "warm_beta_underflow",
         ],
     )
     def test_overflow_and_nul_byte_inputs_exit_cleanly(self, tmp_path, text, code, prefix):

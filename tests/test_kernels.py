@@ -37,6 +37,8 @@ class TestParams:
             BathParams(alpha=ALPHA, kappa=-1.0)
         with pytest.raises(KernelDomainError):
             BathParams(alpha=ALPHA, kappa=1.0, inv_temperature=0.0)
+        with pytest.raises(KernelDomainError, match="inv_temperature \\* kappa underflows"):
+            BathParams(alpha=ALPHA, kappa=1e-10, inv_temperature=1e-300)
 
     def test_dipole_advisory(self):
         assert BathParams(alpha=ALPHA, kappa=1.0).dipole_advisory
@@ -84,9 +86,14 @@ class TestFDiag:
         assert f_diag(2 * math.pi, b) < peak
 
     def test_series_branch_joins_closed_form(self):
+        # kappa t = 2 is where the moment series hands M_0 over from its
+        # h-series to its recurrence; the displayed closed form has no
+        # cancellation there, so both sides meet it to rounding
         b = bath(kappa=1.0)
-        below, above = f_diag(0.5 * (1 - 1e-9), b), f_diag(0.5 * (1 + 1e-9), b)
-        assert below == pytest.approx(above, rel=1e-12)
+        for t in (2.0, np.nextafter(2.0, 3.0)):
+            bracket = 0.5 + (1.0 - math.cos(t) - t * math.sin(t)) / t**2
+            closed = 2.0 * ALPHA / (3.0 * math.pi) * bracket
+            assert f_diag(t, b) == pytest.approx(closed, rel=2e-15, abs=0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_kappa_t_gives_the_plateau(self):
@@ -403,7 +410,8 @@ class TestFClosed:
         assert compared == 8 * 10 * 4
 
     def test_matches_frozen_mpmath_values(self):
-        # F = f pi / (alpha kappa^2): alpha = pi and kappa = 1 give F itself
+        # F = f pi / (alpha kappa^2): alpha = pi and kappa = 1 give F itself;
+        # the rows at x = 0 are the diagonal's closed form
         for x, h, c2, want in F_REFERENCE:
             got = float(_f_closed_rt(h, x, c2, math.pi, 1.0))
             scale = f_diag(h, BathParams(alpha=math.pi, kappa=1.0))
@@ -437,18 +445,22 @@ class TestFClosed:
     def test_late_limit_where_kappa_t_overflows(self):
         # f -> (alpha/pi) int_0^kappa q W(q r) dq, the cos qt part averaging
         # out; a 40-point Gauss-Legendre rule per radian of q r is a second
-        # route to that smooth integral
+        # route to that smooth integral. At r = 1e-110, x^3 underflows to 0,
+        # so the oracle's trig form is taken only where x > 0.05.
         b = BathParams(alpha=ALPHA, kappa=10.0)
         xi, weight = np.polynomial.legendre.leggauss(40)
-        for r, theta in ((0.03, 0.4), (0.7, 0.0), (5.0, MAGIC), (300.0, 1.3)):
+        cases = ((0.03, 0.4), (0.7, 0.0), (5.0, MAGIC), (300.0, 1.3))
+        for r, theta in cases + ((1e-110, 0.0), (1e-110, 1.5)):
             c2 = _cos2(theta)
             edges = np.linspace(0.0, b.kappa, int(b.kappa * r) + 2)
             mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
             q = (mid[:, None] + half[:, None] * xi).ravel()
             x = q * r
             j0 = np.sin(x) / x
-            series = 1 / 3 - x**2 / 30 + x**4 / 840 - x**6 / 45360 + x**8 / 3991680
-            j1x = np.where(x > 0.05, (np.sin(x) - x * np.cos(x)) / x**3, series)
+            j1x = 1 / 3 - x**2 / 30 + x**4 / 840 - x**6 / 45360 + x**8 / 3991680
+            trig = x > 0.05
+            xt = x[trig]
+            j1x[trig] = (np.sin(xt) - xt * np.cos(xt)) / xt**3
             integrand = (q * ((1.0 - c2) * j0 + (3.0 * c2 - 1.0) * j1x)).reshape(-1, xi.size)
             want = ALPHA / math.pi * float(np.sum((integrand @ weight) * half))
             late = self.closed(1e308, r, c2, b)  # kappa t = 1e309 overflows

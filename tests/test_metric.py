@@ -386,6 +386,26 @@ class TestCurveEngine:
         unit = build_metric(config, mask, BathParams(1.0, 0.1, inv_temperature=2.0), 1.0)
         assert huge.direct_part[0, 0] == pytest.approx(1e300 * unit.direct_part[0, 0], rel=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kappa, beta, t", [(1e3, 1e306, 1e-3), (1e30, 1.7e308, 1e-30)], ids=["1e306", "1.7e308"]
+    )
+    def test_warm_factor_where_beta_q_overflows_is_the_cold_limit(self, kappa, beta, t):
+        # beta q / 2 overflows at every node, where coth = 1: f is the
+        # zero-temperature diagonal to the quadrature's 1e-11 of it
+        config, mask = chain_1d(1, 10.0, 0.3)
+        warm = build_metric(config, mask, BathParams(ALPHA, kappa, inv_temperature=beta), t)
+        cold = f_diag(t, BathParams(ALPHA, kappa))
+        assert warm.direct_part[0, 0] == pytest.approx(4.0 * cold, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_warm_factor_at_nodes_rounded_to_zero(self):
+        # a subnormal kappa rounds quadrature nodes to q = 0, where the
+        # factor 2 sin^2(qt/2) / tanh(beta q / 2) has the limit 0
+        config, mask = chain_1d(1, 10.0, 0.3)
+        b = BathParams(ALPHA, 5e-324, inv_temperature=1e16)
+        assert build_metric(config, mask, b, 1.0).direct_part[0, 0] == 0.0
+
     def test_cold_f_runs_no_quadrature(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("the quadrature ran")
@@ -402,8 +422,8 @@ class TestCurveEngine:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kappa", [1.0, 10.0])
     def test_extreme_alpha_at_tiny_times_gives_finite_f(self, kappa):
-        # 2 alpha / 3 pi overflows at alpha = 1.7e308, and kappa^2 times it at
-        # kappa 10, while the series at t = 1e-200 underflows to 0
+        # alpha kappa^2 / pi overflows at alpha = 1.7e308 and kappa 10, while
+        # f's shape at t = 1e-200 underflows to 0
         config, _ = chain_1d(2, 3.0, 0.4)
         mask = SelectionMask.from_selected(2, [0, 1])
         b = BathParams(alpha=1.7e308, kappa=kappa)
