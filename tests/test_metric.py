@@ -391,8 +391,9 @@ class TestCurveEngine:
         "kappa, beta, t", [(1e3, 1e306, 1e-3), (1e30, 1.7e308, 1e-30)], ids=["1e306", "1.7e308"]
     )
     def test_warm_factor_where_beta_q_overflows_is_the_cold_limit(self, kappa, beta, t):
-        # beta q / 2 overflows at every node, where coth = 1: f is the
-        # zero-temperature diagonal to the quadrature's 1e-11 of it
+        # beta q / 2 overflows at the top nodes and exceeds 1e305 at the
+        # rest, so coth = 1: f is the zero-temperature diagonal to the
+        # quadrature's 1e-11 of it
         config, mask = chain_1d(1, 10.0, 0.3)
         warm = build_metric(config, mask, BathParams(ALPHA, kappa, inv_temperature=beta), t)
         cold = f_diag(t, BathParams(ALPHA, kappa))
