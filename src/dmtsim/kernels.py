@@ -662,8 +662,9 @@ def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float,
                 integrand = q * weight * _time_factor(q, t, time_kernel, bath.inv_temperature)
                 rule.append(np.sum(integrand * w, axis=2) * half)
             hi, lo = rule
-            err = prefactor * np.sum(np.abs(hi - lo), axis=1)
-            values[active] = prefactor * np.sum(hi, axis=1)
+            with np.errstate(over="ignore"):  # _assemble reports a non-finite M
+                err = prefactor * np.sum(np.abs(hi - lo), axis=1)
+                values[active] = prefactor * np.sum(hi, axis=1)
             errors[active] = np.minimum(errors[active], err)
             active = active[err > tol]
             n_panels *= 2

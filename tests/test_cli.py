@@ -816,6 +816,21 @@ prefix = wide
         assert err == "numerical error: direct or indirect part of M is not finite at t = 0.001\n"
         assert not list(out.glob("*.csv"))
 
+    def test_warm_f_past_the_float_range_is_a_numerical_error(self, tmp_path, capsys):
+        # alpha = 1.7e308 takes the warm diagonal's quadrature sum past the
+        # float range; the M it makes is reported, with no numpy warning
+        text = (
+            with_geometry("kind = chain\ncount = 1\nspacing = 1\ndipole_angle = 0.2")
+            .replace("alpha = 0.0072973525693\nkappa = 0.1", "alpha = 1.7e308\nkappa = 10")
+            .replace("kappa = 10", "kappa = 10\ninv_temperature = 2")
+            .replace("start = 1e-3\nend = 1e3\npoints = 13", "start = 1\nend = 10\npoints = 10")
+        )
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical error: direct or indirect part of M is not finite at t = 1\n"
+        assert not list(out.glob("*.csv"))
+
     def test_seed_override_equals_the_file_seed(self, tmp_path):
         text = with_geometry(GEOMETRY["gas"] + "\nseed = 3")
         path = write_scenario(tmp_path, text)

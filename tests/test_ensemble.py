@@ -15,7 +15,16 @@ from dmtsim.ensemble import (
     analytic_phi00_avg,
     average_phi00,
 )
-from dmtsim.geometry import GasSpec, GeometryError, _shell_draws, pair_arrays, sample_gas
+from dmtsim import geometry
+from dmtsim.geometry import (
+    GasSpec,
+    GeometryError,
+    _philox_raw,
+    _philox_uniforms,
+    _shell_draws,
+    pair_arrays,
+    sample_gas,
+)
 from dmtsim.kernels import BathParams, KernelPolicy, _phi
 
 ALPHA = 1.0 / 137.036
@@ -29,6 +38,29 @@ def spec(density=1.7053e-3, l=10.0, horizon=25.0, seed=7, fixed_count=None):
     return GasSpec(
         density=density, exclusion_radius=l, horizon=horizon, seed=seed, fixed_count=fixed_count
     )
+
+
+def cosines(seed, index, r, cos_t, at):
+    """A _shell_draws result's cos theta, evaluated at its stream offsets
+    where the generator left it there."""
+    if cos_t is not None:
+        assert at is None
+        return cos_t
+    assert at.size == r.size
+    return -1.0 + 2.0 * _philox_uniforms(seed, np.full(at.size, index, dtype=np.uint64), at)
+
+
+@pytest.fixture
+def draw_spy(monkeypatch):
+    """Records each call of the two draw entry points average_phi00 reaches:
+    _shell_draws (count, radii and any generator cosines) and _philox_uniforms
+    (the cosines left in the stream)."""
+    calls = []
+    for name in ("_shell_draws", "_philox_uniforms"):
+        real = getattr(ensemble._geometry, name)
+        spy = lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
+        monkeypatch.setattr(ensemble._geometry, name, spy)
+    return calls
 
 
 class TestAnalyticAverage:
@@ -98,18 +130,16 @@ class TestMonteCarlo:
         assert res.mean == 0.0
         assert res.std_error == 0.0
 
-    def test_string_policy_rejected(self, monkeypatch):
+    def test_string_policy_rejected(self, draw_spy):
         # the value of a policy member is not the member; it is refused with
         # the other inputs, before any sample is drawn
-        draws, shell_draws = [], ensemble._geometry._shell_draws
-        monkeypatch.setattr(
-            ensemble._geometry,
-            "_shell_draws",
-            lambda *args: draws.append(args) or shell_draws(*args),
-        )
         with pytest.raises(EnsembleError, match="KernelPolicy member"):
             average_phi00(spec(horizon=60.0), bath(), 20.0, 4, kernel_policy="farfield")
-        assert draws == []
+        assert draw_spy == []
+        # the spy's positive control: the member itself draws every sample,
+        # and the light-cone cosines from the stream
+        average_phi00(spec(horizon=60.0), bath(), 12.0, 4, kernel_policy=KernelPolicy.FAR_FIELD)
+        assert draw_spy == ["_shell_draws"] * 4 + ["_philox_uniforms"]
 
     @pytest.mark.parametrize("policy", list(KernelPolicy))
     def test_non_finite_sample_is_named(self, policy):
@@ -217,7 +247,8 @@ class TestSampledRoute:
         l3, h3 = s.exclusion_radius**3, s.horizon**3
         mean = s.density * 4.0 * math.pi / 3.0 * (h3 - l3)
         for i in range(4):
-            r, cos_t = _shell_draws(s, _sample_rng(seed, i))
+            r, cos_t, at = _shell_draws(s, _sample_rng(seed, i))
+            assert at is None
             # the stream order: count, then r, then cos theta
             rng = _sample_rng(seed, i)
             n = int(rng.poisson(mean)) if count_mode == "poisson" else COUNT_MODES[count_mode]
@@ -232,16 +263,21 @@ class TestSampledRoute:
     @pytest.mark.parametrize("count_mode", sorted(COUNT_MODES))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reach_keeps_the_unrestricted_draws_inside_it(self, seed, count_mode):
-        # the atoms kept are bit for bit the unrestricted draws with r <= reach
+        # the atoms kept are bit for bit the unrestricted draws with r <= reach,
+        # whether their cosines come from the generator or from the stream
         s = spec(seed=seed, fixed_count=COUNT_MODES[count_mode])
         for i in range(4):
-            r_all, cos_all = _shell_draws(s, _sample_rng(seed, i))
-            edge = float(np.sort(r_all)[r_all.size // 2])  # one drawn atom's r
-            for reach in (0.5 * s.exclusion_radius, edge, 20.0, s.horizon):
-                r, cos_t = _shell_draws(s, _sample_rng(seed, i), reach)
+            r_all, cos_all, _ = _shell_draws(s, _sample_rng(seed, i))
+            r_sorted = np.sort(r_all)
+            edge = float(r_sorted[r_all.size // 2])  # one drawn atom's r
+            # one atom kept of 40 or more: its cosine stays in the stream
+            near = float(r_sorted[0])
+            for reach in (0.5 * s.exclusion_radius, near, edge, 20.0, s.horizon):
+                r, cos_t, at = _shell_draws(s, _sample_rng(seed, i), reach)
+                assert (cos_t is None) == (reach <= near)
                 inside = r_all <= reach
                 assert np.array_equal(r, r_all[inside])
-                assert np.array_equal(cos_t, cos_all[inside])
+                assert np.array_equal(cosines(seed, i, r, cos_t, at), cos_all[inside])
             assert _shell_draws(s, _sample_rng(seed, i), 0.5 * s.exclusion_radius)[0].size == 0
             assert edge in _shell_draws(s, _sample_rng(seed, i), edge)[0]
 
@@ -249,6 +285,127 @@ class TestSampledRoute:
         for policy in KernelPolicy:
             res = average_phi00(spec(fixed_count=0), bath(), 20.0, 3, policy)
             assert res.mean == 0.0 and res.std_error == 0.0
+
+
+PHILOX_KEYS = [
+    (0, 0), (0, 1), (0, 2**32 + 5), (0, 2**64 - 1),
+    (2**64 - 1, 0), (2**64 - 1, 7), (2**64 - 1, 2**63 + 11),
+]
+
+
+def philox(key0, key1):
+    return np.random.Philox(key=np.array([key0, key1], dtype=np.uint64))
+
+
+class TestPhiloxEvaluation:
+    @pytest.mark.parametrize("key0, key1", PHILOX_KEYS)
+    def test_equals_random_raw_over_consecutive_blocks(self, key0, key1):
+        raw = philox(key0, key1).random_raw(4 * 300)
+        at = np.arange(raw.size)
+        got = _philox_raw(key0, np.full(at.size, key1, dtype=np.uint64), at)
+        assert got.dtype == np.uint64 and np.array_equal(got, raw)
+
+    @pytest.mark.parametrize("key0, key1", PHILOX_KEYS)
+    def test_equals_random_raw_far_into_the_stream(self, key0, key1):
+        # advance(d) moves the counter d blocks on, to output 4 d
+        for blocks in (2**20, 2**40 + 3, 2**61 - 5):
+            bit_generator = philox(key0, key1)
+            bit_generator.advance(blocks)
+            at = np.uint64(4 * blocks) + np.arange(9, dtype=np.uint64)
+            got = _philox_raw(key0, np.full(at.size, key1, dtype=np.uint64), at)
+            assert np.array_equal(got, bit_generator.random_raw(9))
+
+    def test_keys_and_offsets_mixed_in_one_call(self):
+        rng = np.random.default_rng(3)
+        key1 = np.array([k for _, k in PHILOX_KEYS[:4]], dtype=np.uint64)[rng.integers(0, 4, 500)]
+        at = rng.integers(0, 4000, 500)
+        got = _philox_uniforms(0, key1, at)
+        for k in np.unique(key1):
+            draws = np.random.Generator(philox(0, int(k))).random(4000)
+            assert np.array_equal(got[key1 == k], draws[at[key1 == k]])
+
+    def test_rekeyed_generator_restarts_the_substream(self):
+        rng = _sample_rng(3, 0)
+        rng.poisson(50.0), rng.random(7)
+        assert _sample_rng(3, 9, rng) is rng
+        fresh = _sample_rng(3, 9)
+        assert rng.poisson(50.0) == fresh.poisson(50.0)
+        assert np.array_equal(rng.random(13), fresh.random(13))
+
+    @pytest.mark.parametrize("count_mode", ["poisson", "fixed"])
+    def test_stream_cosines_at_every_buffer_position(self, count_mode):
+        # the cosines left in the stream are rng.random(2 n)[n:] at the kept
+        # atoms wherever in its block of four the count and the radii leave
+        # the generator; numpy's buffer_pos is 1-4 after any draw
+        seen = set()
+        for i in range(24):
+            fixed = None if count_mode == "poisson" else 400 + i  # n mod 4 takes every value
+            s = spec(density=1e-3, l=10.0, horizon=60.0, seed=5, fixed_count=fixed)
+            l3, h3 = s.exclusion_radius**3, s.horizon**3
+            ref = _sample_rng(5, i)
+            n = fixed if fixed else int(ref.poisson(s.density * 4.0 * math.pi / 3.0 * (h3 - l3)))
+            draws = ref.random(2 * n)
+            r_all = (l3 + draws[:n] * (h3 - l3)) ** (1.0 / 3.0)
+            reach = float(np.sort(r_all)[2])  # three atoms kept
+            rng = _sample_rng(5, i)
+            r, cos_t, at = _shell_draws(s, rng, reach)
+            assert cos_t is None
+            state = rng.bit_generator.state
+            # a sample takes far fewer than 2**64 blocks
+            assert np.all(state["state"]["counter"][1:] == 0)
+            seen.add(state["buffer_pos"])
+            near = r_all <= reach
+            assert np.array_equal(r, r_all[near])
+            got = _philox_uniforms(5, np.full(at.size, i, dtype=np.uint64), at)
+            assert np.array_equal(got, draws[n:][near])
+            # the generator is left after the radii
+            assert np.array_equal(rng.random(n), draws[n:])
+        assert seen == {1, 2, 3, 4}
+
+
+def far_field_reference(s, b, t, n_samples):
+    """average_phi00 under FAR_FIELD, sample by sample: every 2n uniforms
+    from a fresh generator, the exact cut r <= t, and np.sum of phi^2."""
+    l3, h3 = s.exclusion_radius**3, s.horizon**3
+    totals = np.empty(n_samples)
+    for i in range(n_samples):
+        rng = _sample_rng(s.seed, i)
+        if s.fixed_count is None:
+            n = int(rng.poisson(s.density * 4.0 * math.pi / 3.0 * (h3 - l3)))
+        else:
+            n = s.fixed_count
+        draws = rng.random(2 * n)
+        r = (l3 + draws[:n] * (h3 - l3)) ** (1.0 / 3.0)
+        cos_t = -1.0 + 2.0 * draws[n:]
+        inside = r <= t
+        phi = _phi(t, r[inside], cos_t[inside] ** 2, b, KernelPolicy.FAR_FIELD)
+        totals[i] = np.sum(phi**2)
+    return totals.mean(), totals.std(ddof=1) / math.sqrt(n_samples)
+
+
+# about 3,650 atoms per Poisson sample; at t = 25.6 about one in 32 is kept,
+# so some samples leave their cosines in the stream and others draw them
+FAR_FIELD_TIMES = {"below_l": 5.0, "cone": 20.0, "both_routes": 25.6, "horizon": 80.0}
+
+
+class TestFarFieldBits:
+    @pytest.mark.parametrize("deferred_max", [7, ensemble._DEFERRED_MAX])
+    @pytest.mark.parametrize("when", sorted(FAR_FIELD_TIMES))
+    @pytest.mark.parametrize("fixed_count", [None, 3000, 0], ids=["poisson", "fixed", "empty"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 2**64 - 1])
+    def test_equals_the_per_sample_reference(self, monkeypatch, seed, fixed_count, when, deferred_max):
+        monkeypatch.setattr(ensemble, "_DEFERRED_MAX", deferred_max)
+        s, b, t = spec(horizon=80.0, seed=seed, fixed_count=fixed_count), bath(), FAR_FIELD_TIMES[when]
+        got = average_phi00(s, b, t, 40, KernelPolicy.FAR_FIELD)
+        mean, std_error = far_field_reference(s, b, t, 40)
+        assert got.mean == mean and got.std_error == std_error
+        assert (got.mean > 0.0) == (when != "below_l" and fixed_count != 0)
+
+    @pytest.mark.parametrize("fixed_count", [None, 3000])
+    def test_one_estimate_takes_both_routes(self, fixed_count):
+        s = spec(horizon=80.0, fixed_count=fixed_count)
+        left = [_shell_draws(s, _sample_rng(s.seed, i), 25.6)[1] is None for i in range(40)]
+        assert 0 < sum(left) < 40
 
 
 class TestCountInputs:
@@ -272,15 +429,18 @@ class TestCountInputs:
             "n_samples", "horizon", "exclusion",
         ],
     )
-    def test_rejected_before_any_draw(self, monkeypatch, kwargs, error, message):
+    def test_rejected_before_any_draw(self, draw_spy, kwargs, error, message):
         # gas checks run when the spec is built, the sample count's before
         # the first substream
-        substreams = []
-        monkeypatch.setattr(ensemble, "_sample_rng", lambda *key: substreams.append(key))
         n_samples = kwargs.pop("n_samples", 8)
         with pytest.raises(error, match=message):
             average_phi00(spec(**kwargs), bath(), 20.0, n_samples)
-        assert substreams == []
+        assert draw_spy == []
+
+    def test_draw_spy_sees_a_valid_estimate(self, draw_spy):
+        # the positive control of the test above, on its spec and time
+        average_phi00(spec(), bath(), 20.0, 8)
+        assert draw_spy.count("_shell_draws") == 8
 
     def test_sample_gas_checks_the_same_counts(self):
         with pytest.raises(GeometryError, match="lam"):
