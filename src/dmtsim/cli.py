@@ -62,6 +62,9 @@ that cannot be made or written as [output.directory]), 2 numerical failure
 (quadrature budget exhausted, a metric property violation, a metric that is
 not finite, or a value outside a kernel's domain met while computing, such as
 a non-finite Si argument or a pair separation that over- or underflows).
+Every curve, its property checks and the report are computed before the
+first file is written, so exit 2 leaves no CSV and no report; only an
+OSError met while writing can leave the files written before it.
 
 Each curve is one pass of the metric engine over the whole time grid (see
 dmtsim.metric): the kernels run once per distinct pair (r, cos^2 theta) and
@@ -488,11 +491,11 @@ def run(
     if seed_override is not None:
         report.append(f"seed override: {seed_override}")
 
-    sweep_rows = []
+    sweep_rows, curves = [], []
     try:
         for label, bath, params, config, mask, value in variants:
             final, d_dir, d_ind, valid = _compute_curve(bath, config, mask, times, kernel_policy)
-            _write_csv(target / f"{label}.csv", times, d_dir, d_ind, valid)
+            curves.append((target / f"{label}.csv", d_dir, d_ind, valid))
 
             report.append(f"curve {label}:")
             report.append(
@@ -537,6 +540,8 @@ def run(
             best = f"phi00 = {end / 2.0:.6g}" if single else f"d_indirect(t_end) = {end:.6g}"
             report.append(f"  minimizer: {param} = {value:.6g} ({best})")
 
+        for csv_path, d_dir, d_ind, valid in curves:  # every curve has passed its checks
+            _write_csv(csv_path, times, d_dir, d_ind, valid)
         (target / f"{scenario.prefix}_report.txt").write_text("\n".join(report) + "\n")
     except QuadratureError as exc:
         print(

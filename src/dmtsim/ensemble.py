@@ -1,23 +1,15 @@
 """Monte Carlo average of the gas indirect kernel Phi_00 with error bars.
 
-Gas samples are independent draws of the atom cloud; per-sample substreams
-come from a counter-based Philox generator keyed by (seed, sample index), so
-results are reproducible across platforms and trivially parallelizable. One
-bit generator serves a whole estimate, rekeyed at each sample. The estimator
-works on each sample's drawn (r, cos theta) directly, the first draws
-sample_gas takes from the same substream in the same order (count, then n
-radii, then n cosines), and evaluates phi on (r, cos^2 theta); it builds no
-positions. Under the far field it evaluates only the atoms with r <= t:
-every other atom sits outside the sharp light cone and contributes exactly
-0. The count and the radii always come from the generator. Where fewer than
-one atom in 32 lies inside the cone, the kept atoms' cosine uniforms are
-not drawn: a numpy evaluation of Philox4x64-10 computes them at their
-stream offsets, for a batch of samples at once, with the generator's bits.
-The count rule is the GasSpec's own, checked when the spec is built; an
-n_samples that is not an integer >= 2, or a kernel_policy that is not a
-KernelPolicy member, is an EnsembleError raised before any draw, and so is a
-sample whose Phi_00 is not finite, once drawn. The analytic finite-range
-far-field average is the validation oracle.
+Gas samples are independent draws of the atom cloud, each from its own
+Philox substream keyed by (seed, sample index), so results are reproducible
+across platforms; dmtsim.geometry draws them and owns the stream. The
+estimator sums phi^2 over each sample's drawn (r, cos theta); under the far
+field only the atoms with r <= t are drawn in full, since every other atom
+sits outside the sharp light cone and contributes exactly 0. An n_samples
+that is not an integer >= 2, or a kernel_policy that is not a KernelPolicy
+member, is an EnsembleError raised before any draw, and so is a sample whose
+Phi_00 is not finite, once drawn. The analytic finite-range far-field
+average is the validation oracle.
 """
 
 from __future__ import annotations
@@ -61,46 +53,6 @@ class MCResult:
             raise EnsembleError("std_error must be >= 0")
 
 
-def _sample_rng(seed: int, index: int, rng: np.random.Generator | None = None):
-    """The generator at the start of substream (seed, index). A given rng has
-    its Philox bit generator rekeyed in place: building a Philox reads OS
-    entropy, about 20 us, even when it is given a key."""
-    key = np.array([seed, index], dtype=np.uint64)
-    if rng is None:
-        return np.random.Generator(np.random.Philox(key=key))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
-
-
-# Deferred light-cone atoms evaluated together, however many samples there
-# are: the Philox evaluation's temporaries stay near 1 MB. At 1 << 14 the
-# 300-sample far-field estimate's peak RSS rose from 38.8 to 40.5 MB.
-_DEFERRED_MAX = 1 << 12
-
-
-def _sum_deferred(totals, deferred, seed, t, bath, policy) -> None:
-    """totals[i] for each deferred sample (i, r, at) of _shell_draws: the
-    cos theta uniforms of them all from one _philox_uniforms call, phi from
-    one _phi call, and each sample's np.sum over its own contiguous slice."""
-    index, r, at = zip(*deferred)
-    sizes = [part.size for part in r]
-    keys = np.repeat(np.array(index, dtype=np.uint64), sizes)
-    cos_t = -1.0 + 2.0 * _geometry._philox_uniforms(seed, keys, np.concatenate(at))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked by the caller
-        phi2 = _phi(t, np.concatenate(r), cos_t**2, bath, policy) ** 2
-    stop = 0
-    for i, size in zip(index, sizes):
-        totals[i] = np.sum(phi2[stop : stop + size])
-        stop += size
-
-
 def average_phi00(
     spec: GasSpec,
     bath: BathParams,
@@ -114,23 +66,13 @@ def average_phi00(
     Requires t <= spec.horizon so the light cone stays inside the sampled
     ball, an integer n_samples >= 2 for a standard error, and a KernelPolicy
     member, all checked before the first draw. The master seed is spec.seed
-    and its count rule spec.fixed_count; sample i uses the (seed, i)
+    and its count rule spec.fixed_count; sample i is geometry's (seed, i)
     substream, and phi is evaluated on its drawn (r, cos^2 theta) with theta
-    from the z axis, the dipole of sample_gas's default configuration. The
-    draws keep their order (count, then n radii, then n cosines), but
+    from the z axis, the dipole of sample_gas's default configuration.
     FAR_FIELD evaluates phi only on the atoms with r <= t; every other atom
     contributes exactly 0 there. The closed form and the quadrature evaluate
-    every atom, since their phi is nonzero outside the light cone.
-
-    Each sample's count and radii come from one Philox generator, rekeyed to
-    (seed, i) at the start of sample i. Its cosines come from the generator
-    too, which draws all n, unless fewer than one atom in 32 is kept (as
-    under FAR_FIELD at t well inside the horizon): then the generator is left
-    after the radii, and the kept atoms' cosine uniforms are computed at
-    their stream offsets by _philox_uniforms, in one call for each batch of
-    consecutive such samples holding about _DEFERRED_MAX atoms. The bits are
-    the same either way, and each sample's sum of phi^2 is np.sum over its
-    own atoms alone.
+    every atom, since their phi is nonzero outside the light cone. Each
+    sample's sum of phi^2 is np.sum over its own atoms alone.
     A sample whose Phi_00 is not finite raises EnsembleError naming the
     first such sample.
     """
@@ -145,23 +87,15 @@ def average_phi00(
         raise EnsembleError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     if not isinstance(kernel_policy, KernelPolicy):
         raise EnsembleError("kernel_policy must be a KernelPolicy member")
-    totals = np.empty(n_samples)
     reach = _phi_reach(t, kernel_policy)
-    rng, deferred, pending = None, [], 0
-    for i in range(n_samples):
-        rng = _sample_rng(spec.seed, i, rng)
-        r, cos_t, at = _geometry._shell_draws(spec, rng, reach)
-        if cos_t is not None:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
-                totals[i] = np.sum(_phi(t, r, cos_t**2, bath, kernel_policy) ** 2)
-            continue
-        deferred.append((i, r, at))
-        pending += r.size
-        if pending >= _DEFERRED_MAX:
-            _sum_deferred(totals, deferred, spec.seed, t, bath, kernel_policy)
-            deferred, pending = [], 0
-    if deferred:
-        _sum_deferred(totals, deferred, spec.seed, t, bath, kernel_policy)
+    totals = np.empty(n_samples)
+    for index, sizes, r, cos_t in _geometry._shell_samples(spec, n_samples, reach):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+            phi2 = _phi(t, r, cos_t**2, bath, kernel_policy) ** 2
+        stop = 0
+        for i, size in zip(index, sizes):
+            totals[i] = np.sum(phi2[stop : stop + size])
+            stop += size
     bad = np.flatnonzero(~np.isfinite(totals))
     if bad.size:
         raise EnsembleError(f"Phi_00 of sample {bad[0]} is not finite at t = {t:g}")

@@ -10,6 +10,17 @@ leaves every other atom unobserved, so it covers its whole configuration.
 Its read-only int64 index arrays are checked once with vectorized numpy when
 it is built; consumers index positions with them directly and loop over no
 atom in Python. A GasSpec likewise carries and checks its own count rule.
+
+Gas samples draw from counter-based Philox4x64-10 substreams: sample i of a
+spec uses the stream keyed (seed, i), and sample_gas's default generator is
+sample 0's. A stream holds, in this order, the atom count n (Poisson unless
+the spec fixes it), then n uniforms for r, with r^3 uniform in [l^3, H^3],
+then n for cos theta, uniform in [-1, 1) with theta from the z axis, then
+(sample_gas only) n for the azimuth. The Monte Carlo estimator reads its
+(r, cos theta) from the same streams, in batches of samples, and needs only
+the atoms within a reach: a sample with few of them leaves its cosines in
+the stream, and a numpy evaluation of Philox computes just the kept ones at
+their offsets, with the generator's bits.
 """
 
 from __future__ import annotations
@@ -247,34 +258,33 @@ def chain_1d(count: int, spacing: float, dipole_angle: float) -> tuple:
     return config, SelectionMask.from_selected(count, [center])
 
 
-# Evaluating one Philox output at its stream offset in numpy
-# (_philox_uniforms) costs 28-44 generator draws: 330-510 ns against 11.6 ns
-# per output, timed on 15k-100k outputs on a 2-core Xeon VM.
-_COUNTER_DRAW_COST = 32
+def _sample_rng(seed: int, index: int, rng: np.random.Generator | None = None):
+    """The generator at the start of substream (seed, index). A given rng has
+    its Philox bit generator rekeyed in place: building a Philox reads OS
+    entropy, about 20 us, even when it is given a key."""
+    key = np.array([seed, index], dtype=np.uint64)
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _shell_draws(spec: GasSpec, rng: np.random.Generator, reach: float = math.inf) -> tuple:
-    """(r, cos theta, at) of a gas sample's unobserved atoms with r <= reach.
+    """(r, kept, n) of a gas sample: its atom count n, and the radius r and
+    draw index kept of each atom with r <= reach.
 
-    A sample's stream holds, in this order, the atom count n (Poisson unless
-    spec.fixed_count is set), then n uniforms for r, with r^3 uniform in
-    [l^3, H^3], then n for cos theta, uniform in [-1, 1) with theta measured
-    from the z axis. These are the first draws sample_gas takes from its
-    generator, so a caller that needs no positions can stop here. The count
-    and the radii come from rng. The atoms kept are those with r <= reach: a
-    loose cut on the r uniform picks the candidates before the cube root, and
-    an exact cut on r follows. A caller passes a reach below the horizon only
-    where every atom beyond it contributes exactly 0.
-
-    The kept atoms' cos theta uniforms have the same bits either way they
-    are found:
-    - where at least one atom in _COUNTER_DRAW_COST is kept, as always at
-      reach >= horizon, rng draws all n cosine uniforms and is left after
-      them; cos theta is returned and at is None;
-    - otherwise rng is left after the radii and cos theta is None; at holds
-      the stream offsets of the kept atoms' cos theta uniforms, counted from
-      the start of the stream, for _philox_uniforms. rng must then be a
-      Philox generator whose stream began at the count.
+    rng draws the count (Poisson unless spec.fixed_count is set), then the n
+    radius uniforms, r^3 uniform in [l^3, H^3], and is left after them. A
+    loose cut on the r uniform picks the candidates before the cube root,
+    and an exact cut on r follows. A caller passes a reach below the horizon
+    only where every atom beyond it contributes exactly 0.
     """
     l3 = spec.exclusion_radius**3
     h3 = spec.horizon**3
@@ -287,13 +297,61 @@ def _shell_draws(spec: GasSpec, rng: np.random.Generator, reach: float = math.in
     kept = np.flatnonzero(u <= (reach**3 * (1.0 + 1e-9) - l3) / (h3 - l3))
     r = (l3 + u[kept] * (h3 - l3)) ** (1.0 / 3.0)
     inside = r <= reach
-    kept, r = kept[inside], r[inside]
-    if kept.size * _COUNTER_DRAW_COST < n:
+    return r[inside], kept[inside], n
+
+
+# Evaluating one Philox output at its stream offset in numpy
+# (_philox_uniforms) costs 28-44 generator draws: 330-510 ns against 11.6 ns
+# per output, timed on 15k-100k outputs on a 2-core Xeon VM.
+_COUNTER_DRAW_COST = 32
+
+# Light-cone atoms whose cosines one _philox_uniforms call evaluates, however
+# many samples there are: its temporaries stay near 1 MB. At 1 << 14 the
+# 300-sample far-field estimate's peak RSS rose from 38.8 to 40.5 MB.
+_DEFERRED_MAX = 1 << 12
+
+
+def _shell_samples(spec: GasSpec, n_samples: int, reach: float):
+    """Lazily, batches (indices, sizes, r, cos theta) of gas samples 0 ..
+    n_samples - 1: each sample's atoms with r <= reach, in draw order, and
+    sample indices[k] holding the sizes[k] atoms after those of the samples
+    before it in the batch.
+
+    One generator, rekeyed to (seed, i) for sample i, draws the count and the
+    radii. It draws all n cosine uniforms too, and that sample is a batch of
+    its own, where at least one atom in _COUNTER_DRAW_COST is kept. Otherwise
+    the kept atoms' cosine uniforms are evaluated at their stream offsets, by
+    one _philox_uniforms call for each batch of consecutive such samples
+    holding about _DEFERRED_MAX atoms. The bits are the same either way.
+    """
+    rng, deferred, pending = None, [], 0
+    for i in range(n_samples):
+        rng = _sample_rng(spec.seed, i, rng)
+        r, kept, n = _shell_draws(spec, rng, reach)
+        if kept.size * _COUNTER_DRAW_COST >= n:
+            yield _shell_batch([(i, r, rng.random(n)[kept])])
+            continue
         # the buffered block is the one at the counter, buffer_pos of it used
         state = rng.bit_generator.state
-        return r, None, 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"] + kept
-    cos_t = -1.0 + 2.0 * rng.random(n)[kept]  # numpy's uniform(-1.0, 1.0)
-    return r, cos_t, None
+        at = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"] + kept
+        deferred.append((i, r, at))
+        pending += r.size
+        if pending >= _DEFERRED_MAX:
+            yield _shell_batch(deferred, spec.seed)
+            deferred, pending = [], 0
+    if deferred:
+        yield _shell_batch(deferred, spec.seed)
+
+
+def _shell_batch(samples, seed: int | None = None) -> tuple:
+    """(indices, sizes, r, cos theta) of samples (i, r, u), where u holds the
+    kept atoms' cosine uniforms or, given the seed, their stream offsets."""
+    index, r, u = zip(*samples)
+    sizes = [part.size for part in r]
+    u = np.concatenate(u)
+    if seed is not None:
+        u = _philox_uniforms(seed, np.repeat(np.array(index, dtype=np.uint64), sizes), u)
+    return index, sizes, np.concatenate(r), -1.0 + 2.0 * u  # numpy's uniform(-1.0, 1.0)
 
 
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -355,9 +413,9 @@ def sample_gas(
     seed; an explicit rng overrides the seed for substream use.
     """
     if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    r, cos_t, _ = _shell_draws(spec, rng)
-    n = r.size
+        rng = _sample_rng(spec.seed, 0)
+    r, _, n = _shell_draws(spec, rng)
+    cos_t = rng.uniform(-1.0, 1.0, n)
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t**2))
     pos = np.empty((n + 1, 3))

@@ -831,6 +831,41 @@ prefix = wide
         assert err == "numerical error: direct or indirect part of M is not finite at t = 1\n"
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "geometry, bath, end, sweep, policy, message",
+        [
+            # the second curve's spacing underflows the far field's M
+            (
+                "kind = chain\ncount = 3\nspacing = 1\ndipole_angle = 0.3", "", 10,
+                "spacing\nvalues = 1e20 1e-110", "farfield",
+                "direct or indirect part of M is not finite at t = 1\n",
+            ),
+            # the second curve's warm f hits the panel wall at t = 1e6
+            (
+                "kind = lattice\nside = 1\nspacing = 1", "\ninv_temperature = 2", 1e6,
+                "kappa\nvalues = 0.1 1", "closed",
+                "oscillation count exceeds 262144 panels",
+            ),
+        ],
+        ids=["far_field_spacing", "warm_kappa"],
+    )
+    def test_failed_sweep_writes_nothing(
+        self, tmp_path, capsys, geometry, bath, end, sweep, policy, message
+    ):
+        # every curve, its checks and the report are computed before the
+        # first file is written, so a later curve's failure leaves no CSV
+        text = (
+            with_geometry(geometry, f"\n[sweep]\nparameter = {sweep}\n")
+            .replace("kappa = 0.1\n", "kappa = 0.1" + bath + "\n", 1)
+            .replace("end = 1e3\npoints = 13", f"end = {end:g}\npoints = 10")
+            .replace("start = 1e-3", "start = 1")
+        )
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out), policy=policy) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and message in err
+        assert not list(out.iterdir())
+
     def test_seed_override_equals_the_file_seed(self, tmp_path):
         text = with_geometry(GEOMETRY["gas"] + "\nseed = 3")
         path = write_scenario(tmp_path, text)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,10 @@ from conftest import phi_reference
 from scipy import integrate
 
 from dmtsim.asymptotics import gas_scales
-from dmtsim import ensemble
 from dmtsim.ensemble import (
     EnsembleError,
     MCResult,
     RNG_ALGORITHM,
-    _sample_rng,
     analytic_phi00_avg,
     average_phi00,
 )
@@ -21,7 +20,9 @@ from dmtsim.geometry import (
     GeometryError,
     _philox_raw,
     _philox_uniforms,
+    _sample_rng,
     _shell_draws,
+    _shell_samples,
     pair_arrays,
     sample_gas,
 )
@@ -40,26 +41,39 @@ def spec(density=1.7053e-3, l=10.0, horizon=25.0, seed=7, fixed_count=None):
     )
 
 
-def cosines(seed, index, r, cos_t, at):
-    """A _shell_draws result's cos theta, evaluated at its stream offsets
-    where the generator left it there."""
-    if cos_t is not None:
-        assert at is None
-        return cos_t
-    assert at.size == r.size
-    return -1.0 + 2.0 * _philox_uniforms(seed, np.full(at.size, index, dtype=np.uint64), at)
+def shell_samples(s, n_samples, reach):
+    """Each sample's (r, cos theta) out of _shell_samples's batches, checking
+    that the batches cover samples 0 .. n_samples - 1 once each."""
+    out = {}
+    for index, sizes, r, cos_t in _shell_samples(s, n_samples, reach):
+        assert len(index) == len(sizes) and r.size == cos_t.size == sum(sizes)
+        stop = 0
+        for i, size in zip(index, sizes):
+            assert i not in out
+            out[i] = r[stop : stop + size], cos_t[stop : stop + size]
+            stop += size
+    assert sorted(out) == list(range(n_samples))
+    return [out[i] for i in range(n_samples)]
+
+
+def in_stream(s, rng, reach):
+    """Whether _shell_samples evaluates this sample's kept cosines at their
+    stream offsets rather than draw them all from rng."""
+    _, kept, n = _shell_draws(s, rng, reach)
+    return kept.size * geometry._COUNTER_DRAW_COST < n
 
 
 @pytest.fixture
 def draw_spy(monkeypatch):
-    """Records each call of the two draw entry points average_phi00 reaches:
-    _shell_draws (count, radii and any generator cosines) and _philox_uniforms
-    (the cosines left in the stream)."""
+    """Records each call of the two draw entry points average_phi00 reaches
+    through geometry._shell_samples: _shell_draws (count and radii, once per
+    sample) and _philox_uniforms (the cosines left in the stream, once per
+    batch)."""
     calls = []
     for name in ("_shell_draws", "_philox_uniforms"):
-        real = getattr(ensemble._geometry, name)
+        real = getattr(geometry, name)
         spy = lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
-        monkeypatch.setattr(ensemble._geometry, name, spy)
+        monkeypatch.setattr(geometry, name, spy)
     return calls
 
 
@@ -246,14 +260,17 @@ class TestSampledRoute:
         s = spec(seed=seed, fixed_count=COUNT_MODES[count_mode])
         l3, h3 = s.exclusion_radius**3, s.horizon**3
         mean = s.density * 4.0 * math.pi / 3.0 * (h3 - l3)
+        drawn = shell_samples(s, 4, s.horizon)
         for i in range(4):
-            r, cos_t, at = _shell_draws(s, _sample_rng(seed, i))
-            assert at is None
+            r, kept, n = _shell_draws(s, _sample_rng(seed, i))
+            assert np.array_equal(kept, np.arange(n))
             # the stream order: count, then r, then cos theta
             rng = _sample_rng(seed, i)
-            n = int(rng.poisson(mean)) if count_mode == "poisson" else COUNT_MODES[count_mode]
+            fixed = COUNT_MODES[count_mode]
+            assert n == (int(rng.poisson(mean)) if fixed is None else fixed)
             assert np.array_equal(r, (l3 + rng.random(n) * (h3 - l3)) ** (1.0 / 3.0))
-            assert np.array_equal(cos_t, rng.uniform(-1.0, 1.0, n))
+            cos_t = rng.uniform(-1.0, 1.0, n)
+            assert np.array_equal(drawn[i][0], r) and np.array_equal(drawn[i][1], cos_t)
             config, mask = sample_gas(s, rng=_sample_rng(seed, i))
             pos = config.positions[mask.unobserved]
             assert len(config) == r.size + 1 and np.all(config.positions[0] == 0.0)
@@ -267,17 +284,20 @@ class TestSampledRoute:
         # whether their cosines come from the generator or from the stream
         s = spec(seed=seed, fixed_count=COUNT_MODES[count_mode])
         for i in range(4):
-            r_all, cos_all, _ = _shell_draws(s, _sample_rng(seed, i))
+            r_all, _, n = _shell_draws(s, _sample_rng(seed, i))
+            cos_all = shell_samples(s, i + 1, s.horizon)[i][1]
             r_sorted = np.sort(r_all)
             edge = float(r_sorted[r_all.size // 2])  # one drawn atom's r
             # one atom kept of 40 or more: its cosine stays in the stream
             near = float(r_sorted[0])
             for reach in (0.5 * s.exclusion_radius, near, edge, 20.0, s.horizon):
-                r, cos_t, at = _shell_draws(s, _sample_rng(seed, i), reach)
-                assert (cos_t is None) == (reach <= near)
+                r, kept, n_reach = _shell_draws(s, _sample_rng(seed, i), reach)
+                assert in_stream(s, _sample_rng(seed, i), reach) == (reach <= near)
                 inside = r_all <= reach
+                assert n_reach == n and np.array_equal(kept, np.flatnonzero(inside))
                 assert np.array_equal(r, r_all[inside])
-                assert np.array_equal(cosines(seed, i, r, cos_t, at), cos_all[inside])
+                r_batch, cos_t = shell_samples(s, i + 1, reach)[i]
+                assert np.array_equal(r_batch, r) and np.array_equal(cos_t, cos_all[inside])
             assert _shell_draws(s, _sample_rng(seed, i), 0.5 * s.exclusion_radius)[0].size == 0
             assert edge in _shell_draws(s, _sample_rng(seed, i), edge)[0]
 
@@ -348,16 +368,16 @@ class TestPhiloxEvaluation:
             r_all = (l3 + draws[:n] * (h3 - l3)) ** (1.0 / 3.0)
             reach = float(np.sort(r_all)[2])  # three atoms kept
             rng = _sample_rng(5, i)
-            r, cos_t, at = _shell_draws(s, rng, reach)
-            assert cos_t is None
+            assert in_stream(s, _sample_rng(5, i), reach)
+            r, _, _ = _shell_draws(s, rng, reach)
             state = rng.bit_generator.state
             # a sample takes far fewer than 2**64 blocks
             assert np.all(state["state"]["counter"][1:] == 0)
             seen.add(state["buffer_pos"])
             near = r_all <= reach
             assert np.array_equal(r, r_all[near])
-            got = _philox_uniforms(5, np.full(at.size, i, dtype=np.uint64), at)
-            assert np.array_equal(got, draws[n:][near])
+            got = shell_samples(s, i + 1, reach)[i][1]
+            assert np.array_equal(got, -1.0 + 2.0 * draws[n:][near])
             # the generator is left after the radii
             assert np.array_equal(rng.random(n), draws[n:])
         assert seen == {1, 2, 3, 4}
@@ -389,12 +409,12 @@ FAR_FIELD_TIMES = {"below_l": 5.0, "cone": 20.0, "both_routes": 25.6, "horizon":
 
 
 class TestFarFieldBits:
-    @pytest.mark.parametrize("deferred_max", [7, ensemble._DEFERRED_MAX])
+    @pytest.mark.parametrize("deferred_max", [7, geometry._DEFERRED_MAX])
     @pytest.mark.parametrize("when", sorted(FAR_FIELD_TIMES))
     @pytest.mark.parametrize("fixed_count", [None, 3000, 0], ids=["poisson", "fixed", "empty"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 2**64 - 1])
     def test_equals_the_per_sample_reference(self, monkeypatch, seed, fixed_count, when, deferred_max):
-        monkeypatch.setattr(ensemble, "_DEFERRED_MAX", deferred_max)
+        monkeypatch.setattr(geometry, "_DEFERRED_MAX", deferred_max)
         s, b, t = spec(horizon=80.0, seed=seed, fixed_count=fixed_count), bath(), FAR_FIELD_TIMES[when]
         got = average_phi00(s, b, t, 40, KernelPolicy.FAR_FIELD)
         mean, std_error = far_field_reference(s, b, t, 40)
@@ -404,8 +424,25 @@ class TestFarFieldBits:
     @pytest.mark.parametrize("fixed_count", [None, 3000])
     def test_one_estimate_takes_both_routes(self, fixed_count):
         s = spec(horizon=80.0, fixed_count=fixed_count)
-        left = [_shell_draws(s, _sample_rng(s.seed, i), 25.6)[1] is None for i in range(40)]
+        left = [in_stream(s, _sample_rng(s.seed, i), 25.6) for i in range(40)]
         assert 0 < sum(left) < 40
+
+
+class TestDeferredBatch:
+    def test_memory_peak_stays_near_one_batch(self):
+        # the gas_mc benchmark's inputs: about 14k atoms per sample, 50 of
+        # them in the light cone at t = 20. Measured peaks: 0.74 MB with the
+        # deferred cosines evaluated _DEFERRED_MAX atoms at a time, 16.7 MB
+        # with all 2000 samples' in one batch.
+        s = GasSpec(density=1.7053e-3, exclusion_radius=10.0, horizon=125.0, seed=0)
+        average_phi00(s, bath(0.1), 20.0, 2000)  # warm-up: numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            average_phi00(s, bath(0.1), 20.0, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestCountInputs:

@@ -11,6 +11,7 @@ from dmtsim.geometry import (
     GasSpec,
     GeometryError,
     SelectionMask,
+    _sample_rng,
     chain_1d,
     pair_arrays,
     sample_gas,
@@ -324,6 +325,15 @@ class TestGas:
         assert a.positions.shape != c.positions.shape or not np.array_equal(
             a.positions, c.positions
         )
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+    def test_default_generator_is_substream_zero(self, seed):
+        # Philox(key=seed) has key words [seed, 0]: sample 0 of the seed
+        assert np.array_equal(np.random.Philox(key=seed).state["state"]["key"], [seed, 0])
+        spec = GasSpec(density=1e-6, exclusion_radius=5.0, horizon=200.0, seed=seed)
+        a, _ = sample_gas(spec)
+        b, _ = sample_gas(spec, rng=_sample_rng(seed, 0))
+        assert len(a) > 1 and np.array_equal(a.positions, b.positions)
 
     def test_fixed_count_mode(self):
         spec = GasSpec(density=1e-6, exclusion_radius=5.0, horizon=200.0, seed=9, fixed_count=57)
