@@ -328,30 +328,29 @@ def _shell_samples(spec: GasSpec, n_samples: int, reach: float):
     for i in range(n_samples):
         rng = _sample_rng(spec.seed, i, rng)
         r, kept, n = _shell_draws(spec, rng, reach)
+        batches = []
         if kept.size * _COUNTER_DRAW_COST >= n:
-            yield _shell_batch([(i, r, rng.random(n)[kept])])
-            continue
-        # the buffered block is the one at the counter, buffer_pos of it used
-        state = rng.bit_generator.state
-        at = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"] + kept
-        deferred.append((i, r, at))
-        pending += r.size
-        if pending >= _DEFERRED_MAX:
-            yield _shell_batch(deferred, spec.seed)
+            batches.append(((i,), [r.size], r, rng.random(n)[kept]))
+        else:
+            # the buffered block is the one at the counter, buffer_pos of it used
+            state = rng.bit_generator.state
+            at = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"] + kept
+            deferred.append((i, r, at))
+            pending += r.size
+        if deferred and (pending >= _DEFERRED_MAX or i + 1 == n_samples):
+            batches.append(_shell_batch(deferred, spec.seed))
             deferred, pending = [], 0
-    if deferred:
-        yield _shell_batch(deferred, spec.seed)
+        for index, sizes, radii, u in batches:
+            yield index, sizes, radii, -1.0 + 2.0 * u  # numpy's uniform(-1.0, 1.0)
 
 
-def _shell_batch(samples, seed: int | None = None) -> tuple:
-    """(indices, sizes, r, cos theta) of samples (i, r, u), where u holds the
-    kept atoms' cosine uniforms or, given the seed, their stream offsets."""
-    index, r, u = zip(*samples)
+def _shell_batch(deferred: list, seed: int) -> tuple:
+    """(indices, sizes, r, u) of the deferred samples (i, r, at): u holds
+    their kept atoms' cosine uniforms, evaluated at the stream offsets at."""
+    index, r, at = zip(*deferred)
     sizes = [part.size for part in r]
-    u = np.concatenate(u)
-    if seed is not None:
-        u = _philox_uniforms(seed, np.repeat(np.array(index, dtype=np.uint64), sizes), u)
-    return index, sizes, np.concatenate(r), -1.0 + 2.0 * u  # numpy's uniform(-1.0, 1.0)
+    key1 = np.repeat(np.array(index, dtype=np.uint64), sizes)
+    return index, sizes, np.concatenate(r), _philox_uniforms(seed, key1, np.concatenate(at))
 
 
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))

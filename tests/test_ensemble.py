@@ -42,25 +42,29 @@ def spec(density=1.7053e-3, l=10.0, horizon=25.0, seed=7, fixed_count=None):
 
 
 def shell_samples(s, n_samples, reach):
-    """Each sample's (r, cos theta) out of _shell_samples's batches, checking
-    that the batches cover samples 0 .. n_samples - 1 once each."""
-    out = {}
-    for index, sizes, r, cos_t in _shell_samples(s, n_samples, reach):
-        assert len(index) == len(sizes) and r.size == cos_t.size == sum(sizes)
-        stop = 0
-        for i, size in zip(index, sizes):
-            assert i not in out
-            out[i] = r[stop : stop + size], cos_t[stop : stop + size]
-            stop += size
+    """Each sample's (r, cos theta, counter) out of _shell_samples's batches,
+    checking that the batches cover samples 0 .. n_samples - 1 once each.
+    counter tells the route the generator took: whether it handed the sample
+    to _shell_batch, whose _philox_uniforms call evaluates the kept atoms'
+    cosines at their stream offsets, rather than draw all n from rng."""
+    out, counter = {}, set()
+    real = geometry._shell_batch
+
+    def spy(deferred, seed):
+        counter.update(i for i, _, _ in deferred)
+        return real(deferred, seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_shell_batch", spy)
+        for index, sizes, r, cos_t in _shell_samples(s, n_samples, reach):
+            assert len(index) == len(sizes) and r.size == cos_t.size == sum(sizes)
+            stop = 0
+            for i, size in zip(index, sizes):
+                assert i not in out
+                out[i] = r[stop : stop + size], cos_t[stop : stop + size]
+                stop += size
     assert sorted(out) == list(range(n_samples))
-    return [out[i] for i in range(n_samples)]
-
-
-def in_stream(s, rng, reach):
-    """Whether _shell_samples evaluates this sample's kept cosines at their
-    stream offsets rather than draw them all from rng."""
-    _, kept, n = _shell_draws(s, rng, reach)
-    return kept.size * geometry._COUNTER_DRAW_COST < n
+    return [(*out[i], i in counter) for i in range(n_samples)]
 
 
 @pytest.fixture
@@ -271,6 +275,7 @@ class TestSampledRoute:
             assert np.array_equal(r, (l3 + rng.random(n) * (h3 - l3)) ** (1.0 / 3.0))
             cos_t = rng.uniform(-1.0, 1.0, n)
             assert np.array_equal(drawn[i][0], r) and np.array_equal(drawn[i][1], cos_t)
+            assert not drawn[i][2]  # every atom kept: the generator draws the cosines
             config, mask = sample_gas(s, rng=_sample_rng(seed, i))
             pos = config.positions[mask.unobserved]
             assert len(config) == r.size + 1 and np.all(config.positions[0] == 0.0)
@@ -292,11 +297,11 @@ class TestSampledRoute:
             near = float(r_sorted[0])
             for reach in (0.5 * s.exclusion_radius, near, edge, 20.0, s.horizon):
                 r, kept, n_reach = _shell_draws(s, _sample_rng(seed, i), reach)
-                assert in_stream(s, _sample_rng(seed, i), reach) == (reach <= near)
                 inside = r_all <= reach
                 assert n_reach == n and np.array_equal(kept, np.flatnonzero(inside))
                 assert np.array_equal(r, r_all[inside])
-                r_batch, cos_t = shell_samples(s, i + 1, reach)[i]
+                r_batch, cos_t, counter = shell_samples(s, i + 1, reach)[i]
+                assert counter == (reach <= near)
                 assert np.array_equal(r_batch, r) and np.array_equal(cos_t, cos_all[inside])
             assert _shell_draws(s, _sample_rng(seed, i), 0.5 * s.exclusion_radius)[0].size == 0
             assert edge in _shell_draws(s, _sample_rng(seed, i), edge)[0]
@@ -368,7 +373,6 @@ class TestPhiloxEvaluation:
             r_all = (l3 + draws[:n] * (h3 - l3)) ** (1.0 / 3.0)
             reach = float(np.sort(r_all)[2])  # three atoms kept
             rng = _sample_rng(5, i)
-            assert in_stream(s, _sample_rng(5, i), reach)
             r, _, _ = _shell_draws(s, rng, reach)
             state = rng.bit_generator.state
             # a sample takes far fewer than 2**64 blocks
@@ -376,7 +380,8 @@ class TestPhiloxEvaluation:
             seen.add(state["buffer_pos"])
             near = r_all <= reach
             assert np.array_equal(r, r_all[near])
-            got = shell_samples(s, i + 1, reach)[i][1]
+            _, got, counter = shell_samples(s, i + 1, reach)[i]
+            assert counter
             assert np.array_equal(got, -1.0 + 2.0 * draws[n:][near])
             # the generator is left after the radii
             assert np.array_equal(rng.random(n), draws[n:])
@@ -424,8 +429,8 @@ class TestFarFieldBits:
     @pytest.mark.parametrize("fixed_count", [None, 3000])
     def test_one_estimate_takes_both_routes(self, fixed_count):
         s = spec(horizon=80.0, fixed_count=fixed_count)
-        left = [in_stream(s, _sample_rng(s.seed, i), 25.6) for i in range(40)]
-        assert 0 < sum(left) < 40
+        counter = [route for _, _, route in shell_samples(s, 40, 25.6)]
+        assert 0 < sum(counter) < 40
 
 
 class TestDeferredBatch:
