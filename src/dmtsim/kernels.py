@@ -636,7 +636,7 @@ def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float,
     doubled panels. The first key that misses tol within _MAX_PANELS panels
     raises QuadratureError with its smallest estimate (inf if its oscillation
     count alone exceeds the budget), prefixed with its atom pair when
-    pairs[:, k] names key k's pair.
+    pairs[:, k] names key k's pair and r > 0.
     """
     r, cos2 = np.asarray(r, dtype=float), np.asarray(cos2, dtype=float)
     values, errors = np.zeros(r.size), np.full(r.size, math.inf)
@@ -671,7 +671,8 @@ def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float,
         if active.size:  # the keys that missed tol, ascending
             k = active[0]
             error = float(errors[k])
-            where = "" if pairs is None else f"direct pair ({pairs[0, k]},{pairs[1, k]}): "
+            named = pairs is not None and r[k] > 0  # key 0 at r = 0 is the diagonal
+            where = f"direct pair ({pairs[0, k]},{pairs[1, k]}): " if named else ""
             if math.isinf(error):
                 why = f"oscillation count exceeds {_MAX_PANELS} panels"
             else:
@@ -686,25 +687,23 @@ def _f(times, r, c2, bath: BathParams, pairs) -> np.ndarray:
     shape (T, K); key 0 is r = 0 and pairs[:, k] names key k's atom pair.
 
     At zero temperature f is closed throughout: _f_closed_rt over the whole
-    table at once, key 0 included, with no quadrature. A warm bath has no closed f here: key 0 is a quadrature at an
-    absolute tol of 1e-10 (or 1e-10 alpha kappa^2 where that is larger, so
-    the first pass scales with the bath), repeated at 1e-11 of its value, and
-    the keys at r > 0 take one batched quadrature per time at 1e-11 of key 0,
+    table at once, key 0 included, with no quadrature. A warm bath has no
+    closed f here: the whole table, key 0 included, takes one batched
+    quadrature per time at 1e-11 of B(t), the zero-temperature diagonal over
+    tanh(beta kappa / 2). Since coth(beta q / 2) >= coth(beta kappa / 2) on
+    (0, kappa] and the diagonal's integrand is non-negative, B(t) <= f(t, 0),
     so quadrature noise cannot drown the block's positive semidefiniteness.
     """
     if bath.inv_temperature is None:
         return _f_closed_rt(times[:, None], r, c2, bath.alpha, bath.kappa)
-    f = np.zeros((times.size, r.size))
-    kernel = TimeKernel.F_KERNEL
-    first_tol = 1e-10 * max(1.0, bath.alpha * bath.kappa**2)
+    with np.errstate(over="ignore"):  # a B past the float range: f is too, and M not finite
+        floor = _f_closed_rt(times, 0.0, 1.0, bath.alpha, bath.kappa) / math.tanh(
+            0.5 * bath.inv_temperature * bath.kappa
+        )
+    f = np.empty((times.size, r.size))
     for row, t in enumerate(times):
-        (diag,) = _quadrature_rt(t, r[:1], c2[:1], bath, kernel, first_tol)
-        if diag > 0:
-            tol = max(1e-11 * diag, 1e-18)
-            (diag,) = _quadrature_rt(t, r[:1], c2[:1], bath, kernel, tol)
-        f[row, 0] = diag
-        tol = max(1e-11 * diag, 1e-300)
-        f[row, 1:] = _quadrature_rt(t, r[1:], c2[1:], bath, kernel, tol, pairs[:, 1:])
+        tol = max(1e-11 * floor[row], 1e-300)
+        f[row] = _quadrature_rt(t, r, c2, bath, TimeKernel.F_KERNEL, tol, pairs)
     return f
 
 
