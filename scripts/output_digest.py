@@ -216,6 +216,30 @@ points = 3
 prefix = late_tiny
 """
 
+# one atom in a bath so hot that 2 / beta nears the float range: the warm
+# time factor must form q coth(beta q / 2) before anything overflows
+WARM_HOT_CHAIN = """
+[bath]
+alpha = 1e-20
+kappa = 1
+inv_temperature = 3e-308
+
+[geometry]
+kind = chain
+count = 1
+spacing = 10
+dipole_angle = 0
+
+[time]
+start = 1
+end = 10
+points = 10
+spacing = linear
+
+[output]
+prefix = warm_hot
+"""
+
 CODEWORD_INDICES = " ".join(str(i) for i in sorted(random.Random(0).sample(range(81), 40)))
 GAS_SWEEP = "\n[sweep]\nparameter = {}\nvalues = {}\n"
 GAS_DENSITY_SWEEP = "\n[selection]\nindices = 0 1 2\n" + GAS_SWEEP.format(
@@ -240,6 +264,7 @@ SCENARIOS = (
     ("gas_seed_override", GAS.format(extra=""), "closed", 7),
     ("late_chain", LATE_CHAIN, "closed", None),
     ("late_tiny_chain", LATE_TINY_CHAIN, "closed", None),
+    ("warm_hot_chain", WARM_HOT_CHAIN, "closed", None),
 )
 
 # Monte Carlo: about 110 atoms per sample, 29 of them inside the light cone

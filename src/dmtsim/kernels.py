@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
 class KernelDomainError(ValueError):
     """Input outside the kernel's domain (negative time, r = 0 where forbidden...)."""
 
@@ -92,8 +95,9 @@ class BathParams:
     inv_temperature : float or None
         Inverse temperature beta entering coth(beta q / 2); None means zero
         temperature (coth = 1). When given, beta kappa must not underflow
-        below the smallest normal float, so that beta q / 2 stays positive
-        at every positive quadrature node q.
+        below the smallest normal float, and 4 kappa / beta must be finite,
+        so that q coth(beta q / 2) <= 2/beta + q and its integral over
+        (0, kappa] stay inside the float range.
     """
 
     alpha: float
@@ -112,11 +116,11 @@ class BathParams:
         if self.inv_temperature is not None:
             if not (math.isfinite(self.inv_temperature) and self.inv_temperature > 0):
                 raise KernelDomainError("inv_temperature must be finite and > 0 when given")
-            if self.inv_temperature * self.kappa < np.finfo(float).tiny:
-                raise KernelDomainError(
-                    f"inv_temperature * kappa underflows at inv_temperature = "
-                    f"{self.inv_temperature:g}, kappa = {self.kappa:g}"
-                )
+            at = f"at inv_temperature = {self.inv_temperature:g}, kappa = {self.kappa:g}"
+            if self.inv_temperature * self.kappa < _TINY:
+                raise KernelDomainError(f"inv_temperature * kappa underflows {at}")
+            if 4.0 * self.kappa / self.inv_temperature == math.inf:
+                raise KernelDomainError(f"4 kappa / inv_temperature overflows {at}")
 
     @property
     def dipole_advisory(self) -> bool:
@@ -611,17 +615,21 @@ def _geometric_weight(x: np.ndarray, cos2) -> np.ndarray:
 
 
 def _time_factor(q: np.ndarray, t: float, kernel: TimeKernel, beta) -> np.ndarray:
-    if kernel is TimeKernel.F_KERNEL:
-        # 1 - cos(qt) = 2 sin^2(qt/2), cancellation-free at small qt
-        val = 2.0 * np.sin(0.5 * q * t) ** 2
-        if beta is not None:
-            with np.errstate(over="ignore"):  # tanh(inf) = 1, the cold limit
-                tanh = np.tanh(0.5 * beta * q)
-            # the factor falls like q t^2 / beta to 0 at a node q = 0, which a
-            # subnormal kappa rounds to; elsewhere BathParams keeps tanh > 0
-            val = np.divide(val, tanh, out=np.zeros_like(val), where=q > 0)
-        return val
-    return 2.0 * _x_minus_sin(q * t)
+    """q times half the kernel's time factor: q (qt - sin qt) for phi, and
+    q sin^2(qt/2) = q (1 - cos qt)/2 for f, cancellation-free at small qt,
+    times coth(beta q/2) in a warm bath. q coth(beta q/2) is formed first: it
+    lies in [2/beta, 2/beta + q], finite under BathParams, and is 2/beta
+    itself where beta q/2 is below the smallest normal float (q = 0 included).
+    """
+    if kernel is TimeKernel.PHI_KERNEL:
+        return q * _x_minus_sin(q * t)
+    val = np.sin(0.5 * q * t) ** 2
+    if beta is None:
+        return q * val
+    with np.errstate(over="ignore"):  # tanh(inf) = 1, the cold limit
+        x = 0.5 * beta * q
+    q_coth = np.divide(q, np.tanh(x), out=np.full_like(q, 2.0 / beta), where=x >= _TINY)
+    return q_coth * val
 
 
 def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float, pairs=None):
@@ -645,7 +653,7 @@ def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float,
     # any count past the budget fails alike; capping it keeps the block
     # widths below from overflowing
     need = np.minimum(need, 2.0 * _MAX_PANELS)
-    prefactor = bath.alpha / math.pi
+    prefactor = 2.0 * bath.alpha / math.pi  # _time_factor's halves
     start = 0
     while start < r.size:
         width = np.maximum.accumulate(need[start:]) * 15.0 * np.arange(1, r.size - start + 1)
@@ -659,7 +667,7 @@ def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float,
             for xi, w in (_GL_HI, _GL_LO):
                 q = mid[:, None] + half[:, None] * xi
                 weight = _geometric_weight(q * r[active, None, None], cos2[active, None, None])
-                integrand = q * weight * _time_factor(q, t, time_kernel, bath.inv_temperature)
+                integrand = weight * _time_factor(q, t, time_kernel, bath.inv_temperature)
                 rule.append(np.sum(integrand * w, axis=2) * half)
             hi, lo = rule
             with np.errstate(over="ignore"):  # _assemble reports a non-finite M

@@ -40,6 +40,15 @@ class TestParams:
         with pytest.raises(KernelDomainError, match="inv_temperature \\* kappa underflows"):
             BathParams(alpha=ALPHA, kappa=1e-10, inv_temperature=1e-300)
 
+    @pytest.mark.parametrize("kappa, beta", [(1.0, 2.2250738585072014e-308), (10.0, 3e-308)])
+    def test_rejects_a_bath_whose_hot_limit_overflows(self, kappa, beta):
+        # q coth(beta q / 2) tends to 2 / beta; its integral over (0, kappa]
+        # is about 2 kappa / beta
+        assert beta * kappa >= np.finfo(float).tiny
+        with pytest.raises(KernelDomainError, match="4 kappa / inv_temperature overflows"):
+            BathParams(alpha=ALPHA, kappa=kappa, inv_temperature=beta)
+        BathParams(alpha=ALPHA, kappa=kappa, inv_temperature=16.0 * beta)
+
     def test_dipole_advisory(self):
         assert BathParams(alpha=ALPHA, kappa=1.0).dipole_advisory
         assert BathParams(alpha=ALPHA, kappa=3.0).dipole_advisory
@@ -318,6 +327,27 @@ class TestQuadrature:
         cold = reduced_quadrature(5.0, g, b_cold, TimeKernel.F_KERNEL, tol=1e-13)
         warm = reduced_quadrature(5.0, g, b_warm, TimeKernel.F_KERNEL, tol=1e-13)
         assert warm > cold
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        kappa=st.floats(min_value=0.1, max_value=1.0),
+        log_beta_kappa=st.floats(min_value=math.log10(0.2), max_value=4.0),
+        log_kappa_t=st.floats(min_value=-3.0, max_value=5.0),
+    )
+    def test_warm_diagonal_is_at_least_its_closed_floor(self, kappa, log_beta_kappa, log_kappa_t):
+        # coth(beta q / 2) >= coth(beta kappa / 2) on (0, kappa] and the
+        # integrand is non-negative at r = 0, so f(t, 0) >= B(t), the
+        # zero-temperature diagonal over tanh(beta kappa / 2): the floor of
+        # the warm f's tolerance. The oracle runs at 1e-14 B, times kappa t /
+        # 100 past kappa t = 100, above the quadrature's rounding floor,
+        # which grows with kappa t (8.5e-14 of f at kappa t = 1e4)
+        beta_kappa, kappa_t = 10.0**log_beta_kappa, 10.0**log_kappa_t
+        b = bath(kappa=kappa, beta=beta_kappa / kappa)
+        t = kappa_t / kappa
+        floor = f_diag(t, bath(kappa=kappa)) / math.tanh(0.5 * beta_kappa)
+        tol = 1e-14 * floor * max(1.0, kappa_t / 100.0)
+        f = reduced_quadrature(t, PairGeometry(0.0, 0.0), b, TimeKernel.F_KERNEL, tol=tol)
+        assert floor <= f + tol
 
     def test_low_temperature_limit_recovers_zero_t(self):
         b_cold = bath(kappa=0.5)

@@ -204,19 +204,20 @@ def _f_oracle(t, geom, b, tol):
 
 def oracle_metric(config, mask, b, t, policy):
     """(direct, indirect, valid) at one t from scalar kernels, pair by pair:
-    a warm f with build_metric's documented quadrature tolerances, a cold
+    a warm f by the quadrature at build_metric's documented tolerance, 1e-11
+    of B(t) = f_diag(t, cold bath) / tanh(beta kappa / 2), a cold
     off-diagonal f by the quadrature at 1e-14 of the diagonal
     (conftest.cold_f_quadrature; every pair here is within its reach)."""
     sel, unobs = list(mask.selected), list(mask.unobserved)
     n = len(sel)
     if t == 0.0:
         return np.zeros((n, n)), np.zeros((n, n)), True
+    cold = BathParams(b.alpha, b.kappa)
     if b.inv_temperature is None:
         diag = f_diag(t, b)
     else:
-        diag = _f_oracle(t, PairGeometry(0.0, 0.0), b, 1e-10)
-        if diag > 0:
-            diag = _f_oracle(t, PairGeometry(0.0, 0.0), b, max(1e-11 * diag, 1e-18))
+        tol = max(1e-11 * f_diag(t, cold) / math.tanh(0.5 * b.inv_temperature * b.kappa), 1e-300)
+        diag = _f_oracle(t, PairGeometry(0.0, 0.0), b, tol)
     f = np.empty((n, n))
     for i in range(n):
         for j in range(n):
@@ -227,7 +228,7 @@ def oracle_metric(config, mask, b, t, policy):
                 if b.inv_temperature is None:
                     f[i, j] = cold_f_quadrature(t, geom, b, diag)
                 else:
-                    f[i, j] = _f_oracle(t, geom, b, max(1e-11 * diag, 1e-300))
+                    f[i, j] = _f_oracle(t, geom, b, tol)
     phi = np.array(
         [[_PHI_ORACLE[policy](t, pair_geometry(config, i, k), b) for k in unobs] for i in sel]
     ).reshape(n, len(unobs))
@@ -378,9 +379,9 @@ class TestCurveEngine:
         with pytest.raises(QuadratureError, match=r"^oscillation count exceeds 262144 panels$"):
             build_metric(config, mask, b, 1.7e308)
 
-    def test_warm_diagonal_first_pass_scales_with_the_bath(self):
-        # an absolute first-pass tol of 1e-10 is a stall at alpha = 1e300;
-        # f is linear in alpha
+    def test_warm_diagonal_tolerance_scales_with_the_bath(self):
+        # an absolute tol of 1e-10 would be a stall at alpha = 1e300; the
+        # tolerance 1e-11 B(t) scales with alpha, as f does
         config, mask = chain_1d(1, 10.0, 0.3)
         huge = build_metric(config, mask, BathParams(1e300, 0.1, inv_temperature=2.0), 1.0)
         unit = build_metric(config, mask, BathParams(1.0, 0.1, inv_temperature=2.0), 1.0)
@@ -402,10 +403,38 @@ class TestCurveEngine:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_warm_factor_at_nodes_rounded_to_zero(self):
         # a subnormal kappa rounds quadrature nodes to q = 0, where the
-        # factor 2 sin^2(qt/2) / tanh(beta q / 2) has the limit 0
+        # factor q sin^2(qt/2) / tanh(beta q / 2) has the limit 0
         config, mask = chain_1d(1, 10.0, 0.3)
         b = BathParams(ALPHA, 5e-324, inv_temperature=1e16)
         assert build_metric(config, mask, b, 1.0).direct_part[0, 0] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_warm_f_where_two_over_beta_nears_the_float_range(self):
+        # 2 sin^2(qt/2) / tanh(beta q / 2) alone overflows at beta = 3e-308;
+        # q times it, and f, do not. With beta kappa that small,
+        # q coth(beta q / 2) = 2 / beta to rounding, so
+        # 4 f = (16 alpha / 3 pi beta)(kappa - sin(kappa t) / t)
+        alpha, kappa, beta, t = 1e-20, 1.0, 3e-308, 10.0
+        config, mask = chain_1d(1, 10.0, 0.3)
+        M = build_metric(config, mask, BathParams(alpha, kappa, inv_temperature=beta), t)
+        hot = 16.0 * alpha / (3.0 * math.pi * beta) * (kappa - math.sin(kappa * t) / t)
+        assert M.direct_part[0, 0] == pytest.approx(hot, rel=1e-12)
+
+    def test_warm_f_is_one_quadrature_call_per_positive_time(self, monkeypatch):
+        # the whole key table, diagonal included, in one call per time
+        calls = []
+        quadrature = kernels._quadrature_rt
+
+        def spy(t, r, *args):
+            calls.append((t, r.size))
+            return quadrature(t, r, *args)
+
+        monkeypatch.setattr(kernels, "_quadrature_rt", spy)
+        config, _ = chain_1d(5, 10.0, 0.3)
+        mask = SelectionMask.from_selected(5, [0, 1, 3])  # keys at r = 0, 10, 20, 30
+        times = [0.0, 0.5, 3.0, 40.0]
+        _assemble(config, mask, BathParams(ALPHA, 0.3, inv_temperature=2.0), times)
+        assert calls == [(t, 4) for t in times[1:]]
 
     def test_cold_f_runs_no_quadrature(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
