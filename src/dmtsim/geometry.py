@@ -430,16 +430,22 @@ def pair_arrays(config: AtomConfig, indices_a, indices_b):
     """Vectorized (r, cos theta) between every atom of indices_a and of
     indices_b; shape (len(a), len(b)). Coincident pairs come out as r = 0 and
     cos theta = 1; callers decide whether that is an error. Distinct atoms
-    whose r^2 underflows (the dipole length's rule) raise instead."""
+    whose r^2 underflows, and atoms whose r^2 overflows (above about
+    1.34e154), raise instead: the dipole length's rule."""
     indices_a = np.asarray(indices_a, dtype=int)
     indices_b = np.asarray(indices_b, dtype=int)
-    delta = config.positions[indices_a][:, None, :] - config.positions[indices_b][None, :, :]
-    r = np.linalg.norm(delta, axis=2)
+    with np.errstate(over="ignore"):  # r = inf raises below
+        delta = config.positions[indices_a][:, None, :] - config.positions[indices_b][None, :, :]
+        r = np.linalg.norm(delta, axis=2)
+    bad = r == math.inf
     short = r < _LENGTH_MIN
     if short.any() and np.any(delta[short]):
-        a, b = np.argwhere(short & np.any(delta, axis=2))[0]
+        bad |= short & np.any(delta, axis=2)
+    if bad.any():
+        a, b = np.argwhere(bad)[0]
+        flow = "overflows" if r[a, b] == math.inf else "underflows"
         where = f"separation of atoms {indices_a[a]} and {indices_b[b]}"
-        raise GeometryError(f"{where} underflows when squared; scale the geometry toward 1")
+        raise GeometryError(f"{where} {flow} when squared; scale the geometry toward 1")
     dot = np.tensordot(delta, config.dipole_direction, axes=([2], [0]))
     cos_t = np.where(r > 0, dot / np.where(r > 0, r, 1.0), 1.0)
     return r, np.clip(cos_t, -1.0, 1.0)

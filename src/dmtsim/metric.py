@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geometry as _geometry
 from .geometry import AtomConfig, GeometryError, SelectionMask
-from .kernels import BathParams, KernelDomainError, KernelPolicy
+from .kernels import BathParams, KernelPolicy
 from .kernels import _BLOCK, _f, _phi
 
 __all__ = [
@@ -95,11 +95,9 @@ def _key_table(config: AtomConfig, rows, cols):
     is key k's first (row, col) atom pair in row-major order, and inverse,
     shaped like the block, holds each pair's key. Pairs at theta and
     pi - theta share a key; coincident atoms (r = 0, cos theta = 1) all share
-    the first key. A separation that overflows raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, cos_t = _geometry.pair_arrays(config, rows, cols)
-    if not np.all(np.isfinite(r)):
-        raise KernelDomainError("pair separation r must be finite and >= 0")
+    the first key. pair_arrays raises on a separation whose square over- or
+    underflows."""
+    r, cos_t = _geometry.pair_arrays(config, rows, cols)
     # complex keys r + i cos^2 theta sort by r, then cos^2 theta, in a 1-D
     # np.unique several times faster than one over the columns of a 2-row array
     keys, first, inverse = np.unique(

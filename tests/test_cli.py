@@ -496,8 +496,8 @@ prefix = tiny
         [
             # kappa (r + t) overflows to inf: specfun's ValueError
             (10.0, 1000.0, 1e308, "closed", "sine_integral requires finite input"),
-            # |r| overflows to inf: KernelDomainError
-            (0.1, 1e200, 10.0, "quadrature", "pair separation r must be finite"),
+            # r^2 overflows: GeometryError names the first such pair
+            (0.1, 1e200, 10.0, "quadrature", "atoms 4 and 0 overflows when squared"),
             # a denormal spacing squares to 0; GeometryError names the
             # underflow rather than a coincident pair
             (0.1, 1e-320, 10.0, "closed", "underflows when squared"),
@@ -593,14 +593,14 @@ points = 5
                 "config error: [geometry] dipole direction length underflows when squared",
             ),
             # every atom selected: only the selected block holds the
-            # separations, which overflow to inf before any quadrature
+            # separations, whose squares overflow before any quadrature
             (
                 with_geometry(
                     "kind = chain\ncount = 3\nspacing = 1e200\ndipole_angle = 0.3",
                     "\n[selection]\nindices = 0 1 2\n",
                 ),
                 2,
-                "numerical error: pair separation r must be finite",
+                "numerical error: separation of atoms 0 and 1 overflows when squared",
             ),
             # alpha = 1e300 overflows the Gram product of two selected atoms
             (

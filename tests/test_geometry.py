@@ -6,6 +6,7 @@ import scipy.stats
 from conftest import pair_geometry
 from hypothesis import given, settings, strategies as st
 
+from dmtsim.asymptotics import effective_neighbors
 from dmtsim.geometry import (
     AtomConfig,
     GasSpec,
@@ -436,6 +437,29 @@ class TestPairGeometry:
             pair_arrays(config, [1, 2], [0, 1])
         r, _ = pair_arrays(config, [0, 1], [0, 1])
         assert r[0, 0] == 0.0 and r[0, 1] == np.linalg.norm([1.0, 1.0, 1.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("far", [1e155, 1e200, 1e308])
+    def test_separation_that_overflows_when_squared_is_named(self, far):
+        # past about 1.34e154 r^2 overflows (at 1e308 the difference of
+        # atoms 0 and 2 itself does): no inf r and +-0 cos theta leave
+        # pair_arrays
+        config = AtomConfig(
+            positions=[[far, 0, 0], [1, 1, 1], [-far, 0, 0]], dipole_direction=(0, 0, 1), label="c"
+        )
+        with pytest.raises(GeometryError, match="separation of atoms 1 and 2 overflows when squared"):
+            pair_arrays(config, [1, 0], [1, 2])
+        with pytest.raises(GeometryError, match="separation of atoms 0 and 2 overflows"):
+            pair_arrays(config, [0], [2])
+        r, _ = pair_arrays(config, [1], [1])
+        assert r[0, 0] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_effective_neighbors_refuses_an_overflowing_separation(self):
+        # it used to return nan from r = inf
+        config, mask = chain_1d(3, 1e200, 0.3)
+        with pytest.raises(GeometryError, match="separation of atoms 1 and 0 overflows"):
+            effective_neighbors(config, mask)
 
     def test_coincident_pair_gives_zero_r_and_unit_cos(self):
         config = AtomConfig(
