@@ -164,9 +164,15 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         space = np.geomspace if self.spacing == "log" else np.linspace
         try:
-            return space(self.start, self.end, self.points)
+            # geomspace's powers may round past the float range next to an
+            # end near it; it sets the end itself, and any other inf raises
+            with np.errstate(over="ignore"):
+                times = space(self.start, self.end, self.points)
         except MemoryError as exc:  # numpy refusing an array size
             raise ScenarioError("time.points", str(exc)) from None
+        if not np.all(np.isfinite(times)):
+            raise ScenarioError("time.end", "grid times overflow next to the end")
+        return times
 
 
 @dataclass(frozen=True)
@@ -399,8 +405,12 @@ def _compute_curve(bath, config, mask, times, policy):
     the property checks) and the d_direct, d_indirect and valid columns."""
     direct, indirect, valid = _assemble(config, mask, bath, times, policy)
     final = MetricTensor(float(times[-1]), direct[-1], indirect[-1], bool(valid[-1]))
-    d_dir = direct.reshape(len(times), -1).sum(axis=1)
-    d_ind = indirect.reshape(len(times), -1).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range raises below
+        d_dir = direct.reshape(len(times), -1).sum(axis=1)
+        d_ind = indirect.reshape(len(times), -1).sum(axis=1)
+        bad = ~np.isfinite(d_dir + d_ind)
+    if bad.any():
+        raise MetricError(f"d_direct + d_indirect is not finite at t = {times[bad][0]:.6g}")
     return final, d_dir, d_ind, valid
 
 

@@ -179,7 +179,13 @@ def _assemble(
     bad = ~(np.isfinite(direct) & np.isfinite(indirect)).all(axis=(1, 2))
     if bad.any():
         raise MetricError(f"direct or indirect part of M is not finite at t = {times[bad][0]:.6g}")
-    valid = np.max(np.abs(direct + indirect), axis=(1, 2)) < _VALIDITY_THRESHOLD
+    with np.errstate(over="ignore"):  # an M past the float range raises below
+        total = direct + indirect
+        trace = np.trace(total, axis1=1, axis2=2)
+    bad = ~(np.isfinite(total).all(axis=(1, 2)) & np.isfinite(trace))
+    if bad.any():
+        raise MetricError(f"M = 4f + 2Phi or its trace overflows at t = {times[bad][0]:.6g}")
+    valid = np.max(np.abs(total), axis=(1, 2)) < _VALIDITY_THRESHOLD
     return direct, indirect, valid
 
 
@@ -216,8 +222,12 @@ def build_metric(
 
 def _forms(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x^T matrix x over the last axis of a stack of rows x. Two two-operand
-    einsums: three operands run slower, and matmul's BLAS route bimodally."""
-    return np.einsum("...i,...i->...", x, np.einsum("ij,...j->...i", matrix, x))
+    einsums: three operands run slower, and matmul's BLAS route bimodally.
+    A form past the float range, from a finite M near it, raises."""
+    q = np.einsum("...i,...i->...", x, np.einsum("ij,...j->...i", matrix, x))
+    if not np.all(np.isfinite(q)):
+        raise MetricError("a quadratic form of M is not finite; M is too close to the float range")
+    return q
 
 
 def _clamped_forms(matrix: np.ndarray, x: np.ndarray, eps: float) -> np.ndarray:

@@ -243,6 +243,16 @@ class TestParsing:
         grid = TimeGrid(start=0.0, end=1.0, points=5, spacing="linear")
         assert grid.times()[0] == 0.0 and grid.times()[-1] == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_log_grid_next_to_the_float_range(self):
+        # geomspace's powers round past the largest float: at the end, which
+        # geomspace sets itself, and at an interior point, which is refused
+        huge = np.finfo(float).max
+        assert TimeGrid(start=1e-3, end=huge, points=2).times().tolist() == [1e-3, huge]
+        with pytest.raises(ScenarioError, match="overflow next to the end") as exc_info:
+            TimeGrid(start=1.7976931348623e308, end=huge, points=3).times()
+        assert exc_info.value.key == "time.end"
+
     def test_time_grid_points_must_be_an_integer(self):
         for points in (5.5, 5.0, True):
             with pytest.raises(ScenarioError, match="at least 2") as exc_info:
@@ -830,6 +840,25 @@ prefix = wide
         err = capsys.readouterr().err
         assert err == "numerical error: direct or indirect part of M is not finite at t = 1\n"
         assert not list(out.glob("*.csv"))
+
+    def test_codeword_sum_past_the_float_range_is_a_numerical_error(self, tmp_path, capsys):
+        # two selected atoms 0.1 apart in a bath at beta = 3e-308: every f is
+        # about 3e307 and the trace of M is finite, but d_direct, the sum of
+        # all four entries, is not
+        text = (
+            with_geometry(
+                "kind = chain\ncount = 2\nspacing = 0.1\ndipole_angle = 0.3",
+                "\n[selection]\nindices = 0 1\n",
+            )
+            .replace("alpha = 0.0072973525693\nkappa = 0.1", "alpha = 1\nkappa = 1")
+            .replace("kappa = 1\n", "kappa = 1\ninv_temperature = 3e-308\n")
+            .replace("start = 1e-3\nend = 1e3\npoints = 13", "start = 1\nend = 10\npoints = 2")
+        )
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical error: d_direct + d_indirect is not finite at t = 10\n"
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize(
         "geometry, bath, end, sweep, policy, message",

@@ -473,6 +473,15 @@ class TestCurveEngine:
         with pytest.raises(MetricError, match=r"not finite at t = 1$"):
             build_metric(config, mask, BathParams(alpha=1.7e308, kappa=10.0), 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_trace_past_the_float_range_is_a_metric_error(self):
+        # two selected atoms, each with 4 f = 1.3e308: every entry of M is
+        # finite, its trace is not
+        config, _ = chain_1d(2, 10.0, 0.3)
+        mask = SelectionMask.from_selected(2, [0, 1])
+        with pytest.raises(MetricError, match=r"^M = 4f \+ 2Phi or its trace overflows at t = 1$"):
+            _assemble(config, mask, BathParams(alpha=3e306, kappa=10.0), [0.0, 1.0, 1e3])
+
     def test_overflowing_gram_product_is_a_metric_error(self):
         # phi ~ alpha = 1e300 squares past the float range in the Gram product
         config, _ = chain_1d(3, 10.0, 0.3)
@@ -587,6 +596,18 @@ class TestChecks:
             distance(M, (1, 1), (1, -1))
         with pytest.raises(MetricError, match="below -epsilon"):
             check_triangle(M, triples=200, seed=2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_forms_past_the_float_range_raise(self):
+        # M and its trace are finite, but a difference of codewords
+        # (entries +-2) or a normal vector takes x^T M x past the float range
+        M = synthetic(np.eye(2) * 5e307)
+        with pytest.raises(MetricError, match="quadratic form of M is not finite"):
+            distance(M, (1, 1), (-1, -1))
+        with pytest.raises(MetricError, match="quadratic form of M is not finite"):
+            check_triangle(M, triples=10, seed=2)
+        with pytest.raises(MetricError, match="quadratic form of M is not finite"):
+            check_nonnegative(M, trials=200, seed=1)
 
     def test_triangle_random_gram_tensors(self):
         rng = np.random.default_rng(6)
