@@ -429,9 +429,8 @@ def sample_gas(
 def pair_arrays(config: AtomConfig, indices_a, indices_b):
     """Vectorized (r, cos theta) between every atom of indices_a and of
     indices_b; shape (len(a), len(b)). Coincident pairs come out as r = 0 and
-    cos theta = 1; callers decide whether that is an error. Distinct atoms
-    whose r^2 underflows, and atoms whose r^2 overflows (above about
-    1.34e154), raise instead: the dipole length's rule."""
+    cos theta = 1; callers decide whether that is an error. An r^2 that
+    overflows, or underflows for distinct atoms, raises (the dipole length's rule)."""
     indices_a = np.asarray(indices_a, dtype=int)
     indices_b = np.asarray(indices_b, dtype=int)
     with np.errstate(over="ignore"):  # r = inf raises below

@@ -23,15 +23,15 @@ series in W's moments where its differences cancel; at r = 0 that series is
 the coincident-point form), and so is phi in its Si-based form. A warm f has
 no closed form here: it goes through an oscillation-aware composite
 Gauss-Legendre quadrature over arrays of keys on a panel grid shared within
-each key block, with a panel budget that it exceeds past kappa (t + r) of
-about 8.2e5; reduced_quadrature is its one-key form and the oracle of every
-closed form. The closed phi form drops cutoff-edge oscillatory terms
-(sin kr, cos kr, kr cos kr); the quadrature keeps them, so the two agree
-only up to that known envelope. phi_exact adds them back: it is the closed
-form of the full radial integral, which the phi quadrature is checked
-against. _phi maps each KernelPolicy to its phi formula, for the scalar
-phis, the metric engine and the gas Monte Carlo alike, and _f a bath to its
-f formulas over the metric engine's pair-key table.
+each key block, one call per time over every key, with a panel budget that
+it exceeds past kappa (t + r) of about 8.2e5; reduced_quadrature is its
+one-key form and the oracle of every closed form. The closed phi form drops
+cutoff-edge oscillatory terms (sin kr, cos kr, kr cos kr); the quadrature
+keeps them, so the two agree only up to that known envelope. phi_exact adds
+them back: it is the closed form of the full radial integral, which the phi
+quadrature is checked against. _phi maps each KernelPolicy to its phi
+formula, for the scalar phis, the metric engine and the gas Monte Carlo
+alike, and _f a bath to its f formulas over the metric engine's key table.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "phi_farfield",
     "reduced_quadrature",
 ]
-
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -96,8 +95,7 @@ class BathParams:
         Inverse temperature beta entering coth(beta q / 2); None means zero
         temperature (coth = 1). When given, beta kappa must not underflow
         below the smallest normal float, and 4 kappa / beta must be finite,
-        so that q coth(beta q / 2) <= 2/beta + q and its integral over
-        (0, kappa] stay inside the float range.
+        so that q coth(beta q / 2) <= 2/beta + q stays finite over (0, kappa].
     """
 
     alpha: float
@@ -615,12 +613,9 @@ def _geometric_weight(x: np.ndarray, cos2) -> np.ndarray:
 
 
 def _time_factor(q: np.ndarray, t: float, kernel: TimeKernel, beta) -> np.ndarray:
-    """q times half the kernel's time factor: q (qt - sin qt) for phi, and
-    q sin^2(qt/2) = q (1 - cos qt)/2 for f, cancellation-free at small qt,
-    times coth(beta q/2) in a warm bath. q coth(beta q/2) is formed first: it
-    lies in [2/beta, 2/beta + q], finite under BathParams, and is 2/beta
-    itself where beta q/2 is below the smallest normal float (q = 0 included).
-    """
+    """q times half the time factor: q (qt - sin qt), or q sin^2(qt/2) times
+    coth(beta q/2) when warm, with q coth(beta q/2) in [2/beta, 2/beta + q]
+    formed first (2/beta where beta q/2 is subnormal or 0)."""
     if kernel is TimeKernel.PHI_KERNEL:
         return q * _x_minus_sin(q * t)
     val = np.sin(0.5 * q * t) ** 2
@@ -696,18 +691,16 @@ def _f(times, r, c2, bath: BathParams, pairs) -> np.ndarray:
 
     At zero temperature f is closed throughout: _f_closed_rt over the whole
     table at once, key 0 included, with no quadrature. A warm bath has no
-    closed f here: the whole table, key 0 included, takes one batched
-    quadrature per time at 1e-11 of B(t), the zero-temperature diagonal over
-    tanh(beta kappa / 2). Since coth(beta q / 2) >= coth(beta kappa / 2) on
-    (0, kappa] and the diagonal's integrand is non-negative, B(t) <= f(t, 0),
-    so quadrature noise cannot drown the block's positive semidefiniteness.
+    closed f here: the whole table takes one quadrature per time at 1e-11 of
+    B(t), the zero-temperature diagonal over tanh(beta kappa / 2). B(t) <=
+    f(t, 0), since coth(beta q / 2) >= coth(beta kappa / 2) on (0, kappa], so
+    quadrature noise cannot drown the block's positive semidefiniteness.
     """
     if bath.inv_temperature is None:
         return _f_closed_rt(times[:, None], r, c2, bath.alpha, bath.kappa)
+    tanh = math.tanh(0.5 * bath.inv_temperature * bath.kappa)
     with np.errstate(over="ignore"):  # a B past the float range: f is too, and M not finite
-        floor = _f_closed_rt(times, 0.0, 1.0, bath.alpha, bath.kappa) / math.tanh(
-            0.5 * bath.inv_temperature * bath.kappa
-        )
+        floor = _f_closed_rt(times, 0.0, 1.0, bath.alpha, bath.kappa) / tanh
     f = np.empty((times.size, r.size))
     for row, t in enumerate(times):
         tol = max(1e-11 * floor[row], 1e-300)

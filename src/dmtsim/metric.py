@@ -95,8 +95,7 @@ def _key_table(config: AtomConfig, rows, cols):
     is key k's first (row, col) atom pair in row-major order, and inverse,
     shaped like the block, holds each pair's key. Pairs at theta and
     pi - theta share a key; coincident atoms (r = 0, cos theta = 1) all share
-    the first key. pair_arrays raises on a separation whose square over- or
-    underflows."""
+    the first key."""
     r, cos_t = _geometry.pair_arrays(config, rows, cols)
     # complex keys r + i cos^2 theta sort by r, then cos^2 theta, in a 1-D
     # np.unique several times faster than one over the columns of a 2-row array
@@ -205,11 +204,11 @@ def build_metric(
     selected block (r = 0) is the diagonal and every coincident selected
     pair, so coincident selected atoms get identical kernel rows. At zero
     temperature every f is closed, so no panel budget limits t; under a warm
-    bath key 0 is a quadrature and the keys at r > 0 take one batched
-    quadrature at a tolerance tied to the diagonal.
-    A selected-unobserved coincidence is rejected because phi diverges
-    there, and so are a separation that overflows, a mask built for another
-    atom count than len(config), and an M that is not finite.
+    bath every key takes one quadrature per time, at a tolerance tied to a
+    closed lower bound of the diagonal (kernels._f). A selected-unobserved
+    coincidence is rejected because phi diverges there, and so are a
+    separation whose square over- or underflows, a mask built for another
+    atom count than len(config), and an M or trace of M that is not finite.
 
     This is the one-time slice of the curve engine that the CLI runs over a
     whole time grid, so it equals that curve's row at t bit for bit. A warm
@@ -222,8 +221,7 @@ def build_metric(
 
 def _forms(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x^T matrix x over the last axis of a stack of rows x. Two two-operand
-    einsums: three operands run slower, and matmul's BLAS route bimodally.
-    A form past the float range, from a finite M near it, raises."""
+    einsums: three operands run slower, and matmul's BLAS route bimodally."""
     q = np.einsum("...i,...i->...", x, np.einsum("ij,...j->...i", matrix, x))
     if not np.all(np.isfinite(q)):
         raise MetricError("a quadratic form of M is not finite; M is too close to the float range")

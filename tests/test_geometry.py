@@ -447,7 +447,7 @@ class TestPairGeometry:
         config = AtomConfig(
             positions=[[far, 0, 0], [1, 1, 1], [-far, 0, 0]], dipole_direction=(0, 0, 1), label="c"
         )
-        with pytest.raises(GeometryError, match="separation of atoms 1 and 2 overflows when squared"):
+        with pytest.raises(GeometryError, match="atoms 1 and 2 overflows when squared"):
             pair_arrays(config, [1, 0], [1, 2])
         with pytest.raises(GeometryError, match="separation of atoms 0 and 2 overflows"):
             pair_arrays(config, [0], [2])
