@@ -841,25 +841,6 @@ prefix = wide
         assert err == "numerical error: direct or indirect part of M is not finite at t = 1\n"
         assert not list(out.glob("*.csv"))
 
-    def test_codeword_sum_past_the_float_range_is_a_numerical_error(self, tmp_path, capsys):
-        # two selected atoms 0.1 apart in a bath at beta = 3e-308: every f is
-        # about 3e307 and the trace of M is finite, but d_direct, the sum of
-        # all four entries, is not
-        text = (
-            with_geometry(
-                "kind = chain\ncount = 2\nspacing = 0.1\ndipole_angle = 0.3",
-                "\n[selection]\nindices = 0 1\n",
-            )
-            .replace("alpha = 0.0072973525693\nkappa = 0.1", "alpha = 1\nkappa = 1")
-            .replace("kappa = 1\n", "kappa = 1\ninv_temperature = 3e-308\n")
-            .replace("start = 1e-3\nend = 1e3\npoints = 13", "start = 1\nend = 10\npoints = 2")
-        )
-        out = tmp_path / "out"
-        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 2
-        err = capsys.readouterr().err
-        assert err == "numerical error: d_direct + d_indirect is not finite at t = 10\n"
-        assert not list(out.glob("*"))
-
     @pytest.mark.parametrize(
         "geometry, bath, end, sweep, policy, message",
         [

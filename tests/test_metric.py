@@ -474,12 +474,12 @@ class TestCurveEngine:
             build_metric(config, mask, BathParams(alpha=1.7e308, kappa=10.0), 1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_trace_past_the_float_range_is_a_metric_error(self):
+    def test_entries_summing_past_the_float_range_are_a_metric_error(self):
         # two selected atoms, each with 4 f = 1.3e308: every entry of M is
-        # finite, its trace is not
+        # finite, but its trace, and the CLI's d_direct, are not
         config, _ = chain_1d(2, 10.0, 0.3)
         mask = SelectionMask.from_selected(2, [0, 1])
-        with pytest.raises(MetricError, match=r"^M = 4f \+ 2Phi or its trace overflows at t = 1$"):
+        with pytest.raises(MetricError, match=r"^direct or indirect part of M is not finite at t = 1$"):
             _assemble(config, mask, BathParams(alpha=3e306, kappa=10.0), [0.0, 1.0, 1e3])
 
     def test_overflowing_gram_product_is_a_metric_error(self):
