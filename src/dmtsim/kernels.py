@@ -627,9 +627,10 @@ def _time_factor(q: np.ndarray, t: float, kernel: TimeKernel, beta) -> np.ndarra
     return q_coth * val
 
 
-def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float, pairs=None):
+def _quadrature_rt(t: float, r, cos2, bath, time_kernel, tol, pairs=None, relative=False):
     """Radial quadrature over arrays of (r, cos^2 theta) keys at one t, each
-    to absolute error tol.
+    to absolute error tol, or, when relative, to tol times key 0's value as
+    the passes refine it (at least 1e-300; key 0 leads the first block).
 
     Composite Gauss-Legendre with panels no wider than half the period of the
     fastest oscillation (cos qt and the trig terms of W(qr) beat at t + r),
@@ -669,7 +670,8 @@ def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float,
                 err = prefactor * np.sum(np.abs(hi - lo), axis=1)
                 values[active] = prefactor * np.sum(hi, axis=1)
             errors[active] = np.minimum(errors[active], err)
-            active = active[err > tol]
+            bound = max(tol * float(values[0]), 1e-300) if relative else tol
+            active = active[err > bound]
             n_panels *= 2
         if active.size:  # the keys that missed tol, ascending
             k = active[0]
@@ -679,7 +681,7 @@ def _quadrature_rt(t: float, r, cos2, bath, time_kernel: TimeKernel, tol: float,
             if math.isinf(error):
                 why = f"oscillation count exceeds {_MAX_PANELS} panels"
             else:
-                why = f"quadrature stalled at error estimate {error:.3e} (tol {tol:.3e})"
+                why = f"quadrature stalled at error estimate {error:.3e} (tol {bound:.3e})"
             raise QuadratureError(where + why, error)
         start = stop
     return values
@@ -691,20 +693,15 @@ def _f(times, r, c2, bath: BathParams, pairs) -> np.ndarray:
 
     At zero temperature f is closed throughout: _f_closed_rt over the whole
     table at once, key 0 included, with no quadrature. A warm bath has no
-    closed f here: the whole table takes one quadrature per time at 1e-11 of
-    B(t), the zero-temperature diagonal over tanh(beta kappa / 2). B(t) <=
-    f(t, 0), since coth(beta q / 2) >= coth(beta kappa / 2) on (0, kappa], so
+    closed f here: the whole table takes one quadrature per time, every key
+    to 1e-11 of the diagonal f(t, 0) as key 0's passes refine it, so
     quadrature noise cannot drown the block's positive semidefiniteness.
     """
     if bath.inv_temperature is None:
         return _f_closed_rt(times[:, None], r, c2, bath.alpha, bath.kappa)
-    tanh = math.tanh(0.5 * bath.inv_temperature * bath.kappa)
-    with np.errstate(over="ignore"):  # a B past the float range: f is too, and M not finite
-        floor = _f_closed_rt(times, 0.0, 1.0, bath.alpha, bath.kappa) / tanh
     f = np.empty((times.size, r.size))
     for row, t in enumerate(times):
-        tol = max(1e-11 * floor[row], 1e-300)
-        f[row] = _quadrature_rt(t, r, c2, bath, TimeKernel.F_KERNEL, tol, pairs)
+        f[row] = _quadrature_rt(t, r, c2, bath, TimeKernel.F_KERNEL, 1e-11, pairs, relative=True)
     return f
 
 

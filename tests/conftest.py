@@ -117,6 +117,21 @@ def scipy_radial_integral(t, r, theta, bath, kernel: str):
     return bath.alpha / math.pi * total
 
 
+def warm_bounds(t: float, bath):
+    """(B, H), two closed lower bounds of the warm diagonal f(t, 0) > 0:
+    B = f(t, 0) of the cold bath over tanh(beta kappa / 2), since
+    coth(beta q / 2) >= coth(beta kappa / 2) on (0, kappa], and
+    H = (4 alpha / 3 pi beta)(kappa - sin(kappa t) / t), since
+    q coth(beta q / 2) >= 2 / beta. As q coth(beta q / 2) <= 2 / beta + q,
+    f(t, 0) <= H + B tanh(beta kappa / 2)."""
+    from dmtsim.kernels import BathParams, _x_minus_sin, f_diag
+
+    beta, kappa = bath.inv_temperature, bath.kappa
+    cold = f_diag(t, BathParams(bath.alpha, kappa)) / math.tanh(0.5 * beta * kappa)
+    hot = 4.0 * bath.alpha / (3.0 * math.pi * beta) * float(_x_minus_sin(np.array(kappa * t))) / t
+    return cold, hot
+
+
 def cold_f_quadrature(t: float, geom, bath, diag: float) -> float:
     """Zero-temperature f at a pair by reduced_quadrature at tol 1e-14 x diag,
     the diagonal f(t, 0): the oracle of the closed off-diagonal form.

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import cold_f_quadrature, phi_osc_correction, phi_reference, scipy_radial_integral
+from conftest import (
+    cold_f_quadrature,
+    phi_osc_correction,
+    phi_reference,
+    scipy_radial_integral,
+    warm_bounds,
+)
 from data.cin_reference import F_REFERENCE
 from dmtsim.kernels import (
     _f_closed_rt,
@@ -332,22 +338,33 @@ class TestQuadrature:
     @given(
         kappa=st.floats(min_value=0.1, max_value=1.0),
         log_beta_kappa=st.floats(min_value=math.log10(0.2), max_value=4.0),
-        log_kappa_t=st.floats(min_value=-3.0, max_value=5.0),
+        log_kappa_t=st.floats(min_value=-3.0, max_value=3.0),
     )
-    def test_warm_diagonal_is_at_least_its_closed_floor(self, kappa, log_beta_kappa, log_kappa_t):
-        # coth(beta q / 2) >= coth(beta kappa / 2) on (0, kappa] and the
-        # integrand is non-negative at r = 0, so f(t, 0) >= B(t), the
-        # zero-temperature diagonal over tanh(beta kappa / 2): the floor of
-        # the warm f's tolerance. The oracle runs at 1e-14 B, times kappa t /
-        # 100 past kappa t = 100, above the quadrature's rounding floor,
-        # which grows with kappa t (8.5e-14 of f at kappa t = 1e4)
+    def test_warm_diagonal_is_at_least_its_closed_floors(
+        self, kappa, log_beta_kappa, log_kappa_t
+    ):
+        # the integrand is non-negative at r = 0, so f(t, 0) >= max(B, H) of
+        # conftest.warm_bounds. The oracle runs at 1e-14 of that floor, which
+        # the error estimate's rounding floor stays under up to kappa t = 1e3
         beta_kappa, kappa_t = 10.0**log_beta_kappa, 10.0**log_kappa_t
         b = bath(kappa=kappa, beta=beta_kappa / kappa)
         t = kappa_t / kappa
-        floor = f_diag(t, bath(kappa=kappa)) / math.tanh(0.5 * beta_kappa)
-        tol = 1e-14 * floor * max(1.0, kappa_t / 100.0)
+        floor = max(warm_bounds(t, b))
+        f = reduced_quadrature(t, PairGeometry(0.0, 0.0), b, TimeKernel.F_KERNEL, tol=1e-14 * floor)
+        assert floor <= f * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("beta_kappa", [0.2, 1.0, 10.0, 1e4])
+    @pytest.mark.parametrize("kappa_t", [1e4, 1e5])
+    def test_warm_diagonal_floors_at_late_times(self, kappa_t, beta_kappa):
+        # past kappa t = 1e3 the rounding floor rises above 1e-14 of f (to
+        # 6.5e-14 at kappa t = 1e4 and 8e-13 at 1e5), so the oracle runs at
+        # 1e-12 of the floor and the bound allows that tol on top
+        b = bath(kappa=0.5, beta=2.0 * beta_kappa)
+        t = 2.0 * kappa_t
+        floor = max(warm_bounds(t, b))
+        tol = 1e-12 * floor
         f = reduced_quadrature(t, PairGeometry(0.0, 0.0), b, TimeKernel.F_KERNEL, tol=tol)
-        assert floor <= f + tol
+        assert floor <= f * (1.0 + 1e-12) + tol
 
     def test_low_temperature_limit_recovers_zero_t(self):
         b_cold = bath(kappa=0.5)

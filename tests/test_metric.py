@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import cold_f_quadrature, pair_geometry
+from conftest import cold_f_quadrature, pair_geometry, warm_bounds
 from hypothesis import given, settings, strategies as st
 
 from dmtsim import kernels
@@ -204,19 +204,19 @@ def _f_oracle(t, geom, b, tol):
 
 def oracle_metric(config, mask, b, t, policy):
     """(direct, indirect, valid) at one t from scalar kernels, pair by pair:
-    a warm f by the quadrature at build_metric's documented tolerance, 1e-11
-    of B(t) = f_diag(t, cold bath) / tanh(beta kappa / 2), a cold
-    off-diagonal f by the quadrature at 1e-14 of the diagonal
+    a warm f by the quadrature at 1e-11 of max(conftest.warm_bounds), closed
+    lower bounds of the diagonal, so at least as strict as build_metric's
+    1e-11 of the diagonal itself, a cold off-diagonal f by the quadrature at
+    1e-14 of the diagonal
     (conftest.cold_f_quadrature; every pair here is within its reach)."""
     sel, unobs = list(mask.selected), list(mask.unobserved)
     n = len(sel)
     if t == 0.0:
         return np.zeros((n, n)), np.zeros((n, n)), True
-    cold = BathParams(b.alpha, b.kappa)
     if b.inv_temperature is None:
         diag = f_diag(t, b)
     else:
-        tol = max(1e-11 * f_diag(t, cold) / math.tanh(0.5 * b.inv_temperature * b.kappa), 1e-300)
+        tol = max(1e-11 * max(warm_bounds(t, b)), 1e-300)
         diag = _f_oracle(t, PairGeometry(0.0, 0.0), b, tol)
     f = np.empty((n, n))
     for i in range(n):
@@ -379,9 +379,21 @@ class TestCurveEngine:
         with pytest.raises(QuadratureError, match=r"^oscillation count exceeds 262144 panels$"):
             build_metric(config, mask, b, 1.7e308)
 
+    @pytest.mark.parametrize("beta, t", [(1.0, 7.5e5), (4.0, 6.2e5)])
+    def test_warm_diagonal_near_the_panel_wall(self, beta, t):
+        # the error estimate's rounding floor grows with kappa t and nears
+        # 1e-11 of f here, so 1e-11 of a closed lower bound of the diagonal
+        # stalls (B at beta kappa = 1, even max(B, H) at 4), while 1e-11 of
+        # key 0's own value converges
+        config, mask = chain_1d(1, 10.0, 0.3)
+        b = BathParams(1.0, 1.0, inv_temperature=beta)
+        f = build_metric(config, mask, b, t).direct_part[0, 0] / 4.0
+        cold, hot = warm_bounds(t, b)
+        assert max(cold, hot) <= f <= hot + cold * math.tanh(0.5 * beta)
+
     def test_warm_diagonal_tolerance_scales_with_the_bath(self):
         # an absolute tol of 1e-10 would be a stall at alpha = 1e300; the
-        # tolerance 1e-11 B(t) scales with alpha, as f does
+        # tolerance, 1e-11 of the diagonal, scales with alpha, as f does
         config, mask = chain_1d(1, 10.0, 0.3)
         huge = build_metric(config, mask, BathParams(1e300, 0.1, inv_temperature=2.0), 1.0)
         unit = build_metric(config, mask, BathParams(1.0, 0.1, inv_temperature=2.0), 1.0)
@@ -425,9 +437,9 @@ class TestCurveEngine:
         calls = []
         quadrature = kernels._quadrature_rt
 
-        def spy(t, r, *args):
+        def spy(t, r, *args, **kwargs):
             calls.append((t, r.size))
-            return quadrature(t, r, *args)
+            return quadrature(t, r, *args, **kwargs)
 
         monkeypatch.setattr(kernels, "_quadrature_rt", spy)
         config, _ = chain_1d(5, 10.0, 0.3)
