@@ -55,11 +55,27 @@ Sweep values need distinct {:g} labels, which name the CSVs.
 --seed-override replaces a gas seed and is a configuration error for a
 lattice or chain, or outside the seed range, where it names [seed-override].
 
-Exit codes: 0 success, 1 configuration error (the message names the
-offending key), 2 numerical failure. Every curve, its property checks and
-the report are computed before the first file is written, so exit 2 leaves
-no file. README.md details each exit code and the CSV columns (the
-all-plus vs all-minus codeword on the selected atoms).
+Exit codes: 0 success, 1 configuration error (message names the offending
+key; a file that is not valid UTF-8 INI is reported as [scenario], a kappa
+whose fourth power overflows as [bath] or [sweep.values], an output directory
+that cannot be made or written as [output.directory]), 2 numerical failure
+(quadrature budget exhausted, a metric property violation, a metric that is
+not finite, or a value outside a kernel's domain met while computing, such as
+a non-finite Si argument or a pair separation that over- or underflows).
+Every curve, its property checks and the report are computed before the
+first file is written, so exit 2 leaves no CSV and no report; only an
+OSError met while writing can leave the files written before it.
+
+Each curve is one pass of the metric engine over the whole time grid (see
+dmtsim.metric): the kernels run once per distinct pair (r, cos^2 theta) and
+time, in blocks of times, and only the tensor at the final time is built,
+for the property checks.
+
+CSV columns: t, d_direct, d_indirect, d_total, valid_flag. The decoherence
+columns are for the all-plus vs all-minus codeword pair, so d_direct sums
+4 f_ij and d_indirect sums 2 Phi_ij over the selected block; d_total is their
+sum and is exactly additive. valid_flag is 1 while every matrix element stays
+below the perturbative threshold.
 """
 
 from __future__ import annotations

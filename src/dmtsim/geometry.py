@@ -436,10 +436,7 @@ def pair_arrays(config: AtomConfig, indices_a, indices_b):
     with np.errstate(over="ignore"):  # r = inf raises below
         delta = config.positions[indices_a][:, None, :] - config.positions[indices_b][None, :, :]
         r = np.linalg.norm(delta, axis=2)
-    bad = r == math.inf
-    short = r < _LENGTH_MIN
-    if short.any() and np.any(delta[short]):
-        bad |= short & np.any(delta, axis=2)
+    bad = (r == math.inf) | ((r < _LENGTH_MIN) & np.any(delta, axis=2))
     if bad.any():
         a, b = np.argwhere(bad)[0]
         flow = "overflows" if r[a, b] == math.inf else "underflows"

@@ -109,14 +109,6 @@ def _key_table(config: AtomConfig, rows, cols):
     return keys.real.copy(), keys.imag.copy(), pairs, inverse.reshape(r.shape)
 
 
-def _f_stack(config, mask, bath, times) -> np.ndarray:
-    """f over the selected block at each positive time, shape (T, n, n), from
-    kernels._f on the block's key table, whose key 0 (r = 0) is the diagonal
-    and every coincident selected pair."""
-    r_k, cos2_k, pairs, inverse = _key_table(config, mask.selected, mask.selected)
-    return np.take(_f(times, r_k, cos2_k, bath, pairs), inverse, axis=1)
-
-
 def _phi_gram(r_k, cos2_k, inverse, bath, times, policy) -> np.ndarray:
     """2 Phi_ij = 2 sum_k phi_ik phi_jk over the unobserved atoms at each
     positive time, shape (T, n, n), from phi on (time, key) blocks of the
@@ -170,15 +162,15 @@ def _assemble(
     indirect = np.zeros((times.size, n, n))
     live = times > 0.0
     if live.any():
-        f = _f_stack(config, mask, bath, times[live])
+        r_f, cos2_f, pairs_f, inverse_f = _key_table(config, mask.selected, mask.selected)
+        f = np.take(_f(times[live], r_f, cos2_f, bath, pairs_f), inverse_f, axis=1)
         with np.errstate(over="ignore"):  # a non-finite M is reported below
             direct[live] = 4.0 * f
         if r_k.size:
             indirect[live] = _phi_gram(r_k, cos2_k, inverse, bath, times[live], kernel_policy)
     # a finite sum of |entries| bounds M, its trace and the CSV's column sums
     with np.errstate(over="ignore"):  # a non-finite M raises below
-        size = np.abs(direct).sum(axis=(1, 2)) + np.abs(indirect).sum(axis=(1, 2))
-    bad = ~np.isfinite(size)
+        bad = ~np.isfinite(np.abs(direct).sum(axis=(1, 2)) + np.abs(indirect).sum(axis=(1, 2)))
     if bad.any():
         raise MetricError(f"direct or indirect part of M is not finite at t = {times[bad][0]:.6g}")
     valid = np.max(np.abs(direct + indirect), axis=(1, 2)) < _VALIDITY_THRESHOLD
@@ -201,8 +193,8 @@ def build_metric(
     selected block (r = 0) is the diagonal and every coincident selected
     pair, so coincident selected atoms get identical kernel rows. At zero
     temperature every f is closed, so no panel budget limits t; under a warm
-    bath every key takes one quadrature per time, at a tolerance tied to a
-    closed lower bound of the diagonal (kernels._f). A selected-unobserved
+    bath every key takes one quadrature per time, to 1e-11 of the diagonal
+    that the same call computes first (kernels._f). A selected-unobserved
     coincidence is rejected because phi diverges there, and so are a
     separation whose square over- or underflows, a mask built for another
     atom count than len(config), and an M whose entries, or the sum of
