@@ -240,6 +240,28 @@ spacing = linear
 prefix = warm_hot
 """
 
+# three atoms 1e51 apart to t = 1.7e308, where kappa (r +- t) overflows: the
+# closed phi's Si takes its limits +-pi/2 while phi^2 stays finite
+FAR_CHAIN = """
+[bath]
+alpha = 0.0072973525693
+kappa = 10
+
+[geometry]
+kind = chain
+count = 3
+spacing = 1e51
+dipole_angle = 1.5
+
+[time]
+start = 1
+end = 1.7e308
+points = 5
+
+[output]
+prefix = far
+"""
+
 CODEWORD_INDICES = " ".join(str(i) for i in sorted(random.Random(0).sample(range(81), 40)))
 GAS_SWEEP = "\n[sweep]\nparameter = {}\nvalues = {}\n"
 GAS_DENSITY_SWEEP = "\n[selection]\nindices = 0 1 2\n" + GAS_SWEEP.format(
@@ -265,6 +287,7 @@ SCENARIOS = (
     ("late_chain", LATE_CHAIN, "closed", None),
     ("late_tiny_chain", LATE_TINY_CHAIN, "closed", None),
     ("warm_hot_chain", WARM_HOT_CHAIN, "closed", None),
+    ("far_chain", FAR_CHAIN, "closed", None),
 )
 
 # Monte Carlo: about 110 atoms per sample, 29 of them inside the light cone

@@ -426,7 +426,9 @@ def _check_name_lengths(target: Path, names) -> None:
 
 def _write_csv(path: Path, times, d_dir, d_ind, valid):
     lines = [CSV_HEADER]
-    for t, dd, di, ok in zip(times, d_dir, d_ind, valid):
+    # Python floats format faster than numpy scalars, to the same text
+    columns = (np.asarray(c).tolist() for c in (times, d_dir, d_ind, valid))
+    for t, dd, di, ok in zip(*columns):
         total = dd + di
         lines.append(f"{t:.17g},{dd:.17g},{di:.17g},{total:.17g},{1 if ok else 0}")
     path.write_text("\n".join(lines) + "\n")

@@ -452,20 +452,29 @@ def _f_closed_rt(t, r, c2, alpha: float, kappa: float) -> np.ndarray:
 
 
 def _phi_closed_rt(t, r, c2, alpha: float, kappa: float):
-    """Vectorized Si-based closed phi over arrays of (r, c2 = cos^2 theta) at
-    common t.
+    """Vectorized Si-based closed phi over broadcastable arrays of t and (r,
+    c2 = cos^2 theta).
 
     phi = (alpha (3 c2 - 1) t / (pi r^3))
           [2 Si(kappa r) - Si(kappa (r + t)) - Si(kappa (r - t))],
     algebraically identical to the two-bracket angular form. Cutoff-edge
-    oscillatory terms are omitted by construction.
+    oscillatory terms are omitted by construction. The three Si arguments go
+    through one sine_integral call on their concatenation, which leaves each
+    value's bits as three calls would; where kappa (r +- t) overflows, Si
+    takes its limit +-pi/2.
     """
     r = np.asarray(r, dtype=float)
-    bracket = (
-        2.0 * sine_integral(kappa * r)
-        - sine_integral(kappa * (r + t))
-        - sine_integral(kappa * (r - t))
-    )
+    with np.errstate(over="ignore"):  # kappa (r +- t) = +-inf is Si's limit
+        x_r, x_plus, x_minus = kappa * r, kappa * (r + t), kappa * (r - t)
+    x = np.concatenate([x_r.ravel(), x_plus.ravel(), x_minus.ravel()])
+    overflow = np.isinf(x)
+    if overflow.any():
+        si = np.copysign(_specfun._HALF_PI, x)
+        si[~overflow] = sine_integral(x[~overflow])
+    else:
+        si = sine_integral(x)
+    si_plus, si_minus = si[x_r.size :].reshape((2,) + x_plus.shape)
+    bracket = 2.0 * si[: x_r.size].reshape(x_r.shape) - si_plus - si_minus
     return alpha * (3.0 * c2 - 1.0) * t / (math.pi * r**3) * bracket
 
 

@@ -6,16 +6,21 @@ of the lattice figure (up to about 1e11), met with three branches in float64:
 
 * Maclaurin series for |x| <= 18. Alternating series; by x = 18 the largest
   intermediate term is ~3e5, so cancellation costs about five digits, which
-  still leaves ~2e-11 relative error.
+  still leaves ~2e-11 relative error. Its 48 terms are a loop, or for a few
+  hundred arguments or fewer, where a loop is bound by numpy's per-call
+  overhead, one ufunc accumulate of the products and one of the sum along a
+  term axis: the same IEEE operations in the same order.
 * Continued fraction for 18 < |x| < 40, via Si(x) = pi/2 + Im E1(ix) and the
   even-contracted Lentz evaluation of E1. A two-branch series/asymptotic
   scheme cannot bridge this window at 1e-10 in double precision: the
   asymptotic tail's optimal truncation error at x = 18 is ~9e-9.
 * Asymptotic auxiliary functions for |x| >= 40,
-  Si(x) = pi/2 - f(x) cos x - g(x) sin x, truncated at a fixed order where
-  the first dropped term is < 1e-17 relative. Far out the oscillating part is
-  of order 1/x, so rounding in cos x and sin x moves Si by far less than the
-  target; frozen mpmath values up to 1e12 agree to about 1.4e-16.
+  Si(x) = pi/2 - f(x) cos x - g(x) sin x. Their sums stop, element by
+  element, at the first term below 2^-56, half an ulp of a sum in [1/2, 1]:
+  after 4 terms from x = 634.2 on and 14 below, where the first dropped term
+  is < 1e-17 relative. Far out the oscillating part is of order 1/x, so
+  rounding in cos x and sin x moves Si by far less than the target; frozen
+  mpmath values up to 1e12 agree to about 1.4e-16.
 
 Cin(x) = int_0^x (1 - cos u)/u du = gamma + ln x - Ci(x), private to the
 zero-temperature off-diagonal f, shares the continued fraction (Ci(x) =
@@ -39,6 +44,15 @@ _ASYMPTOTIC_TERMS = 14
 _CIN_SERIES_CUTOFF = 3.0
 _CIN_SERIES_TERMS = 15
 
+# Below this many elements a term-by-term loop is bound by numpy's per-call
+# overhead, and ufunc accumulate along a term axis is faster; above it
+# accumulate's sequential inner loops cost more per element than the loop
+_ACCUMULATE_MAX = 256
+# _auxiliary's sums stop before term k = _FAR_TERMS from x = _FAR_EDGE on,
+# where g's term k, (2k + 1)! / x^(2k), is below 2^-56 (from x = 634.13)
+_FAR_EDGE = 634.2
+_FAR_TERMS = 4
+
 _HALF_PI = np.pi / 2.0
 _EULER_GAMMA = 0.57721566490153286
 
@@ -46,11 +60,23 @@ _EULER_GAMMA = 0.57721566490153286
 def _si_series(x: np.ndarray) -> np.ndarray:
     """Maclaurin sum_{n>=0} (-1)^n x^(2n+1) / ((2n+1) (2n+1)!), for |x| <= 18.
 
-    The power/factorial part is updated iteratively; 48 terms push the last
-    term below 1e-19 at x = 18.
+    The power/factorial part p_n = p_(n-1) (-x^2 / ((2n) (2n+1))) is updated
+    iteratively and p_n / (2n+1) added in order; 48 terms push the last term
+    below 1e-19 at x = 18. Up to _ACCUMULATE_MAX elements the same IEEE
+    operations in the same order are one multiply.accumulate of the p_n and
+    one add.accumulate of the sum, along a leading term axis.
     """
     x = np.asarray(x, dtype=float)
     x2 = x * x
+    if x.size <= _ACCUMULATE_MAX:
+        column = (-1,) + (1,) * x.ndim
+        n = np.arange(1, _SERIES_TERMS).reshape(column)
+        terms = np.empty((_SERIES_TERMS,) + x.shape)
+        terms[0] = x
+        np.divide(-x2, (2.0 * n) * (2 * n + 1), out=terms[1:])
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        terms[1:] /= 2 * n + 1
+        return np.add.accumulate(terms, axis=0, out=terms)[-1]
     p = x.copy()  # x^(2n+1) / (2n+1)! with alternating sign folded in
     total = p.copy()
     for n in range(1, _SERIES_TERMS):
@@ -97,6 +123,18 @@ def _si_continued_fraction(x: np.ndarray) -> np.ndarray:
     return _HALF_PI + _e1_imaginary(x).imag
 
 
+def _auxiliary_terms(inv_x2: np.ndarray, state: list, ks: range) -> None:
+    """Add the f and g terms k in ks of _auxiliary, in order, to their sums in
+    state = [term_f, term_g, sum_f, sum_g], which holds term k - 1 on entry;
+    in place."""
+    term_f, term_g, sum_f, sum_g = state
+    for k in ks:
+        term_f *= -(2 * k - 1) * (2 * k) * inv_x2
+        term_g *= -(2 * k) * (2 * k + 1) * inv_x2
+        sum_f += term_f
+        sum_g += term_g
+
+
 def _auxiliary(x: np.ndarray):
     """The asymptotic auxiliary functions (f, g) of Si and Ci for x >= 40:
 
@@ -104,19 +142,29 @@ def _auxiliary(x: np.ndarray):
     g(x) ~ (1/x^2) sum_k (-1)^k (2k+1)! / x^(2k)
 
     Divergent series; 14 terms keep the truncation error below the first
-    omitted term, ~1e-17 relative at the x = 40 seam.
+    omitted term, ~1e-17 relative at the x = 40 seam. An element stops at its
+    first term of g below 2^-56: from x = 40 the terms fall through k = 13
+    and both sums lie in [1/2, 1], so every later term is below half an ulp
+    of its sum and leaves the sum's bits as they are. Past _FAR_EDGE that is
+    after 4 terms; the elements nearer in run all 14, gathered unless they
+    are most of the array.
     """
     x = np.asarray(x, dtype=float)
     inv_x2 = 1.0 / (x * x)
-    term_f = np.ones_like(x)
-    term_g = np.ones_like(x)
-    sum_f = term_f.copy()
-    sum_g = term_g.copy()
-    for k in range(1, _ASYMPTOTIC_TERMS):
-        term_f *= -(2 * k - 1) * (2 * k) * inv_x2
-        term_g *= -(2 * k) * (2 * k + 1) * inv_x2
-        sum_f += term_f
-        sum_g += term_g
+    flat = np.ravel(inv_x2)
+    term_f, term_g = -2.0 * flat, -6.0 * flat  # term 1 of each; term 0 is 1
+    state = [term_f, term_g, 1.0 + term_f, 1.0 + term_g]
+    _auxiliary_terms(flat, state, range(2, _FAR_TERMS))
+    near = np.ravel(x) < _FAR_EDGE
+    n_near = np.count_nonzero(near)
+    rest = range(_FAR_TERMS, _ASYMPTOTIC_TERMS)
+    if 2 * n_near > near.size:  # cheaper than the gather; far terms add nothing
+        _auxiliary_terms(flat, state, rest)
+    elif n_near:
+        part = [a[near] for a in state]
+        _auxiliary_terms(flat[near], part, rest)
+        state[2][near], state[3][near] = part[2], part[3]
+    sum_f, sum_g = (s.reshape(x.shape) for s in state[2:])
     return sum_f / x, sum_g * inv_x2
 
 
@@ -194,17 +242,22 @@ def sine_integral(x):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     mag = np.abs(arr)
-    out = np.empty_like(arr)
 
     small = mag <= _SERIES_CUTOFF
     large = mag >= _ASYMPTOTIC_CUTOFF
-    mid = ~small & ~large
-    if small.any():
-        out[small] = _si_series(arr[small])  # odd already
-    if mid.any():
-        out[mid] = np.sign(arr[mid]) * _si_continued_fraction(mag[mid])
-    if large.any():
-        out[large] = np.sign(arr[large]) * _si_asymptotic(mag[large])
+    if small.all():  # one branch: no gather and scatter
+        out = _si_series(arr)  # odd already
+    elif large.all():
+        out = np.sign(arr) * _si_asymptotic(mag)
+    else:
+        out = np.empty_like(arr)
+        mid = ~small & ~large
+        if small.any():
+            out[small] = _si_series(arr[small])
+        if mid.any():
+            out[mid] = np.sign(arr[mid]) * _si_continued_fraction(mag[mid])
+        if large.any():
+            out[large] = np.sign(arr[large]) * _si_asymptotic(mag[large])
 
     if scalar:
         return float(out[0])

@@ -466,6 +466,44 @@ points = 2
         direct, _, _ = _assemble(config, mask, bath, [1e300])
         assert csv["d_direct"][-1] == pytest.approx(direct.sum(), rel=1e-9)
 
+    def test_closed_phi_takes_its_late_limit_where_kappa_r_plus_t_overflows(
+        self, tmp_path, capsys
+    ):
+        # kappa (r +- t) = +-inf at t = 1.7e308: Si takes its limits +-pi/2,
+        # and phi its far-field value, while phi^2 stays finite at r = 1e51.
+        # The quadrature's cutoff-edge terms have no limit there.
+        text = """
+[bath]
+alpha = 0.0072973525693
+kappa = 10
+
+[geometry]
+kind = chain
+count = 3
+spacing = 1e51
+dipole_angle = 1.5
+
+[time]
+start = 1
+end = 1.7e308
+points = 5
+
+[output]
+prefix = far
+"""
+        path = write_scenario(tmp_path, text)
+        closed, farfield = tmp_path / "closed", tmp_path / "farfield"
+        assert run(path, out_dir=str(closed)) == 0
+        assert run(path, out_dir=str(farfield), policy="farfield") == 0
+        got, want = read_csv(closed / "far.csv"), read_csv(farfield / "far.csv")
+        assert got["t"][-1] == 1.7e308
+        assert got["d_indirect"][-2:] == pytest.approx(want["d_indirect"][-2:], rel=1e-14)
+        capsys.readouterr()
+        assert run(path, out_dir=str(tmp_path / "q"), policy="quadrature") == 2
+        assert capsys.readouterr().err == (
+            "numerical error: direct or indirect part of M is not finite at t = 1.7e+308\n"
+        )
+
     def test_tiny_separation_keeps_the_late_limit(self, tmp_path):
         # kappa r = 1e-109: at kappa t = 1e301 and at an overflowing kappa t
         # every f entry is the diagonal's plateau alpha kappa^2 / (3 pi), and
@@ -504,8 +542,9 @@ prefix = tiny
     @pytest.mark.parametrize(
         "kappa, spacing, end, policy, message",
         [
-            # kappa (r + t) overflows to inf: specfun's ValueError
-            (10.0, 1000.0, 1e308, "closed", "sine_integral requires finite input"),
+            # phi^2 overflows from t = 1e231 on; at 1e308, where kappa (r + t)
+            # overflows, Si has taken its limit pi/2
+            (10.0, 1000.0, 1e308, "closed", "part of M is not finite at t = 1e+231"),
             # r^2 overflows: GeometryError names the first such pair
             (0.1, 1e200, 10.0, "quadrature", "atoms 4 and 0 overflows when squared"),
             # a denormal spacing squares to 0; GeometryError names the
@@ -635,8 +674,8 @@ points = 5
                 "numerical error: quadrature budget exhausted (achieved error inf): "
                 "direct pair (0,1): oscillation count exceeds 262144 panels",
             ),
-            # zero temperature: kappa t overflows at the last time; f takes its
-            # late limit with no numpy warning, then Si meets kappa (r + t)
+            # zero temperature: kappa t overflows at the last time; f and Si
+            # take their late limits with no numpy warning, and phi^2 overflows
             (
                 with_geometry(
                     "kind = chain\ncount = 3\nspacing = 10\ndipole_angle = 0.2",
@@ -646,7 +685,7 @@ points = 5
                 .replace("start = 1e-3", "start = 1")
                 .replace("end = 1e3\npoints = 13", "end = 1.7e308\npoints = 2"),
                 2,
-                "numerical error: sine_integral requires finite input",
+                "numerical error: direct or indirect part of M is not finite at t = 1.7e+308",
             ),
             # distinct atoms whose squared separation underflows are not a
             # coincidence

@@ -14,6 +14,8 @@ from conftest import (
 from data.cin_reference import F_REFERENCE
 from dmtsim.kernels import (
     _f_closed_rt,
+    _phi_closed_rt,
+    _phi_farfield_rt,
     _second_difference,
     BathParams,
     KernelDomainError,
@@ -195,6 +197,37 @@ class TestPhiClosed:
             t = t_over_r * r
             val = phi_closed(t, PairGeometry(r=r, theta=0.0), b)
             assert abs(val) <= 0.05 * (2.0 * ALPHA * t / r**3)
+
+    @pytest.mark.bitwise
+    @given(
+        st.lists(st.floats(1e-3, 1e11), min_size=1, max_size=8),
+        st.lists(st.tuples(st.floats(0.5, 1e5), st.floats(0.0, 1.0)), min_size=1, max_size=30),
+        st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+    )
+    def test_block_bits_match_its_rows(self, times, keys, kappa):
+        # one sine_integral call on the whole (T, K) block's arguments gives
+        # each row the bits of its own call
+        t = np.array(times)[:, None]
+        r, c2 = (np.array(column) for column in zip(*keys))
+        block = _phi_closed_rt(t, r, c2, ALPHA, kappa)
+        assert block.shape == (t.size, r.size)
+        for i, row in enumerate(block):
+            np.testing.assert_array_equal(
+                row.view(np.int64), _phi_closed_rt(t[i, 0], r, c2, ALPHA, kappa).view(np.int64)
+            )
+
+    @pytest.mark.bitwise
+    def test_late_limit_where_kappa_r_plus_t_overflows(self):
+        # kappa (r +- t) = +-inf: Si's limits +-pi/2 make the bracket pi and
+        # phi its far-field value; the finite rows keep their own bits
+        t = np.array([[1e300], [1.7e308]])
+        r = np.array([1e51, 3e51])
+        c2 = np.array([0.0, 0.2])
+        with np.errstate(over="ignore"):  # Si's x^2 past 1.3e154, as in the engine
+            block = _phi_closed_rt(t, r, c2, ALPHA, 10.0)
+            row = _phi_closed_rt(1e300, r, c2, ALPHA, 10.0)
+        np.testing.assert_array_equal(block[0].view(np.int64), row.view(np.int64))
+        np.testing.assert_allclose(block[1], _phi_farfield_rt(1.7e308, r, c2, ALPHA), rtol=1e-15)
 
 
 class TestPhiExact:

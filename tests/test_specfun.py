@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,10 @@ import scipy.special
 from hypothesis import given, strategies as st
 
 from dmtsim.specfun import (
+    _ACCUMULATE_MAX,
+    _FAR_EDGE,
+    _FAR_TERMS,
+    _auxiliary,
     _cin,
     _si_asymptotic,
     _si_continued_fraction,
@@ -151,3 +156,151 @@ def test_cin_matches_scipy_through_every_branch():
     _, ci = scipy.special.sici(x)
     ref = np.euler_gamma + np.log(x) - ci
     np.testing.assert_allclose(_cin(x), ref, rtol=2e-15, atol=2e-15)
+
+
+# -- bit identity -------------------------------------------------------------
+# The series' accumulate form and the auxiliary functions' per-element length
+# must leave every value's bits as the fixed-length term loops below give them.
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64)
+    )
+
+
+def loop_si_series(x):
+    """The Maclaurin series as a 48-term loop."""
+    x = np.asarray(x, dtype=float)
+    x2 = x * x
+    p = x.copy()
+    total = p.copy()
+    for n in range(1, 48):
+        k = 2 * n + 1
+        p *= -x2 / ((k - 1) * k)
+        total += p / k
+    return total
+
+
+def loop_auxiliary(x):
+    """The auxiliary functions (f, g) with 14 terms for every element."""
+    x = np.asarray(x, dtype=float)
+    inv_x2 = 1.0 / (x * x)
+    term_f = np.ones_like(x)
+    term_g = np.ones_like(x)
+    sum_f = term_f.copy()
+    sum_g = term_g.copy()
+    for k in range(1, 14):
+        term_f *= -(2 * k - 1) * (2 * k) * inv_x2
+        term_g *= -(2 * k) * (2 * k + 1) * inv_x2
+        sum_f += term_f
+        sum_g += term_g
+    return sum_f / x, sum_g * inv_x2
+
+
+def ulp_neighbours(edges):
+    edges = np.asarray(edges, dtype=float)
+    return np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+
+
+# the branch seams, the far edge and the exact bound it rounds up
+AUX_EDGES = ulp_neighbours([40.0, 166.4, _FAR_EDGE, 634.1329919549701, 1e12, 1.3e154])
+
+
+def same_auxiliary(x):
+    with np.errstate(over="ignore"):  # past 1.3e154 x^2 overflows and g is 0
+        for got, want in zip(_auxiliary(x), loop_auxiliary(x)):
+            same_bits(got, want)
+
+
+@pytest.mark.bitwise
+@given(st.lists(st.floats(-18.0, 18.0), min_size=1, max_size=2 * _ACCUMULATE_MAX))
+def test_series_bits_match_the_term_loop(values):
+    x = np.array(values)
+    same_bits(_si_series(x), loop_si_series(x))
+
+
+@pytest.mark.bitwise
+def test_series_bits_on_a_dense_grid():
+    x = np.concatenate([np.linspace(-18.0, 18.0, 20001), [1e-300, -5e-324, 0.0, -0.0]])
+    want = loop_si_series(x)
+    same_bits(_si_series(x), want)  # the loop form
+    for start in range(0, x.size, _ACCUMULATE_MAX):  # the accumulate form
+        part = slice(start, start + _ACCUMULATE_MAX)
+        same_bits(_si_series(x[part]), want[part])
+    same_bits(_si_series(np.float64(7.5)), loop_si_series(7.5))
+    same_bits(_si_series(x[:12].reshape(3, 4)), want[:12].reshape(3, 4))
+
+
+@pytest.mark.bitwise
+@given(
+    st.lists(
+        st.one_of(st.floats(40.0, 1e3), st.floats(40.0, 1e12), st.floats(1.3e154, 1e308)),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_auxiliary_bits_match_the_fixed_length_loop(values):
+    same_auxiliary(np.array(values))
+
+
+@pytest.mark.bitwise
+def test_auxiliary_bits_on_dense_grids():
+    far = np.geomspace(40.0, 1e12, 50001)  # about a tenth inside the far edge
+    same_auxiliary(far)
+    same_auxiliary(np.geomspace(40.0, 1e3, 20001))  # most inside
+    same_auxiliary(np.geomspace(1.3e154, 1.7e308, 2001))
+    same_auxiliary(AUX_EDGES)
+    for x in AUX_EDGES:  # one element: every element on one side of the edge
+        same_auxiliary(np.array([x]))
+        same_auxiliary(np.array(x))
+    same_auxiliary(np.concatenate([far[1:], AUX_EDGES]).reshape(-1, 2))
+
+
+def test_far_edge_omits_only_terms_below_half_an_ulp():
+    # g's first omitted term (2k + 1)! / x^(2k), k = _FAR_TERMS, is below
+    # 2^-56 at the far edge, and its successors fall off from there
+    k = _FAR_TERMS
+    term = Fraction(math.factorial(2 * k + 1)) / Fraction(_FAR_EDGE) ** (2 * k)
+    assert term < Fraction(1, 2**56)
+    assert (2 * 13 + 2) * (2 * 13 + 3) < 40.0**2
+
+
+@pytest.mark.bitwise
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(-18.0, 18.0),
+            st.floats(18.0, 40.0, exclude_min=True, exclude_max=True),
+            st.floats(40.0, 1e3),
+            st.floats(-1e12, 1e12),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.lists(st.integers(0, 40), max_size=3),
+)
+def test_sine_integral_of_a_concatenation_keeps_the_bits_of_its_parts(values, cuts):
+    x = np.array(values)
+    got = sine_integral(x)
+    bounds = sorted({min(c, x.size) for c in cuts})
+    same_bits(got, np.concatenate([sine_integral(part) for part in np.split(x, bounds)]))
+    same_bits(got, [sine_integral(float(v)) for v in x])
+
+
+@pytest.mark.bitwise
+def test_sine_integral_of_all_three_branches_keeps_the_bits_of_each():
+    parts = [
+        np.linspace(-18.0, 18.0, 301),  # series
+        np.linspace(18.05, 39.95, 301),  # continued fraction
+        -np.geomspace(40.0, 634.0, 301),  # asymptotic, 14 terms
+        np.geomspace(634.5, 1e12, 301),  # asymptotic, 4 terms
+        AUX_EDGES,
+    ]
+    x = np.concatenate(parts)
+    got = sine_integral(x)
+    same_bits(got, np.concatenate([sine_integral(part) for part in parts]))
+    same_bits(got, [sine_integral(float(v)) for v in x])
+    same_bits(sine_integral(x[::-1].reshape(-1, 2)), got[::-1].reshape(-1, 2))
