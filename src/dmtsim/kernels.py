@@ -220,7 +220,6 @@ _G2_SERIES_CUTOFF = 1.0
 _MOMENT_CUTOFF = 0.5  # kappa r below which f is W's moment series
 _MOMENT_TERMS = 8  # powers x^0 .. x^14 of W: x^16/17! < 1e-19 at x = 0.5
 _MOMENT_SERIES_TERMS = 13  # powers h^2 .. h^26: h^28/28! < 1e-20 at h = 2
-_LOG_CUTOFF = 40.0  # Cin differences of arguments past this take the log route
 
 
 def _g(y: np.ndarray) -> np.ndarray:
@@ -303,37 +302,6 @@ def _x_minus_sin(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cin_difference(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Cin(x + h) - Cin(|x - h|) for x, h > 0.
-
-    Where |x - h| >= _LOG_CUTOFF it is, with Cin(y) = gamma + ln y - Ci(y)
-    and Ci = f_aux sin - g_aux cos, log1p(2 min(x, h)/|x - h|) - Ci(x + h)
-    + Ci(|x - h|): no loss to Cin's ln growth, and the sines and cosines of
-    x +- h come from angle addition, so that h/2 times their O(1/h)
-    oscillation cancels sin x (1 - cos h) in B at the phase of h itself.
-    """
-    plus, minus = x + h, np.abs(x - h)
-    out = np.empty_like(plus)
-    far = minus >= _LOG_CUTOFF
-    if far.any():
-        xf, hf = x[far], h[far]
-        sin_x, cos_x, sin_h, cos_h = np.sin(xf), np.cos(xf), np.sin(hf), np.cos(hf)
-        sign = np.sign(xf - hf)
-        ci = []
-        for y, sin_y, cos_y in (
-            (plus[far], sin_x * cos_h + cos_x * sin_h, cos_x * cos_h - sin_x * sin_h),
-            (minus[far], sign * (sin_x * cos_h - cos_x * sin_h), cos_x * cos_h + sin_x * sin_h),
-        ):
-            with np.errstate(over="ignore"):  # past 1.3e154 g_aux underflows to 0
-                f_aux, g_aux = _specfun._auxiliary(y)
-            ci.append(f_aux * sin_y - g_aux * cos_y)
-        out[far] = np.log1p(2.0 * np.minimum(xf, hf) / minus[far]) - ci[0] + ci[1]
-    near = ~far
-    if near.any():
-        out[near] = _specfun._cin(plus[near]) - _specfun._cin(minus[near])
-    return out
-
-
 def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """f pi / (alpha kappa^2) for x = kappa r <= _MOMENT_CUTOFF and
     0 <= h <= inf as sum_k w_k x^(2k) M_k(h), with W(y) = sum_k w_k y^(2k)
@@ -391,10 +359,11 @@ def _f_shape(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
     (1 - c2) G(x)/x + (3 c2 - 1)(x - sin x)/x^3; otherwise D is
     _second_difference (order 1, center x, width h) for h <= _SHORT and
     direct beyond. B, writing E for the Cin bracket and T(c, w) for
-    _second_difference(G'', c, w, 2), so that E = 2 w G(c) + T(c, w):
-    h^2 G(x) - sin x (1 - cos h) + (h/2) T(x, h) where h <= min(x, _SHORT),
-    else (x - sin x)(1 - cos h) + (h/2) T(h, x) where x <= _SHORT (no
-    cancellation left there), else the direct form with _cin_difference.
+    _second_difference(G'', c, w, 2), so that E = 2 w G(c) + T(c, w), is
+    one route where w = min(x, h) <= _SHORT: a prefix plus (h/2) T(c, w) at
+    c = max(x, h), the prefix h^2 G(x) - sin x (1 - cos h) where h <= x and
+    (x - sin x)(1 - cos h) where x < h (no cancellation left there); beyond,
+    -sin x (1 - cos h) + (h/2) E with E from specfun._cin_difference.
     """
     out = np.empty_like(x)
     small = x <= _MOMENT_CUTOFF
@@ -416,24 +385,22 @@ def _f_shape(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
             xs, hs = x[~short], h[~short]
             d[~short] = 2.0 * _g(xs) - _g(xs + hs) - _g(xs - hs)
         b = np.empty_like(x)
-        brief = short & (h <= x)  # width h about center x
+        width = np.minimum(x, h)
+        bracket = width <= _SHORT
+        brief = bracket & (h <= x)  # width h about center x
         if brief.any():
-            xb, hb = x[brief], h[brief]
-            b[brief] = (
-                hb * hb * _g(xb)
-                - np.sin(xb) * one_minus_cos[brief]
-                + 0.5 * hb * _second_difference(_g2_pair, xb, hb, 2)
-            )
-        near = ~brief & (x <= _SHORT)  # width x about center h
+            b[brief] = h[brief] ** 2 * _g(x[brief]) - np.sin(x[brief]) * one_minus_cos[brief]
+        near = bracket & ~brief  # width x about center h
         if near.any():
-            xn, hn = x[near], h[near]
-            b[near] = _x_minus_sin(xn) * one_minus_cos[near] + 0.5 * hn * _second_difference(
-                _g2_pair, hn, xn, 2
-            )
-        wide = ~brief & ~near
+            b[near] = _x_minus_sin(x[near]) * one_minus_cos[near]
+        if bracket.any():
+            c = np.maximum(x[bracket], h[bracket])
+            b[bracket] += 0.5 * h[bracket] * _second_difference(_g2_pair, c, width[bracket], 2)
+        wide = ~bracket
         if wide.any():
             xw, hw = x[wide], h[wide]
-            b[wide] = -np.sin(xw) * one_minus_cos[wide] + 0.5 * hw * _cin_difference(xw, hw)
+            cin = _specfun._cin_difference(xw, hw)
+            b[wide] = -np.sin(xw) * one_minus_cos[wide] + 0.5 * hw * cin
         out[main] = (1.0 - c2) * d / (2.0 * x) + (3.0 * c2 - 1.0) * (b / x) / x / x
     return out
 
@@ -469,7 +436,7 @@ def _phi_closed_rt(t, r, c2, alpha: float, kappa: float):
     x = np.concatenate([x_r.ravel(), x_plus.ravel(), x_minus.ravel()])
     overflow = np.isinf(x)
     if overflow.any():
-        si = np.copysign(_specfun._HALF_PI, x)
+        si = np.copysign(np.pi / 2, x)
         si[~overflow] = sine_integral(x[~overflow])
     else:
         si = sine_integral(x)

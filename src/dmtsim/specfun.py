@@ -25,7 +25,11 @@ of the lattice figure (up to about 1e11), met with three branches in float64:
 Cin(x) = int_0^x (1 - cos u)/u du = gamma + ln x - Ci(x), private to the
 zero-temperature off-diagonal f, shares the continued fraction (Ci(x) =
 -Re E1(ix)) and the auxiliary functions (Ci = f sin x - g cos x) and adds
-only its own Maclaurin series below x = 3.
+only its own Maclaurin series below x = 3. The f's bracket Cin(x + h) -
+Cin(|x - h|) is one Cin call on both arguments or, where they lie 40 or more
+apart, log1p of their ratio - Ci(x + h) + Ci(|x - h|) from one auxiliary call
+and angle-added sines and cosines of x +- h. The auxiliary functions take an
+x^2 past the float range (|x| > 1.34e154) as inf: g is 0, with no warning.
 
 No lookup tables. All branches are vectorized; scalars in, scalar out.
 """
@@ -43,6 +47,7 @@ _CF_MAX_ITER = 200
 _ASYMPTOTIC_TERMS = 14
 _CIN_SERIES_CUTOFF = 3.0
 _CIN_SERIES_TERMS = 15
+_LOG_CUTOFF = 40.0  # Cin differences of arguments this far apart take the log route
 
 # Below this many elements a term-by-term loop is bound by numpy's per-call
 # overhead, and ufunc accumulate along a term axis is faster; above it
@@ -147,10 +152,11 @@ def _auxiliary(x: np.ndarray):
     and both sums lie in [1/2, 1], so every later term is below half an ulp
     of its sum and leaves the sum's bits as they are. Past _FAR_EDGE that is
     after 4 terms; the elements nearer in run all 14, gathered unless they
-    are most of the array.
+    are most of the array. Where x^2 overflows, g is 0.
     """
     x = np.asarray(x, dtype=float)
-    inv_x2 = 1.0 / (x * x)
+    with np.errstate(over="ignore"):  # past 1.34e154 x^2 overflows: g is 0
+        inv_x2 = 1.0 / (x * x)
     flat = np.ravel(inv_x2)
     term_f, term_g = -2.0 * flat, -6.0 * flat  # term 1 of each; term 0 is 1
     state = [term_f, term_g, 1.0 + term_f, 1.0 + term_g]
@@ -178,14 +184,12 @@ def _ci(x: np.ndarray) -> np.ndarray:
     """Ci(x) = -Re E1(ix) = f(x) sin x - g(x) cos x for x > _CIN_SERIES_CUTOFF:
     the continued fraction below x = 40, the auxiliary functions beyond. Its
     absolute error stays near 1e-16 / x far out, where Ci itself is O(1/x)."""
-    x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     large = x >= _ASYMPTOTIC_CUTOFF
     if (~large).any():
         out[~large] = -_e1_imaginary(x[~large]).real
     if large.any():
-        with np.errstate(over="ignore"):  # past 1.3e154 g_aux underflows to 0
-            f_aux, g_aux = _auxiliary(x[large])
+        f_aux, g_aux = _auxiliary(x[large])
         out[large] = f_aux * np.sin(x[large]) - g_aux * np.cos(x[large])
     return out
 
@@ -212,8 +216,35 @@ def _cin(x) -> np.ndarray:
             total += power / (2 * k)
         out[small] = total
     if (~small).any():
-        xb = x[~small]
-        out[~small] = (_EULER_GAMMA - _ci(xb)) + np.log(xb)
+        out[~small] = (_EULER_GAMMA - _ci(x[~small])) + np.log(x[~small])
+    return out
+
+
+def _cin_difference(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Cin(x + h) - Cin(|x - h|) for x, h > 0: one _auxiliary or _cin call.
+
+    Where |x - h| >= _LOG_CUTOFF it is, with Cin(y) = gamma + ln y - Ci(y)
+    and Ci = f_aux sin - g_aux cos, log1p(2 min(x, h)/|x - h|) - Ci(x + h)
+    + Ci(|x - h|): no loss to Cin's ln growth, and the sines and cosines of
+    x +- h come from angle addition, so that h/2 times their O(1/h)
+    oscillation cancels sin x (1 - cos h) in B at the phase of h itself.
+    """
+    plus, minus = x + h, np.abs(x - h)
+    out = np.empty_like(plus)
+    far = minus >= _LOG_CUTOFF
+    if far.any():
+        xf, hf = x[far], h[far]
+        sin_x, cos_x, sin_h, cos_h = np.sin(xf), np.cos(xf), np.sin(hf), np.cos(hf)
+        sc, cs, cc, ss = sin_x * cos_h, cos_x * sin_h, cos_x * cos_h, sin_x * sin_h
+        sin_y = np.concatenate([sc + cs, np.sign(xf - hf) * (sc - cs)])
+        cos_y = np.concatenate([cc - ss, cc + ss])
+        f_aux, g_aux = _auxiliary(np.concatenate([plus[far], minus[far]]))
+        ci = np.split(f_aux * sin_y - g_aux * cos_y, 2)
+        out[far] = np.log1p(2.0 * np.minimum(xf, hf) / minus[far]) - ci[0] + ci[1]
+    near = ~far
+    if near.any():
+        cin = np.split(_cin(np.concatenate([plus[near], minus[near]])), 2)
+        out[near] = cin[0] - cin[1]
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,11 +13,17 @@ from conftest import (
     warm_bounds,
 )
 from data.cin_reference import F_REFERENCE
+from dmtsim import kernels, specfun
 from dmtsim.kernels import (
     _f_closed_rt,
+    _f_shape,
+    _g,
+    _g2_pair,
+    _moment_series,
     _phi_closed_rt,
     _phi_farfield_rt,
     _second_difference,
+    _x_minus_sin,
     BathParams,
     KernelDomainError,
     PairGeometry,
@@ -223,9 +230,8 @@ class TestPhiClosed:
         t = np.array([[1e300], [1.7e308]])
         r = np.array([1e51, 3e51])
         c2 = np.array([0.0, 0.2])
-        with np.errstate(over="ignore"):  # Si's x^2 past 1.3e154, as in the engine
-            block = _phi_closed_rt(t, r, c2, ALPHA, 10.0)
-            row = _phi_closed_rt(1e300, r, c2, ALPHA, 10.0)
+        block = _phi_closed_rt(t, r, c2, ALPHA, 10.0)
+        row = _phi_closed_rt(1e300, r, c2, ALPHA, 10.0)
         np.testing.assert_array_equal(block[0].view(np.int64), row.view(np.int64))
         np.testing.assert_allclose(block[1], _phi_farfield_rt(1.7e308, r, c2, ALPHA), rtol=1e-15)
 
@@ -565,3 +571,118 @@ class TestFClosed:
         )
         got = _second_difference(pair, c, w, 2)
         np.testing.assert_allclose(got, -2.0 * np.sin(c) * w_minus_sin, rtol=1e-14)
+
+
+# -- the closed f's calls -----------------------------------------------------
+# B's Cin bracket is one _second_difference call over both of its short
+# routes, T(max(x, h), min(x, h)), which must leave every value's bits as
+# the two calls below give them.
+
+
+def two_route_f_shape(x, h, c2):
+    """_f_shape with the bracket as T(x, h) where h <= min(x, 2) and as
+    T(h, x) where x <= 2 and x < h, one _second_difference call each."""
+    out = np.empty_like(x)
+    small = x <= 0.5
+    out[small] = _moment_series(x[small], h[small], c2[small])
+    late = ~small & np.isinf(h)
+    xl, cl = x[late], c2[late]
+    out[late] = (1.0 - cl) * _g(xl) / xl + (3.0 * cl - 1.0) * (_x_minus_sin(xl) / xl) / xl / xl
+    main = ~small & ~late
+    x, h, c2 = x[main], h[main], c2[main]
+    one_minus_cos = 2.0 * np.sin(0.5 * h) ** 2
+    short = h <= 2.0
+    d = np.empty_like(x)
+    d[short] = -_second_difference(_g2_pair, x[short], h[short], 1)
+    xs, hs = x[~short], h[~short]
+    d[~short] = 2.0 * _g(xs) - _g(xs + hs) - _g(xs - hs)
+    b = np.empty_like(x)
+    brief = short & (h <= x)
+    xb, hb = x[brief], h[brief]
+    b[brief] = (
+        hb * hb * _g(xb)
+        - np.sin(xb) * one_minus_cos[brief]
+        + 0.5 * hb * _second_difference(_g2_pair, xb, hb, 2)
+    )
+    near = ~brief & (x <= 2.0)
+    xn, hn = x[near], h[near]
+    b[near] = _x_minus_sin(xn) * one_minus_cos[near] + 0.5 * hn * _second_difference(
+        _g2_pair, hn, xn, 2
+    )
+    wide = ~brief & ~near
+    xw, hw = x[wide], h[wide]
+    b[wide] = -np.sin(xw) * one_minus_cos[wide] + 0.5 * hw * specfun._cin_difference(xw, hw)
+    out[main] = (1.0 - c2) * d / (2.0 * x) + (3.0 * c2 - 1.0) * (b / x) / x / x
+    return out
+
+
+def ulp_neighbours(edges):
+    edges = np.asarray(edges, dtype=float)
+    return np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+
+
+def same_f_shape(x, h, c2):
+    got = _f_shape(x, h, c2)
+    want = two_route_f_shape(x, h, c2)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.bitwise
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e5)),
+            st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e5), st.just(math.inf)),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_f_shape_bits_match_two_bracket_routes(keys):
+    same_f_shape(*(np.array(column) for column in zip(*keys)))
+
+
+@pytest.mark.bitwise
+def test_f_shape_bits_on_seam_grids():
+    # one ulp either side of |x - h| = 40, min(x, h) = 2, x = h and x = 0.5,
+    # with x - h of both signs
+    centers = np.geomspace(1e-2, 1e5, 601)
+    others = np.concatenate([centers, [0.0, math.inf]])
+    pairs = [
+        (np.tile(centers, 3), ulp_neighbours(centers + 40.0)),
+        (np.tile(centers, 3), ulp_neighbours(centers)),
+        (np.repeat(ulp_neighbours([2.0, 0.5]), others.size), np.tile(others, 6)),
+    ]
+    x = np.concatenate([p for pair in pairs for p in pair])
+    h = np.concatenate([q for pair in pairs for q in pair[::-1]])
+    keep = np.isfinite(x)
+    x, h = x[keep], h[keep]
+    c2 = np.random.default_rng(5).uniform(0.0, 1.0, x.size)
+    same_f_shape(x, h, c2)
+    for part in np.array_split(np.arange(x.size), 5):
+        same_f_shape(x[part], h[part], c2[part])
+
+
+@pytest.mark.bitwise
+def test_closed_f_calls_each_special_function_once(monkeypatch):
+    # a codeword-like (time, key) table reaches every route of B and both
+    # branches of the Cin difference; the parent made two _cin calls, two
+    # continued fractions and three _second_difference calls
+    calls = Counter()
+    for module, name in (
+        (specfun, "_cin"),
+        (specfun, "_e1_imaginary"),
+        (kernels, "_second_difference"),
+    ):
+
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    t = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 80)])[:, None]
+    r = np.array([0.0, 0.3, 1.0, 1.5, 2.5, 4.0, 7.0, 12.0, 30.0, 90.0])
+    f = _f_closed_rt(t, r, np.linspace(0.0, 1.0, r.size), ALPHA, 1.0)
+    assert np.all(np.isfinite(f))
+    assert calls == {"_cin": 1, "_e1_imaginary": 1, "_second_difference": 2}

@@ -10,8 +10,10 @@ from dmtsim.specfun import (
     _ACCUMULATE_MAX,
     _FAR_EDGE,
     _FAR_TERMS,
+    _LOG_CUTOFF,
     _auxiliary,
     _cin,
+    _cin_difference,
     _si_asymptotic,
     _si_continued_fraction,
     _si_series,
@@ -131,6 +133,22 @@ def test_rejects_non_finite():
         sine_integral(float("inf"))
     with pytest.raises(ValueError):
         sine_integral(np.array([1.0, float("nan")]))
+
+
+def test_no_overflow_warning_where_x_squared_leaves_the_float_range():
+    # past |x| = 1.34e154, x^2 overflows inside _auxiliary, whose g is then 0;
+    # the suite turns a RuntimeWarning into an error
+    assert sine_integral(1e200) == math.pi / 2
+    got = sine_integral([-1e300, 1e155, 50.0])
+    np.testing.assert_array_equal(got, [-math.pi / 2, math.pi / 2, sine_integral(50.0)])
+
+
+@pytest.mark.parametrize("x, h", [(1e200, 1.0), (3.0, 1e200), (1e200, 1e200), (2e200, 1e200)])
+def test_cin_difference_where_x_squared_leaves_the_float_range(x, h):
+    got = float(_cin_difference(np.array([x]), np.array([h]))[0])
+    assert math.isfinite(got)
+    if x == h:  # Cin(2x) - Cin(0), with Ci(2x) below 1e-200
+        assert got == pytest.approx(np.euler_gamma + math.log(2.0 * x), rel=1e-15)
 
 
 def test_cin_frozen_reference_table():
@@ -304,3 +322,76 @@ def test_sine_integral_of_all_three_branches_keeps_the_bits_of_each():
     same_bits(got, np.concatenate([sine_integral(part) for part in parts]))
     same_bits(got, [sine_integral(float(v)) for v in x])
     same_bits(sine_integral(x[::-1].reshape(-1, 2)), got[::-1].reshape(-1, 2))
+
+
+# -- the Cin difference -------------------------------------------------------
+# One _cin call (near) and one _auxiliary call (far) on both arguments must
+# give every value the bits of a call per argument.
+
+
+def two_call_cin_difference(x, h):
+    """Cin(x + h) - Cin(|x - h|) with one _cin or _auxiliary call per argument."""
+    plus, minus = x + h, np.abs(x - h)
+    out = np.empty_like(plus)
+    far = minus >= 40.0
+    if far.any():
+        xf, hf = x[far], h[far]
+        sin_x, cos_x, sin_h, cos_h = np.sin(xf), np.cos(xf), np.sin(hf), np.cos(hf)
+        sign = np.sign(xf - hf)
+        ci = []
+        for y, sin_y, cos_y in (
+            (plus[far], sin_x * cos_h + cos_x * sin_h, cos_x * cos_h - sin_x * sin_h),
+            (minus[far], sign * (sin_x * cos_h - cos_x * sin_h), cos_x * cos_h + sin_x * sin_h),
+        ):
+            f_aux, g_aux = _auxiliary(y)
+            ci.append(f_aux * sin_y - g_aux * cos_y)
+        out[far] = np.log1p(2.0 * np.minimum(xf, hf) / minus[far]) - ci[0] + ci[1]
+    near = ~far
+    if near.any():
+        out[near] = _cin(plus[near]) - _cin(minus[near])
+    return out
+
+
+def seam_pairs(centers):
+    """(x, h) one ulp either side of |x - h| = 40 and of x = h, both signs of
+    x - h, about each center."""
+    apart = ulp_neighbours(centers + _LOG_CUTOFF)
+    same = ulp_neighbours(centers)
+    x = np.concatenate([np.tile(centers, 3), apart, np.tile(centers, 3)])
+    h = np.concatenate([apart, np.tile(centers, 3), same])
+    return x, h
+
+
+positive = st.one_of(
+    st.floats(1e-3, 3.0), st.floats(3.0, 80.0), st.floats(80.0, 1e4), st.floats(1e4, 1e12)
+)
+
+
+@pytest.mark.bitwise
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(positive, positive),
+            st.tuples(st.floats(1e-3, 1e6), st.floats(-45.0, 45.0)).map(
+                lambda p: (p[0], abs(p[0] + p[1]) or p[0])  # near |x - h| = 40 and x = h
+            ),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_cin_difference_bits_match_a_call_per_argument(pairs):
+    x, h = (np.array(column) for column in zip(*pairs))
+    same_bits(_cin_difference(x, h), two_call_cin_difference(x, h))
+
+
+@pytest.mark.bitwise
+def test_cin_difference_bits_on_seam_grids():
+    x, h = seam_pairs(np.geomspace(1e-2, 1e5, 1501))
+    want = two_call_cin_difference(x, h)
+    same_bits(_cin_difference(x, h), want)
+    for part in np.array_split(np.arange(x.size), 7):  # any batch
+        same_bits(_cin_difference(x[part], h[part]), want[part])
+    grid = np.geomspace(1e-2, 1e12, 301)  # every branch of both arguments
+    x, h = (a.ravel() for a in np.meshgrid(grid, grid))
+    same_bits(_cin_difference(x, h), two_call_cin_difference(x, h))
