@@ -3,10 +3,11 @@
 Runs `output_digest.py`'s SCENARIOS and Monte Carlo once under each of
 OLD_SRC and NEW_SRC, each in a child process with that tree on PYTHONPATH.
 Then prints every CSV whose bytes differ with the largest relative change of
-each column, |new - old| / |old| (inf where old is 0 and new is not), every
-report whose bytes differ, every scenario exit code or Monte Carlo line that
-differs, and names any CSV or report that only one tree wrote. The last line
-says whether every output is byte-identical:
+each column, |new - old| / |old| (inf where old is 0 and new is not), the
+lines that moved in every report whose bytes differ and every scenario exit
+code or Monte Carlo line that differs (as unified diffs without context),
+and names any CSV or report that only one tree wrote. The last line says
+whether every output is byte-identical:
 
     python scripts/output_delta.py /path/to/old/checkout/src src
 """
@@ -57,9 +58,18 @@ def column_deltas(old: Path, new: Path) -> dict:
     return out
 
 
-def compare_files(roots, pattern: str, kind: str, detail=None) -> int:
+def moved_lines(old_lines, new_lines) -> list:
+    """The lines that differ, as a unified diff without context."""
+    return list(difflib.unified_diff(old_lines, new_lines, "old", "new", n=0, lineterm=""))
+
+
+def report_diff(old: Path, new: Path) -> str:
+    return "\n".join(["differs"] + moved_lines(*(p.read_text().splitlines() for p in (old, new))))
+
+
+def compare_files(roots, pattern: str, kind: str, detail) -> int:
     """Print the files matching pattern that one tree wrote alone or whose
-    bytes differ, with detail(old, new) if given; returns how many do."""
+    bytes differ, with detail(old, new); returns how many do."""
     old_files, new_files = ({p.relative_to(r) for p in r.glob(pattern)} for r in roots)
     for rel in sorted(old_files ^ new_files):
         print(f"{rel}: only in {'old' if rel in old_files else 'new'}")
@@ -69,7 +79,7 @@ def compare_files(roots, pattern: str, kind: str, detail=None) -> int:
         if old.read_bytes() == new.read_bytes():
             continue
         changed += 1
-        print(f"{rel}: " + (detail(old, new) if detail else "differs"))
+        print(f"{rel}: " + detail(old, new))
     print(f"{changed} of {len(old_files & new_files)} common {kind} differ")
     return changed + len(old_files ^ new_files)
 
@@ -90,9 +100,8 @@ def main(argv) -> int:
                 f"{c} {d:.2e}" for c, d in column_deltas(old, new).items()
             ),
         )
-        differ += compare_files(roots, "*/*_report.txt", "reports")
-        old_lines, new_lines = ((r / "lines.txt").read_text().splitlines() for r in roots)
-        moved = list(difflib.unified_diff(old_lines, new_lines, "old", "new", n=0, lineterm=""))
+        differ += compare_files(roots, "*/*_report.txt", "reports", report_diff)
+        moved = moved_lines(*((r / "lines.txt").read_text().splitlines() for r in roots))
         print("\n".join(moved) if moved else "exit codes and Monte Carlo lines identical")
         differ += len(moved)
     print("every output is byte-identical" if differ == 0 else "outputs differ")
