@@ -521,7 +521,7 @@ def run(
             nn = check_nonnegative(final, trials=_CHECK_TRIALS, seed=_CHECK_SEED_NONNEG)
             tri = check_triangle(final, triples=_CHECK_TRIPLES, seed=_CHECK_SEED_TRIANGLE)
             report.append(
-                f"  nonnegativity at t = {times[-1]:.6g} over {nn.trials} codeword pairs: "
+                f"  nonnegativity at t = {times[-1]:.6g} over {nn.trials} random vectors: "
                 + ("PASS" if nn.passed else "FAIL")
                 + f" (min quadratic form = {nn.min_form:.6g})"
             )
