@@ -10,6 +10,8 @@ results can be checked to quadrature accuracy instead of only to the size of
 the omitted terms. Derived by elementary integration of
 q (qt - sin qt) W(qr, theta) term by term; validated against adaptive
 quadrature to ~1e-15 relative before being frozen here.
+
+same_bits and ulp_neighbours serve the bit-identity tests.
 """
 
 import math
@@ -26,6 +28,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64)
+    )
+
+
+def ulp_neighbours(edges):
+    """Each edge and the floats one ulp below and above it."""
+    edges = np.asarray(edges, dtype=float)
+    return np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
 
 
 def pair_geometry(config, i: int, j: int):

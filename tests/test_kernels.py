@@ -9,7 +9,9 @@ from conftest import (
     cold_f_quadrature,
     phi_osc_correction,
     phi_reference,
+    same_bits,
     scipy_radial_integral,
+    ulp_neighbours,
     warm_bounds,
 )
 from data.cin_reference import F_REFERENCE
@@ -616,15 +618,8 @@ def two_route_f_shape(x, h, c2):
     return out
 
 
-def ulp_neighbours(edges):
-    edges = np.asarray(edges, dtype=float)
-    return np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
-
-
 def same_f_shape(x, h, c2):
-    got = _f_shape(x, h, c2)
-    want = two_route_f_shape(x, h, c2)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    same_bits(_f_shape(x, h, c2), two_route_f_shape(x, h, c2))
 
 
 @pytest.mark.bitwise
@@ -667,8 +662,9 @@ def test_f_shape_bits_on_seam_grids():
 @pytest.mark.bitwise
 def test_closed_f_calls_each_special_function_once(monkeypatch):
     # a codeword-like (time, key) table reaches every route of B and both
-    # branches of the Cin difference; the parent made two _cin calls, two
-    # continued fractions and three _second_difference calls
+    # branches of the Cin difference: one Cin evaluation (one continued
+    # fraction) for the block, and one _second_difference call each for D
+    # and for both short routes of the Cin bracket
     calls = Counter()
     for module, name in (
         (specfun, "_cin"),

@@ -19,6 +19,7 @@ from dmtsim.specfun import (
     _si_series,
     sine_integral,
 )
+from conftest import same_bits, ulp_neighbours
 from data.cin_reference import CIN_REFERENCE
 from data.si_reference import SI_REFERENCE
 
@@ -181,14 +182,6 @@ def test_cin_matches_scipy_through_every_branch():
 # must leave every value's bits as the fixed-length term loops below give them.
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    assert a.shape == b.shape
-    np.testing.assert_array_equal(
-        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64)
-    )
-
-
 def loop_si_series(x):
     """The Maclaurin series as a 48-term loop."""
     x = np.asarray(x, dtype=float)
@@ -216,11 +209,6 @@ def loop_auxiliary(x):
         sum_f += term_f
         sum_g += term_g
     return sum_f / x, sum_g * inv_x2
-
-
-def ulp_neighbours(edges):
-    edges = np.asarray(edges, dtype=float)
-    return np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
 
 
 # the branch seams, the far edge and the exact bound it rounds up
