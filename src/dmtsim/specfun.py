@@ -25,11 +25,10 @@ of the lattice figure (up to about 1e11), met with three branches in float64:
 Cin(x) = int_0^x (1 - cos u)/u du = gamma + ln x - Ci(x), private to the
 zero-temperature off-diagonal f, shares the continued fraction (Ci(x) =
 -Re E1(ix)) and the auxiliary functions (Ci = f sin x - g cos x) and adds
-only its own Maclaurin series below x = 3. The f's bracket Cin(x + h) -
-Cin(|x - h|) is one Cin call on both arguments or, where they lie 40 or more
-apart, log1p of their ratio - Ci(x + h) + Ci(|x - h|) from one auxiliary call
-and angle-added sines and cosines of x +- h. The auxiliary functions take an
-x^2 past the float range (|x| > 1.34e154) as inf: g is 0, with no warning.
+only its own Maclaurin series below x = 3. f's Cin(x + h) - Cin(|x - h|) is
+one Cin call on both arguments or, 40 or more apart, log1p of their ratio -
+Ci(x + h) + Ci(|x - h|), from one auxiliary call and angle addition. The
+auxiliary functions take x^2 past 1.34e154 as inf: g is 0, with no warning.
 
 No lookup tables. All branches are vectorized; scalars in, scalar out.
 """
@@ -216,7 +215,8 @@ def _cin(x) -> np.ndarray:
             total += power / (2 * k)
         out[small] = total
     if (~small).any():
-        out[~small] = (_EULER_GAMMA - _ci(x[~small])) + np.log(x[~small])
+        xb = x[~small]
+        out[~small] = (_EULER_GAMMA - _ci(xb)) + np.log(xb)
     return out
 
 
