@@ -276,6 +276,23 @@ def _sample_rng(seed: int, index: int, rng: np.random.Generator | None = None):
     return rng
 
 
+def _word_uniforms(words: np.ndarray) -> np.ndarray:
+    """The doubles numpy's Generator.random makes of raw uint64 words w:
+    u = (w >> 11) 2**-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _words_at_most(words: np.ndarray, c: float) -> np.ndarray:
+    """Indices of the words whose uniform u = (w >> 11) 2**-53 is <= c, cut
+    on the integers: u <= c exactly when w <= (floor(c 2**53) << 11) | 2047,
+    since c 2**53 is exact and w >> 11 is an integer."""
+    if c >= 1.0:  # every u < 1 passes
+        return np.arange(words.size)
+    if not c >= 0.0:  # no u >= 0 passes, nor does any against a NaN
+        return np.arange(0)
+    return np.flatnonzero(words <= np.uint64((int(c * 2.0**53) << 11) | 2047))
+
+
 def _shell_draws(spec: GasSpec, rng: np.random.Generator, reach: float = math.inf) -> tuple:
     """(r, kept, n) of a gas sample: its atom count n, and the radius r and
     draw index kept of each atom with r <= reach.
@@ -285,6 +302,10 @@ def _shell_draws(spec: GasSpec, rng: np.random.Generator, reach: float = math.in
     loose cut on the r uniform picks the candidates before the cube root,
     and an exact cut on r follows. A caller passes a reach below the horizon
     only where every atom beyond it contributes exactly 0.
+
+    The uniforms are read as raw Philox words, cut as integers
+    (_words_at_most), and only the kept words become doubles: the bits of
+    Generator.random, which leaves the generator in the same state.
     """
     l3 = spec.exclusion_radius**3
     h3 = spec.horizon**3
@@ -292,10 +313,10 @@ def _shell_draws(spec: GasSpec, rng: np.random.Generator, reach: float = math.in
         n = int(rng.poisson(spec.density * 4.0 * math.pi / 3.0 * (h3 - l3)))
     else:
         n = int(spec.fixed_count)
-    u = rng.random(n)
+    words = rng.bit_generator.random_raw(n)
     # the slack on reach^3 covers rounding in r and in this threshold
-    kept = np.flatnonzero(u <= (reach**3 * (1.0 + 1e-9) - l3) / (h3 - l3))
-    r = (l3 + u[kept] * (h3 - l3)) ** (1.0 / 3.0)
+    kept = _words_at_most(words, (reach**3 * (1.0 + 1e-9) - l3) / (h3 - l3))
+    r = (l3 + _word_uniforms(words[kept]) * (h3 - l3)) ** (1.0 / 3.0)
     inside = r <= reach
     return r[inside], kept[inside], n
 
@@ -394,8 +415,8 @@ def _philox_raw(key0: int, key1: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 def _philox_uniforms(key0: int, key1: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The doubles numpy's Generator.random draws at those offsets of those
-    streams: (x >> 11) * 2**-53 of each output x of _philox_raw."""
-    return (_philox_raw(key0, key1, at) >> np.uint64(11)) * 2.0**-53
+    streams: _word_uniforms of the outputs of _philox_raw."""
+    return _word_uniforms(_philox_raw(key0, key1, at))
 
 
 def sample_gas(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import pair_geometry
+from conftest import pair_geometry, same_bits, ulp_neighbours
 from hypothesis import given, settings, strategies as st
 
 from dmtsim.asymptotics import effective_neighbors
@@ -13,6 +13,9 @@ from dmtsim.geometry import (
     GeometryError,
     SelectionMask,
     _sample_rng,
+    _shell_draws,
+    _word_uniforms,
+    _words_at_most,
     chain_1d,
     pair_arrays,
     sample_gas,
@@ -303,7 +306,72 @@ class TestChain:
         assert np.allclose(chain_vals, row_vals, rtol=1e-13)
 
 
+def _float_shell_draws(spec, rng, reach):
+    """_shell_draws with the loose cut taken on Generator.random's doubles."""
+    l3, h3 = spec.exclusion_radius**3, spec.horizon**3
+    if spec.fixed_count is None:
+        n = int(rng.poisson(spec.density * 4.0 * math.pi / 3.0 * (h3 - l3)))
+    else:
+        n = int(spec.fixed_count)
+    u = rng.random(n)
+    kept = np.flatnonzero(u <= (reach**3 * (1.0 + 1e-9) - l3) / (h3 - l3))
+    r = (l3 + u[kept] * (h3 - l3)) ** (1.0 / 3.0)
+    inside = r <= reach
+    return r[inside], kept[inside], n
+
+
+def _state(rng):
+    s = rng.bit_generator.state
+    return (
+        s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(),
+        s["buffer_pos"], s["has_uint32"], s["uinteger"],
+    )
+
+
 class TestGas:
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize(
+        "seed, fixed_count", [(0, None), (3, None), (5, 2000), (2**64 - 1, 1), (7, 0)]
+    )
+    def test_radius_words_give_the_float_draws(self, seed, fixed_count):
+        # every reach past the shell keeps all atoms, one below l keeps none;
+        # the r bits, the atoms kept and the generator's state are those of
+        # the cut on Generator.random's doubles
+        spec = GasSpec(
+            density=1e-5, exclusion_radius=10.0, horizon=125.0, seed=seed,
+            fixed_count=fixed_count,
+        )
+        for reach in (math.inf, spec.horizon, 60.0, 20.0, 10.0, 5.0):
+            got_rng, want_rng = _sample_rng(seed, 0), _sample_rng(seed, 0)
+            r, kept, n = _shell_draws(spec, got_rng, reach)
+            want_r, want_kept, want_n = _float_shell_draws(spec, want_rng, reach)
+            same_bits(r, want_r)
+            assert np.array_equal(kept, want_kept) and n == want_n
+            assert _state(got_rng) == _state(want_rng)
+            if reach >= spec.horizon:
+                assert np.array_equal(kept, np.arange(n))
+            if reach < spec.exclusion_radius:
+                assert kept.size == 0
+
+    @pytest.mark.bitwise
+    def test_integer_cut_keeps_the_uniforms_at_most_c(self):
+        # at a drawn uniform c (c 2**53 an integer) and its ulp neighbours the
+        # integer cut keeps, drops and keeps that word as u <= c does; words
+        # with low 11 bits 0, 1 and 2047 sit on each side of every edge
+        words = np.random.Philox(key=11).random_raw(5000)
+        drawn = np.random.Generator(np.random.Philox(key=11)).random(5000)
+        same_bits(_word_uniforms(words), drawn)
+        c = float(drawn[drawn >= 0.5][0])
+        edges = [c, 0.3, 2.0**-60, 0.0]
+        near = {int(x * 2.0**53) + d for x in edges for d in (-1, 0, 1)} - {-1}
+        boundary = [k << 11 | low for k in sorted(near) for low in (0, 1, 2047)]
+        words = np.concatenate([words, np.array(boundary + [2**64 - 1], dtype=np.uint64)])
+        u = _word_uniforms(words)
+        cuts = list(ulp_neighbours(edges)) + [5e-324, 1.0, 2.0, -1e-300]
+        for cut in cuts + [-math.inf, math.inf, math.nan]:
+            assert np.array_equal(_words_at_most(words, cut), np.flatnonzero(u <= cut))
+        assert u[-1] == 1.0 - 2.0**-53
+
     def test_selected_at_origin(self):
         spec = GasSpec(density=1e-6, exclusion_radius=10.0, horizon=100.0, seed=1)
         config, mask = sample_gas(spec)

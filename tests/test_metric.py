@@ -8,6 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from dmtsim import kernels
 from dmtsim.asymptotics import effective_neighbors
+from dmtsim.cli import (
+    _CHECK_SEED_NONNEG,
+    _CHECK_SEED_TRIANGLE,
+    _CHECK_TRIALS,
+    _CHECK_TRIPLES,
+)
 from dmtsim.geometry import (
     AtomConfig,
     GasSpec,
@@ -33,6 +39,7 @@ from dmtsim.metric import (
     MetricError,
     MetricTensor,
     _assemble,
+    _forms,
     build_metric,
     check_nonnegative,
     check_triangle,
@@ -632,6 +639,118 @@ class TestChecks:
             M = synthetic(direct, indirect)
             assert check_triangle(M, triples=1000, seed=7).passed
             assert check_nonnegative(M, trials=1000, seed=7).passed
+
+
+def _einsum_forms(matrix, x):
+    """x^T matrix x through the einsum contraction, the oracle of _forms."""
+    return np.einsum("...i,...i->...", x, np.einsum("ij,...j->...i", matrix, x))
+
+
+def _einsum_report(M, trials, seed_nonneg, triples, seed_triangle):
+    """The CLI's two check lines at %.6g, from float64 codewords and einsum
+    forms, as check_nonnegative and check_triangle computed them before they
+    went through BLAS and int32 draws."""
+    x = np.random.Generator(np.random.Philox(key=seed_nonneg)).standard_normal((trials, M.n))
+    total, direct = _einsum_forms(M.matrix, x), _einsum_forms(M.direct_part, x)
+    eigs = np.linalg.eigvalsh(M.indirect_part)
+    nn_passed = (
+        float(total.min()) >= -M.epsilon
+        and float(direct.min()) >= -1e-10 * abs(float(np.trace(M.direct_part)))
+        and float(eigs[0]) >= -1e-12 * max(float(eigs[-1]), 0.0)
+    )
+    rng = np.random.Generator(np.random.Philox(key=seed_triangle))
+    s = rng.integers(0, 2, size=(3, triples, M.n)).astype(float) * 2.0 - 1.0
+
+    def d(a, b):
+        q = _einsum_forms(M.matrix, s[a] - s[b])
+        assert q.min() >= -M.epsilon
+        return 0.5 * np.sqrt(np.where(q < 0.0, 0.0, q))
+
+    worst = float((d(0, 2) - d(0, 1) - d(1, 2)).max())
+    trace = max(M.trace, 0.0)
+    tri_passed = worst <= 1e-10 * max(trace, M.n * math.sqrt(trace))
+    return _report_lines(nn_passed, float(total.min()), tri_passed, worst)
+
+
+def _report_lines(nn_passed, min_form, tri_passed, max_violation):
+    return [
+        ("PASS" if nn_passed else "FAIL") + f" (min quadratic form = {min_form:.6g})",
+        ("PASS" if tri_passed else "FAIL") + f" (max violation = {max_violation:.6g})",
+    ]
+
+
+def _codeword_tensor():
+    """M at the last time of the 40-atom codeword curve: 40 of the 81 atoms
+    of a 9 x 9 lattice at spacing 10, picked by random.Random(0), kappa 0.1,
+    quadrature policy, t = 1e4."""
+    config, _ = square_lattice_2d(9, 10.0, (0, 0, 1))
+    mask = SelectionMask.from_selected(81, sorted(random.Random(0).sample(range(81), 40)))
+    b = BathParams(alpha=0.0072973525693, kappa=0.1)
+    return build_metric(config, mask, b, 1e4, KernelPolicy.QUADRATURE)
+
+
+class TestCheckPath:
+    def test_forms_match_the_einsum_oracle(self):
+        # a 1-D x as distance passes it, (k, n) stacks (3000 rows of 40 span
+        # several BLAS blocks), and a non-symmetric M
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 40):
+            a = rng.standard_normal((n, n))
+            skew = rng.standard_normal((n, n))
+            for matrix in (a @ a.T + n * np.eye(n), a @ a.T + n * np.eye(n) + skew - skew.T):
+                for shape in ((n,), (1, n), (7, n), (3000, n)):
+                    x = rng.standard_normal(shape)
+                    got = _forms(matrix, x)
+                    assert got.shape == shape[:-1]
+                    np.testing.assert_allclose(got, _einsum_forms(matrix, x), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 20240812, 2**127 + 3])
+    def test_int32_codeword_draw_equals_the_int64_draw(self, seed):
+        # a numpy change to Generator.integers would move every triangle report
+        for shape in ((3, 1, 1), (3, 1000, 40), (3, 7, 81), (3, 0, 5)):
+            wide = np.random.Generator(np.random.Philox(key=seed)).integers(0, 2, size=shape)
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            narrow = rng.integers(0, 2, size=shape, dtype=np.int32)
+            assert narrow.dtype == np.int32 and np.array_equal(narrow, wide)
+
+    def test_codeword_reports_match_the_einsum_path(self):
+        M = _codeword_tensor()
+        for seed_nonneg, seed_triangle in ((_CHECK_SEED_NONNEG, _CHECK_SEED_TRIANGLE), (0, 0)):
+            nn = check_nonnegative(M, trials=_CHECK_TRIALS, seed=seed_nonneg)
+            tri = check_triangle(M, triples=_CHECK_TRIPLES, seed=seed_triangle)
+            got = _report_lines(nn.passed, nn.min_form, tri.passed, tri.max_violation)
+            assert nn.passed and tri.passed
+            assert got == _einsum_report(
+                M, _CHECK_TRIALS, seed_nonneg, _CHECK_TRIPLES, seed_triangle
+            )
+
+    @pytest.mark.parametrize(
+        "count, seed, match",
+        [
+            (50, 1.5, "seed"),
+            (50, -1, "seed"),
+            (50, 2**128, "seed"),
+            (50, True, "seed"),
+            (50, np.float64(3.0), "seed"),
+            (2.5, 1, "must be an integer >= 1"),
+            (True, 1, "must be an integer >= 1"),
+            (0, 1, "must be an integer >= 1"),
+            (np.int64(-3), 1, "must be an integer >= 1"),
+        ],
+    )
+    def test_bad_counts_and_seeds_raise_before_drawing(self, count, seed, match):
+        M = synthetic(np.eye(3))
+        with pytest.raises(MetricError, match=match):
+            check_nonnegative(M, trials=count, seed=seed)
+        with pytest.raises(MetricError, match=match):
+            check_triangle(M, triples=count, seed=seed)
+
+    def test_numpy_integers_and_the_whole_key_range_are_seeds(self):
+        M = synthetic(np.diag([1.0, 2.0, 3.0]))
+        assert check_triangle(M, np.int32(40), np.uint64(7)) == check_triangle(M, 40, 7)
+        assert check_nonnegative(M, np.int64(40), np.int16(7)) == check_nonnegative(M, 40, 7)
+        assert check_triangle(M, 5, 2**128 - 1).passed
+        assert check_nonnegative(M, 5, 2**128 - 1).passed
 
 
 class TestNullPairs:
