@@ -144,13 +144,13 @@ def gas_scales(density: float, exclusion_radius: float, bath: BathParams) -> Gas
 def kappa_from_photon_energy(energy_ev: float, d_angstrom: float) -> float:
     """Dimensionless UV cutoff for a cutoff photon energy (eV) and dipole
     length d (Angstrom): kappa = (E / hbar c) d."""
-    if energy_ev <= 0 or d_angstrom <= 0:
-        raise ValueError("energy and dipole length must be > 0")
+    if not (0 < energy_ev < math.inf and 0 < d_angstrom < math.inf):
+        raise ValueError("energy and dipole length must be finite and > 0")
     return energy_ev * d_angstrom / HBARC_EV_ANGSTROM
 
 
 def atoms_per_m3(rho_dimensionless: float, d_angstrom: float) -> float:
     """Restore a density given in atoms per cubic dipole length to atoms/m^3."""
-    if d_angstrom <= 0:
-        raise ValueError("dipole length must be > 0")
+    if not (0 < d_angstrom < math.inf and 0 <= rho_dimensionless < math.inf):
+        raise ValueError("dipole length must be finite and > 0, density finite and >= 0")
     return rho_dimensionless / (d_angstrom * 1e-10) ** 3

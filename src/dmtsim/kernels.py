@@ -213,13 +213,12 @@ def f_diag(t, bath: BathParams):
 # cancel where h or x is small; _second_difference turns them into short
 # integrals of G'' instead, and up to x = _MOMENT_CUTOFF a series in W's
 # moments takes over; at x = 0, the diagonal, only its first term is left.
+# Where they cancel, G'', x - sin x and the moments are specfun._moments rows.
 
 _GL_SHORT = np.polynomial.legendre.leggauss(12)
 _SHORT = 2.0  # widths up to which _second_difference integrates
-_G2_SERIES_CUTOFF = 1.0
 _MOMENT_CUTOFF = 0.5  # kappa r below which f is W's moment series
 _MOMENT_TERMS = 8  # powers x^0 .. x^14 of W: x^16/17! < 1e-19 at x = 0.5
-_MOMENT_SERIES_TERMS = 13  # powers h^2 .. h^26: h^28/28! < 1e-20 at h = 2
 
 
 def _g(y: np.ndarray) -> np.ndarray:
@@ -233,25 +232,17 @@ def _g2_pair(c: np.ndarray, u: np.ndarray) -> np.ndarray:
     + 2 (1 - cos y)/y^2)/y, odd. The sine and cosine of c +- u come from
     angle addition, so a large center keeps the phase of c itself: its O(1)
     oscillations in B then cancel those of sin x (1 - cos h) exactly. Below
-    |y| = 1, where the closed form cancels, G'' is its odd Maclaurin series
-    sum_{k>=2} (-1)^(k+1) (2k-1)(2k-2) y^(2k-3)/(2k)! (ten terms reach 4e-19).
+    |y| = 1, where the closed form cancels, G'' = -S_2(y), the moment
+    int_0^1 s^2 sin(ys) ds, from specfun's series.
     """
     sin_c, cos_c, sin_u, cos_u = np.sin(c), np.cos(c), np.sin(u), np.cos(u)
     total = 0.0
     for sign in (1.0, -1.0):
         y = c + sign * u
-        small = np.abs(y) < _G2_SERIES_CUTOFF
+        small = np.abs(y) < 1.0
         g2 = np.empty_like(y)
         if small.any():
-            ys = y[small]
-            y2 = ys * ys
-            power = ys.copy()  # y^(2k-3)
-            series = np.zeros_like(ys)
-            for k in range(2, 12):
-                coefficient = (-1) ** (k + 1) * (2 * k - 1) * (2 * k - 2) / math.factorial(2 * k)
-                series += coefficient * power
-                power *= y2
-            g2[small] = series
+            g2[small] = -_specfun._moments(y[small], 2, 10, odd=True)
         big = ~small
         if big.any():
             sin_y = (sin_c * cos_u + sign * cos_c * sin_u)[big]
@@ -284,20 +275,13 @@ def _second_difference(pair, c, w, order: int) -> np.ndarray:
 
 
 def _x_minus_sin(x: np.ndarray) -> np.ndarray:
-    """x - sin x, by its Maclaurin series sum_{k>=1} (-1)^(k+1) x^(2k+1)/(2k+1)!
-    below |x| = 1 (nine terms reach 1e-19 relative)."""
+    """x - sin x, which cancels below |x| = 1: there it is -x C_0(x), with
+    C_0(x) = int_0^1 (cos xs - 1) ds = sin(x)/x - 1 from specfun's series."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = np.abs(x) < 1.0
     if small.any():
-        xs = x[small]
-        x2 = xs * xs
-        term = xs * x2 / 6.0
-        total = term.copy()
-        for k in range(2, 10):
-            term *= -x2 / ((2 * k) * (2 * k + 1))
-            total += term
-        out[small] = total
+        out[small] = -x[small] * _specfun._moments(x[small], 0, 9)
     out[~small] = x[~small] - np.sin(x[~small])
     return out
 
@@ -309,26 +293,17 @@ def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
     only w_0 M_0(h) = (2/3)(1/2 + (1 - cos h - h sin h)/h^2) is left: the
     diagonal.
 
-    M_k is its own Maclaurin series in h up to h = 2, summed for all k at
-    once, and 1/(2k+2) - int_0^1 s^(2k+1) cos(sh) ds beyond, the integral by
-    upward recurrence, which amplifies rounding by at most n!/h^n in the
-    n-th moment: 4e7 at n = 15, h = 2, against a weight x^14/15! of 5e-17.
-    At h = inf the integral averages out and M_k is 1/(2k+2).
+    M_k = -C_(2k+1)(h) up to h = 2, specfun's moment series for all k at once,
+    and 1/(2k+2) - int_0^1 s^(2k+1) cos(sh) ds beyond, the integral by upward
+    recurrence, which amplifies rounding by at most n!/h^n in the n-th
+    moment: 4e7 at n = 15, h = 2, against a weight x^14/15! of 5e-17. At
+    h = inf the integral averages out and M_k is 1/(2k+2).
     """
-    total = np.zeros_like(x)
-    x2 = x * x
-    power = np.ones_like(x)  # x^(2k)
     denominators = 2 * np.arange(_MOMENT_TERMS)[:, None] + 2  # 2k + 2
     moments = np.empty((_MOMENT_TERMS,) + x.shape)
     low = h <= 2.0
     if low.any():
-        hl2 = h[low] ** 2
-        term = np.ones_like(hl2)  # (-1)^(j+1) h^(2j)/(2j)!
-        series = np.zeros((_MOMENT_TERMS, hl2.size))
-        for j in range(1, _MOMENT_SERIES_TERMS + 1):
-            term *= (1.0 if j == 1 else -1.0) * hl2 / ((2 * j - 1) * (2 * j))
-            series += term / (denominators + 2 * j)
-        moments[:, low] = series
+        moments[:, low] = -_specfun._moments(h[low], range(1, 2 * _MOMENT_TERMS, 2), 12)
     late = np.isinf(h)
     moments[:, late] = 1.0 / denominators
     high = ~low & ~late
@@ -340,13 +315,13 @@ def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
             cos_n, sin_n = sin_h - n / hh * sin_n, -cos_h + n / hh * cos_n
             if n % 2:
                 moments[n // 2, high] = 1.0 / (n + 1) - cos_n
-    for k in range(_MOMENT_TERMS):
+    total, x2 = np.zeros_like(x), x * x
+    for k in reversed(range(_MOMENT_TERMS)):  # Horner's rule in x^2
         w_k = (-1) ** k * (
             (1.0 - c2) / math.factorial(2 * k + 1)
             + (3.0 * c2 - 1.0) * (2 * k + 2) / math.factorial(2 * k + 3)
         )
-        total += w_k * power * moments[k]
-        power *= x2
+        total = total * x2 + w_k * moments[k]
     return total
 
 
@@ -556,7 +531,6 @@ def phi_farfield(t: float, geom: PairGeometry, bath: BathParams) -> float:
 _GL_HI = np.polynomial.legendre.leggauss(15)
 _GL_LO = np.polynomial.legendre.leggauss(7)
 _MAX_PANELS = 262144  # ~5.8e6 integrand evaluations at the two orders
-_W_SERIES_CUTOFF = 0.05
 
 # Elements per block: (time, key) phi values in the metric, (key, panel,
 # node) values in the quadrature. The kernels and Si hold several temporaries
@@ -566,25 +540,22 @@ _BLOCK = 4096
 
 
 def _geometric_weight(x: np.ndarray, cos2) -> np.ndarray:
-    """W(x) = (1 - c^2) j0(x) + (3 c^2 - 1) j1(x)/x with a small-x series,
-    cos2 = c^2 broadcasting against x.
-
-    Below |x| = 0.05 the trig forms lose ~3 digits to cancellation, so a
-    four-term even series (truncation < 1e-16 relative) takes over.
-    """
+    """W(x) = (1 - c^2) j0(x) + (3 c^2 - 1) j1(x)/x, cos2 = c^2 broadcasting
+    against x, with j0 = sin(x)/x. Below |x| = 1, where the trig form of
+    j1(x)/x loses about 1/x^2 ulps, j1(x)/x = S_1(x)/x, the moment
+    int_0^1 s sin(xs) ds from specfun's series over x (1/3 at x = 0)."""
     x = np.asarray(x, dtype=float)
-    j0, j1x = np.empty_like(x), np.empty_like(x)
-    small = np.abs(x) < _W_SERIES_CUTOFF
+    sin_x, nonzero = np.sin(x), x != 0.0
+    j0 = np.divide(sin_x, x, out=np.ones_like(x), where=nonzero)
+    j1x = np.empty_like(x)
+    small = np.abs(x) < 1.0
     if small.any():
-        x2 = x[small] ** 2
-        j0[small] = 1.0 - x2 / 6.0 + x2**2 / 120.0 - x2**3 / 5040.0
-        j1x[small] = 1.0 / 3.0 - x2 / 30.0 + x2**2 / 840.0 - x2**3 / 45360.0
+        s_1 = _specfun._moments(x[small], 1, 10, odd=True)
+        j1x[small] = np.divide(s_1, x[small], out=np.full_like(s_1, 1 / 3), where=nonzero[small])
     big = ~small
     if big.any():
         xb = x[big]
-        s, c = np.sin(xb), np.cos(xb)
-        j0[big] = s / xb
-        j1x[big] = (s - xb * c) / xb**3
+        j1x[big] = (sin_x[big] - xb * np.cos(xb)) / xb**3
     return (1.0 - cos2) * j0 + (3.0 * cos2 - 1.0) * j1x
 
 

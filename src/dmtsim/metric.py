@@ -66,8 +66,9 @@ class MetricTensor:
     def __post_init__(self):
         d = np.atleast_2d(np.asarray(self.direct_part, dtype=float))
         i = np.atleast_2d(np.asarray(self.indirect_part, dtype=float))
-        if d.shape != i.shape or d.shape[0] != d.shape[1]:
-            raise MetricError("direct and indirect parts must be equal square matrices")
+        square = d.ndim == 2 and d.shape == i.shape and d.shape[0] == d.shape[1] and d.size > 0
+        if not (square and np.all(np.isfinite(d)) and np.all(np.isfinite(i))):
+            raise MetricError("direct and indirect parts must be equal finite nonempty squares")
         object.__setattr__(self, "direct_part", _geometry._as_readonly(d))
         object.__setattr__(self, "indirect_part", _geometry._as_readonly(i))
 
@@ -252,12 +253,15 @@ def _clamped_forms(matrix: np.ndarray, x: np.ndarray, eps: float) -> np.ndarray:
 
 def distance(M: MetricTensor, s, s2) -> float:
     """Metric distance (1/2) sqrt((s - s2)^T M (s - s2)) between codewords,
-    sequences of n entries that are each exactly -1 or +1. A quadratic form
-    below -epsilon raises; one in [-epsilon, 0) clamps to zero."""
-    if len(s) != M.n or len(s2) != M.n:
-        raise MetricError(f"codeword length must match n = {M.n}")
-    words = np.asarray([s, s2], dtype=float)
-    if not np.all(np.abs(words) == 1.0):
+    sequences of n entries that are each exactly the number -1 or +1. A
+    quadratic form below -epsilon raises; one in [-epsilon, 0) clamps to zero."""
+    try:
+        words = np.asarray([s, s2])
+    except ValueError:  # sequences of unequal lengths or of nested entries
+        words = np.empty(0)
+    if words.shape != (2, M.n):
+        raise MetricError(f"codewords must be two sequences of length n = {M.n}")
+    if words.dtype.kind not in "biuf" or not np.all(np.abs(words) == 1.0):
         raise MetricError("codeword entries must be -1 or +1")
     return 0.5 * math.sqrt(float(_clamped_forms(M.matrix, words[0] - words[1], M.epsilon)))
 

@@ -268,3 +268,13 @@ class TestUnitRestoration:
             kappa_from_photon_energy(1.0, -2.0)
         with pytest.raises(ValueError):
             atoms_per_m3(1.0, 0.0)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf])
+    def test_cutoff_needs_a_finite_energy(self, energy):
+        with pytest.raises(ValueError, match="finite"):
+            kappa_from_photon_energy(energy, 1.0)
+
+    @pytest.mark.parametrize("rho, d", [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)])
+    def test_density_needs_finite_inputs_and_a_nonnegative_density(self, rho, d):
+        with pytest.raises(ValueError, match="finite"):
+            atoms_per_m3(rho, d)

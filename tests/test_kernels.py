@@ -15,12 +15,14 @@ from conftest import (
     warm_bounds,
 )
 from data.cin_reference import F_REFERENCE
+from data.moment_reference import W_REFERENCE
 from dmtsim import kernels, specfun
 from dmtsim.kernels import (
     _f_closed_rt,
     _f_shape,
     _g,
     _g2_pair,
+    _geometric_weight,
     _moment_series,
     _phi_closed_rt,
     _phi_farfield_rt,
@@ -433,6 +435,23 @@ class TestQuadrature:
         err = exc_info.value
         assert hasattr(err, "achieved_error")
         assert err.achieved_error > 1e-14 or math.isinf(err.achieved_error)
+
+    def test_geometric_weight_matches_frozen_mpmath_values(self):
+        # across the series edge at x = 1 and just above 0.05, where the trig
+        # form of j1(x)/x loses about 1/x^2 ulps
+        for x, c2, want in W_REFERENCE:
+            for arg in (x, -x):  # W is even
+                got = float(_geometric_weight(np.array([arg]), c2)[0])
+                assert abs(got - want) <= 1e-15 * abs(want), (arg, c2)
+
+    @pytest.mark.parametrize("r", [0.06, 0.08])
+    @pytest.mark.parametrize("t", [1.0, 10.0])
+    def test_f_reaches_3e_15_of_the_diagonal_at_small_kappa_r(self, r, t):
+        # W's rounding no longer floors the error estimate above this tol
+        b = BathParams(alpha=ALPHA, kappa=1.0)
+        diag = f_diag(t, b)
+        got = reduced_quadrature(t, PairGeometry(r, 0.0), b, TimeKernel.F_KERNEL, 3e-15 * diag)
+        assert abs(got - float(_f_closed_rt(t, r, 1.0, b.alpha, b.kappa))) <= 1e-14 * diag
 
 
 class TestFOffdiag:

@@ -516,6 +516,23 @@ class TestCurveEngine:
                 _assemble(config, mask, bath(), times)
 
 
+class TestMetricTensor:
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 2, 2)])
+    def test_rejects_an_empty_or_stacked_tensor(self, shape):
+        # check_nonnegative would end in a bare IndexError on a 0 x 0 tensor,
+        # and in numpy's ValueError on a stack of 2 x 2 parts
+        with pytest.raises(MetricError, match="nonempty square"):
+            synthetic(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # every check would blame the float range, and numpy would warn
+        with pytest.raises(MetricError, match="finite"):
+            synthetic(np.eye(2), np.array([[0.0, bad], [bad, 0.0]]))
+        with pytest.raises(MetricError, match="finite"):
+            synthetic(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 class TestDistance:
     def test_same_codeword_is_zero(self):
         M = synthetic(np.eye(4))
@@ -542,6 +559,22 @@ class TestDistance:
         # an entry is never truncated to -1 or +1
         with pytest.raises(MetricError, match=r"-1 or \+1"):
             distance(M, (1.5, 1), (1, 1))
+
+    def test_non_sequence_codewords_raise_metric_error(self):
+        M = synthetic(np.eye(2))
+        with pytest.raises(MetricError, match="two sequences of length n = 2"):
+            distance(M, 5, 5)
+        with pytest.raises(MetricError, match="two sequences of length n = 2"):
+            decoherence(M, (1, (1, 1)), (1, 1))  # a nested entry
+
+    def test_string_entries_raise_metric_error(self):
+        # numbers only: not even "1" is taken for 1
+        M = synthetic(np.eye(2))
+        for word in (("a", 1), ("1", "-1")):
+            with pytest.raises(MetricError, match=r"-1 or \+1"):
+                distance(M, word, (1, 1))
+        with pytest.raises(MetricError, match=r"-1 or \+1"):
+            decoherence(M, (1, 1), (1, "x"))
 
     def test_offdiagonal_distinguishes_global_flip_from_partial(self):
         # three close atoms: flipping all three differs from flipping two,

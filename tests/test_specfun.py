@@ -14,6 +14,7 @@ from dmtsim.specfun import (
     _auxiliary,
     _cin,
     _cin_difference,
+    _moments,
     _si_asymptotic,
     _si_continued_fraction,
     _si_series,
@@ -21,6 +22,7 @@ from dmtsim.specfun import (
 )
 from conftest import same_bits, ulp_neighbours
 from data.cin_reference import CIN_REFERENCE
+from data.moment_reference import MOMENT_REFERENCE
 from data.si_reference import SI_REFERENCE
 
 SI_MAX = 1.8519370519824663  # global maximum, attained at pi
@@ -383,3 +385,47 @@ def test_cin_difference_bits_on_seam_grids():
     grid = np.geomspace(1e-2, 1e12, 301)  # every branch of both arguments
     x, h = (a.ravel() for a in np.meshgrid(grid, grid))
     same_bits(_cin_difference(x, h), two_call_cin_difference(x, h))
+
+
+# -- moment series --------------------------------------------------------------
+# The edges below which the kernels sum C_k and S_k, with the term counts of
+# C_k and S_k there: Cin's below 3, W's moments in h below 2, and G'',
+# x - sin x and W itself below 1.
+MOMENT_EDGES = ((3.0, 14, 15), (2.0, 12, 13), (1.0, 9, 10))
+
+
+def series_magnitude(k, y, odd):
+    """sum_n |y|^n / (n! (k + n + 1)) over the series' terms: the scale of
+    their rounding, equal to the moment's size where they do not cancel."""
+    return sum(abs(y) ** n / (math.factorial(n) * (k + n + 1)) for n in range(2 - odd, 40, 2))
+
+
+def test_moment_series_frozen_reference_table():
+    # every row k = -1 .. 15 of C_k and S_k, both signs of y, at each edge's
+    # term counts up to that edge: within 2e-15 of the terms' magnitude
+    checked = 0
+    for k, y, c, s in MOMENT_REFERENCE:
+        for edge, c_terms, s_terms in MOMENT_EDGES:
+            if abs(y) > edge:
+                continue
+            for want, terms, odd in ((c, c_terms, False), (s, s_terms, True)):
+                got = float(_moments(np.array([y]), k, terms, odd)[0])
+                bound = 2e-15 * series_magnitude(k, y, odd)
+                assert abs(got - want) <= bound, (k, y, edge, odd, got, want)
+                checked += 1
+    assert checked == 17 * 2 * (20 + 16 + 12)
+
+
+@pytest.mark.bitwise
+def test_moment_rows_keep_their_bits_in_any_array():
+    # a block of rows gives each row the bits of its own call, and each
+    # value the bits it has alone
+    y = np.concatenate([-np.geomspace(1e-8, 2.0, 40), np.geomspace(1e-8, 2.0, 40), [0.0]])
+    rows = range(-1, 16)
+    for odd in (False, True):
+        block = _moments(y, rows, 13, odd)
+        assert block.shape == (17, y.size)
+        for row, k in zip(block, rows):
+            same_bits(row, _moments(y, k, 13, odd))
+            alone = [_moments(y[i : i + 1], k, 13, odd) for i in range(0, y.size, 7)]
+            same_bits(row[::7], np.concatenate(alone))
