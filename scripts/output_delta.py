@@ -3,11 +3,12 @@
 Runs `output_digest.py`'s SCENARIOS and Monte Carlo once under each of
 OLD_SRC and NEW_SRC, each in a child process with that tree on PYTHONPATH.
 Then prints every CSV whose bytes differ with the largest relative change of
-each column, |new - old| / |old| (inf where old is 0 and new is not), the
-lines that moved in every report whose bytes differ and every scenario exit
-code or Monte Carlo line that differs (as unified diffs without context),
-and names any CSV or report that only one tree wrote. The last line says
-whether every output is byte-identical:
+each column, |new - old| / |old| (inf where old is 0 and new is not), and
+the time t of the row where it is; the lines that moved in every report
+whose bytes differ and every scenario exit code or Monte Carlo line that
+differs (as unified diffs without context); and names any CSV or report
+that only one tree wrote. The last line says whether every output is
+byte-identical:
 
     python scripts/output_delta.py /path/to/old/checkout/src src
 """
@@ -45,7 +46,9 @@ def write_outputs(src: str, root: Path) -> None:
 
 
 def column_deltas(old: Path, new: Path) -> dict:
-    """Largest relative change per column of two CSVs with the same header."""
+    """Largest relative change per column of two CSVs with the same header,
+    with the old value of the first column (the time) in the row where it
+    is; None there where no value of the column moved."""
     a, b = (np.genfromtxt(p, delimiter=",", names=True, ndmin=1) for p in (old, new))
     if a.dtype.names != b.dtype.names or a.shape != b.shape:
         raise SystemExit(f"{new.parent.name}/{new.name}: header or row count differs")
@@ -54,8 +57,20 @@ def column_deltas(old: Path, new: Path) -> dict:
         diff = np.abs(b[col] - a[col])
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(diff == 0.0, 0.0, diff / np.abs(a[col]))
-        out[col] = float(rel.max()) if rel.size else 0.0
+        row = int(np.argmax(rel)) if rel.size else None
+        if row is None or rel[row] == 0.0:
+            out[col] = (0.0, None)
+        else:
+            out[col] = (float(rel[row]), float(a[a.dtype.names[0]][row]))
     return out
+
+
+def format_deltas(deltas: dict) -> str:
+    """'col 1.23e-04 at t 0.005' per column, the time left out where nothing moved."""
+    parts = []
+    for col, (rel, t) in deltas.items():
+        parts.append(f"{col} {rel:.2e}" + ("" if t is None else f" at t {t:.3g}"))
+    return ", ".join(parts)
 
 
 def moved_lines(old_lines, new_lines) -> list:
@@ -96,9 +111,7 @@ def main(argv) -> int:
             roots,
             "*/*.csv",
             "CSVs",
-            lambda old, new: ", ".join(
-                f"{c} {d:.2e}" for c, d in column_deltas(old, new).items()
-            ),
+            lambda old, new: format_deltas(column_deltas(old, new)),
         )
         differ += compare_files(roots, "*/*_report.txt", "reports", report_diff)
         moved = moved_lines(*((r / "lines.txt").read_text().splitlines() for r in roots))

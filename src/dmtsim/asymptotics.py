@@ -142,15 +142,24 @@ def gas_scales(density: float, exclusion_radius: float, bath: BathParams) -> Gas
 
 
 def kappa_from_photon_energy(energy_ev: float, d_angstrom: float) -> float:
-    """Dimensionless UV cutoff for a cutoff photon energy (eV) and dipole
-    length d (Angstrom): kappa = (E / hbar c) d."""
+    """Dimensionless UV cutoff kappa = (E / hbar c) d for a photon energy E (eV)
+    and dipole length d (Angstrom); ValueError where it leaves the float range."""
     if not (0 < energy_ev < math.inf and 0 < d_angstrom < math.inf):
         raise ValueError("energy and dipole length must be finite and > 0")
-    return energy_ev * d_angstrom / HBARC_EV_ANGSTROM
+    return _in_range(energy_ev * d_angstrom / HBARC_EV_ANGSTROM, "kappa", energy_ev, d_angstrom)
 
 
 def atoms_per_m3(rho_dimensionless: float, d_angstrom: float) -> float:
-    """Restore a density given in atoms per cubic dipole length to atoms/m^3."""
+    """Restore a density per cubic dipole length to atoms/m^3; ValueError past the float range."""
     if not (0 < d_angstrom < math.inf and 0 <= rho_dimensionless < math.inf):
         raise ValueError("dipole length must be finite and > 0, density finite and >= 0")
-    return rho_dimensionless / (d_angstrom * 1e-10) ** 3
+    length = d_angstrom * 1e-10  # cubed by products: ** raises OverflowError
+    volume = _in_range(length * length * length, "(d 1e-10 m)^3", d_angstrom)
+    return _in_range(rho_dimensionless / volume, "atoms/m^3", rho_dimensionless, d_angstrom)
+
+
+def _in_range(value: float, name: str, *inputs: float) -> float:
+    """value, or a ValueError naming its overflow or, from nonzero inputs, underflow."""
+    if math.isinf(value) or (value == 0.0 and all(inputs)):
+        raise ValueError(f"{name} {'overflows' if value else 'underflows'} at inputs {inputs}")
+    return value

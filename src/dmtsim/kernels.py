@@ -211,9 +211,9 @@ def f_diag(t, bath: BathParams):
 #
 # D is a second difference and the Cin bracket a first difference, so both
 # cancel where h or x is small; _second_difference turns them into short
-# integrals of G'' instead, and up to x = _MOMENT_CUTOFF a series in W's
-# moments takes over; at x = 0, the diagonal, only its first term is left.
-# Where they cancel, G'', x - sin x and the moments are specfun._moments rows.
+# integrals of G'' = -S_2 instead, and up to x = _MOMENT_CUTOFF a series in
+# W's moments takes over; at x = 0, the diagonal, only its first term is
+# left. Where they cancel, S_2, x - sin x and the moments are _moments rows.
 
 _GL_SHORT = np.polynomial.legendre.leggauss(12)
 _SHORT = 2.0  # widths up to which _second_difference integrates
@@ -227,47 +227,38 @@ def _g(y: np.ndarray) -> np.ndarray:
     return np.divide(2.0 * np.sin(0.5 * y) ** 2, y, out=np.zeros_like(y), where=y != 0)
 
 
-def _g2_pair(c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """G''(c + u) + G''(c - u), with G''(y) = (cos y - 2 sin(y)/y
-    + 2 (1 - cos y)/y^2)/y, odd. The sine and cosine of c +- u come from
-    angle addition, so a large center keeps the phase of c itself: its O(1)
-    oscillations in B then cancel those of sin x (1 - cos h) exactly. Below
-    |y| = 1, where the closed form cancels, G'' = -S_2(y), the moment
-    int_0^1 s^2 sin(ys) ds, from specfun's series.
+def _second_difference(row: int, c, w, order: int) -> np.ndarray:
+    """int_0^w (w - u)^order / order! [S_row(c + u) + S_row(c - u)] du over
+    arrays of centers c and widths 0 <= w <= _SHORT, by 12-point
+    Gauss-Legendre, with S_k(y) = int_0^1 s^k sin(ys) ds (row 2 is -G'', row
+    3 j0'''). For S_row = F'', order 1 is F(c + w) + F(c - w) - 2 F(c) and
+    order 2 is P(c + w) - P(c - w) - 2 w F(c) for P' = F: Taylor remainders
+    that the direct differences lose to cancellation when w is small.
+
+    S_row is specfun's series below |y| = 1 and beyond it the recurrence
+    S_k = (k K_(k-1) - cos y)/y, K_k = (sin y - k S_(k-1))/y in the cosine
+    moments K_k, from S_0 = (1 - cos y)/y or K_0 = sin(y)/y up to the row,
+    with sin and cos of c +- u by angle addition: a large center keeps the
+    phase of c, so its O(1) oscillations in f's B cancel those of
+    sin x (1 - cos h) exactly. The integrand is entire, of period 2 pi in u,
+    so 12 nodes over a width of 2 leave truncation near 1e-20.
     """
-    sin_c, cos_c, sin_u, cos_u = np.sin(c), np.cos(c), np.sin(u), np.cos(u)
-    total = 0.0
-    for sign in (1.0, -1.0):
-        y = c + sign * u
-        small = np.abs(y) < 1.0
-        g2 = np.empty_like(y)
-        if small.any():
-            g2[small] = -_specfun._moments(y[small], 2, 10, odd=True)
-        big = ~small
-        if big.any():
-            sin_y = (sin_c * cos_u + sign * cos_c * sin_u)[big]
-            cos_y = (cos_c * cos_u - sign * sin_c * sin_u)[big]
-            yb = y[big]
-            g2[big] = (cos_y - 2.0 * sin_y / yb + 2.0 * (1.0 - cos_y) / yb / yb) / yb
-        total = total + g2
-    return total
-
-
-def _second_difference(pair, c, w, order: int) -> np.ndarray:
-    """int_0^w (w - u)^order / order! pair(c, u) du over arrays of centers c
-    and widths 0 <= w <= _SHORT, by 12-point Gauss-Legendre, where
-    pair(c, u) = F''(c + u) + F''(c - u).
-
-    Order 1 is F(c + w) + F(c - w) - 2 F(c), minus the second difference,
-    and order 2 is P(c + w) - P(c - w) - 2 w P'(c) for an antiderivative P
-    of F: Taylor remainders that the direct differences lose to cancellation
-    when w is small. The integrand is entire and oscillates with period 2 pi
-    in u, so 12 nodes over a width of 2 leave truncation near 1e-20.
-    """
-    c, w = np.asarray(c, dtype=float), np.asarray(w, dtype=float)
+    c, w = np.asarray(c, dtype=float)[:, None], np.asarray(w, dtype=float)
     xi, weight = _GL_SHORT
     u = 0.5 * w[:, None] * (1.0 + xi)
-    values = (w[:, None] - u) ** order / math.factorial(order) * pair(c[:, None], u)
+    sin_c, cos_c, sin_u, cos_u = np.sin(c), np.cos(c), np.sin(u), np.cos(u)
+    sign = np.array([1.0, -1.0])[:, None, None]  # c + u and c - u along a leading axis
+    y = c + sign * u
+    sin_y = sin_c * cos_u + sign * (cos_c * sin_u)
+    cos_y = cos_c * cos_u - sign * (sin_c * sin_u)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # |y| < 1 below
+        m = (sin_y if row % 2 else 1.0 - cos_y) / y  # K_0 or S_0
+        for k in range(1, row + 1):  # S_k where k and row share parity, else K_k
+            m = ((k * m - cos_y) if (row - k) % 2 == 0 else (sin_y - k * m)) / y
+    small = np.abs(y) < 1.0
+    if small.any():
+        m[small] = _specfun._moments(y[small], row, 10, odd=True)
+    values = (w[:, None] - u) ** order / math.factorial(order) * (m[0] + m[1])
     total = np.zeros_like(w)
     for k in range(xi.size):  # node by node: the same bits at any array length
         total += weight[k] * values[:, k]
@@ -332,9 +323,9 @@ def _f_shape(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
     Routes: W's moment series for every x <= _MOMENT_CUTOFF, the diagonal
     x = 0 and h = inf included. Beyond it, h = inf is
     (1 - c2) G(x)/x + (3 c2 - 1)(x - sin x)/x^3; otherwise D is
-    _second_difference (order 1, center x, width h) for h <= _SHORT and
-    direct beyond. B, writing E for the Cin bracket and T(c, w) for
-    _second_difference(G'', c, w, 2), so that E = 2 w G(c) + T(c, w), is
+    _second_difference(2, x, h, 1) for h <= _SHORT and direct beyond. B,
+    writing E for the Cin bracket and T(c, w) = -_second_difference(2, c, w,
+    2), the order-2 remainder of G'', so that E = 2 w G(c) + T(c, w), is
     one route where w = min(x, h) <= _SHORT: a prefix plus (h/2) T(c, w) at
     c = max(x, h), the prefix h^2 G(x) - sin x (1 - cos h) where h <= x and
     (x - sin x)(1 - cos h) where x < h (no cancellation left there); beyond,
@@ -355,7 +346,7 @@ def _f_shape(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
         d = np.empty_like(x)
         short = h <= _SHORT
         if short.any():
-            d[short] = -_second_difference(_g2_pair, x[short], h[short], 1)
+            d[short] = _second_difference(2, x[short], h[short], 1)
         if (~short).any():
             xs, hs = x[~short], h[~short]
             d[~short] = 2.0 * _g(xs) - _g(xs + hs) - _g(xs - hs)
@@ -370,7 +361,7 @@ def _f_shape(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
             b[near] = _x_minus_sin(x[near]) * one_minus_cos[near]
         if bracket.any():
             c = np.maximum(x[bracket], h[bracket])
-            b[bracket] += 0.5 * h[bracket] * _second_difference(_g2_pair, c, width[bracket], 2)
+            b[bracket] -= 0.5 * h[bracket] * _second_difference(2, c, width[bracket], 2)
         wide = ~bracket
         if wide.any():
             xw, hw = x[wide], h[wide]
@@ -422,36 +413,30 @@ def _phi_closed_rt(t, r, c2, alpha: float, kappa: float):
 
 def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
     """Vectorized cutoff-edge terms that _phi_closed_rt omits, over arrays of
-    (r, c2 = cos^2 theta).
+    (r, c2 = cos^2 theta). With k = kappa, x = kr, h = kt and j0(y) = sin(y)/y,
 
-    With k = kappa and sinc_-(t) = sin(k (t - r))/(t - r), whose removable
-    singularity at t = r has the limit k,
-
-        i0    = [t sin(kr)/r^2 - t k cos(kr)/r - sinc_-/2
-                 + sin(k (t + r))/(2 (t + r))] / r
+        i0    = (k/2r) [j0(x + h) - j0(x - h) - 2 h j0'(x)],
         aniso = [(cos(k (t - r)) - cos(k (t + r)))/(2k) - t sin(kr)] / r^3
+              = -sin(kr) (h - sin h) / (k r^3),
         edge  = (2 alpha/pi) [(1 - c2) i0 + (3 c2 - 1) aniso],
 
     from integrating q (qt - sin qt) W(qr, theta) term by term up to q = k.
-    Both brackets vanish at t = 0.
+    Both vanish at t = 0, like h^3 and h, where the differences cancel:
+    aniso takes its product form, and i0 is (k/2r) _second_difference(3, x,
+    h, 2) (j0''' = S_3) up to h = _SHORT and the difference only beyond.
     """
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    minus = t - r
-    plus = t + r
-    with np.errstate(invalid="ignore"):
-        sinc_minus = np.where(minus == 0.0, kappa, np.sin(kappa * minus) / minus)
-    sinc_plus = np.sin(kappa * plus) / plus  # t + r > 0 since r > 0
-    sin_kr = np.sin(kappa * r)
-    i0 = (
-        t * sin_kr / r**2
-        - t * kappa * np.cos(kappa * r) / r
-        - 0.5 * sinc_minus
-        + 0.5 * sinc_plus
-    ) / r
-    aniso = (
-        (np.cos(kappa * minus) - np.cos(kappa * plus)) / (2.0 * kappa) - t * sin_kr
-    ) / r**3
+    t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+    h, x = kappa * t, kappa * r
+    aniso = -np.sin(x) * _x_minus_sin(h) / (kappa * r**3)
+    r, h, x = np.broadcast_arrays(r, h, x)
+    i0 = np.empty(r.shape)
+    short = h <= _SHORT
+    i0[short] = _second_difference(3, x[short], h[short], 2)
+    x, h = x[~short], h[~short]
+    j0_minus = np.divide(np.sin(x - h), x - h, out=np.ones_like(x), where=x != h)
+    j0_prime = (np.cos(x) - np.sin(x) / x) / x
+    i0[~short] = np.sin(x + h) / (x + h) - j0_minus - 2.0 * h * j0_prime
+    i0 *= 0.5 * kappa / r
     return 2.0 * alpha / math.pi * ((1.0 - c2) * i0 + (3.0 * c2 - 1.0) * aniso)
 
 

@@ -278,3 +278,29 @@ class TestUnitRestoration:
     def test_density_needs_finite_inputs_and_a_nonnegative_density(self, rho, d):
         with pytest.raises(ValueError, match="finite"):
             atoms_per_m3(rho, d)
+
+    @pytest.mark.parametrize(
+        "rho, d, match",
+        [
+            (1.0, 1e-105, r"\(d 1e-10 m\)\^3 underflows"),  # was a bare ZeroDivisionError
+            (1e300, 1e-30, "atoms/m\\^3 overflows"),  # was inf
+            (1.0, 1e120, r"\(d 1e-10 m\)\^3 overflows"),  # ** would raise OverflowError
+            (5e-324, 1e12, "atoms/m\\^3 underflows"),
+        ],
+    )
+    def test_density_outside_the_float_range_is_refused(self, rho, d, match):
+        with pytest.raises(ValueError, match=match):
+            atoms_per_m3(rho, d)
+
+    @pytest.mark.parametrize(
+        "energy, d, match",
+        [(1e308, 1e308, "kappa overflows"), (5e-324, 1e-10, "kappa underflows")],
+    )
+    def test_cutoff_outside_the_float_range_is_refused(self, energy, d, match):
+        # a kappa of inf or 0 is one that BathParams refuses
+        with pytest.raises(ValueError, match=match):
+            kappa_from_photon_energy(energy, d)
+
+    def test_zero_density_stays_zero(self):
+        assert atoms_per_m3(0.0, 1e-30) == 0.0
+        assert atoms_per_m3(0.0, 1e100) == 0.0

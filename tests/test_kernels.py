@@ -14,17 +14,17 @@ from conftest import (
     ulp_neighbours,
     warm_bounds,
 )
-from data.cin_reference import F_REFERENCE
-from data.moment_reference import W_REFERENCE
+from data.cin_reference import EDGE_REFERENCE, F_REFERENCE
+from data.moment_reference import SECOND_DIFFERENCE_REFERENCE, W_REFERENCE
 from dmtsim import kernels, specfun
 from dmtsim.kernels import (
     _f_closed_rt,
     _f_shape,
     _g,
-    _g2_pair,
     _geometric_weight,
     _moment_series,
     _phi_closed_rt,
+    _phi_edge_rt,
     _phi_farfield_rt,
     _second_difference,
     _x_minus_sin,
@@ -254,6 +254,23 @@ class TestPhiExact:
                         got = phi_exact(t, PairGeometry(r=r, theta=theta), b)
                         ref = phi_reference(t, r, theta, b.alpha, b.kappa)
                         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_edge_terms_match_frozen_mpmath_values(self):
+        # the cutoff-edge brackets at 150 digits, kappa t from 1e-16 up, where
+        # they vanish like (kappa t)^3 and kappa t: c2 = 1/3 leaves i0 alone,
+        # 1 aniso alone, 0 their difference; each row alone and all at once
+        kappa, r, t, i0, aniso = (np.array(column) for column in zip(*EDGE_REFERENCE))
+        prefactor = 2.0 * ALPHA / math.pi
+        bound = 1e-12 * prefactor * (np.abs(i0) + np.abs(aniso))
+        for kappa_value in np.unique(kappa):
+            rows = kappa == kappa_value
+            for c2 in (0.0, 1.0 / 3.0, 1.0):
+                want = prefactor * ((1.0 - c2) * i0[rows] + (3.0 * c2 - 1.0) * aniso[rows])
+                got = _phi_edge_rt(t[rows], r[rows], c2, ALPHA, kappa_value)
+                assert np.all(np.abs(got - want) <= bound[rows]), (kappa_value, c2)
+                for k, (tk, rk) in enumerate(zip(t[rows], r[rows])):
+                    got = float(_phi_edge_rt(tk, rk, c2, ALPHA, kappa_value))
+                    assert abs(got - want[k]) <= bound[rows][k], (kappa_value, rk, tk, c2)
 
     def test_continuous_across_lightcone(self):
         b = bath(kappa=1.0)
@@ -576,22 +593,18 @@ class TestFClosed:
             assert self.closed(1e300, r, c2, b) == pytest.approx(late, rel=1e-12)
 
     def test_second_difference_helper(self):
-        # F = sin, F'' = -sin: F(c + w) + F(c - w) - 2 F(c) = -2 sin c (1 - cos w)
-        # = -4 sin c sin^2(w/2), to full relative accuracy at small w
-        def pair(c, u):
-            return -np.sin(c + u) - np.sin(c - u)
-
-        c = np.array([0.3, 2.0, 1e4, 7.0, 0.01])
-        w = np.array([1e-7, 1e-3, 0.5, 2.0, 1.3])
-        got = _second_difference(pair, c, w, 1)
-        np.testing.assert_allclose(got, -4.0 * np.sin(c) * np.sin(0.5 * w) ** 2, rtol=1e-14)
-        # order 2 with P' = F = sin, P = -cos: P(c + w) - P(c - w) - 2 w P'(c)
-        # = -2 sin c (w - sin w), the bracket summed as its Maclaurin series
-        w_minus_sin = sum(
-            (-1) ** (k + 1) * w ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(1, 20)
-        )
-        got = _second_difference(pair, c, w, 2)
-        np.testing.assert_allclose(got, -2.0 * np.sin(c) * w_minus_sin, rtol=1e-14)
+        # rows 2 (f's G'' = -S_2) and 3 (phi's j0''' = S_3) at orders 1 and 2,
+        # against their direct forms at 100 digits: centers 0.01 to 1e4, below
+        # the width too, widths 1e-7 to 2; each row alone and all at once
+        for row in (2, 3):
+            for order in (1, 2):
+                table = [ref for ref in SECOND_DIFFERENCE_REFERENCE if ref[:2] == (row, order)]
+                c, w, want = (np.array(column) for column in list(zip(*table))[2:])
+                got = _second_difference(row, c, w, order)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+                for k in range(c.size):
+                    alone = _second_difference(row, c[k : k + 1], w[k : k + 1], order)
+                    same_bits(alone, got[k : k + 1])
 
 
 # -- the closed f's calls -----------------------------------------------------
@@ -614,7 +627,7 @@ def two_route_f_shape(x, h, c2):
     one_minus_cos = 2.0 * np.sin(0.5 * h) ** 2
     short = h <= 2.0
     d = np.empty_like(x)
-    d[short] = -_second_difference(_g2_pair, x[short], h[short], 1)
+    d[short] = _second_difference(2, x[short], h[short], 1)
     xs, hs = x[~short], h[~short]
     d[~short] = 2.0 * _g(xs) - _g(xs + hs) - _g(xs - hs)
     b = np.empty_like(x)
@@ -623,13 +636,11 @@ def two_route_f_shape(x, h, c2):
     b[brief] = (
         hb * hb * _g(xb)
         - np.sin(xb) * one_minus_cos[brief]
-        + 0.5 * hb * _second_difference(_g2_pair, xb, hb, 2)
+        - 0.5 * hb * _second_difference(2, xb, hb, 2)
     )
     near = ~brief & (x <= 2.0)
     xn, hn = x[near], h[near]
-    b[near] = _x_minus_sin(xn) * one_minus_cos[near] + 0.5 * hn * _second_difference(
-        _g2_pair, hn, xn, 2
-    )
+    b[near] = _x_minus_sin(xn) * one_minus_cos[near] - 0.5 * hn * _second_difference(2, hn, xn, 2)
     wide = ~brief & ~near
     xw, hw = x[wide], h[wide]
     b[wide] = -np.sin(xw) * one_minus_cos[wide] + 0.5 * hw * specfun._cin_difference(xw, hw)

@@ -317,6 +317,23 @@ class TestCurveEngine:
         b = BathParams(alpha=ALPHA, kappa=kappa, inv_temperature=2.0)
         assert_engine_matches_oracle(config, mask, b, times, policy)
 
+    def test_matches_per_pair_oracle_where_the_edge_terms_vanish(self):
+        # a two-atom scene under QUADRATURE at kappa t = 2^-52, where phi's
+        # cutoff-edge terms are of order (kappa t)^3 and phi itself about
+        # 1e-51: the engine's arrays and the oracle's scalars must agree to
+        # 1e-12 there, which needs edge terms free of cancellation; 100
+        # seeded separations with |r| in [0.5, 2] in random directions
+        rng = np.random.default_rng(2**52)
+        b = BathParams(alpha=ALPHA, kappa=1.0)
+        mask = SelectionMask.from_selected(2, [0])
+        times = [0.0, 2.0**-52, 2.0**-52]
+        for _ in range(100):
+            direction = rng.normal(size=3)
+            r = rng.uniform(0.5, 2.0) * direction / np.linalg.norm(direction)
+            start = rng.uniform(-5.0, 5.0, size=3)
+            config = AtomConfig(np.array([start, start + r]), np.array([0.0, 0.0, 1.0]))
+            assert_engine_matches_oracle(config, mask, b, times, KernelPolicy.QUADRATURE)
+
     @pytest.mark.parametrize("inv_temperature", [None, 2.0])
     def test_matches_per_pair_oracle_over_several_key_blocks(self, inv_temperature):
         # 25 atoms under a tilted dipole: 75 distinct pair keys, which fill
