@@ -5,8 +5,12 @@ Run from the repository root:
     python3 scripts/make_cin_reference.py > tests/data/cin_reference.py
 
 CIN_REFERENCE holds Cin(x) = int_0^x (1 - cos u)/u du = gamma + ln x - Ci(x)
-from x = 1e-8 to 1e12, bracketing specfun's series/continued-fraction seam at
-x = 3 and its continued-fraction/asymptotic seam at x = 40.
+from x = 1e-8 to 1e12, bracketing specfun's seam at x = 3, between Cin's
+series and Ci's Chebyshev fit, and its seam at x = 40, between that fit and
+the asymptotic series.
+
+CI_REFERENCE holds Ci(x) where the fit serves: 401 evenly spaced points on
+[3, 40], both ends included, and one ulp either side of each end.
 
 F_REFERENCE holds the zero-temperature f off the diagonal in the units of
 kernels._f_shape, F = f pi / (alpha kappa^2), as a function of x = kappa r,
@@ -43,6 +47,11 @@ import mpmath
 
 mpmath.mp.dps = 60
 EDGE_DPS = 150
+
+CI_POINTS = sorted(
+    {3.0 + 37.0 * k / 400 for k in range(401)}
+    | {math.nextafter(x, d) for x in (3.0, 40.0) for d in (0.0, math.inf)}
+)
 
 CIN_POINTS = [
     1e-08, 1e-3, 0.1, 0.5, 1.0, 2.0, 2.9, 3.0, 3.1, 5.0, 10.0, 18.0, 25.0,
@@ -122,7 +131,7 @@ def edge(kappa, r, t):
 
 
 def main():
-    print('"""Frozen Cin and zero-temperature f reference values.')
+    print('"""Frozen Cin, Ci and zero-temperature f reference values.')
     print()
     print("Generated by scripts/make_cin_reference.py with mpmath at 60 decimal")
     print("digits (EDGE_REFERENCE at 150), rounded to the nearest float64. Do not")
@@ -131,6 +140,11 @@ def main():
     print("CIN_REFERENCE = [")
     for x in CIN_POINTS:
         print(f"    ({x!r}, {float(cin(x))!r}),")
+    print("]")
+    print()
+    print("CI_REFERENCE = [")
+    for x in CI_POINTS:
+        print(f"    ({x!r}, {float(mpmath.ci(x))!r}),")
     print("]")
     print()
     print("# (x = kappa r, h = kappa t, cos^2 theta, f pi / (alpha kappa^2))")

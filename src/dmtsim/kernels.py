@@ -431,11 +431,13 @@ def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
     r, h, x = np.broadcast_arrays(r, h, x)
     i0 = np.empty(r.shape)
     short = h <= _SHORT
-    i0[short] = _second_difference(3, x[short], h[short], 2)
-    x, h = x[~short], h[~short]
-    j0_minus = np.divide(np.sin(x - h), x - h, out=np.ones_like(x), where=x != h)
-    j0_prime = (np.cos(x) - np.sin(x) / x) / x
-    i0[~short] = np.sin(x + h) / (x + h) - j0_minus - 2.0 * h * j0_prime
+    if short.any():
+        i0[short] = _second_difference(3, x[short], h[short], 2)
+    if not short.all():
+        x, h = x[~short], h[~short]
+        j0_minus = np.divide(np.sin(x - h), x - h, out=np.ones_like(x), where=x != h)
+        j0_prime = (np.cos(x) - np.sin(x) / x) / x
+        i0[~short] = np.sin(x + h) / (x + h) - j0_minus - 2.0 * h * j0_prime
     i0 *= 0.5 * kappa / r
     return 2.0 * alpha / math.pi * ((1.0 - c2) * i0 + (3.0 * c2 - 1.0) * aniso)
 

@@ -11,9 +11,10 @@ of the lattice figure (up to about 1e11), met with three branches in float64:
   overhead, one ufunc accumulate of the products and one of the sum along a
   term axis: the same IEEE operations in the same order.
 * Continued fraction for 18 < |x| < 40, via Si(x) = pi/2 + Im E1(ix) and the
-  even-contracted Lentz evaluation of E1. A two-branch series/asymptotic
-  scheme cannot bridge this window at 1e-10 in double precision: the
-  asymptotic tail's optimal truncation error at x = 18 is ~9e-9.
+  even-contracted Lentz evaluation of E1, in 8 to 21 iterations. A
+  two-branch series/asymptotic scheme cannot bridge this window at 1e-10 in
+  double precision: the asymptotic tail's optimal truncation error at x = 18
+  is ~9e-9.
 * Asymptotic auxiliary functions for |x| >= 40,
   Si(x) = pi/2 - f(x) cos x - g(x) sin x. Their sums stop, element by
   element, at the first term below 2^-56, half an ulp of a sum in [1/2, 1]:
@@ -23,12 +24,14 @@ of the lattice figure (up to about 1e11), met with three branches in float64:
   mpmath values up to 1e12 agree to about 1.4e-16.
 
 Cin(x) = int_0^x (1 - cos u)/u du = gamma + ln x - Ci(x), private to the
-zero-temperature off-diagonal f, shares the continued fraction (Ci(x) =
--Re E1(ix)) and the auxiliary functions (Ci = f sin x - g cos x), and is
-row -1 of the moment series below x = 3. f's Cin(x + h) - Cin(|x - h|) is
-one Cin call on both arguments or, 40 or more apart, log1p of their ratio -
-Ci(x + h) + Ci(|x - h|), from one auxiliary call and angle addition. The
-auxiliary functions take x^2 past 1.34e154 as inf: g is 0, with no warning.
+zero-temperature off-diagonal f, is row -1 of the moment series up to x = 3;
+beyond, Ci = f sin x - g cos x takes the auxiliary functions f and g from a
+Chebyshev fit in 1/x up to x = 40 (36th degree, frozen from mpmath by
+scripts/make_auxiliary_fit.py; Ci within 1e-16 absolute) and from Si's
+asymptotic series from x = 40 on. f's Cin(x + h) - Cin(|x - h|) is one Cin
+call on both arguments or, 40 or more apart, log1p of their ratio -
+Ci(x + h) + Ci(|x - h|), from one asymptotic call and angle addition. The
+asymptotic series take x^2 past 1.34e154 as inf: g is 0, with no warning.
 
 The moment series are every small-argument expansion of the kernels: rows of
 C_k(y) = int_0^1 s^k (cos ys - 1) ds and S_k(y) = int_0^1 s^k sin(ys) ds,
@@ -65,6 +68,45 @@ _FAR_TERMS = 4
 
 _HALF_PI = np.pi / 2.0
 _EULER_GAMMA = 0.57721566490153286
+
+# The auxiliary functions f and g of Si and Ci as Chebyshev series on
+# _CIN_SERIES_CUTOFF <= x <= _ASYMPTOTIC_CUTOFF (3 to 40): row 0 is x f(x),
+# row 1 x^2 g(x), each the sum of c_k T_k(t) for k = 0 .. 36 at
+# t = (240/x - 43)/37, linear in 1/x. Their coefficients past degree 36 sum to
+# below 3e-19.
+# Generated by scripts/make_auxiliary_fit.py from mpmath; do not edit by hand.
+_AUXILIARY_FIT = np.array([
+    [  # x f(x)
+        0.9440750030721591, -0.06346662228687908, -0.0064883722969364295,
+        0.0020186634654471777, -0.00027993564142661347, 8.392677523765478e-06,
+        8.69308400532909e-06, -3.3670246717368314e-06, 7.879369100097664e-07,
+        -1.1413727321809643e-07, -3.074930339519157e-09, 9.483195027889667e-09,
+        -4.2247333683442595e-09, 1.3024139687906127e-09, -3.0105426783559963e-10,
+        4.144656748155302e-11, 5.6680761383117546e-12, -7.121935357426626e-12,
+        3.4511604975769645e-12, -1.2534927127682958e-12, 3.6947969198764044e-13,
+        -8.3985941757312e-14, 9.636070263808079e-15, 3.7002584633321234e-15,
+        -3.453604613051491e-15, 1.751111823997783e-15, -7.044146892357322e-16,
+        2.404538059460443e-16, -6.897502078661191e-17, 1.4878160712143704e-17,
+        -9.553118284227924e-19, -1.335033507149028e-18, 1.0451515351529356e-18,
+        -5.401340088634293e-19, 2.3163099343770636e-19, -8.689009562997998e-20,
+        2.857983411313822e-20,
+    ],
+    [  # x^2 g(x)
+        0.8633367530290942, -0.14741540845524906, -0.007471113825096202,
+        0.005642672297697599, -0.0012422757960982057, 0.00013709260826666415,
+        1.6400468434725334e-05, -1.42945884873945e-05, 4.815723443179618e-06,
+        -1.0966603355042478e-06, 1.3959399022324852e-07, 2.1351800235292174e-08,
+        -2.2571938622243776e-08, 9.760298657055182e-09, -3.0907214359030374e-09,
+        7.427197566519421e-10, -1.0495753480056764e-10, -1.7265513180484945e-11,
+        2.1428131377370808e-11, -1.0896901166953145e-11, 4.192916226005348e-12,
+        -1.3231407850556252e-12, 3.309071326088616e-13, -4.959750769955104e-14,
+        -9.103394668565306e-15, 1.2224738413673854e-14, -6.9067072896342804e-15,
+        3.0135251467856166e-15, -1.1152861300232822e-15, 3.5319900073909604e-16,
+        -9.017493867609722e-17, 1.3518820192791027e-17, 3.2346069033577527e-18,
+        -4.212495639158423e-18, 2.530521761337167e-18, -1.1987848650812476e-18,
+        4.917694956046273e-19,
+    ],
+])
 
 
 # _MOMENT_SERIES[n - 1, k] = (-1)^(n // 2) / (n! (k + n + 1)), the coefficient of y^n in
@@ -125,8 +167,7 @@ def _e1_imaginary(x: np.ndarray) -> np.ndarray:
 
     E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/(z + 7 - ...)))),
 
-    which Si and Ci share: Si(x) = pi/2 + Im E1(ix), Ci(x) = -Re E1(ix).
-    About 87 iterations at x = 2, fewer further out.
+    for Si(x) = pi/2 + Im E1(ix) on 18 < x < 40, in 8 to 21 iterations there.
     """
     x = np.asarray(x, dtype=float)
     z = 1j * x
@@ -209,18 +250,33 @@ def _si_asymptotic(x: np.ndarray) -> np.ndarray:
     return _HALF_PI - f_aux * np.cos(x) - g_aux * np.sin(x)
 
 
+def _fitted_auxiliary(x: np.ndarray):
+    """The auxiliary functions (f, g) of Si and Ci for 3 <= x <= 40 from
+    _AUXILIARY_FIT: x f(x) and x^2 g(x) by one Clenshaw recurrence over both
+    rows stacked, elementwise, so each value has the same bits in any array."""
+    x = np.asarray(x, dtype=float)
+    t = (240.0 / x - 43.0) / 37.0  # 1/x mapped from [1/40, 1/3] to [-1, 1]
+    two_t = 2.0 * t
+    columns = _AUXILIARY_FIT.reshape((2, -1) + (1,) * x.ndim)
+    later, total = 0.0, columns[:, -1]
+    for k in range(columns.shape[1] - 2, 0, -1):
+        later, total = total, two_t * total - later + columns[:, k]
+    x_f, x2_g = t * total - later + columns[:, 0]
+    return x_f / x, x2_g / (x * x)
+
+
 def _ci(x: np.ndarray) -> np.ndarray:
-    """Ci(x) = -Re E1(ix) = f(x) sin x - g(x) cos x for x > _CIN_SERIES_CUTOFF:
-    the continued fraction below x = 40, the auxiliary functions beyond. Its
-    absolute error stays near 1e-16 / x far out, where Ci itself is O(1/x)."""
-    out = np.empty_like(x)
+    """Ci(x) = f(x) sin x - g(x) cos x for x > _CIN_SERIES_CUTOFF: f and g
+    from the Chebyshev fit below x = 40, the asymptotic series beyond. Against
+    mpmath its absolute error is below 1e-16 on (3, 40) and stays near
+    1e-16 / x far out, where Ci itself is O(1/x)."""
+    f_aux, g_aux = np.empty_like(x), np.empty_like(x)
     large = x >= _ASYMPTOTIC_CUTOFF
     if (~large).any():
-        out[~large] = -_e1_imaginary(x[~large]).real
+        f_aux[~large], g_aux[~large] = _fitted_auxiliary(x[~large])
     if large.any():
-        f_aux, g_aux = _auxiliary(x[large])
-        out[large] = f_aux * np.sin(x[large]) - g_aux * np.cos(x[large])
-    return out
+        f_aux[large], g_aux[large] = _auxiliary(x[large])
+    return f_aux * np.sin(x) - g_aux * np.cos(x)
 
 
 def _cin(x) -> np.ndarray:
@@ -228,9 +284,9 @@ def _cin(x) -> np.ndarray:
     entire with Cin(0) = 0.
 
     -C_(-1)(x), the moment series' row -1, for |x| <= 3, where its terms stay
-    below 2.25; beyond, gamma - Ci(x) is summed before ln x is added. Against
-    mpmath: absolute error below 1e-15 up to x = 40 (the continued fraction
-    loses more just above 2), relative error about 2e-16 above.
+    below 2.25; beyond, gamma - Ci(x) from _ci is summed before ln x is
+    added. Against mpmath: absolute error below 1e-15 up to x = 40, relative
+    error about 2e-16 above.
     """
     x = np.abs(np.asarray(x, dtype=float))
     out = np.empty_like(x)

@@ -692,12 +692,14 @@ def test_f_shape_bits_on_seam_grids():
 @pytest.mark.bitwise
 def test_closed_f_calls_each_special_function_once(monkeypatch):
     # a codeword-like (time, key) table reaches every route of B and both
-    # branches of the Cin difference: one Cin evaluation (one continued
-    # fraction) for the block, and one _second_difference call each for D
-    # and for both short routes of the Cin bracket
+    # branches of the Cin difference: one Cin evaluation (one evaluation of
+    # the fitted auxiliary functions, and no continued fraction) for the
+    # block, and one _second_difference call each for D and for both short
+    # routes of the Cin bracket
     calls = Counter()
     for module, name in (
         (specfun, "_cin"),
+        (specfun, "_fitted_auxiliary"),
         (specfun, "_e1_imaginary"),
         (kernels, "_second_difference"),
     ):
@@ -711,4 +713,63 @@ def test_closed_f_calls_each_special_function_once(monkeypatch):
     r = np.array([0.0, 0.3, 1.0, 1.5, 2.5, 4.0, 7.0, 12.0, 30.0, 90.0])
     f = _f_closed_rt(t, r, np.linspace(0.0, 1.0, r.size), ALPHA, 1.0)
     assert np.all(np.isfinite(f))
-    assert calls == {"_cin": 1, "_e1_imaginary": 1, "_second_difference": 2}
+    assert calls == {"_cin": 1, "_fitted_auxiliary": 1, "_second_difference": 2}
+
+
+# -- phi_exact's edge routes --------------------------------------------------
+# _phi_edge_rt runs each route of i0 only where it has elements, which must
+# leave every value's bits as running both routes on every block gives them.
+
+
+def both_route_phi_edge(t, r, c2, alpha, kappa):
+    """_phi_edge_rt with both routes of i0 run on every block, empty or not."""
+    t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+    h, x = kappa * t, kappa * r
+    aniso = -np.sin(x) * _x_minus_sin(h) / (kappa * r**3)
+    r, h, x = np.broadcast_arrays(r, h, x)
+    i0 = np.empty(r.shape)
+    short = h <= 2.0
+    i0[short] = _second_difference(3, x[short], h[short], 2)
+    x, h = x[~short], h[~short]
+    j0_minus = np.divide(np.sin(x - h), x - h, out=np.ones_like(x), where=x != h)
+    j0_prime = (np.cos(x) - np.sin(x) / x) / x
+    i0[~short] = np.sin(x + h) / (x + h) - j0_minus - 2.0 * h * j0_prime
+    i0 *= 0.5 * kappa / r
+    return 2.0 * alpha / math.pi * ((1.0 - c2) * i0 + (3.0 * c2 - 1.0) * aniso)
+
+
+EDGE_BLOCK_KEYS = np.geomspace(3e-3, 1e4, 25), np.linspace(0.0, 1.0, 25)
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("kappa", [0.1, 1.0])
+def test_edge_terms_keep_their_bits_on_short_long_and_mixed_blocks(kappa):
+    # kappa t from 1e-16 to 1e4, kt = 2 and one ulp either side of it as
+    # float64 computes kappa t; every block shape and a scalar each
+    h = np.concatenate([np.geomspace(1e-16, 1e4, 40), ulp_neighbours([2.0])])
+    t = h / kappa
+    r, c2 = EDGE_BLOCK_KEYS
+    for times in (t[kappa * t <= 2.0], t[kappa * t > 2.0], t):
+        assert times.size
+        block = times[:, None]
+        want = both_route_phi_edge(block, r, c2, ALPHA, kappa)
+        same_bits(_phi_edge_rt(block, r, c2, ALPHA, kappa), want)
+        same_bits(_phi_edge_rt(times, r[3], c2[3], ALPHA, kappa), want[:, 3])
+        same_bits(_phi_edge_rt(times[-1], r[7], c2[7], ALPHA, kappa), want[-1, 7])
+
+
+def test_edge_terms_call_second_difference_only_for_short_times(monkeypatch):
+    calls = Counter()
+    real = kernels._second_difference
+
+    def counted(*args):
+        calls["_second_difference"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_second_difference", counted)
+    r, c2 = EDGE_BLOCK_KEYS
+    _phi_edge_rt(np.array([[2.5], [30.0], [1e4]]), r, c2, ALPHA, 1.0)  # every kappa t > 2
+    _phi_edge_rt(5.0, 10.0, 0.5, ALPHA, 1.0)
+    assert calls["_second_difference"] == 0
+    _phi_edge_rt(np.array([[0.5], [30.0]]), r, c2, ALPHA, 1.0)
+    assert calls["_second_difference"] == 1

@@ -12,8 +12,10 @@ from dmtsim.specfun import (
     _FAR_TERMS,
     _LOG_CUTOFF,
     _auxiliary,
+    _ci,
     _cin,
     _cin_difference,
+    _fitted_auxiliary,
     _moments,
     _si_asymptotic,
     _si_continued_fraction,
@@ -21,7 +23,7 @@ from dmtsim.specfun import (
     sine_integral,
 )
 from conftest import same_bits, ulp_neighbours
-from data.cin_reference import CIN_REFERENCE
+from data.cin_reference import CI_REFERENCE, CIN_REFERENCE
 from data.moment_reference import MOMENT_REFERENCE
 from data.si_reference import SI_REFERENCE
 
@@ -163,6 +165,16 @@ def test_cin_frozen_reference_table():
                 assert abs(got - ref) <= 1e-15, f"x = {arg}"
             else:
                 assert abs(got - ref) <= 1e-15 * ref, f"x = {arg}"
+
+
+def test_ci_frozen_reference_table():
+    # the Chebyshev fit on [3, 40] and one ulp either side of both ends, the
+    # asymptotic series at and past 40: within 2e-16 absolute (|Ci| <= 0.12
+    # there), a bound that E1's continued fraction misses by up to 7.8e-16
+    x, want = (np.array(column) for column in zip(*CI_REFERENCE))
+    assert x.min() < 3.0 and x.max() > 40.0
+    err = np.abs(_ci(x) - want)
+    assert err.max() <= 2e-16, f"x = {x[err.argmax()]}"
 
 
 def test_cin_small_argument_relative():
@@ -312,6 +324,43 @@ def test_sine_integral_of_all_three_branches_keeps_the_bits_of_each():
     same_bits(got, np.concatenate([sine_integral(part) for part in parts]))
     same_bits(got, [sine_integral(float(v)) for v in x])
     same_bits(sine_integral(x[::-1].reshape(-1, 2)), got[::-1].reshape(-1, 2))
+
+
+# the fit's ends and the seams of Cin and Ci at 3 and 40
+FIT_EDGES = ulp_neighbours([3.0, 40.0])
+
+
+@pytest.mark.bitwise
+@given(
+    st.lists(
+        st.one_of(st.floats(3.0, 40.0), st.floats(40.0, 1e3), st.floats(40.0, 1e12)),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_ci_keeps_the_bits_of_each_value(values):
+    # the fit's Clenshaw recurrence is elementwise: any array, any mix with
+    # the asymptotic series, gives each value the bits it has alone
+    x = np.array(values)
+    same_bits(_ci(x), np.concatenate([_ci(x[i : i + 1]) for i in range(x.size)]))
+
+
+@pytest.mark.bitwise
+def test_fitted_auxiliary_bits_on_a_dense_grid():
+    x = np.concatenate([np.linspace(3.0, 40.0, 20001), FIT_EDGES])
+    want = _fitted_auxiliary(x)
+    for part in np.array_split(np.arange(x.size), 9):  # any batch
+        for got, whole in zip(_fitted_auxiliary(x[part]), want):
+            same_bits(got, whole[part])
+    for k in range(0, x.size, 997):  # one value, as an array and as a scalar
+        for got, alone, whole in zip(
+            _fitted_auxiliary(x[k : k + 1]), _fitted_auxiliary(x[k]), want
+        ):
+            same_bits(got, whole[k : k + 1])
+            same_bits(alone, whole[k])
+    for got, whole in zip(_fitted_auxiliary(x[:20000].reshape(100, 200)), want):
+        same_bits(got, whole[:20000].reshape(100, 200))
+    same_bits(_ci(x), np.concatenate([_ci(part) for part in np.array_split(x, 9)]))
 
 
 # -- the Cin difference -------------------------------------------------------
