@@ -68,8 +68,9 @@ OSError met while writing can leave the files written before it.
 
 Each curve is one pass of the metric engine over the whole time grid (see
 dmtsim.metric): the kernels run once per distinct pair (r, cos^2 theta) and
-time, in blocks of times, and only the tensor at the final time is built,
-for the property checks.
+time, in blocks of times. It holds the n x n parts of one block of times at
+once and returns the CSV's columns and the tensor at the final time, the
+only tensor built (for the property checks).
 
 CSV columns: t, d_direct, d_indirect, d_total, valid_flag. The decoherence
 columns are for the all-plus vs all-minus codeword pair, so d_direct sums
@@ -102,13 +103,7 @@ from .geometry import (
     square_lattice_2d,
 )
 from .kernels import BathParams, KernelDomainError, KernelPolicy, QuadratureError
-from .metric import (
-    MetricError,
-    MetricTensor,
-    _assemble,
-    check_nonnegative,
-    check_triangle,
-)
+from .metric import MetricError, _assemble, check_nonnegative, check_triangle
 
 __all__ = [
     "ScenarioError",
@@ -398,16 +393,6 @@ def crossover_detect(times, d_direct, d_indirect):
     return float(t0 + (0.0 - g0) * (t1 - t0) / (g1 - g0))
 
 
-def _compute_curve(bath, config, mask, times, policy):
-    """One engine pass over the time grid: the tensor at the final time (for
-    the property checks) and the d_direct, d_indirect and valid columns."""
-    direct, indirect, valid = _assemble(config, mask, bath, times, policy)
-    final = MetricTensor(float(times[-1]), direct[-1], indirect[-1], bool(valid[-1]))
-    d_dir = direct.reshape(len(times), -1).sum(axis=1)
-    d_ind = indirect.reshape(len(times), -1).sum(axis=1)
-    return final, d_dir, d_ind, valid
-
-
 def _check_name_lengths(target: Path, names) -> None:
     """Refuse an output file name longer than target's file system allows,
     before any curve is computed."""
@@ -500,7 +485,7 @@ def run(
     sweep_rows, curves = [], []
     try:
         for label, bath, params, config, mask, value in variants:
-            final, d_dir, d_ind, valid = _compute_curve(bath, config, mask, times, kernel_policy)
+            d_dir, d_ind, valid, final = _assemble(config, mask, bath, times, kernel_policy)
             curves.append((target / f"{label}.csv", d_dir, d_ind, valid))
 
             report.append(f"curve {label}:")

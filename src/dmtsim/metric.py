@@ -15,7 +15,10 @@ each key's first atom pair, and every pair's key index. phi runs on
 is a rejected coincidence, through the formula kernels maps the kernel
 policy to. f runs through kernels' f route on the n x n selected table,
 whose key 0 (r = 0) is the diagonal and every coincident selected pair.
-build_metric is that engine at a single t; the CLI runs it once per curve.
+The engine holds the n x n parts of one block of times at once, keeping
+each time's direct and indirect sums and validity flag and the tensor at
+the last time. build_metric is that engine at a single t; the CLI runs it
+once per curve.
 """
 
 from __future__ import annotations
@@ -110,24 +113,6 @@ def _key_table(config: AtomConfig, rows, cols):
     return keys.real.copy(), keys.imag.copy(), pairs, inverse.reshape(r.shape)
 
 
-def _phi_gram(r_k, cos2_k, inverse, bath, times, policy) -> np.ndarray:
-    """2 Phi_ij = 2 sum_k phi_ik phi_jk over the unobserved atoms at each
-    positive time, shape (T, n, n), from phi on (time, key) blocks of the
-    selected x unobserved key table."""
-    n = inverse.shape[0]
-    step = max(1, _BLOCK // r_k.size)
-    out = np.empty((times.size, n, n))
-    for start in range(0, times.size, step):
-        block = times[start : start + step, None]
-        # _assemble reports a non-finite M; where r^3 overflows, phi takes its limit 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
-            # and so its last bits, then do not depend on the block's length
-            phi = np.take(_phi(block, r_k, cos2_k, bath, policy), inverse, axis=1)
-            out[start : start + step] = 2.0 * (phi @ phi.transpose(0, 2, 1))
-    return out
-
-
 def _assemble(
     config: AtomConfig,
     mask: SelectionMask,
@@ -135,18 +120,19 @@ def _assemble(
     times,
     kernel_policy: KernelPolicy = KernelPolicy.CLOSED_FORM,
 ):
-    """Direct and indirect (T, n, n) stacks and (T,) validity flags of M(t)
-    over a time grid; build_metric documents the assembly.
-
-    Every kernel value depends on a pair only through its (r, cos^2 theta), so
-    each pair block is reduced once per curve to its key table (a lattice
-    has 8-fold symmetry), and the kernels run on (time, key) blocks whose
-    results are scattered back through the inverse index. Rows at t = 0 are
-    exact zeros.
+    """(d_direct, d_indirect, valid, final) of M(t) over a nonempty time grid:
+    the (T,) sums of the direct and of the indirect entries, the (T,)
+    validity flags, and the MetricTensor at the last time; build_metric
+    documents the assembly. Each pair block is reduced once per curve to its
+    key table, and the kernels run on (time, key) blocks scattered back
+    through the inverse index: f on _BLOCK // K_f times, phi on step =
+    _BLOCK // K. The n x n parts of max(step, _BLOCK // n^2) times are held
+    at once, reduced and dropped, so memory does not grow with T; blocks
+    run in time order, and rows at t = 0 are exact zeros.
     """
     times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times) & (times >= 0)):
-        raise MetricError("time must be finite and >= 0")
+    if not (times.size and np.all(np.isfinite(times) & (times >= 0))):
+        raise MetricError("time must be finite and >= 0, in a nonempty grid")
     if not isinstance(kernel_policy, KernelPolicy):
         raise MetricError("kernel_policy must be a KernelPolicy member")
     if mask.n_atoms != len(config):
@@ -158,24 +144,44 @@ def _assemble(
         raise GeometryError(
             f"selected atom {pairs[0, 0]} coincides with unobserved atom {pairs[1, 0]} (r = 0)"
         )
-
-    direct = np.zeros((times.size, n, n))
-    indirect = np.zeros((times.size, n, n))
-    live = times > 0.0
-    if live.any():
+    live = np.flatnonzero(times > 0.0)
+    if live.size:
         r_f, cos2_f, pairs_f, inverse_f = _key_table(config, mask.selected, mask.selected)
-        f = np.take(_f(times[live], r_f, cos2_f, bath, pairs_f), inverse_f, axis=1)
-        with np.errstate(over="ignore"):  # a non-finite M is reported below
-            direct[live] = 4.0 * f
-        if r_k.size:
-            indirect[live] = _phi_gram(r_k, cos2_k, inverse, bath, times[live], kernel_policy)
-    # a finite sum of |entries| bounds M, its trace and the CSV's column sums
-    with np.errstate(over="ignore"):  # a non-finite M raises below
-        bad = ~np.isfinite(np.abs(direct).sum(axis=(1, 2)) + np.abs(indirect).sum(axis=(1, 2)))
-    if bad.any():
-        raise MetricError(f"direct or indirect part of M is not finite at t = {times[bad][0]:.6g}")
-    valid = np.max(np.abs(direct + indirect), axis=(1, 2)) < _VALIDITY_THRESHOLD
-    return direct, indirect, valid
+    f_step = max(1, _BLOCK // r_f.size) if live.size else 1
+    step = max(1, _BLOCK // r_k.size) if r_k.size else 1
+    rows = max(step, _BLOCK // (n * n))
+
+    sums = np.empty((2, times.size))
+    valid = np.empty(times.size, dtype=bool)
+    for start in range(0, times.size, rows):
+        stop = min(start + rows, times.size)
+        parts = np.zeros((2, stop - start, n, n))  # direct 4 f, indirect 2 Phi
+        held = live[(live >= start) & (live < stop)]
+        for s in range(0, held.size, f_step):
+            at = held[s : s + f_step]
+            with np.errstate(over="ignore"):  # a non-finite M is reported below
+                f = 4.0 * _f(times[at], r_f, cos2_f, bath, pairs_f)
+            parts[0, at - start] = np.take(f, inverse_f, axis=1)
+        for s in range(0, held.size if r_k.size else 0, step):
+            at = held[s : s + step]
+            # a non-finite M is reported below; where r^3 overflows, phi takes its limit 0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
+                # and so its last bits, then do not depend on the block's length
+                phi = np.take(
+                    _phi(times[at, None], r_k, cos2_k, bath, kernel_policy), inverse, axis=1
+                )
+                parts[1, at - start] = 2.0 * (phi @ phi.transpose(0, 2, 1))
+        # a finite sum of |entries| bounds M, its trace and the CSV's column sums
+        with np.errstate(over="ignore"):  # a non-finite M raises below
+            bad = ~np.isfinite(sum(np.abs(part).sum(axis=(1, 2)) for part in parts))
+        if bad.any():
+            t_bad = times[start:stop][bad][0]
+            raise MetricError(f"direct or indirect part of M is not finite at t = {t_bad:.6g}")
+        valid[start:stop] = np.max(np.abs(parts[0] + parts[1]), axis=(1, 2)) < _VALIDITY_THRESHOLD
+        sums[:, start:stop] = parts.reshape(2, stop - start, -1).sum(axis=2)
+    final = MetricTensor(float(times[-1]), parts[0, -1], parts[1, -1], bool(valid[-1]))
+    return sums[0], sums[1], valid, final
 
 
 def build_metric(
@@ -201,13 +207,13 @@ def build_metric(
     atom count than len(config), and an M whose entries, or the sum of
     their sizes, are not finite.
 
-    This is the one-time slice of the curve engine that the CLI runs over a
-    whole time grid, so it equals that curve's row at t bit for bit. A warm
+    This is the curve engine at the one time t, the final tensor of a
+    one-time grid; the CLI runs the engine over a whole grid, and that
+    curve's sums and flag at t are this tensor's, bit for bit. A warm
     quadrature that misses its tolerance raises QuadratureError naming the
     key's atom pair.
     """
-    direct, indirect, valid = _assemble(config, mask, bath, [t], kernel_policy)
-    return MetricTensor(float(t), direct[0], indirect[0], bool(valid[0]))
+    return _assemble(config, mask, bath, [t], kernel_policy)[3]
 
 
 # Multiply-adds per BLAS product in _forms, half the size from which
@@ -253,15 +259,18 @@ def _clamped_forms(matrix: np.ndarray, x: np.ndarray, eps: float) -> np.ndarray:
 
 def distance(M: MetricTensor, s, s2) -> float:
     """Metric distance (1/2) sqrt((s - s2)^T M (s - s2)) between codewords,
-    sequences of n entries that are each exactly the number -1 or +1. A
-    quadratic form below -epsilon raises; one in [-epsilon, 0) clamps to zero."""
+    sequences of n entries that are each exactly the number -1 or +1, not a
+    bool. A quadratic form below -epsilon raises; one in [-epsilon, 0)
+    clamps to zero."""
     try:
         words = np.asarray([s, s2])
     except ValueError:  # sequences of unequal lengths or of nested entries
         words = np.empty(0)
     if words.shape != (2, M.n):
         raise MetricError(f"codewords must be two sequences of length n = {M.n}")
-    if words.dtype.kind not in "biuf" or not np.all(np.abs(words) == 1.0):
+    # np.asarray takes True for 1, and turns a mixed (True, 1) into ints
+    bools = any(isinstance(x, (bool, np.bool_)) for word in (s, s2) for x in word)
+    if bools or words.dtype.kind not in "iuf" or not np.all(np.abs(words) == 1.0):
         raise MetricError("codeword entries must be -1 or +1")
     return 0.5 * math.sqrt(float(_clamped_forms(M.matrix, words[0] - words[1], M.epsilon)))
 

@@ -23,7 +23,7 @@ from dmtsim.cli import (
 )
 from dmtsim.geometry import SelectionMask, chain_1d
 from dmtsim.kernels import BathParams
-from dmtsim.metric import _assemble
+from dmtsim.metric import build_metric
 
 ALPHA = 1.0 / 137.036
 MAGIC_ANGLE = math.acos(1.0 / math.sqrt(3.0))
@@ -463,7 +463,7 @@ points = 2
         config, _ = chain_1d(3, 100.0, 0.7)
         mask = SelectionMask.from_selected(3, [0, 1, 2])
         bath = BathParams(alpha=0.0072973525693, kappa=1.0)
-        direct, _, _ = _assemble(config, mask, bath, [1e300])
+        direct = build_metric(config, mask, bath, 1e300).direct_part
         assert csv["d_direct"][-1] == pytest.approx(direct.sum(), rel=1e-9)
 
     def test_closed_phi_takes_its_late_limit_where_kappa_r_plus_t_overflows(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,19 +276,38 @@ def engine_times(kappa, top):
     )
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_curve_is_build_metric(config, mask, b, times, policy):
+    """The engine's d_direct, d_indirect and valid at every time equal the
+    entry sums and flag of build_metric at that time, and its final tensor
+    equals build_metric at the last time, bit for bit. Returns the tensors."""
+    d_direct, d_indirect, valid, final = _assemble(config, mask, b, times, policy)
+    assert d_direct.shape == d_indirect.shape == valid.shape == (len(times),)
+    tensors = [build_metric(config, mask, b, t, kernel_policy=policy) for t in times]
+    np.testing.assert_array_equal(_bits(d_direct), _bits([M.direct_part.sum() for M in tensors]))
+    np.testing.assert_array_equal(
+        _bits(d_indirect), _bits([M.indirect_part.sum() for M in tensors])
+    )
+    assert valid.tolist() == [M.validity_flag for M in tensors]
+    assert [M.time for M in tensors] == [float(t) for t in times]
+    last = tensors[-1]
+    np.testing.assert_array_equal(_bits(final.direct_part), _bits(last.direct_part))
+    np.testing.assert_array_equal(_bits(final.indirect_part), _bits(last.indirect_part))
+    assert (final.time, final.validity_flag) == (last.time, last.validity_flag)
+    return tensors
+
+
 def assert_engine_matches_oracle(config, mask, b, times, policy):
-    direct, indirect, valid = _assemble(config, mask, b, times, policy)
-    assert direct.shape == indirect.shape == (len(times), mask.n_selected, mask.n_selected)
-    for k, t in enumerate(times):
+    tensors = assert_curve_is_build_metric(config, mask, b, times, policy)
+    for t, M in zip(times, tensors):
         want_d, want_i, want_valid = oracle_metric(config, mask, b, t, policy)
         scale = max(np.abs(want_d).max(), np.abs(want_i).max(), 1e-300)
-        np.testing.assert_allclose(direct[k], want_d, rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(indirect[k], want_i, rtol=1e-12, atol=1e-12 * scale)
-        assert bool(valid[k]) == want_valid
-        M = build_metric(config, mask, b, t, kernel_policy=policy)
-        np.testing.assert_array_equal(M.direct_part, direct[k])
-        np.testing.assert_array_equal(M.indirect_part, indirect[k])
-        assert M.validity_flag == bool(valid[k]) and M.time == t
+        np.testing.assert_allclose(M.direct_part, want_d, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(M.indirect_part, want_i, rtol=1e-12, atol=1e-12 * scale)
+        assert M.validity_flag == want_valid
 
 
 class TestCurveEngine:
@@ -350,14 +370,56 @@ class TestCurveEngine:
         u = np.array([math.sin(0.7), 0.0, math.cos(0.7)])
         b = BathParams(alpha=ALPHA, kappa=0.3)
         times = np.logspace(-1, 4, 9)
-        stacks = []
+        curves, tensors = [], []
         for direction in (u, -u):
             config, _ = square_lattice_2d(7, 10.0, direction)
             mask = SelectionMask.from_selected(len(config), [3, 10, 24, 30])
-            stacks.append(_assemble(config, mask, b, times, policy))
-        (d_up, i_up, _), (d_down, i_down, _) = stacks
-        assert np.array_equal(d_up, d_down)
-        assert np.array_equal(i_up, i_down)
+            curves.append(_assemble(config, mask, b, times, policy)[:3])
+            tensors.append([build_metric(config, mask, b, t, policy) for t in times])
+        for up, down in zip(*curves):
+            np.testing.assert_array_equal(_bits(up), _bits(down))
+        for up, down in zip(*tensors):
+            np.testing.assert_array_equal(_bits(up.direct_part), _bits(down.direct_part))
+            np.testing.assert_array_equal(_bits(up.indirect_part), _bits(down.indirect_part))
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("policy", list(KernelPolicy))
+    @pytest.mark.parametrize("scene", ["lattice", "gas"])
+    def test_curve_columns_are_build_metric_at_every_time(self, scene, policy):
+        # lattice: 12 selected of 49 under a tilted dipole, 46 phi keys, so
+        # the engine holds 89 times per block; gas: 28 selected of 30 random
+        # atoms, 379 f keys, so each held block of 73 times runs f on blocks
+        # of 10. Both grids span several held blocks and hold zeros and a
+        # repeated time.
+        if scene == "lattice":
+            config, _ = square_lattice_2d(7, 10.0, (math.sin(0.7), 0.0, math.cos(0.7)))
+            mask = SelectionMask.from_selected(49, [0, 3, 8, 10, 17, 24, 25, 31, 38, 40, 45, 48])
+        else:
+            positions = np.random.default_rng(7).uniform(0.0, 40.0, size=(30, 3))
+            config = AtomConfig(positions, np.array([0.0, 0.6, 0.8]))
+            mask = SelectionMask.from_selected(30, range(28))
+        times = np.geomspace(1e-2, 1e5, 200)
+        times[[0, 95, 150]] = 0.0
+        times[120] = times[119]
+        assert_curve_is_build_metric(config, mask, BathParams(ALPHA, 0.3), times, policy)
+
+    def test_engine_memory_does_not_grow_with_the_time_grid(self):
+        # 40 selected of 81 atoms, whose n x n parts the engine holds for 51
+        # times at once: three times the times must not raise the traced
+        # peak by half. Holding whole (T, n, n) stacks of the parts traced
+        # 26 MB at 400 times and 77 MB at 1200; one held block, 8.8 MB at both.
+        config, _ = square_lattice_2d(9, 10.0, (math.sin(0.7), 0.0, math.cos(0.7)))
+        mask = SelectionMask.from_selected(81, sorted(random.Random(2).sample(range(81), 40)))
+        peaks = []
+        for points in (400, 1200):
+            times = np.geomspace(0.1, 1e6, points)
+            tracemalloc.start()
+            try:
+                _assemble(config, mask, BathParams(ALPHA, 0.3), times)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_quadrature_error_names_first_pair_of_its_key(self):
         # (2,1) and (1,0) share a key; under a warm bath both keys exceed the
@@ -480,8 +542,11 @@ class TestCurveEngine:
         config, _ = square_lattice_2d(5, 10.0, (math.sin(0.7), 0.0, math.cos(0.7)))
         mask = SelectionMask.from_selected(25, [0, 6, 12, 13, 24])
         times = np.logspace(-6, 11, 18)
-        direct, indirect, _ = _assemble(config, mask, BathParams(ALPHA, 0.3), times)
-        assert np.all(np.isfinite(direct)) and np.all(direct.diagonal(axis1=1, axis2=2) > 0)
+        d_direct, _, _, _ = _assemble(config, mask, BathParams(ALPHA, 0.3), times)
+        assert np.all(np.isfinite(d_direct))
+        for t in times:
+            direct = build_metric(config, mask, BathParams(ALPHA, 0.3), t).direct_part
+            assert np.all(np.isfinite(direct)) and np.all(direct.diagonal() > 0)
         with pytest.raises(AssertionError, match="the quadrature ran"):
             _assemble(config, mask, BathParams(ALPHA, 0.3, inv_temperature=2.0), times[:1])
 
@@ -497,9 +562,9 @@ class TestCurveEngine:
         assert np.all(M.direct_part == 0.0)
         assert f_diag(1e-200, b) == 0.0
         # where f is representable it is kept: 1e-150 leaves (kappa t)^2/8 = 1e-301
-        direct, _, _ = _assemble(config, mask, BathParams(1.0, kappa), [1e-150])
+        direct = build_metric(config, mask, BathParams(1.0, kappa), 1e-150).direct_part
         scaled = build_metric(config, mask, b, 1e-150).direct_part
-        np.testing.assert_allclose(scaled, 1.7e308 * direct[0], rtol=1e-12)
+        np.testing.assert_allclose(scaled, 1.7e308 * direct, rtol=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_f_past_the_float_range_is_a_non_finite_metric(self):
@@ -528,7 +593,7 @@ class TestCurveEngine:
 
     def test_times_validated(self):
         config, mask = chain_1d(2, 1.0, 0.0)
-        for times in ([1.0, -1.0], [float("nan")], [0.0, float("inf")]):
+        for times in ([1.0, -1.0], [float("nan")], [0.0, float("inf")], []):
             with pytest.raises(MetricError):
                 _assemble(config, mask, bath(), times)
 
@@ -576,6 +641,16 @@ class TestDistance:
         # an entry is never truncated to -1 or +1
         with pytest.raises(MetricError, match=r"-1 or \+1"):
             distance(M, (1.5, 1), (1, 1))
+
+    def test_bool_entries_rejected(self):
+        # numpy takes True for 1, and np.asarray turns a mixed (True, 1)
+        # into ints; a bool is not a codeword entry
+        M = synthetic(np.eye(2))
+        for word in ((True, True), (True, 1), (np.True_, 1.0), np.array([True, False])):
+            with pytest.raises(MetricError, match=r"-1 or \+1"):
+                distance(M, word, (-1, -1))
+            with pytest.raises(MetricError, match=r"-1 or \+1"):
+                decoherence(M, (-1, -1), word)
 
     def test_non_sequence_codewords_raise_metric_error(self):
         M = synthetic(np.eye(2))
