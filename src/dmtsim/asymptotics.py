@@ -46,7 +46,7 @@ class LatticeScales:
 
     def __post_init__(self):
         for name in ("n_nn", "t1", "a_c", "gamma"):
-            if getattr(self, name) < 0:
+            if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be non-negative")
 
 
@@ -61,7 +61,7 @@ class GasScales:
 
     def __post_init__(self):
         for name in ("gamma_g", "t2", "rho_crit"):
-            if getattr(self, name) < 0:
+            if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be non-negative")
 
 

@@ -68,15 +68,15 @@ OSError met while writing can leave the files written before it.
 
 Each curve is one pass of the metric engine over the whole time grid (see
 dmtsim.metric): the kernels run once per distinct pair (r, cos^2 theta) and
-time, in blocks of times. It holds the n x n parts of one block of times at
-once and returns the CSV's columns and the tensor at the final time, the
+time, in blocks of times, and reduces each block of n x n parts where it is
+made. It returns the CSV's columns and the tensor at the final time, the
 only tensor built (for the property checks).
 
 CSV columns: t, d_direct, d_indirect, d_total, valid_flag. The decoherence
-columns are for the all-plus vs all-minus codeword pair, so d_direct sums
-4 f_ij and d_indirect sums 2 Phi_ij over the selected block; d_total is their
-sum and is exactly additive. valid_flag is 1 while every matrix element stays
-below the perturbative threshold.
+columns are for the all-plus vs all-minus codeword pair: d_direct sums 4 f_ij
+and d_indirect 2 Phi_ij over the selected block, and d_total, their sum, is
+exactly additive. valid_flag is 1 while max |M_ij| stays below 0.1; M is
+positive semidefinite, so that maximum is on its diagonal, where it is read.
 """
 
 from __future__ import annotations
@@ -378,10 +378,13 @@ def crossover_detect(times, d_direct, d_indirect):
     Scans the sampled curve for the first grid point with d_ind > d_dir and
     linearly interpolates the sign change of (d_ind - d_dir) between that
     point and its predecessor. Returns None when the indirect part never
-    overtakes, and times[0] when it already leads at the first sample.
+    overtakes, and times[0] when it already leads at the first sample. The
+    three must be finite 1-D arrays of equal length, or ValueError is raised.
     """
-    times = np.asarray(times, dtype=float)
-    gap = np.asarray(d_indirect, dtype=float) - np.asarray(d_direct, dtype=float)
+    curve = np.asarray([times, d_direct, d_indirect], dtype=float)  # ragged: ValueError
+    if curve.ndim != 2 or not np.all(np.isfinite(curve)):
+        raise ValueError("times, d_direct and d_indirect must be finite 1-D arrays of one length")
+    times, gap = curve[0], curve[2] - curve[1]
     above = np.flatnonzero(gap > 0)
     if above.size == 0:
         return None

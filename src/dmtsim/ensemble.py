@@ -49,7 +49,7 @@ class MCResult:
     algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self):
-        if self.std_error < 0:
+        if not (self.std_error >= 0):
             raise EnsembleError("std_error must be >= 0")
 
 

@@ -519,10 +519,11 @@ _GL_HI = np.polynomial.legendre.leggauss(15)
 _GL_LO = np.polynomial.legendre.leggauss(7)
 _MAX_PANELS = 262144  # ~5.8e6 integrand evaluations at the two orders
 
-# Elements per block: (time, key) phi values in the metric, (key, panel,
-# node) values in the quadrature. The kernels and Si hold several temporaries
-# of a block's size: one block for a whole figure curve (225 times x 119 keys)
-# raised the curve's peak traced memory from 0.8 to 3.5 MB.
+# Elements per block: (time, key) f and phi values in the metric, whose
+# blocks of times are each scattered to n x n parts, reduced and dropped, and
+# (key, panel, node) values in the quadrature. The kernels and Si hold several
+# temporaries of a block's size: one block for a whole figure curve (225 times
+# x 119 keys) raised the curve's peak traced memory from 0.8 to 3.5 MB.
 _BLOCK = 4096
 
 

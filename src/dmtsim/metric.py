@@ -15,10 +15,10 @@ each key's first atom pair, and every pair's key index. phi runs on
 is a rejected coincidence, through the formula kernels maps the kernel
 policy to. f runs through kernels' f route on the n x n selected table,
 whose key 0 (r = 0) is the diagonal and every coincident selected pair.
-The engine holds the n x n parts of one block of times at once, keeping
-each time's direct and indirect sums and validity flag and the tensor at
-the last time. build_metric is that engine at a single t; the CLI runs it
-once per curve.
+Each block of f and each Gram block is reduced where it is made, to each
+time's direct and indirect sums and M's diagonal maximum, and dropped; only
+the tensor at the last time is kept. build_metric is that engine at a
+single t; the CLI runs it once per curve.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class MetricTensor:
     """Time slice of the metric: direct (4f) and indirect (2Phi) parts.
 
     validity_flag is True while max |M_ij| stays below 0.1, the
-    small-coupling regime where squared distance tracks decoherence.
+    small-coupling regime where squared distance tracks decoherence. M is
+    positive semidefinite, so that maximum is its largest diagonal entry.
     """
 
     time: float
@@ -125,10 +126,9 @@ def _assemble(
     validity flags, and the MetricTensor at the last time; build_metric
     documents the assembly. Each pair block is reduced once per curve to its
     key table, and the kernels run on (time, key) blocks scattered back
-    through the inverse index: f on _BLOCK // K_f times, phi on step =
-    _BLOCK // K. The n x n parts of max(step, _BLOCK // n^2) times are held
-    at once, reduced and dropped, so memory does not grow with T; blocks
-    run in time order, and rows at t = 0 are exact zeros.
+    through the inverse index: f on f_step = _BLOCK // K_f times, phi on
+    step = _BLOCK // K. Each block of n x n parts is reduced where it is made
+    and dropped, so memory does not grow with T; t = 0 rows are exact zeros.
     """
     times = np.asarray(times, dtype=float)
     if not (times.size and np.all(np.isfinite(times) & (times >= 0))):
@@ -144,44 +144,43 @@ def _assemble(
         raise GeometryError(
             f"selected atom {pairs[0, 0]} coincides with unobserved atom {pairs[1, 0]} (r = 0)"
         )
+    # per time: each part's entry sum, and M's sum of |entries| and diagonal maximum
+    sums, size, peak = np.zeros((2, times.size)), np.zeros(times.size), np.zeros(times.size)
+    final = np.zeros((2, n, n))
+
+    def reduce(part, block, at, scale):
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M raises below
+            block *= scale
+            sums[part, at] = block.reshape(at.size, -1).sum(axis=1)
+            peak[at] += block.diagonal(axis1=1, axis2=2).max(axis=1)
+            np.copyto(final[part], block[-1], where=at[-1] == times.size - 1)
+            size[at] += np.abs(block, out=block).sum(axis=(1, 2))
+
     live = np.flatnonzero(times > 0.0)
     if live.size:
         r_f, cos2_f, pairs_f, inverse_f = _key_table(config, mask.selected, mask.selected)
-    f_step = max(1, _BLOCK // r_f.size) if live.size else 1
+        f_step = max(1, _BLOCK // r_f.size)
+        for s in range(0, live.size, f_step):
+            at = live[s : s + f_step]
+            with np.errstate(over="ignore"):  # a non-finite M raises below
+                f = _f(times[at], r_f, cos2_f, bath, pairs_f)
+            reduce(0, np.take(f, inverse_f, axis=1), at, 4.0)
     step = max(1, _BLOCK // r_k.size) if r_k.size else 1
-    rows = max(step, _BLOCK // (n * n))
-
-    sums = np.empty((2, times.size))
-    valid = np.empty(times.size, dtype=bool)
-    for start in range(0, times.size, rows):
-        stop = min(start + rows, times.size)
-        parts = np.zeros((2, stop - start, n, n))  # direct 4 f, indirect 2 Phi
-        held = live[(live >= start) & (live < stop)]
-        for s in range(0, held.size, f_step):
-            at = held[s : s + f_step]
-            with np.errstate(over="ignore"):  # a non-finite M is reported below
-                f = 4.0 * _f(times[at], r_f, cos2_f, bath, pairs_f)
-            parts[0, at - start] = np.take(f, inverse_f, axis=1)
-        for s in range(0, held.size if r_k.size else 0, step):
-            at = held[s : s + step]
-            # a non-finite M is reported below; where r^3 overflows, phi takes its limit 0
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
-                # and so its last bits, then do not depend on the block's length
-                phi = np.take(
-                    _phi(times[at, None], r_k, cos2_k, bath, kernel_policy), inverse, axis=1
-                )
-                parts[1, at - start] = 2.0 * (phi @ phi.transpose(0, 2, 1))
-        # a finite sum of |entries| bounds M, its trace and the CSV's column sums
-        with np.errstate(over="ignore"):  # a non-finite M raises below
-            bad = ~np.isfinite(sum(np.abs(part).sum(axis=(1, 2)) for part in parts))
-        if bad.any():
-            t_bad = times[start:stop][bad][0]
-            raise MetricError(f"direct or indirect part of M is not finite at t = {t_bad:.6g}")
-        valid[start:stop] = np.max(np.abs(parts[0] + parts[1]), axis=(1, 2)) < _VALIDITY_THRESHOLD
-        sums[:, start:stop] = parts.reshape(2, stop - start, -1).sum(axis=2)
-    final = MetricTensor(float(times[-1]), parts[0, -1], parts[1, -1], bool(valid[-1]))
-    return sums[0], sums[1], valid, final
+    for s in range(0, live.size if r_k.size else 0, step):
+        at = live[s : s + step]
+        # a non-finite M raises below; where r^3 overflows, phi takes its limit 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
+            # and so its last bits, then do not depend on the block's length
+            phi = np.take(_phi(times[at, None], r_k, cos2_k, bath, kernel_policy), inverse, axis=1)
+            reduce(1, phi @ phi.transpose(0, 2, 1), at, 2.0)
+    # a finite sum of |entries| bounds M, its trace and the CSV's column sums
+    bad = np.flatnonzero(~np.isfinite(size))
+    if bad.size:
+        raise MetricError(f"direct or indirect part of M is not finite at t = {times[bad[0]]:.6g}")
+    # M is positive semidefinite, so max |M_ij| is its largest diagonal entry
+    valid = peak < _VALIDITY_THRESHOLD
+    return sums[0], sums[1], valid, MetricTensor(float(times[-1]), *final, bool(valid[-1]))
 
 
 def build_metric(
@@ -196,22 +195,18 @@ def build_metric(
     kernel_policy selects only the phi evaluation: the Si closed form, its far
     field, or QUADRATURE, the full radial integral with the cutoff-edge terms
     kept, evaluated in closed form and checked against reduced_quadrature.
-    Both parts come from the key tables of their pair blocks. Key 0 of the
-    selected block (r = 0) is the diagonal and every coincident selected
-    pair, so coincident selected atoms get identical kernel rows. At zero
-    temperature every f is closed, so no panel budget limits t; under a warm
-    bath every key takes one quadrature per time, to 1e-11 of the diagonal
-    that the same call computes first (kernels._f). A selected-unobserved
-    coincidence is rejected because phi diverges there, and so are a
-    separation whose square over- or underflows, a mask built for another
-    atom count than len(config), and an M whose entries, or the sum of
-    their sizes, are not finite.
+    Coincident selected atoms share key 0 and so get identical kernel rows.
+    At zero temperature every f is closed, so no panel budget limits t; under
+    a warm bath every key takes one quadrature per time (kernels._f), and one
+    that misses its tolerance raises QuadratureError naming the key's atom
+    pair. A selected-unobserved coincidence is rejected because phi diverges
+    there, and so are a separation whose square over- or underflows, a mask
+    built for another atom count than len(config), and an M whose entries,
+    or the sum of their sizes, are not finite.
 
     This is the curve engine at the one time t, the final tensor of a
     one-time grid; the CLI runs the engine over a whole grid, and that
-    curve's sums and flag at t are this tensor's, bit for bit. A warm
-    quadrature that misses its tolerance raises QuadratureError naming the
-    key's atom pair.
+    curve's sums and flag at t are this tensor's, bit for bit.
     """
     return _assemble(config, mask, bath, [t], kernel_policy)[3]
 

@@ -316,6 +316,21 @@ class TestCrossoverDetect:
         got = crossover_detect(t, [1.0, 1.0, 1.0], [0.5, 1.0, 2.0])
         assert got == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "times, d_direct, d_indirect",
+        [
+            ([1.0, 2.0, 3.0], [1.0, 2.0], [0.0, 3.0]),  # a short curve
+            ([1.0, 2.0], [1.0], [0.0, 3.0]),  # a length-1 curve would broadcast
+            ([1.0, 2.0, 3.0], [math.nan, 1.0, 1.0], [0.0, 0.0, 3.0]),  # NaN before the crossing
+            ([1.0, math.inf, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, 3.0]),
+            ([[1.0, 2.0]], [[1.0, 1.0]], [[0.0, 3.0]]),  # 2-D
+            (1.0, 1.0, 2.0),  # scalars
+        ],
+    )
+    def test_curves_must_be_finite_1d_and_of_one_length(self, times, d_direct, d_indirect):
+        with pytest.raises(ValueError):
+            crossover_detect(times, d_direct, d_indirect)
+
 
 class TestRun:
     def test_smoke_lattice(self, tmp_path):

@@ -41,6 +41,7 @@ from dmtsim.metric import (
     MetricTensor,
     _assemble,
     _forms,
+    _key_table,
     build_metric,
     check_nonnegative,
     check_triangle,
@@ -420,6 +421,47 @@ class TestCurveEngine:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+    def test_engine_holds_one_gram_block_and_one_f_block(self):
+        # Every atom of a 9x9 lattice but the centre selected: few phi keys
+        # make long phi blocks, each with a Gram block of step x n^2 values.
+        # The traced peak over 225 times must stay below twice one Gram block
+        # plus one f block (f_step x n^2). Holding both n x n parts of
+        # max(step, _BLOCK // n^2) times at once traced 35.0 MB, over the
+        # bound's 22.6 MB.
+        config, _ = square_lattice_2d(9, 10.0, (math.sin(0.7), 0.0, math.cos(0.7)))
+        mask = SelectionMask.from_selected(81, [i for i in range(81) if i != 40])
+        step = kernels._BLOCK // _key_table(config, mask.selected, mask.unobserved)[0].size
+        f_step = kernels._BLOCK // _key_table(config, mask.selected, mask.selected)[0].size
+        blocks = (step + f_step) * mask.n_selected**2 * 8
+        tracemalloc.start()
+        try:
+            _assemble(config, mask, BathParams(ALPHA, 0.3), np.geomspace(0.1, 1e6, 225))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * blocks
+
+    @pytest.mark.parametrize("beta", [None, 2.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_valid_flag_is_the_largest_entry_below_threshold(self, seed, beta):
+        # The engine reads the flag from M's diagonal; here it comes from
+        # every entry of build_metric's tensor. Random scenes hold a selected
+        # atom doubled onto another, and their flags flip inside the grid.
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(3, 9))
+        positions = rng.uniform(0.0, 6.0, (count, 3))
+        u = rng.normal(size=3)
+        chosen = [int(i) for i in rng.choice(count, int(rng.integers(1, count)), replace=False)]
+        config = AtomConfig(np.vstack([positions, positions[chosen[0]]]), u / np.linalg.norm(u))
+        mask = SelectionMask.from_selected(count + 1, sorted(chosen + [count]))
+        b = BathParams(alpha=0.1, kappa=1.0, inv_temperature=beta)
+        times = np.geomspace(0.01, 1e3, 40)
+        for policy in KernelPolicy:
+            valid = _assemble(config, mask, b, times, policy)[2]
+            tensors = [build_metric(config, mask, b, t, kernel_policy=policy) for t in times]
+            assert valid.tolist() == [np.abs(M.matrix).max() < 0.1 for M in tensors]
+            assert 0 < valid.sum() < times.size
 
     def test_quadrature_error_names_first_pair_of_its_key(self):
         # (2,1) and (1,0) share a key; under a warm bath both keys exceed the

@@ -1,3 +1,7 @@
+import math
+
+import pytest
+
 import dmtsim
 
 EXPORTS = {
@@ -84,3 +88,19 @@ def test_kernel_policy_is_still_reached_through_metric():
     # KernelPolicy lives in kernels; metric keeps the name, which callers
     # such as the benchmark worker and the output digest import from there
     assert dmtsim.metric.KernelPolicy is dmtsim.kernels.KernelPolicy
+
+
+@pytest.mark.parametrize(
+    "result, fields",
+    [
+        (dmtsim.MCResult, {"mean": 0.0, "std_error": 0.0, "n_samples": 2, "seed": 0}),
+        (dmtsim.LatticeScales, {"n_nn": 1.0, "t1": 1.0, "a_c": 1.0, "gamma": 1.0}),
+        (dmtsim.GasScales, {"gamma_g": 1.0, "t2": 1.0, "rho_crit": 1.0}),
+    ],
+)
+def test_result_fields_promised_nonnegative_refuse_nan(result, fields):
+    result(**fields)
+    promised = ["std_error"] if result is dmtsim.MCResult else list(fields)
+    for name in promised:
+        with pytest.raises(ValueError, match=name):
+            result(**{**fields, name: math.nan})
