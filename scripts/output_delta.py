@@ -4,7 +4,8 @@ Runs `output_digest.py`'s SCENARIOS and Monte Carlo once under each of
 OLD_SRC and NEW_SRC, each in a child process with that tree on PYTHONPATH.
 Then prints every CSV whose bytes differ with the largest relative change of
 each column, |new - old| / |old| (inf where old is 0 and new is not), and
-the time t of the row where it is; the lines that moved in every report
+the time t of the row where it is, then how many rows moved and the earliest
+t among them; the lines that moved in every report
 whose bytes differ and every scenario exit code or Monte Carlo line that
 differs (as unified diffs without context); and names any CSV or report
 that only one tree wrote. The last line says whether every output is
@@ -45,32 +46,27 @@ def write_outputs(src: str, root: Path) -> None:
     subprocess.run([sys.executable, "-c", CHILD, str(root)], env=env, check=True)
 
 
-def column_deltas(old: Path, new: Path) -> dict:
-    """Largest relative change per column of two CSVs with the same header,
-    with the old value of the first column (the time) in the row where it
-    is; None there where no value of the column moved."""
+def csv_delta(old: Path, new: Path) -> str:
+    """'col 1.23e-04 at t 0.005' per column: its largest relative change and
+    the old time of the row where it is, the time left out where no value of
+    the column moved; then how many rows moved and the earliest t of them."""
     a, b = (np.genfromtxt(p, delimiter=",", names=True, ndmin=1) for p in (old, new))
     if a.dtype.names != b.dtype.names or a.shape != b.shape:
         raise SystemExit(f"{new.parent.name}/{new.name}: header or row count differs")
-    out = {}
+    times = a[a.dtype.names[0]]
+    parts, moved = [], np.zeros(a.shape, dtype=bool)
     for col in a.dtype.names:
         diff = np.abs(b[col] - a[col])
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(diff == 0.0, 0.0, diff / np.abs(a[col]))
+        moved |= rel != 0.0
         row = int(np.argmax(rel)) if rel.size else None
-        if row is None or rel[row] == 0.0:
-            out[col] = (0.0, None)
-        else:
-            out[col] = (float(rel[row]), float(a[a.dtype.names[0]][row]))
-    return out
-
-
-def format_deltas(deltas: dict) -> str:
-    """'col 1.23e-04 at t 0.005' per column, the time left out where nothing moved."""
-    parts = []
-    for col, (rel, t) in deltas.items():
-        parts.append(f"{col} {rel:.2e}" + ("" if t is None else f" at t {t:.3g}"))
-    return ", ".join(parts)
+        at = "" if row is None or rel[row] == 0.0 else f" at t {times[row]:.3g}"
+        parts.append(f"{col} {0.0 if row is None else rel[row]:.2e}{at}")
+    rows = f"{np.count_nonzero(moved)} of {moved.size} rows moved"
+    if moved.any():
+        rows += f", the earliest at t {times[moved].min():.6g}"
+    return ", ".join(parts) + "; " + rows
 
 
 def moved_lines(old_lines, new_lines) -> list:
@@ -107,12 +103,7 @@ def main(argv) -> int:
         roots = [Path(tmp) / "old", Path(tmp) / "new"]
         for src, root in zip(argv, roots):
             write_outputs(src, root)
-        differ = compare_files(
-            roots,
-            "*/*.csv",
-            "CSVs",
-            lambda old, new: format_deltas(column_deltas(old, new)),
-        )
+        differ = compare_files(roots, "*/*.csv", "CSVs", csv_delta)
         differ += compare_files(roots, "*/*_report.txt", "reports", report_diff)
         moved = moved_lines(*((r / "lines.txt").read_text().splitlines() for r in roots))
         print("\n".join(moved) if moved else "exit codes and Monte Carlo lines identical")

@@ -94,30 +94,28 @@ def lattice_scales(a: float, bath: BathParams, n_nn: float) -> LatticeScales:
 
     t1 = kappa a^3 / sqrt(3 pi alpha N_nn)   (infinite when N_nn = 0: no
     crossover exists), a_c = (12 pi alpha N_nn)^(1/6) kappa^(-2/3),
-    gamma = sqrt(alpha / 12 pi) kappa^2. t1 is reordered where a^3 overflows
-    or 3 pi alpha N_nn underflows to 0, and inf past the float range; a_c and
-    gamma are reordered where 12 pi alpha N_nn or alpha / 12 pi is subnormal.
+    gamma = sqrt(alpha / 12 pi) kappa^2. Inputs outside _ORDINARY take each
+    scale as _power_product, 0 or inf only past the float range.
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError("spacing a must be finite and > 0")
     if not (math.isfinite(n_nn) and n_nn >= 0):
         raise ValueError("n_nn must be finite and >= 0")
     alpha, kappa = bath.alpha, bath.kappa
-    tiny = np.finfo(float).tiny
-    if alpha / (12.0 * math.pi) >= tiny:
+    if _ordinary(alpha, kappa):
         gamma = math.sqrt(alpha / (12.0 * math.pi)) * kappa**2
     else:
-        gamma = math.sqrt(alpha) / math.sqrt(12.0 * math.pi) * kappa**2
+        gamma = _power_product((alpha, 1, 2), (12.0 * math.pi, -1, 2), (kappa, 2, 1))
     if n_nn == 0.0:
         return LatticeScales(n_nn=0.0, t1=math.inf, a_c=0.0, gamma=gamma)
-    try:
+    if _ordinary(alpha, kappa, a, n_nn):
         t1 = kappa * a**3 / math.sqrt(3.0 * math.pi * alpha * n_nn)
-    except (OverflowError, ZeroDivisionError):
-        t1 = kappa / math.sqrt(3.0 * math.pi * n_nn) / math.sqrt(alpha) * a * a * a
-    if 12.0 * math.pi * alpha * n_nn >= tiny:
         a_c = (12.0 * math.pi * alpha * n_nn) ** (1.0 / 6.0) / kappa ** (2.0 / 3.0)
     else:
-        a_c = (12.0 * math.pi) ** (1 / 6) * alpha ** (1 / 6) * n_nn ** (1 / 6) / kappa ** (2 / 3)
+        t1 = _power_product(
+            (kappa, 1, 1), (a, 3, 1), (3.0 * math.pi, -1, 2), (alpha, -1, 2), (n_nn, -1, 2)
+        )
+        a_c = _power_product((12.0 * math.pi, 1, 6), (alpha, 1, 6), (n_nn, 1, 6), (kappa, -2, 3))
     return LatticeScales(n_nn=float(n_nn), t1=t1, a_c=a_c, gamma=gamma)
 
 
@@ -126,19 +124,56 @@ def gas_scales(density: float, exclusion_radius: float, bath: BathParams) -> Gas
 
     gamma_g = alpha sqrt(16 pi density / (15 l^3)), t2 = kappa
     sqrt(l^3 / density) (infinite at zero density), rho_crit = kappa^4 l^3.
+    Inputs outside _ORDINARY take each scale as _power_product, 0 or inf only
+    past the float range.
     """
     if not (math.isfinite(density) and density >= 0):
         raise ValueError("density must be finite and >= 0")
     if not (math.isfinite(exclusion_radius) and exclusion_radius > 0):
         raise ValueError("exclusion_radius must be finite and > 0")
-    alpha, kappa = bath.alpha, bath.kappa
-    l3 = exclusion_radius**3
-    rho_crit = kappa**4 * l3
+    alpha, kappa, l = bath.alpha, bath.kappa, exclusion_radius
+    if _ordinary(kappa, l):
+        rho_crit = kappa**4 * l**3
+    else:
+        rho_crit = _power_product((kappa, 4, 1), (l, 3, 1))
     if density == 0.0:
         return GasScales(gamma_g=0.0, t2=math.inf, rho_crit=rho_crit)
-    gamma_g = alpha * math.sqrt(16.0 * math.pi * density / (15.0 * l3))
-    t2 = kappa * math.sqrt(l3 / density)
+    if _ordinary(alpha, kappa, l, density):
+        l3 = l**3
+        gamma_g = alpha * math.sqrt(16.0 * math.pi * density / (15.0 * l3))
+        t2 = kappa * math.sqrt(l3 / density)
+    else:
+        gamma_g = _power_product(
+            (alpha, 1, 1), (16.0 * math.pi / 15.0, 1, 2), (density, 1, 2), (l, -3, 2)
+        )
+        t2 = _power_product((kappa, 1, 1), (l, 3, 2), (density, -1, 2))
     return GasScales(gamma_g=gamma_g, t2=t2, rho_crit=rho_crit)
+
+
+# Inputs between these bounds keep every intermediate of the scales' direct
+# formulas, kappa a^3 and 16 pi density / (15 l^3) the widest, in the normal
+# float range, so those formulas lose nothing to over- or underflow there
+_ORDINARY = (2.0**-240, 2.0**240)
+
+
+def _ordinary(*inputs: float) -> bool:
+    return all(_ORDINARY[0] <= x <= _ORDINARY[1] for x in inputs)
+
+
+def _power_product(*factors) -> float:
+    """The product of x^(num / den) over factors (x, num, den) of positive
+    finite x, with mantissas and binary exponents kept apart until the end:
+    0 or inf only where the product itself leaves the float range."""
+    mantissa, exponent = 1.0, 0
+    for x, num, den in factors:
+        m, e = math.frexp(x)
+        whole, rest = divmod(e * num, den)
+        mantissa *= m ** (num / den) * 2.0 ** (rest / den)
+        exponent += whole
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def kappa_from_photon_energy(energy_ev: float, d_angstrom: float) -> float:

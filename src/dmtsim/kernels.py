@@ -20,9 +20,11 @@ coincident-point closed form exactly, which pins the (alpha/pi) prefactor.
 At zero temperature f is one closed form for every pair, the diagonal r = 0
 included (in Si's sibling Cin, with short Gauss-Legendre integrals and a
 series in W's moments where its differences cancel; at r = 0 that series is
-the coincident-point form), and so is phi in its Si-based form. A warm f has
-no closed form here: it goes through an oscillation-aware composite
-Gauss-Legendre quadrature over arrays of keys on a panel grid shared within
+the coincident-point form), and so is phi in its Si-based form, whose
+bracket past the light cone takes Si's asymptotic series once, by angle
+addition, rather than two Si values near pi/2. A warm f has no closed form
+here: it goes through an oscillation-aware composite Gauss-Legendre
+quadrature over arrays of keys on a panel grid shared within
 each key block, one call per time over every key, with a panel budget that
 it exceeds past kappa (t + r) of about 8.2e5; reduced_quadrature is its
 one-key form and the oracle of every closed form. The closed phi form drops
@@ -391,22 +393,46 @@ def _phi_closed_rt(t, r, c2, alpha: float, kappa: float):
     phi = (alpha (3 c2 - 1) t / (pi r^3))
           [2 Si(kappa r) - Si(kappa (r + t)) - Si(kappa (r - t))],
     algebraically identical to the two-bracket angular form. Cutoff-edge
-    oscillatory terms are omitted by construction. The three Si arguments go
-    through one sine_integral call on their concatenation, which leaves each
-    value's bits as three calls would; where kappa (r +- t) overflows, Si
-    takes its limit +-pi/2.
+    oscillatory terms are omitted by construction.
+
+    Past the light cone, where kappa (t - r) >= 40 (specfun's asymptotic
+    edge) and kappa (r + t) is finite, nothing in the bracket cancels, and
+    Si(kappa (r + t)) - Si(kappa (t - r)) is specfun._si_difference: one
+    auxiliary-series call on both arguments, with sin and cos of the exact
+    products kappa t, once per time, and kappa r, once per key, combined by
+    angle addition. No pi/2 enters that difference, which is within 4.3e-16
+    of 1/(kappa (t - r)) of frozen mpmath values, where two sine_integral
+    values near pi/2 are off by up to 1.8e-5 of it. Si(kappa r) and every
+    other Si(kappa (r +- t)) go through one sine_integral call on their
+    concatenation, which leaves each value's bits as separate calls would;
+    where kappa (r +- t) overflows, Si takes its limit +-pi/2. The route is
+    decided per element, so no element's bits depend on the block it sits in.
     """
     r = np.asarray(r, dtype=float)
     with np.errstate(over="ignore"):  # kappa (r +- t) = +-inf is Si's limit
-        x_r, x_plus, x_minus = kappa * r, kappa * (r + t), kappa * (r - t)
-    x = np.concatenate([x_r.ravel(), x_plus.ravel(), x_minus.ravel()])
+        x_r, x_plus, x_minus = kappa * r, np.asarray(kappa * (r + t)), np.asarray(kappa * (r - t))
+    far = (x_minus <= -_specfun._ASYMPTOTIC_CUTOFF) & (x_plus < math.inf)
+    near = ~far
+    x = np.concatenate([x_r.ravel(), x_plus[near], x_minus[near]])
     overflow = np.isinf(x)
     if overflow.any():
         si = np.copysign(np.pi / 2, x)
         si[~overflow] = sine_integral(x[~overflow])
     else:
         si = sine_integral(x)
-    si_plus, si_minus = si[x_r.size :].reshape((2,) + x_plus.shape)
+    # the bracket subtracts Si(kappa (r + t)) and Si(kappa (r - t)); on the
+    # far route, their sum Si(kappa (r + t)) - Si(kappa (t - r)) and 0
+    si_plus, si_minus = np.empty(far.shape), np.zeros(far.shape)
+    si_plus[near], si_minus[near] = si[x_r.size :].reshape(2, -1)
+    if far.any():
+        # sin and cos of kappa r per key and kappa t per time, in one call;
+        # nan where kappa r or kappa t overflows, which no far element reads
+        with np.errstate(over="ignore", invalid="ignore"):
+            sin_y, cos_y = _specfun._sin_cos_of_product(kappa, np.append(r, t))
+        trig = [v[: r.size].reshape(r.shape) for v in (sin_y, cos_y)]
+        trig += [v[r.size :].reshape(np.shape(t)) for v in (sin_y, cos_y)]
+        trig = (np.broadcast_to(v, far.shape)[far] for v in trig)
+        si_plus[far] = _specfun._si_difference(x_plus[far], -x_minus[far], *trig)
     bracket = 2.0 * si[: x_r.size].reshape(x_r.shape) - si_plus - si_minus
     return alpha * (3.0 * c2 - 1.0) * t / (math.pi * r**3) * bracket
 

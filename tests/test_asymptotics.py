@@ -172,6 +172,22 @@ class TestLatticeScales:
         assert s.a_c == (12.0 * math.pi * b.alpha * 4.634) ** (1.0 / 6.0) / 0.1 ** (2.0 / 3.0)
         assert s.gamma == math.sqrt(b.alpha / (12.0 * math.pi)) * 0.1**2
 
+    def test_scales_leave_the_float_range_only_with_their_values(self):
+        # a^3 overflows and kappa / sqrt(alpha) underflows, yet t1 = 3.26e99;
+        # kappa^2 underflows, yet gamma = 1.63e-191; each matches its logs,
+        # and only a value past the float range is inf or 0
+        b = BathParams(alpha=1e100, kappa=1e-300)
+        s = lattice_scales(1e150, b, 1.0)
+        logs = math.log(1e-300) + 3.0 * math.log(1e150) - 0.5 * math.log(3.0 * math.pi * 1e100)
+        assert s.t1 == pytest.approx(math.exp(logs), rel=1e-13)
+        logs = (math.log(12.0 * math.pi) + math.log(1e100)) / 6.0 + 200.0 * math.log(10.0)
+        assert s.a_c == pytest.approx(math.exp(logs), rel=1e-13)
+        s = lattice_scales(1.0, BathParams(alpha=1e300, kappa=1e-170), 1.0)
+        logs = 0.5 * (math.log(1e300) - math.log(12.0 * math.pi)) - 340.0 * math.log(10.0)
+        assert s.gamma == pytest.approx(math.exp(logs), rel=1e-13)
+        assert lattice_scales(1e150, BathParams(alpha=1e-300, kappa=1e77), 1.0).t1 == math.inf
+        assert lattice_scales(1e-150, BathParams(alpha=1e300, kappa=1e-300), 1.0).t1 == 0.0
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             lattice_scales(0.0, bath(), 1.0)
@@ -211,6 +227,23 @@ class TestGasScales:
         sl = gas_scales(1e-4, 20.0, b)
         assert sl.t2 == pytest.approx(8.0 * s1.t2, rel=1e-12)
         assert sl.rho_crit == pytest.approx(64.0 * s1.rho_crit, rel=1e-12)
+
+    def test_scales_leave_the_float_range_only_with_their_values(self):
+        # alpha 1e-300, density 1e300 and l^3 = 1e-300 give gamma_g = 1.83
+        # and t2 = 1e-301, where density / l^3 overflows and l^3 / density
+        # underflows; l^3 past the float range gives rho_crit = inf
+        s = gas_scales(1e300, 1e-100, BathParams(alpha=1e-300, kappa=0.1))
+        gamma_g = 1e-300 * math.sqrt(16.0 * math.pi / 15.0) * 1e300
+        assert s.gamma_g == pytest.approx(gamma_g, rel=1e-13)
+        assert s.t2 == pytest.approx(1e-301, rel=1e-13)
+        assert s.rho_crit == pytest.approx(1e-304, rel=1e-13)
+        s = gas_scales(1e-300, 1e200, BathParams(alpha=1e-300, kappa=0.1))
+        assert s.rho_crit == math.inf and s.gamma_g == 0.0 and s.t2 == math.inf
+        # ordinary inputs keep the direct formulas' bits
+        s = gas_scales(1e-3, 10.0, BathParams(alpha=ALPHA, kappa=0.1))
+        assert s.gamma_g == ALPHA * math.sqrt(16.0 * math.pi * 1e-3 / (15.0 * 10.0**3))
+        assert s.t2 == 0.1 * math.sqrt(10.0**3 / 1e-3)
+        assert s.rho_crit == 0.1**4 * 10.0**3
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -751,6 +751,18 @@ points = 5
         assert "t1 = 6.509" in line and "e+163" in line
         assert np.all(np.isfinite(read_csv(out / "smoke.csv")["d_total"]))
 
+    def test_gas_scales_whose_intermediates_leave_the_float_range(self, tmp_path):
+        # density / l^3 overflows and l^3 / density underflows, where the
+        # scales themselves are 1.83 and 1e-301
+        geometry = (
+            "kind = gas\ndensity = 1e300\nexclusion_radius = 1e-100\nhorizon = 25\nfixed_count = 3"
+        )
+        text = with_geometry(geometry).replace("alpha = 0.0072973525693", "alpha = 1e-300")
+        out = tmp_path / "out"
+        assert run(write_scenario(tmp_path, text), out_dir=str(out)) == 0
+        report = (out / "smoke_report.txt").read_text()
+        assert "gas scales: gamma_g = 1.83058, t2 = 1e-301, rho_crit = 1e-304" in report
+
     def test_nul_byte_out_dir_is_a_config_error(self, tmp_path, capsys):
         # the output directory is made while the configuration is checked
         assert run(write_scenario(tmp_path, SMOKE), out_dir=str(tmp_path / "a\0b")) == 1

@@ -16,6 +16,7 @@ from conftest import (
 )
 from data.cin_reference import EDGE_REFERENCE, F_REFERENCE
 from data.moment_reference import SECOND_DIFFERENCE_REFERENCE, W_REFERENCE
+from data.si_reference import FAR_BRACKET_REFERENCE
 from dmtsim import kernels, specfun
 from dmtsim.kernels import (
     _f_closed_rt,
@@ -238,6 +239,60 @@ class TestPhiClosed:
         row = _phi_closed_rt(1e300, r, c2, ALPHA, 10.0)
         np.testing.assert_array_equal(block[0].view(np.int64), row.view(np.int64))
         np.testing.assert_allclose(block[1], _phi_farfield_rt(1.7e308, r, c2, ALPHA), rtol=1e-15)
+
+
+def phi_closed_one_si_call(t, r, c2, alpha, kappa):
+    """_phi_closed_rt with every Si through one sine_integral call, as it was
+    before the far route: the reference for the elements off that route."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(over="ignore"):
+        x_r, x_plus, x_minus = kappa * r, kappa * (r + t), kappa * (r - t)
+    x = np.concatenate([x_r.ravel(), x_plus.ravel(), x_minus.ravel()])
+    overflow = np.isinf(x)
+    if overflow.any():
+        si = np.copysign(np.pi / 2, x)
+        si[~overflow] = specfun.sine_integral(x[~overflow])
+    else:
+        si = specfun.sine_integral(x)
+    si_plus, si_minus = si[x_r.size :].reshape((2,) + x_plus.shape)
+    bracket = 2.0 * si[: x_r.size].reshape(x_r.shape) - si_plus - si_minus
+    return alpha * (3.0 * c2 - 1.0) * t / (math.pi * r**3) * bracket
+
+
+class TestPhiClosedFarRoute:
+    @pytest.mark.bitwise
+    @given(
+        st.lists(st.tuples(st.floats(0.5, 1e5), st.floats(0.0, 1.0)), min_size=1, max_size=12),
+        st.lists(st.tuples(st.integers(0, 11), st.floats(0.0, 80.0)), min_size=1, max_size=8),
+        st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+        st.booleans(),
+    )
+    def test_elements_off_the_far_route_keep_their_bits(self, keys, offsets, kappa, late):
+        # rows at kappa (t - r_j) in [0, 80] for some key j straddle the far
+        # route's edge at 40, and t = 1.7e308 overflows kappa (r + t) from
+        # kappa = 10 on: every element off the route keeps the bits of the
+        # one-call form, and the far ones move from it by no more than a few
+        # ulp of phi and of pi/2 in the bracket's unit
+        r, c2 = (np.array(column) for column in zip(*keys))
+        times = [r[j % r.size] + gap / kappa for j, gap in offsets] + [1.7e308] * late
+        t = np.array(times)[:, None]
+        got = _phi_closed_rt(t, r, c2, ALPHA, kappa)
+        want = phi_closed_one_si_call(t, r, c2, ALPHA, kappa)
+        with np.errstate(over="ignore"):
+            far = (kappa * (t - r) >= 40.0) & np.isfinite(kappa * (r + t))
+        np.testing.assert_array_equal(got[~far].view(np.int64), want[~far].view(np.int64))
+        scale = np.broadcast_to(ALPHA * np.abs(3.0 * c2 - 1.0) * t / (math.pi * r**3), far.shape)
+        assert np.all(np.abs(got - want)[far] <= 2e-15 * (np.abs(want) + scale)[far])
+
+    def test_far_bracket_matches_mpmath(self):
+        # past the light cone at float (kappa, r, t), where kappa r and kappa t
+        # round: within 4e-15 of the bracket's unit t / (pi r^3), a bound
+        # fixed before measuring. Angles from the rounded kappa t miss it by
+        # ulp(kappa t) / (kappa (t - r)) near the cone
+        for kappa, r, t, want in FAR_BRACKET_REFERENCE:
+            unit = t / (math.pi * r**3)
+            got = _phi_closed_rt(t, r, 0.0, 1.0, kappa)  # 3 c2 - 1 = -1
+            assert abs(got + unit * want) <= 4e-15 * unit, f"kappa {kappa}, r {r}, t {t}"
 
 
 class TestPhiExact:

@@ -19,13 +19,14 @@ from dmtsim.specfun import (
     _moments,
     _si_asymptotic,
     _si_continued_fraction,
+    _si_difference,
     _si_series,
     sine_integral,
 )
 from conftest import same_bits, ulp_neighbours
 from data.cin_reference import CI_REFERENCE, CIN_REFERENCE
 from data.moment_reference import MOMENT_REFERENCE
-from data.si_reference import SI_REFERENCE
+from data.si_reference import SI_DIFFERENCE_REFERENCE, SI_REFERENCE
 
 SI_MAX = 1.8519370519824663  # global maximum, attained at pi
 
@@ -45,6 +46,20 @@ def test_frozen_reference_table():
     for x, ref in SI_REFERENCE:
         assert sine_integral(x) == pytest.approx(ref, rel=1e-10), f"x = {x}"
         assert sine_integral(-x) == pytest.approx(-ref, rel=1e-10), f"x = {-x}"
+
+
+def test_si_difference_past_the_light_cone_matches_mpmath():
+    # Si(h + x) - Si(h - x) for h - x >= 40, the closed phi's far route:
+    # within 2e-15 of its scale 1/(h - x), a bound fixed before measuring.
+    # The difference of two sine_integral values, each rounded near pi/2,
+    # misses it on this table
+    x, h, want = (np.array(column) for column in zip(*SI_DIFFERENCE_REFERENCE))
+    assert (h - x).min() >= 40.0 and (h - x).max() >= 1e11
+    got = _si_difference(h + x, h - x, np.sin(x), np.cos(x), np.sin(h), np.cos(h))
+    err = np.abs(got - want) * (h - x)
+    assert err.max() <= 2e-15, f"x = {x[err.argmax()]}, h = {h[err.argmax()]}"
+    direct = sine_integral(h + x) - sine_integral(h - x)
+    assert (np.abs(direct - want) * (h - x)).max() > 2e-15
 
 
 def test_odd_symmetry_exact():
