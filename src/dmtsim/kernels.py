@@ -221,6 +221,7 @@ _GL_SHORT = np.polynomial.legendre.leggauss(12)
 _SHORT = 2.0  # widths up to which _second_difference integrates
 _MOMENT_CUTOFF = 0.5  # kappa r below which f is W's moment series
 _MOMENT_TERMS = 8  # powers x^0 .. x^14 of W: x^16/17! < 1e-19 at x = 0.5
+_CHUNK = 1024  # centers per _second_difference chunk
 
 
 def _g(y: np.ndarray) -> np.ndarray:
@@ -244,8 +245,23 @@ def _second_difference(row: int, c, w, order: int) -> np.ndarray:
     phase of c, so its O(1) oscillations in f's B cancel those of
     sin x (1 - cos h) exactly. The integrand is entire, of period 2 pi in u,
     so 12 nodes over a width of 2 leave truncation near 1e-20.
+
+    The centers run in chunks of _CHUNK: the (2, chunk, 12) node arrays hold
+    about 1.5 KB per center, and every value is elementwise or summed node
+    by node, so a chunk's bits are those of any other split.
     """
-    c, w = np.asarray(c, dtype=float)[:, None], np.asarray(w, dtype=float)
+    c, w = np.asarray(c, dtype=float), np.asarray(w, dtype=float)
+    out = np.empty_like(w)
+    for s in range(0, c.size, _CHUNK):
+        out[s : s + _CHUNK] = _second_difference_chunk(
+            row, c[s : s + _CHUNK], w[s : s + _CHUNK], order
+        )
+    return out
+
+
+def _second_difference_chunk(row: int, c, w, order: int) -> np.ndarray:
+    """_second_difference over one chunk of 1-D centers c and widths w."""
+    c = c[:, None]
     xi, weight = _GL_SHORT
     u = 0.5 * w[:, None] * (1.0 + xi)
     sin_c, cos_c, sin_u, cos_u = np.sin(c), np.cos(c), np.sin(u), np.cos(u)
@@ -495,20 +511,33 @@ def _phi(t, r, c2, bath: BathParams, policy: KernelPolicy):
 
 
 def _scalar_phi(t: float, geom: PairGeometry, bath: BathParams, policy: KernelPolicy) -> float:
-    """_phi at one time and pair, after checking t >= 0 and r > 0."""
+    """_phi at one time and pair, after checking t >= 0 and r > 0, under the
+    metric engine's contract: phi is 0 at t = 0 for every r, its terms in
+    t / r^3 take their limit 0 where r^3 overflows, and a phi that is not
+    finite (past the float range, or where r^3 underflows to 0) raises
+    KernelDomainError."""
     if not (math.isfinite(t) and t >= 0):
         raise KernelDomainError("time must be finite and >= 0")
     if geom.r == 0:
         raise KernelDomainError("phi requires r > 0; the diagonal has no phi")
-    return float(_phi(t, geom.r, math.cos(geom.theta) ** 2, bath, policy))
+    if t == 0.0:
+        return 0.0
+    with np.errstate(all="ignore"):  # a non-finite phi raises below
+        phi = float(_phi(t, geom.r, math.cos(geom.theta) ** 2, bath, policy))
+    if not math.isfinite(phi):
+        raise KernelDomainError(f"phi at t = {t:g}, r = {geom.r:g} is not finite")
+    return phi
 
 
 def phi_closed(t: float, geom: PairGeometry, bath: BathParams) -> float:
     """Pair kernel phi in the Si-based closed form (oscillatory terms dropped).
 
-    Requires t >= 0 and geom.r > 0; the diagonal has no phi. phi_exact keeps
-    the dropped cutoff-edge terms and gives the full radial integral. Radial
-    jitter averages those terms out of phi but not out of the metric's
+    Requires t >= 0 and geom.r > 0; the diagonal has no phi. As in the metric
+    engine, phi_closed(0) = 0 at every r, phi takes its limit 0 where r^3
+    overflows, and a phi that is not finite raises KernelDomainError
+    (where r^3 underflows, for one). phi_exact keeps the dropped cutoff-edge
+    terms and gives the full radial integral. Radial jitter averages those
+    terms out of phi but not out of the metric's
     Phi = sum phi^2: with Gaussian jitter sigma = 10/kappa at kappa r = 100,
     t = 3r, theta = 0.7, the mean of phi_exact is within 2% of the mean of
     phi_closed, while the mean of phi_exact^2 is about 540x the mean of
@@ -525,7 +554,9 @@ def phi_exact(t: float, geom: PairGeometry, bath: BathParams) -> float:
     reduced_quadrature(..., TimeKernel.PHI_KERNEL) computes, to quadrature
     accuracy. Those terms are O(1) relative to phi for a single rigid pair
     and grow like kappa r for in-plane pairs; they do not vanish at the magic
-    angle. Requires t >= 0 and geom.r > 0; phi_exact(0) = 0.
+    angle. Requires t >= 0 and geom.r > 0; phi_exact(0) = 0 at every r. Its
+    closed part takes phi_closed's limit 0 where r^3 overflows, and a value
+    that is not finite raises KernelDomainError.
     """
     return _scalar_phi(t, geom, bath, KernelPolicy.QUADRATURE)
 
@@ -534,7 +565,8 @@ def phi_farfield(t: float, geom: PairGeometry, bath: BathParams) -> float:
     """Far-field pair kernel with a sharp light cone at t = r.
 
     Valid for kappa |r - t| >> 1 and kappa (r + t) >> 1; the caller owns the
-    regime check.
+    regime check. Requires t >= 0 and geom.r > 0, with phi_closed's limit 0
+    where r^3 overflows and its refusal of a value that is not finite.
     """
     return _scalar_phi(t, geom, bath, KernelPolicy.FAR_FIELD)
 
@@ -545,11 +577,9 @@ _GL_HI = np.polynomial.legendre.leggauss(15)
 _GL_LO = np.polynomial.legendre.leggauss(7)
 _MAX_PANELS = 262144  # ~5.8e6 integrand evaluations at the two orders
 
-# Elements per block: (time, key) f and phi values in the metric, whose
-# blocks of times are each scattered to n x n parts, reduced and dropped, and
-# (key, panel, node) values in the quadrature. The kernels and Si hold several
-# temporaries of a block's size: one block for a whole figure curve (225 times
-# x 119 keys) raised the curve's peak traced memory from 0.8 to 3.5 MB.
+# (key, panel, node) integrand values per quadrature block. The block decides
+# which keys share a panel grid, and so sets the bits of a warm f; the metric
+# engine sizes its kernel calls by its own budget (metric._KERNEL_BLOCK).
 _BLOCK = 4096
 
 

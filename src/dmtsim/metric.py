@@ -15,10 +15,13 @@ each key's first atom pair, and every pair's key index. phi runs on
 is a rejected coincidence, through the formula kernels maps the kernel
 policy to. f runs through kernels' f route on the n x n selected table,
 whose key 0 (r = 0) is the diagonal and every coincident selected pair.
-Each block of f and each Gram block is reduced where it is made, to each
-time's direct and indirect sums and M's diagonal maximum, and dropped; only
-the tensor at the last time is kept. build_metric is that engine at a
-single t; the CLI runs it once per curve.
+Blocks are sized by the arrays they make: each kernel call covers up to
+_KERNEL_BLOCK (time, key) values, and its values are scattered to n x n
+parts in sub-blocks of times whose scattered phi, Gram block or f block
+holds at most _PART_BLOCK values. Each sub-block is reduced where it is
+made, to each time's direct and indirect sums and M's diagonal maximum,
+and dropped; only the tensor at the last time is kept. build_metric is
+that engine at a single t; the CLI runs it once per curve.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from . import geometry as _geometry
 from .geometry import AtomConfig, GeometryError, SelectionMask
 from .kernels import BathParams, KernelPolicy
-from .kernels import _BLOCK, _f, _phi
+from .kernels import _f, _phi
 
 __all__ = [
     "MetricTensor",
@@ -47,6 +50,18 @@ __all__ = [
 
 # max |M_ij| below which squared distance tracks decoherence (validity_flag)
 _VALIDITY_THRESHOLD = 0.1
+
+# (time, key) values per f or phi kernel call in _assemble. Each call has a
+# fixed cost, and the kernels and Si hold several temporaries of a block's
+# size: at 2^14 a figure curve (225 times x 119 keys) takes 2 phi calls, and
+# 2^15 was no faster while holding more.
+_KERNEL_BLOCK = 2**14
+# Values per array in a sub-block of n x n parts: the scattered (times, n, m)
+# phi, its (times, n, n) Gram product and the (times, n, n) f, each reduced
+# and dropped. With K <= n m keys, a kernel block's arrays are no larger per
+# time, so the two budgets bound the engine's memory whatever n, m and K are:
+# 120 selected of 121 atoms (19 keys, 225 times) trace 3.6 MB.
+_PART_BLOCK = 2**18
 
 
 class MetricError(ValueError):
@@ -125,10 +140,12 @@ def _assemble(
     the (T,) sums of the direct and of the indirect entries, the (T,)
     validity flags, and the MetricTensor at the last time; build_metric
     documents the assembly. Each pair block is reduced once per curve to its
-    key table, and the kernels run on (time, key) blocks scattered back
-    through the inverse index: f on f_step = _BLOCK // K_f times, phi on
-    step = _BLOCK // K. Each block of n x n parts is reduced where it is made
-    and dropped, so memory does not grow with T; t = 0 rows are exact zeros.
+    key table. The kernels run on blocks of _KERNEL_BLOCK // K times over
+    the table's K keys, and each block is scattered back through the inverse
+    index in sub-blocks of _PART_BLOCK // (n max(n, m)) times for phi and
+    _PART_BLOCK // n^2 for f. Each sub-block of n x n parts is reduced where
+    it is made and dropped, so memory does not grow with T, and is bounded
+    by the two budgets whatever n, m and K are; t = 0 rows are exact zeros.
     """
     times = np.asarray(times, dtype=float)
     if not (times.size and np.all(np.isfinite(times) & (times >= 0))):
@@ -137,7 +154,7 @@ def _assemble(
         raise MetricError("kernel_policy must be a KernelPolicy member")
     if mask.n_atoms != len(config):
         raise MetricError(f"mask covers {mask.n_atoms} atoms, the configuration {len(config)}")
-    n = mask.n_selected
+    n, m = mask.n_selected, mask.unobserved.size
 
     r_k, cos2_k, pairs, inverse = _key_table(config, mask.selected, mask.unobserved)
     if r_k.size and r_k[0] == 0.0:
@@ -157,23 +174,32 @@ def _assemble(
             size[at] += np.abs(block, out=block).sum(axis=(1, 2))
 
     live = np.flatnonzero(times > 0.0)
+
+    def blocks(keys, width):
+        """The live times in kernel blocks of _KERNEL_BLOCK // keys, each
+        with the row slices of its sub-blocks of _PART_BLOCK // width."""
+        step, sub = max(1, _KERNEL_BLOCK // keys), max(1, _PART_BLOCK // width)
+        for s in range(0, live.size, step):
+            at = live[s : s + step]
+            yield at, [slice(j, j + sub) for j in range(0, at.size, sub)]
+
     if live.size:
         r_f, cos2_f, pairs_f, inverse_f = _key_table(config, mask.selected, mask.selected)
-        f_step = max(1, _BLOCK // r_f.size)
-        for s in range(0, live.size, f_step):
-            at = live[s : s + f_step]
+        for at, rows in blocks(r_f.size, n * n):
             with np.errstate(over="ignore"):  # a non-finite M raises below
                 f = _f(times[at], r_f, cos2_f, bath, pairs_f)
-            reduce(0, np.take(f, inverse_f, axis=1), at, 4.0)
-    step = max(1, _BLOCK // r_k.size) if r_k.size else 1
-    for s in range(0, live.size if r_k.size else 0, step):
-        at = live[s : s + step]
+            for row in rows:
+                reduce(0, np.take(f[row], inverse_f, axis=1), at[row], 4.0)
+    for at, rows in blocks(r_k.size, n * max(n, m)) if r_k.size else ():
         # a non-finite M raises below; where r^3 overflows, phi takes its limit 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # np.take keeps the scatter C-ordered: the Gram product's BLAS route,
-            # and so its last bits, then do not depend on the block's length
-            phi = np.take(_phi(times[at, None], r_k, cos2_k, bath, kernel_policy), inverse, axis=1)
-            reduce(1, phi @ phi.transpose(0, 2, 1), at, 2.0)
+            phi = _phi(times[at, None], r_k, cos2_k, bath, kernel_policy)
+            for row in rows:
+                # np.take keeps the scatter C-ordered: the Gram product's BLAS
+                # route, and so its last bits, then do not depend on the
+                # sub-block's length
+                part = np.take(phi[row], inverse, axis=1)
+                reduce(1, part @ part.transpose(0, 2, 1), at[row], 2.0)
     # a finite sum of |entries| bounds M, its trace and the CSV's column sums
     bad = np.flatnonzero(~np.isfinite(size))
     if bad.size:

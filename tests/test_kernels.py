@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -371,6 +372,39 @@ class TestPhiFarfield:
             phi_farfield(1.0, PairGeometry(r=0.0, theta=0.0), bath())
 
 
+SCALAR_PHIS = [phi_closed, phi_exact, phi_farfield]
+
+
+class TestScalarPhiAtTheFloatRange:
+    # The metric engine's contract at separations whose cube leaves the float
+    # range: exact zeros at t = 0, the limit 0 of the t / r^3 terms where r^3
+    # overflows, and a refusal of any phi that is not finite. The suite turns
+    # numpy's RuntimeWarnings into errors, so none may be raised on the way.
+
+    @pytest.mark.parametrize("phi", SCALAR_PHIS)
+    @pytest.mark.parametrize("r", [1e-200, 1e-110, 1e-60, 1e120])
+    def test_zero_time_is_zero_at_every_separation(self, phi, r):
+        assert phi(0.0, PairGeometry(r=r, theta=0.3), bath()) == 0.0
+
+    @pytest.mark.parametrize("phi", SCALAR_PHIS)
+    @pytest.mark.parametrize("r", [1e-200, 1e-110])
+    @pytest.mark.parametrize("t", [1.0, 1e300])
+    def test_a_cube_that_underflows_is_refused(self, phi, r, t):
+        with pytest.raises(KernelDomainError, match="not finite"):
+            phi(t, PairGeometry(r=r, theta=0.3), bath())
+
+    @pytest.mark.parametrize("t", [1.0, 1e300])
+    def test_a_cube_that_overflows_takes_the_limit_0(self, t):
+        g, b = PairGeometry(r=1e120, theta=0.3), bath()
+        assert phi_closed(t, g, b) == 0.0
+        assert phi_farfield(t, g, b) == 0.0
+        # phi_exact is that limit plus its finite cutoff-edge terms
+        with np.errstate(over="ignore"):
+            edge = float(_phi_edge_rt(t, g.r, math.cos(g.theta) ** 2, ALPHA, 0.1))
+        assert math.isfinite(edge)
+        assert phi_exact(t, g, b) == edge
+
+
 class TestQuadrature:
     def test_f_at_origin_reduces_to_diagonal(self):
         b = bath(kappa=0.1)
@@ -660,6 +694,31 @@ class TestFClosed:
                 for k in range(c.size):
                     alone = _second_difference(row, c[k : k + 1], w[k : k + 1], order)
                     same_bits(alone, got[k : k + 1])
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("row, order", [(2, 1), (2, 2), (3, 2)])
+def test_second_difference_chunks_keep_the_bits_of_single_centers(row, order):
+    # 6,000 seeded centers from 1e-3 to 1e4 with widths from 1e-7 to 2, so
+    # nodes fall both inside |y| < 1 and beyond: the whole call must give
+    # each center the bits of a call on that center alone, while its traced
+    # peak stays below 16 node arrays of a 1,024-center chunk, each (2, 1024,
+    # 12) doubles. Unchunked, each of the call's node arrays holds 1.15 MB
+    # at 6,000 centers.
+    rng = np.random.default_rng(6000)
+    c = 10.0 ** rng.uniform(-3.0, 4.0, 6000)
+    w = np.minimum(10.0 ** rng.uniform(-7.0, 0.5, 6000), 2.0)
+    tracemalloc.start()
+    try:
+        got = _second_difference(row, c, w, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 * 1024 * 12 * 8
+    alone = np.concatenate(
+        [_second_difference(row, c[k : k + 1], w[k : k + 1], order) for k in range(c.size)]
+    )
+    same_bits(got, alone)
 
 
 # -- the closed f's calls -----------------------------------------------------

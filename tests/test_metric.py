@@ -7,13 +7,14 @@ import pytest
 from conftest import cold_f_quadrature, pair_geometry, warm_bounds
 from hypothesis import given, settings, strategies as st
 
-from dmtsim import kernels
+from dmtsim import kernels, metric
 from dmtsim.asymptotics import effective_neighbors
 from dmtsim.cli import (
     _CHECK_SEED_NONNEG,
     _CHECK_SEED_TRIANGLE,
     _CHECK_TRIALS,
     _CHECK_TRIPLES,
+    run,
 )
 from dmtsim.geometry import (
     AtomConfig,
@@ -311,6 +312,24 @@ def assert_engine_matches_oracle(config, mask, b, times, policy):
         assert M.validity_flag == want_valid
 
 
+def block_scene(scene):
+    """(config, mask, times) of a curve that spans several kernel blocks.
+    lattice: 12 selected of 49 under a tilted dipole, 46 phi keys; gas: 28
+    selected of 30 random atoms, 379 f keys. The grid holds zeros and a
+    repeated time."""
+    if scene == "lattice":
+        config, _ = square_lattice_2d(7, 10.0, (math.sin(0.7), 0.0, math.cos(0.7)))
+        mask = SelectionMask.from_selected(49, [0, 3, 8, 10, 17, 24, 25, 31, 38, 40, 45, 48])
+    else:
+        positions = np.random.default_rng(7).uniform(0.0, 40.0, size=(30, 3))
+        config = AtomConfig(positions, np.array([0.0, 0.6, 0.8]))
+        mask = SelectionMask.from_selected(30, range(28))
+    times = np.geomspace(1e-2, 1e5, 200)
+    times[[0, 95, 150]] = 0.0
+    times[120] = times[119]
+    return config, mask, times
+
+
 class TestCurveEngine:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -387,21 +406,7 @@ class TestCurveEngine:
     @pytest.mark.parametrize("policy", list(KernelPolicy))
     @pytest.mark.parametrize("scene", ["lattice", "gas"])
     def test_curve_columns_are_build_metric_at_every_time(self, scene, policy):
-        # lattice: 12 selected of 49 under a tilted dipole, 46 phi keys, so
-        # the engine holds 89 times per block; gas: 28 selected of 30 random
-        # atoms, 379 f keys, so each held block of 73 times runs f on blocks
-        # of 10. Both grids span several held blocks and hold zeros and a
-        # repeated time.
-        if scene == "lattice":
-            config, _ = square_lattice_2d(7, 10.0, (math.sin(0.7), 0.0, math.cos(0.7)))
-            mask = SelectionMask.from_selected(49, [0, 3, 8, 10, 17, 24, 25, 31, 38, 40, 45, 48])
-        else:
-            positions = np.random.default_rng(7).uniform(0.0, 40.0, size=(30, 3))
-            config = AtomConfig(positions, np.array([0.0, 0.6, 0.8]))
-            mask = SelectionMask.from_selected(30, range(28))
-        times = np.geomspace(1e-2, 1e5, 200)
-        times[[0, 95, 150]] = 0.0
-        times[120] = times[119]
+        config, mask, times = block_scene(scene)
         assert_curve_is_build_metric(config, mask, BathParams(ALPHA, 0.3), times, policy)
 
     def test_engine_memory_does_not_grow_with_the_time_grid(self):
@@ -441,6 +446,70 @@ class TestCurveEngine:
         finally:
             tracemalloc.stop()
         assert peak < 2 * blocks
+
+    def test_engine_peak_is_bounded_by_the_two_budgets(self):
+        # 120 selected of an 11x11 lattice around its unobserved centre, under
+        # a dipole normal to the plane: 19 phi keys, so one kernel block spans
+        # every time, and its 120 x 120 Gram blocks must come in sub-blocks.
+        # The traced peak over 225 times must stay below three part arrays of
+        # _PART_BLOCK values (the scattered phi, its Gram block, and a margin
+        # for the f block) plus sixteen kernel temporaries of _KERNEL_BLOCK
+        # values. One count of 4,096 (time, key) values for every block traced
+        # 25.4 MB here.
+        config, _ = square_lattice_2d(11, 10.0, (0.0, 0.0, 1.0))
+        mask = SelectionMask.from_selected(121, [i for i in range(121) if i != 60])
+        bound = (3 * metric._PART_BLOCK + 16 * metric._KERNEL_BLOCK) * 8
+        tracemalloc.start()
+        try:
+            _assemble(config, mask, BathParams(ALPHA, 0.1), np.geomspace(0.1, 1e6, 225))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_a_figure_curve_makes_at_most_two_phi_calls(self, monkeypatch, tmp_path):
+        # The figure's kappa = 0.01 curve: 225 times over the 119 phi keys of
+        # the 31x31 lattice's centre atom. Blocks of 4,096 (time, key) values
+        # made 7 calls.
+        calls, real = [], metric._phi
+
+        def counted(t, *args):
+            calls.append(np.shape(t))
+            return real(t, *args)
+
+        monkeypatch.setattr(metric, "_phi", counted)
+        scenario = tmp_path / "figure.ini"
+        scenario.write_text(
+            "[bath]\nalpha = 0.0072973525693\nkappa = 0.01\n"
+            "[geometry]\nkind = lattice\nside = 31\nspacing = 1000\n"
+            "[time]\nstart = 1e-3\nend = 1e11\npoints = 225\n"
+            "[output]\nprefix = figure\n"
+        )
+        assert run(str(scenario), out_dir=str(tmp_path / "out")) == 0
+        assert 1 <= len(calls) <= 2
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("budgets", [(1, 1), (500, 1000)])
+    @pytest.mark.parametrize("policy", list(KernelPolicy))
+    @pytest.mark.parametrize("scene", ["lattice", "gas"])
+    def test_block_budgets_leave_every_bit(self, monkeypatch, scene, policy, budgets):
+        # The default budgets run every kernel over the whole grid in one
+        # block but the gas's f, in blocks of 43 times. Budgets of one value
+        # each run one time per kernel call and per sub-block; (500, 1000)
+        # cuts the lattice's phi blocks of 10 times into sub-blocks of 2 and
+        # the gas's phi blocks of 8 into single times. The curve columns,
+        # flags and final tensor must keep every bit.
+        config, mask, times = block_scene(scene)
+        b = BathParams(ALPHA, 0.3)
+        want = _assemble(config, mask, b, times, policy)
+        monkeypatch.setattr(metric, "_KERNEL_BLOCK", budgets[0])
+        monkeypatch.setattr(metric, "_PART_BLOCK", budgets[1])
+        got = _assemble(config, mask, b, times, policy)
+        for column in range(3):
+            np.testing.assert_array_equal(_bits(got[column]), _bits(want[column]))
+        np.testing.assert_array_equal(_bits(got[3].direct_part), _bits(want[3].direct_part))
+        np.testing.assert_array_equal(_bits(got[3].indirect_part), _bits(want[3].indirect_part))
+        assert (got[3].time, got[3].validity_flag) == (want[3].time, want[3].validity_flag)
 
     @pytest.mark.parametrize("beta", [None, 2.0])
     @pytest.mark.parametrize("seed", range(4))
