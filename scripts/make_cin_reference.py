@@ -39,6 +39,11 @@ kt = 1e-16 their terms cancel to about 1e-51 of their size (at 60 digits
 i0 is 1.7e-10 off at k = 0.01, r = 0.3, kt = 1e-16). kappa takes 0.01,
 0.1 and 1, kr 3e-3 to 1e4 and kt 1e-16 to 10, with kt = 2 exactly and one
 ulp either side as float64 computes kappa t, and t = r.
+
+I0_REFERENCE holds i0 alone, in the same direct form and digits, below
+kr = 1 and past kt = 2, where kernels._phi_edge_rt's long route takes
+j0'(kr) = -S_1(kr) and the trig form of j0' cancels to about one ulp over
+(kr)^2: kappa takes 0.01, 0.1 and 1, kr 1e-6 to 0.99 and kt 2.001 to 1e4.
 """
 
 import math
@@ -67,6 +72,8 @@ F_EXTRA = [(10.0, 49.9), (10.0, 50.1), (100.0, 60.1), (100.0, 59.9), (3.0, 3.0),
 EDGE_KAPPA = [0.01, 0.1, 1.0]
 EDGE_X = [3e-3, 0.1, 0.9999, 1.0001, 2.0, 10.0, 100.0, 1e4]
 EDGE_H = [1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 0.5, 1.0, 1.999, 2.0, 2.001, 3.0, 10.0]
+I0_X = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.99]
+I0_H = [2.001, 3.0, 10.0, 100.0, 1e3, 1e4]
 
 
 def cin(y):
@@ -160,6 +167,15 @@ def main():
     for kappa, r, t in edge_points():
         i0, aniso = edge(kappa, r, t)
         print(f"    ({kappa!r}, {r!r}, {t!r}, {i0!r}, {aniso!r}),")
+    print("]")
+    print()
+    print("# (kappa, r, t, i0): the cutoff-edge bracket i0 below kappa r = 1, past kappa t = 2")
+    print("I0_REFERENCE = [")
+    for kappa in EDGE_KAPPA:
+        for x in I0_X:
+            for h in I0_H:
+                r, t = x / kappa, kappa_times(kappa, h)
+                print(f"    ({kappa!r}, {r!r}, {t!r}, {edge(kappa, r, t)[0]!r}),")
     print("]")
 
 

@@ -4,8 +4,9 @@ Runs `output_digest.py`'s SCENARIOS and Monte Carlo once under each of
 OLD_SRC and NEW_SRC, each in a child process with that tree on PYTHONPATH.
 Then prints every CSV whose bytes differ with the largest relative change of
 each column, |new - old| / |old| (inf where old is 0 and new is not), and
-the time t of the row where it is, then how many rows moved and the earliest
-t among them; the lines that moved in every report
+the time t of the row where it is, and the column's largest change in ulps
+of the old value, |new - old| / np.spacing(|old|); then how many rows moved
+and the earliest t among them; the lines that moved in every report
 whose bytes differ and every scenario exit code or Monte Carlo line that
 differs (as unified diffs without context); and names any CSV or report
 that only one tree wrote. The last line says whether every output is
@@ -47,8 +48,9 @@ def write_outputs(src: str, root: Path) -> None:
 
 
 def csv_delta(old: Path, new: Path) -> str:
-    """'col 1.23e-04 at t 0.005' per column: its largest relative change and
-    the old time of the row where it is, the time left out where no value of
+    """'col 1.23e-04 (2 ulp) at t 0.005' per column: its largest relative
+    change, its largest change in ulps of the old value, and the old time of
+    the row where the relative change is largest, left out where no value of
     the column moved; then how many rows moved and the earliest t of them."""
     a, b = (np.genfromtxt(p, delimiter=",", names=True, ndmin=1) for p in (old, new))
     if a.dtype.names != b.dtype.names or a.shape != b.shape:
@@ -57,12 +59,14 @@ def csv_delta(old: Path, new: Path) -> str:
     parts, moved = [], np.zeros(a.shape, dtype=bool)
     for col in a.dtype.names:
         diff = np.abs(b[col] - a[col])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rel = np.where(diff == 0.0, 0.0, diff / np.abs(a[col]))
+            ulps = np.where(diff == 0.0, 0.0, diff / np.spacing(np.abs(a[col])))
         moved |= rel != 0.0
         row = int(np.argmax(rel)) if rel.size else None
         at = "" if row is None or rel[row] == 0.0 else f" at t {times[row]:.3g}"
-        parts.append(f"{col} {0.0 if row is None else rel[row]:.2e}{at}")
+        most = f"{ulps.max():.3g}" if ulps.size else "0"
+        parts.append(f"{col} {0.0 if row is None else rel[row]:.2e} ({most} ulp){at}")
     rows = f"{np.count_nonzero(moved)} of {moved.size} rows moved"
     if moved.any():
         rows += f", the earliest at t {times[moved].min():.6g}"

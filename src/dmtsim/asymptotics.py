@@ -2,7 +2,9 @@
 
 Everything here is an order-of-magnitude (tilde) relation implemented with
 its displayed prefactor; cross-checks against computed curves should use
-factor 2-3 tolerances, never tight ones. The core quantities stay
+factor 2-3 tolerances, never tight ones. Each scale is one _power_product:
+0 or inf only past the float range, and at random ordinary inputs within
+5.3e-16 of mpmath (the direct formulas: 7.2e-16). The core quantities stay
 dimensionless; unit restoration (eV, Angstrom, atoms/m^3) lives only in the
 reporting helpers at the bottom.
 """
@@ -94,28 +96,20 @@ def lattice_scales(a: float, bath: BathParams, n_nn: float) -> LatticeScales:
 
     t1 = kappa a^3 / sqrt(3 pi alpha N_nn)   (infinite when N_nn = 0: no
     crossover exists), a_c = (12 pi alpha N_nn)^(1/6) kappa^(-2/3),
-    gamma = sqrt(alpha / 12 pi) kappa^2. Inputs outside _ORDINARY take each
-    scale as _power_product, 0 or inf only past the float range.
+    gamma = sqrt(alpha / 12 pi) kappa^2, each one _power_product.
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError("spacing a must be finite and > 0")
     if not (math.isfinite(n_nn) and n_nn >= 0):
         raise ValueError("n_nn must be finite and >= 0")
     alpha, kappa = bath.alpha, bath.kappa
-    if _ordinary(alpha, kappa):
-        gamma = math.sqrt(alpha / (12.0 * math.pi)) * kappa**2
-    else:
-        gamma = _power_product((alpha, 1, 2), (12.0 * math.pi, -1, 2), (kappa, 2, 1))
+    gamma = _power_product((alpha, 1, 2), (12.0 * math.pi, -1, 2), (kappa, 2, 1))
     if n_nn == 0.0:
         return LatticeScales(n_nn=0.0, t1=math.inf, a_c=0.0, gamma=gamma)
-    if _ordinary(alpha, kappa, a, n_nn):
-        t1 = kappa * a**3 / math.sqrt(3.0 * math.pi * alpha * n_nn)
-        a_c = (12.0 * math.pi * alpha * n_nn) ** (1.0 / 6.0) / kappa ** (2.0 / 3.0)
-    else:
-        t1 = _power_product(
-            (kappa, 1, 1), (a, 3, 1), (3.0 * math.pi, -1, 2), (alpha, -1, 2), (n_nn, -1, 2)
-        )
-        a_c = _power_product((12.0 * math.pi, 1, 6), (alpha, 1, 6), (n_nn, 1, 6), (kappa, -2, 3))
+    t1 = _power_product(
+        (kappa, 1, 1), (a, 3, 1), (3.0 * math.pi, -1, 2), (alpha, -1, 2), (n_nn, -1, 2)
+    )
+    a_c = _power_product((12.0 * math.pi, 1, 6), (alpha, 1, 6), (n_nn, 1, 6), (kappa, -2, 3))
     return LatticeScales(n_nn=float(n_nn), t1=t1, a_c=a_c, gamma=gamma)
 
 
@@ -123,41 +117,22 @@ def gas_scales(density: float, exclusion_radius: float, bath: BathParams) -> Gas
     """Crossover scales for a uniform gas.
 
     gamma_g = alpha sqrt(16 pi density / (15 l^3)), t2 = kappa
-    sqrt(l^3 / density) (infinite at zero density), rho_crit = kappa^4 l^3.
-    Inputs outside _ORDINARY take each scale as _power_product, 0 or inf only
-    past the float range.
+    sqrt(l^3 / density) (infinite at zero density), rho_crit = kappa^4 l^3,
+    each one _power_product.
     """
     if not (math.isfinite(density) and density >= 0):
         raise ValueError("density must be finite and >= 0")
     if not (math.isfinite(exclusion_radius) and exclusion_radius > 0):
         raise ValueError("exclusion_radius must be finite and > 0")
     alpha, kappa, l = bath.alpha, bath.kappa, exclusion_radius
-    if _ordinary(kappa, l):
-        rho_crit = kappa**4 * l**3
-    else:
-        rho_crit = _power_product((kappa, 4, 1), (l, 3, 1))
+    rho_crit = _power_product((kappa, 4, 1), (l, 3, 1))
     if density == 0.0:
         return GasScales(gamma_g=0.0, t2=math.inf, rho_crit=rho_crit)
-    if _ordinary(alpha, kappa, l, density):
-        l3 = l**3
-        gamma_g = alpha * math.sqrt(16.0 * math.pi * density / (15.0 * l3))
-        t2 = kappa * math.sqrt(l3 / density)
-    else:
-        gamma_g = _power_product(
-            (alpha, 1, 1), (16.0 * math.pi / 15.0, 1, 2), (density, 1, 2), (l, -3, 2)
-        )
-        t2 = _power_product((kappa, 1, 1), (l, 3, 2), (density, -1, 2))
+    gamma_g = _power_product(
+        (alpha, 1, 1), (16.0 * math.pi / 15.0, 1, 2), (density, 1, 2), (l, -3, 2)
+    )
+    t2 = _power_product((kappa, 1, 1), (l, 3, 2), (density, -1, 2))
     return GasScales(gamma_g=gamma_g, t2=t2, rho_crit=rho_crit)
-
-
-# Inputs between these bounds keep every intermediate of the scales' direct
-# formulas, kappa a^3 and 16 pi density / (15 l^3) the widest, in the normal
-# float range, so those formulas lose nothing to over- or underflow there
-_ORDINARY = (2.0**-240, 2.0**240)
-
-
-def _ordinary(*inputs: float) -> bool:
-    return all(_ORDINARY[0] <= x <= _ORDINARY[1] for x in inputs)
 
 
 def _power_product(*factors) -> float:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as _specfun
-from .specfun import sine_integral
+from .specfun import _x_minus_sin, sine_integral
 
 __all__ = [
     "BathParams",
@@ -215,7 +215,7 @@ def f_diag(t, bath: BathParams):
 # cancel where h or x is small; _second_difference turns them into short
 # integrals of G'' = -S_2 instead, and up to x = _MOMENT_CUTOFF a series in
 # W's moments takes over; at x = 0, the diagonal, only its first term is
-# left. Where they cancel, S_2, x - sin x and the moments are _moments rows.
+# left. Where they cancel, S_2, x - sin x and the moments are specfun's.
 
 _GL_SHORT = np.polynomial.legendre.leggauss(12)
 _SHORT = 2.0  # widths up to which _second_difference integrates
@@ -238,13 +238,11 @@ def _second_difference(row: int, c, w, order: int) -> np.ndarray:
     order 2 is P(c + w) - P(c - w) - 2 w F(c) for P' = F: Taylor remainders
     that the direct differences lose to cancellation when w is small.
 
-    S_row is specfun's series below |y| = 1 and beyond it the recurrence
-    S_k = (k K_(k-1) - cos y)/y, K_k = (sin y - k S_(k-1))/y in the cosine
-    moments K_k, from S_0 = (1 - cos y)/y or K_0 = sin(y)/y up to the row,
-    with sin and cos of c +- u by angle addition: a large center keeps the
-    phase of c, so its O(1) oscillations in f's B cancel those of
-    sin x (1 - cos h) exactly. The integrand is entire, of period 2 pi in u,
-    so 12 nodes over a width of 2 leave truncation near 1e-20.
+    S_row is specfun._sine_moment, with sin and cos of c +- u by specfun's
+    angle addition: a large center keeps the phase of c, so its O(1)
+    oscillations in f's B cancel those of sin x (1 - cos h) exactly. The
+    integrand is entire, of period 2 pi in u, so 12 nodes over a width of 2
+    leave truncation near 1e-20.
 
     The centers run in chunks of _CHUNK: the (2, chunk, 12) node arrays hold
     about 1.5 KB per center, and every value is elementwise or summed node
@@ -253,9 +251,8 @@ def _second_difference(row: int, c, w, order: int) -> np.ndarray:
     c, w = np.asarray(c, dtype=float), np.asarray(w, dtype=float)
     out = np.empty_like(w)
     for s in range(0, c.size, _CHUNK):
-        out[s : s + _CHUNK] = _second_difference_chunk(
-            row, c[s : s + _CHUNK], w[s : s + _CHUNK], order
-        )
+        chunk = slice(s, s + _CHUNK)
+        out[chunk] = _second_difference_chunk(row, c[chunk], w[chunk], order)
     return out
 
 
@@ -264,35 +261,14 @@ def _second_difference_chunk(row: int, c, w, order: int) -> np.ndarray:
     c = c[:, None]
     xi, weight = _GL_SHORT
     u = 0.5 * w[:, None] * (1.0 + xi)
-    sin_c, cos_c, sin_u, cos_u = np.sin(c), np.cos(c), np.sin(u), np.cos(u)
     sign = np.array([1.0, -1.0])[:, None, None]  # c + u and c - u along a leading axis
-    y = c + sign * u
-    sin_y = sin_c * cos_u + sign * (cos_c * sin_u)
-    cos_y = cos_c * cos_u - sign * (sin_c * sin_u)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # |y| < 1 below
-        m = (sin_y if row % 2 else 1.0 - cos_y) / y  # K_0 or S_0
-        for k in range(1, row + 1):  # S_k where k and row share parity, else K_k
-            m = ((k * m - cos_y) if (row - k) % 2 == 0 else (sin_y - k * m)) / y
-    small = np.abs(y) < 1.0
-    if small.any():
-        m[small] = _specfun._moments(y[small], row, 10, odd=True)
+    sin_y, cos_y = _specfun._angle_sum(np.sin(c), np.cos(c), np.sin(u), np.cos(u), sign)
+    m = _specfun._sine_moment(row, c + sign * u, sin_y, cos_y)
     values = (w[:, None] - u) ** order / math.factorial(order) * (m[0] + m[1])
     total = np.zeros_like(w)
     for k in range(xi.size):  # node by node: the same bits at any array length
         total += weight[k] * values[:, k]
     return 0.5 * w * total
-
-
-def _x_minus_sin(x: np.ndarray) -> np.ndarray:
-    """x - sin x, which cancels below |x| = 1: there it is -x C_0(x), with
-    C_0(x) = int_0^1 (cos xs - 1) ds = sin(x)/x - 1 from specfun's series."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1.0
-    if small.any():
-        out[small] = -x[small] * _specfun._moments(x[small], 0, 9)
-    out[~small] = x[~small] - np.sin(x[~small])
-    return out
 
 
 def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -303,10 +279,10 @@ def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
     diagonal.
 
     M_k = -C_(2k+1)(h) up to h = 2, specfun's moment series for all k at once,
-    and 1/(2k+2) - int_0^1 s^(2k+1) cos(sh) ds beyond, the integral by upward
-    recurrence, which amplifies rounding by at most n!/h^n in the n-th
-    moment: 4e7 at n = 15, h = 2, against a weight x^14/15! of 5e-17. At
-    h = inf the integral averages out and M_k is 1/(2k+2).
+    and 1/(2k+2) - K_(2k+1)(h) beyond, K_n(h) = int_0^1 s^n cos(sh) ds from
+    one walk up specfun._moment_chain from S_0, which amplifies rounding by at
+    most n!/h^n in the n-th moment: 4e7 at n = 15, h = 2, against a weight
+    x^14/15! of 5e-17. At h = inf the integral averages out and M_k is 1/(2k+2).
     """
     denominators = 2 * np.arange(_MOMENT_TERMS)[:, None] + 2  # 2k + 2
     moments = np.empty((_MOMENT_TERMS,) + x.shape)
@@ -318,12 +294,10 @@ def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
     high = ~low & ~late
     if high.any():
         hh = h[high]
-        sin_h, cos_h = np.sin(hh) / hh, np.cos(hh) / hh
-        cos_n, sin_n = sin_h, 2.0 * np.sin(0.5 * hh) ** 2 / hh  # n = 0
-        for n in range(1, 2 * _MOMENT_TERMS):
-            cos_n, sin_n = sin_h - n / hh * sin_n, -cos_h + n / hh * cos_n
+        chain = _specfun._moment_chain(hh, np.sin(hh), np.cos(hh), False, 2 * _MOMENT_TERMS - 1)
+        for n, m in enumerate(chain):  # S_0, K_1, S_2, K_3, ...
             if n % 2:
-                moments[n // 2, high] = 1.0 / (n + 1) - cos_n
+                moments[n // 2, high] = 1.0 / (n + 1) - m
     total, x2 = np.zeros_like(x), x * x
     for k in reversed(range(_MOMENT_TERMS)):  # Horner's rule in x^2
         w_k = (-1) ** k * (
@@ -450,7 +424,18 @@ def _phi_closed_rt(t, r, c2, alpha: float, kappa: float):
         trig = (np.broadcast_to(v, far.shape)[far] for v in trig)
         si_plus[far] = _specfun._si_difference(x_plus[far], -x_minus[far], *trig)
     bracket = 2.0 * si[: x_r.size].reshape(x_r.shape) - si_plus - si_minus
-    return alpha * (3.0 * c2 - 1.0) * t / (math.pi * r**3) * bracket
+    return _over_cube(alpha * (3.0 * c2 - 1.0) * t, r, math.pi) * bracket
+
+
+def _over_cube(value, r, factor: float = 1.0):
+    """value / (factor r^3), or value / factor / r / r / r where factor r^3
+    overflows: 0 there only where the quotient itself underflows."""
+    with np.errstate(over="ignore"):  # an infinite cube divides by r three times
+        cube = factor * r**3
+        out, huge = value / cube, np.isinf(cube)
+        if huge.any():
+            out = np.where(huge, value / factor / r / r / r, out)
+    return out
 
 
 def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
@@ -464,12 +449,14 @@ def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
 
     from integrating q (qt - sin qt) W(qr, theta) term by term up to q = k.
     Both vanish at t = 0, like h^3 and h, where the differences cancel:
-    aniso takes its product form, and i0 is (k/2r) _second_difference(3, x,
-    h, 2) (j0''' = S_3) up to h = _SHORT and the difference only beyond.
+    aniso takes its product form (through _over_cube), and i0 is (k/2r)
+    _second_difference(3, x, h, 2) (j0''' = S_3) up to h = _SHORT and the
+    difference beyond, with j0'(x) = -S_1(x) from specfun._sine_moment,
+    whose series below x = 1 keeps what cos x - sin(x)/x cancels.
     """
     t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
     h, x = kappa * t, kappa * r
-    aniso = -np.sin(x) * _x_minus_sin(h) / (kappa * r**3)
+    aniso = _over_cube(-np.sin(x) * _x_minus_sin(h), r, kappa)
     r, h, x = np.broadcast_arrays(r, h, x)
     i0 = np.empty(r.shape)
     short = h <= _SHORT
@@ -478,8 +465,8 @@ def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
     if not short.all():
         x, h = x[~short], h[~short]
         j0_minus = np.divide(np.sin(x - h), x - h, out=np.ones_like(x), where=x != h)
-        j0_prime = (np.cos(x) - np.sin(x) / x) / x
-        i0[~short] = np.sin(x + h) / (x + h) - j0_minus - 2.0 * h * j0_prime
+        s_1 = _specfun._sine_moment(1, x, np.sin(x), np.cos(x))
+        i0[~short] = np.sin(x + h) / (x + h) - j0_minus + 2.0 * h * s_1
     i0 *= 0.5 * kappa / r
     return 2.0 * alpha / math.pi * ((1.0 - c2) * i0 + (3.0 * c2 - 1.0) * aniso)
 
@@ -489,7 +476,7 @@ def _phi_farfield_rt(t, r, c2, alpha: float):
     alpha (t/r^3)(3 c2 - 1) Theta(t/r - 1), with Theta(0) = 1."""
     r = np.asarray(r, dtype=float)
     lightcone = (t >= r).astype(float)
-    return alpha * t / r**3 * (3.0 * c2 - 1.0) * lightcone
+    return _over_cube(alpha * t, r) * (3.0 * c2 - 1.0) * lightcone
 
 
 def _phi_reach(t, policy: KernelPolicy) -> float:
@@ -513,9 +500,9 @@ def _phi(t, r, c2, bath: BathParams, policy: KernelPolicy):
 def _scalar_phi(t: float, geom: PairGeometry, bath: BathParams, policy: KernelPolicy) -> float:
     """_phi at one time and pair, after checking t >= 0 and r > 0, under the
     metric engine's contract: phi is 0 at t = 0 for every r, its terms in
-    t / r^3 take their limit 0 where r^3 overflows, and a phi that is not
-    finite (past the float range, or where r^3 underflows to 0) raises
-    KernelDomainError."""
+    t / r^3 divide by r three times where r^3 overflows (0 only where they
+    underflow), and a phi that is not finite (past the float range, or where
+    r^3 underflows to 0) raises KernelDomainError."""
     if not (math.isfinite(t) and t >= 0):
         raise KernelDomainError("time must be finite and >= 0")
     if geom.r == 0:
@@ -533,8 +520,8 @@ def phi_closed(t: float, geom: PairGeometry, bath: BathParams) -> float:
     """Pair kernel phi in the Si-based closed form (oscillatory terms dropped).
 
     Requires t >= 0 and geom.r > 0; the diagonal has no phi. As in the metric
-    engine, phi_closed(0) = 0 at every r, phi takes its limit 0 where r^3
-    overflows, and a phi that is not finite raises KernelDomainError
+    engine, phi_closed(0) = 0 at every r, phi divides by r three times where
+    r^3 overflows, and a phi that is not finite raises KernelDomainError
     (where r^3 underflows, for one). phi_exact keeps the dropped cutoff-edge
     terms and gives the full radial integral. Radial jitter averages those
     terms out of phi but not out of the metric's
@@ -554,9 +541,9 @@ def phi_exact(t: float, geom: PairGeometry, bath: BathParams) -> float:
     reduced_quadrature(..., TimeKernel.PHI_KERNEL) computes, to quadrature
     accuracy. Those terms are O(1) relative to phi for a single rigid pair
     and grow like kappa r for in-plane pairs; they do not vanish at the magic
-    angle. Requires t >= 0 and geom.r > 0; phi_exact(0) = 0 at every r. Its
-    closed part takes phi_closed's limit 0 where r^3 overflows, and a value
-    that is not finite raises KernelDomainError.
+    angle. Requires t >= 0 and geom.r > 0; phi_exact(0) = 0 at every r, its
+    terms in 1/r^3 keep phi_closed's contract where r^3 overflows, and a
+    value that is not finite raises KernelDomainError.
     """
     return _scalar_phi(t, geom, bath, KernelPolicy.QUADRATURE)
 
@@ -565,8 +552,9 @@ def phi_farfield(t: float, geom: PairGeometry, bath: BathParams) -> float:
     """Far-field pair kernel with a sharp light cone at t = r.
 
     Valid for kappa |r - t| >> 1 and kappa (r + t) >> 1; the caller owns the
-    regime check. Requires t >= 0 and geom.r > 0, with phi_closed's limit 0
-    where r^3 overflows and its refusal of a value that is not finite.
+    regime check. Requires t >= 0 and geom.r > 0, with phi_closed's division
+    by r three times where r^3 overflows and its refusal of a value that is
+    not finite.
     """
     return _scalar_phi(t, geom, bath, KernelPolicy.FAR_FIELD)
 
@@ -585,21 +573,14 @@ _BLOCK = 4096
 
 def _geometric_weight(x: np.ndarray, cos2) -> np.ndarray:
     """W(x) = (1 - c^2) j0(x) + (3 c^2 - 1) j1(x)/x, cos2 = c^2 broadcasting
-    against x, with j0 = sin(x)/x. Below |x| = 1, where the trig form of
-    j1(x)/x loses about 1/x^2 ulps, j1(x)/x = S_1(x)/x, the moment
-    int_0^1 s sin(xs) ds from specfun's series over x (1/3 at x = 0)."""
+    against x, with j0 = sin(x)/x and j1(x)/x = S_1(x)/x, the moment
+    int_0^1 s sin(xs) ds from specfun._sine_moment (1/3 at x = 0), whose
+    series below |x| = 1 keeps the digits that sin x - x cos x cancels."""
     x = np.asarray(x, dtype=float)
     sin_x, nonzero = np.sin(x), x != 0.0
     j0 = np.divide(sin_x, x, out=np.ones_like(x), where=nonzero)
-    j1x = np.empty_like(x)
-    small = np.abs(x) < 1.0
-    if small.any():
-        s_1 = _specfun._moments(x[small], 1, 10, odd=True)
-        j1x[small] = np.divide(s_1, x[small], out=np.full_like(s_1, 1 / 3), where=nonzero[small])
-    big = ~small
-    if big.any():
-        xb = x[big]
-        j1x[big] = (sin_x[big] - xb * np.cos(xb)) / xb**3
+    s_1 = _specfun._sine_moment(1, x, sin_x, np.cos(x))
+    j1x = np.divide(s_1, x, out=np.full_like(x, 1 / 3), where=nonzero)
     return (1.0 - cos2) * j0 + (3.0 * cos2 - 1.0) * j1x
 
 

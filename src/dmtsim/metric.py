@@ -191,7 +191,7 @@ def _assemble(
             for row in rows:
                 reduce(0, np.take(f[row], inverse_f, axis=1), at[row], 4.0)
     for at, rows in blocks(r_k.size, n * max(n, m)) if r_k.size else ():
-        # a non-finite M raises below; where r^3 overflows, phi takes its limit 0
+        # a non-finite M raises below; where r^3 overflows, phi divides by r thrice
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             phi = _phi(times[at, None], r_k, cos2_k, bath, kernel_policy)
             for row in rows:

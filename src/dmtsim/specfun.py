@@ -39,9 +39,12 @@ past 1.34e154 as inf: g is 0, with no warning.
 The moment series are every small-argument expansion of the kernels: rows of
 C_k(y) = int_0^1 s^k (cos ys - 1) ds and S_k(y) = int_0^1 s^k sin(ys) ds,
 k = -1 .. 15, from one coefficient table. Cin = -C_(-1), x - sin x = -x C_0,
-G'' = -S_2 for G(y) = (1 - cos y)/y, j1(y)/y = S_1(y)/y, and W's moments
-int_0^1 s^(2k+1) (1 - cos sh) ds = -C_(2k+1). All branches are vectorized;
-scalars in, scalar out.
+G'' = -S_2 for G(y) = (1 - cos y)/y, j1(y)/y = S_1(y)/y = -j0'(y)/y, and W's
+moments int_0^1 s^(2k+1) (1 - cos sh) ds = -C_(2k+1). Every S_k the kernels
+read is _sine_moment: that series below |y| = 1, and beyond it _moment_chain,
+the one upward recurrence in S_k and K_k = int_0^1 s^k cos(ys) ds, which also
+gives W's moments past h = 2 as 1/(2k+2) - K_(2k+1). _angle_sum is the one
+angle addition. All branches are vectorized; scalars in, scalar out.
 """
 
 from __future__ import annotations
@@ -136,6 +139,48 @@ def _moments(y: np.ndarray, k, terms: int, odd: bool = False) -> np.ndarray:
         total *= y2
     total += columns[0]
     return total * (y if odd else y2)
+
+
+def _moment_chain(y, sin_y, cos_y, odd: bool, stop: int):
+    """Yield m_0 .. m_stop over an array y, given its sin and cos: S_k(y)
+    where k has the parity of odd, else K_k(y) = int_0^1 s^k cos(ys) ds, up
+    from S_0 = (1 - cos y)/y or K_0 = sin(y)/y by S_k = (k K_(k-1) - cos y)/y
+    and K_k = (sin y - k S_(k-1))/y; step k scales earlier rounding by k/|y|."""
+    m = (sin_y if odd else 1.0 - cos_y) / y
+    yield m
+    for k in range(1, stop + 1):
+        m = ((k * m - cos_y) if k % 2 == odd else (sin_y - k * m)) / y
+        yield m
+
+
+def _sine_moment(row: int, y: np.ndarray, sin_y, cos_y) -> np.ndarray:
+    """S_row(y) = int_0^1 s^row sin(ys) ds over an array y, given sin y and
+    cos y: _moment_chain where |y| >= 1, the moment series' 10 terms below."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # |y| < 1 below
+        for m in _moment_chain(y, sin_y, cos_y, row % 2, row):
+            pass  # up to S_row, holding one step at a time
+    small = np.abs(y) < 1.0
+    if small.any():
+        m[small] = _moments(y[small], row, 10, odd=True)
+    return m
+
+
+def _x_minus_sin(x: np.ndarray) -> np.ndarray:
+    """x - sin x, which cancels below |x| = 1: there it is -x C_0(x), with
+    C_0(x) = int_0^1 (cos xs - 1) ds = sin(x)/x - 1 from the moment series."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < 1.0
+    if small.any():
+        out[small] = -x[small] * _moments(x[small], 0, 9)
+    out[~small] = x[~small] - np.sin(x[~small])
+    return out
+
+
+def _angle_sum(sin_a, cos_a, sin_b, cos_b, sign=1.0):
+    """sin and cos of a + sign b, for a sign of +-1 or an array of them, by
+    angle addition: multiplying by the sign is exact."""
+    return sin_a * cos_b + sign * (cos_a * sin_b), cos_a * cos_b - sign * (sin_a * sin_b)
 
 
 def _si_series(x: np.ndarray) -> np.ndarray:
@@ -318,12 +363,11 @@ def _cin_difference(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     far = minus >= _LOG_CUTOFF
     if far.any():
         xf, hf = x[far], h[far]
-        sin_x, cos_x, sin_h, cos_h = np.sin(xf), np.cos(xf), np.sin(hf), np.cos(hf)
-        sc, cs, cc, ss = sin_x * cos_h, cos_x * sin_h, cos_x * cos_h, sin_x * sin_h
-        sin_y = np.concatenate([sc + cs, np.sign(xf - hf) * (sc - cs)])
-        cos_y = np.concatenate([cc - ss, cc + ss])
-        f_aux, g_aux = _auxiliary(np.concatenate([plus[far], minus[far]]))
-        ci = np.split(f_aux * sin_y - g_aux * cos_y, 2)
+        sign = np.array([[1.0], [-1.0]])  # x + h and x - h along a leading axis
+        sin_y, cos_y = _angle_sum(np.sin(xf), np.cos(xf), np.sin(hf), np.cos(hf), sign)
+        sin_y[1] *= np.sign(xf - hf)  # sin |x - h|
+        f_aux, g_aux = _auxiliary(np.stack([plus[far], minus[far]]))
+        ci = f_aux * sin_y - g_aux * cos_y
         out[far] = np.log1p(2.0 * np.minimum(xf, hf) / minus[far]) - ci[0] + ci[1]
     near = ~far
     if near.any():
@@ -345,8 +389,7 @@ def _sin_cos_of_product(k: float, y: np.ndarray):
     k_lo, y_lo = k - k_hi, y - y_hi
     e = ((k_hi * y_hi - p) + k_hi * y_lo + k_lo * y_hi) + k_lo * y_lo
     e = np.where(np.isfinite(e), e, 0.0)
-    sin_p, cos_p, sin_e, cos_e = np.sin(p), np.cos(p), np.sin(e), np.cos(e)
-    return sin_p * cos_e + cos_p * sin_e, cos_p * cos_e - sin_p * sin_e
+    return _angle_sum(np.sin(p), np.cos(p), np.sin(e), np.cos(e))
 
 
 def _si_difference(plus, minus, sin_x, cos_x, sin_h, cos_h) -> np.ndarray:

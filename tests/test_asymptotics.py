@@ -31,6 +31,12 @@ def bath(kappa=0.1):
     return BathParams(alpha=ALPHA, kappa=kappa)
 
 
+def close_in_ulps(got, want, ulps=4):
+    """True where got is within a few ulps of want: each scale is one
+    _power_product, and its direct formula rounds differently."""
+    return abs(got - want) <= ulps * math.ulp(want)
+
+
 def plateau(b):
     """Long-time plateau of the self-kernel f, alpha kappa^2 / (3 pi)."""
     return b.alpha * b.kappa**2 / (3.0 * math.pi)
@@ -150,9 +156,9 @@ class TestLatticeScales:
         assert math.isfinite(exact)
         assert lattice_scales(a, b, 4.5).t1 == pytest.approx(exact, rel=1e-12)
         assert lattice_scales(1e120, b, 4.5).t1 == math.inf
-        # an ordinary spacing keeps the direct formula's bits
+        # an ordinary spacing is within a few ulps of the direct formula
         direct = 0.1 * 1000.0**3 / math.sqrt(3.0 * math.pi * b.alpha * 4.634)
-        assert lattice_scales(1000.0, b, 4.634).t1 == direct
+        assert close_in_ulps(lattice_scales(1000.0, b, 4.634).t1, direct)
 
     def test_critical_spacing_and_rate_survive_subnormal_couplings(self):
         # on the alpha = 5e-324 chain 12 pi alpha N_nn is subnormal and
@@ -166,11 +172,12 @@ class TestLatticeScales:
         assert s.a_c == pytest.approx(a_c, rel=1e-12, abs=0.0)
         logs = 0.5 * (math.log(5e-324) - math.log(12.0 * math.pi)) + 2.0 * math.log(0.1)
         assert s.gamma == pytest.approx(math.exp(logs), rel=1e-12, abs=0.0)
-        # an ordinary coupling keeps the direct formulas' bits
+        # an ordinary coupling is within a few ulps of the direct formulas
         b = bath(0.1)
         s = lattice_scales(1000.0, b, 4.634)
-        assert s.a_c == (12.0 * math.pi * b.alpha * 4.634) ** (1.0 / 6.0) / 0.1 ** (2.0 / 3.0)
-        assert s.gamma == math.sqrt(b.alpha / (12.0 * math.pi)) * 0.1**2
+        a_c = (12.0 * math.pi * b.alpha * 4.634) ** (1.0 / 6.0) / 0.1 ** (2.0 / 3.0)
+        assert close_in_ulps(s.a_c, a_c)
+        assert close_in_ulps(s.gamma, math.sqrt(b.alpha / (12.0 * math.pi)) * 0.1**2)
 
     def test_scales_leave_the_float_range_only_with_their_values(self):
         # a^3 overflows and kappa / sqrt(alpha) underflows, yet t1 = 3.26e99;
@@ -239,11 +246,12 @@ class TestGasScales:
         assert s.rho_crit == pytest.approx(1e-304, rel=1e-13)
         s = gas_scales(1e-300, 1e200, BathParams(alpha=1e-300, kappa=0.1))
         assert s.rho_crit == math.inf and s.gamma_g == 0.0 and s.t2 == math.inf
-        # ordinary inputs keep the direct formulas' bits
+        # ordinary inputs are within a few ulps of the direct formulas
         s = gas_scales(1e-3, 10.0, BathParams(alpha=ALPHA, kappa=0.1))
-        assert s.gamma_g == ALPHA * math.sqrt(16.0 * math.pi * 1e-3 / (15.0 * 10.0**3))
-        assert s.t2 == 0.1 * math.sqrt(10.0**3 / 1e-3)
-        assert s.rho_crit == 0.1**4 * 10.0**3
+        gamma_g = ALPHA * math.sqrt(16.0 * math.pi * 1e-3 / (15.0 * 10.0**3))
+        assert close_in_ulps(s.gamma_g, gamma_g)
+        assert close_in_ulps(s.t2, 0.1 * math.sqrt(10.0**3 / 1e-3))
+        assert close_in_ulps(s.rho_crit, 0.1**4 * 10.0**3)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

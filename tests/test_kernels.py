@@ -15,7 +15,7 @@ from conftest import (
     ulp_neighbours,
     warm_bounds,
 )
-from data.cin_reference import EDGE_REFERENCE, F_REFERENCE
+from data.cin_reference import EDGE_REFERENCE, F_REFERENCE, I0_REFERENCE
 from data.moment_reference import SECOND_DIFFERENCE_REFERENCE, W_REFERENCE
 from data.si_reference import FAR_BRACKET_REFERENCE
 from dmtsim import kernels, specfun
@@ -328,6 +328,19 @@ class TestPhiExact:
                     got = float(_phi_edge_rt(tk, rk, c2, ALPHA, kappa_value))
                     assert abs(got - want[k]) <= bound[rows][k], (kappa_value, rk, tk, c2)
 
+    def test_i0_below_kappa_r_1_matches_frozen_mpmath_values(self):
+        # c2 = 1/3 makes 3 c2 - 1 exactly 0 and leaves i0 alone, past kappa t
+        # = 2, where j0'(kappa r) in its trig form cancels to about one ulp
+        # over (kappa r)^2: within 1e-12 relative from kappa r = 1e-3 up and
+        # 1e-9 below, bounds fixed before measuring
+        c2 = 1.0 / 3.0
+        assert 3.0 * c2 - 1.0 == 0.0
+        for kappa, r, t, i0 in I0_REFERENCE:
+            want = 2.0 * ALPHA / math.pi * (1.0 - c2) * i0
+            got = float(_phi_edge_rt(t, r, c2, ALPHA, kappa))
+            bound = 1e-12 if kappa * r >= 1e-3 else 1e-9
+            assert abs(got - want) <= bound * abs(want), (kappa, r, t, got, want)
+
     def test_continuous_across_lightcone(self):
         b = bath(kappa=1.0)
         for r, theta in ((10.0, 0.0), (100.0, MAGIC), (30.0, math.pi / 2)):
@@ -377,9 +390,10 @@ SCALAR_PHIS = [phi_closed, phi_exact, phi_farfield]
 
 class TestScalarPhiAtTheFloatRange:
     # The metric engine's contract at separations whose cube leaves the float
-    # range: exact zeros at t = 0, the limit 0 of the t / r^3 terms where r^3
-    # overflows, and a refusal of any phi that is not finite. The suite turns
-    # numpy's RuntimeWarnings into errors, so none may be raised on the way.
+    # range: exact zeros at t = 0, the t / r^3 terms divided by r three times
+    # where r^3 overflows, and a refusal of any phi that is not finite. The
+    # suite turns numpy's RuntimeWarnings into errors, so none may be raised
+    # on the way.
 
     @pytest.mark.parametrize("phi", SCALAR_PHIS)
     @pytest.mark.parametrize("r", [1e-200, 1e-110, 1e-60, 1e120])
@@ -393,16 +407,26 @@ class TestScalarPhiAtTheFloatRange:
         with pytest.raises(KernelDomainError, match="not finite"):
             phi(t, PairGeometry(r=r, theta=0.3), bath())
 
-    @pytest.mark.parametrize("t", [1.0, 1e300])
-    def test_a_cube_that_overflows_takes_the_limit_0(self, t):
-        g, b = PairGeometry(r=1e120, theta=0.3), bath()
-        assert phi_closed(t, g, b) == 0.0
-        assert phi_farfield(t, g, b) == 0.0
-        # phi_exact is that limit plus its finite cutoff-edge terms
-        with np.errstate(over="ignore"):
-            edge = float(_phi_edge_rt(t, g.r, math.cos(g.theta) ** 2, ALPHA, 0.1))
+    # (t, r, alpha, phi) at theta = 0.3 and kappa = 0.1, where r^3 overflows:
+    # alpha (3 c2 - 1) t / r^3 times a bracket pi / pi, the closed and the
+    # far-field phi alike, from mpmath at 50 digits; at t = 1 it underflows
+    @pytest.mark.parametrize(
+        "t, r, alpha, want",
+        [
+            (1.0, 1e120, ALPHA, 0.0),
+            (1e300, 1e120, ALPHA, 1.2682823654839002e-62),
+            (1e300, 1e103, 1.0 / 137.0, 1.2686156367624214e-11),
+        ],
+    )
+    def test_a_cube_that_overflows_divides_by_r_three_times(self, t, r, alpha, want):
+        # within 1e-15 relative, a bound fixed before measuring
+        g, b = PairGeometry(r=r, theta=0.3), BathParams(alpha=alpha, kappa=0.1)
+        assert phi_closed(t, g, b) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert phi_farfield(t, g, b) == pytest.approx(want, rel=1e-15, abs=0.0)
+        # phi_exact is the closed phi plus its finite cutoff-edge terms
+        edge = float(_phi_edge_rt(t, g.r, math.cos(g.theta) ** 2, alpha, 0.1))
         assert math.isfinite(edge)
-        assert phi_exact(t, g, b) == edge
+        assert phi_exact(t, g, b) == phi_closed(t, g, b) + edge
 
 
 class TestQuadrature:
@@ -846,8 +870,8 @@ def both_route_phi_edge(t, r, c2, alpha, kappa):
     i0[short] = _second_difference(3, x[short], h[short], 2)
     x, h = x[~short], h[~short]
     j0_minus = np.divide(np.sin(x - h), x - h, out=np.ones_like(x), where=x != h)
-    j0_prime = (np.cos(x) - np.sin(x) / x) / x
-    i0[~short] = np.sin(x + h) / (x + h) - j0_minus - 2.0 * h * j0_prime
+    s_1 = specfun._sine_moment(1, x, np.sin(x), np.cos(x))  # -j0'(x)
+    i0[~short] = np.sin(x + h) / (x + h) - j0_minus + 2.0 * h * s_1
     i0 *= 0.5 * kappa / r
     return 2.0 * alpha / math.pi * ((1.0 - c2) * i0 + (3.0 * c2 - 1.0) * aniso)
 

@@ -21,8 +21,10 @@ from dmtsim.specfun import (
     _si_continued_fraction,
     _si_difference,
     _si_series,
+    _sin_cos_of_product,
     sine_integral,
 )
+from dmtsim.kernels import _second_difference
 from conftest import same_bits, ulp_neighbours
 from data.cin_reference import CI_REFERENCE, CIN_REFERENCE
 from data.moment_reference import MOMENT_REFERENCE
@@ -449,6 +451,65 @@ def test_cin_difference_bits_on_seam_grids():
     grid = np.geomspace(1e-2, 1e12, 301)  # every branch of both arguments
     x, h = (a.ravel() for a in np.meshgrid(grid, grid))
     same_bits(_cin_difference(x, h), two_call_cin_difference(x, h))
+
+
+# -- angle addition -------------------------------------------------------------
+# _angle_sum is the one angle addition, where each caller had its own inline
+# form; a sign of +-1 multiplies exactly, so every caller keeps those bits.
+
+
+def inline_sin_cos_of_product(k, y):
+    """_sin_cos_of_product with its angle addition written out."""
+    p = k * y
+    c = 134217729.0 * k
+    k_hi = c - (c - k)
+    c = 134217729.0 * y
+    y_hi = c - (c - y)
+    k_lo, y_lo = k - k_hi, y - y_hi
+    e = ((k_hi * y_hi - p) + k_hi * y_lo + k_lo * y_hi) + k_lo * y_lo
+    e = np.where(np.isfinite(e), e, 0.0)
+    sin_p, cos_p, sin_e, cos_e = np.sin(p), np.cos(p), np.sin(e), np.cos(e)
+    return sin_p * cos_e + cos_p * sin_e, cos_p * cos_e - sin_p * sin_e
+
+
+def inline_second_difference(row, c, w, order):
+    """kernels._second_difference in one chunk, with its angle addition and
+    its upward recurrence in the sine and cosine moments written out."""
+    c = c[:, None]
+    xi, weight = np.polynomial.legendre.leggauss(12)
+    u = 0.5 * w[:, None] * (1.0 + xi)
+    sin_c, cos_c, sin_u, cos_u = np.sin(c), np.cos(c), np.sin(u), np.cos(u)
+    sign = np.array([1.0, -1.0])[:, None, None]
+    y = c + sign * u
+    sin_y = sin_c * cos_u + sign * (cos_c * sin_u)
+    cos_y = cos_c * cos_u - sign * (sin_c * sin_u)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = (sin_y if row % 2 else 1.0 - cos_y) / y
+        for k in range(1, row + 1):
+            m = ((k * m - cos_y) if (row - k) % 2 == 0 else (sin_y - k * m)) / y
+    small = np.abs(y) < 1.0
+    m[small] = _moments(y[small], row, 10, odd=True)
+    values = (w[:, None] - u) ** order / math.factorial(order) * (m[0] + m[1])
+    total = np.zeros_like(w)
+    for k in range(xi.size):
+        total += weight[k] * values[:, k]
+    return 0.5 * w * total
+
+
+@pytest.mark.bitwise
+def test_angle_addition_keeps_the_bits_of_each_inline_form():
+    rng = np.random.default_rng(34)
+    y = np.concatenate([10.0 ** rng.uniform(-3.0, 12.0, 3000), [0.0, 1e300, 1.7e308]])
+    for k in (0.01, 0.1, 1.0, 10.0, 1.0 / 3.0):
+        with np.errstate(over="ignore", invalid="ignore"):  # kappa y overflows
+            for got, want in zip(_sin_cos_of_product(k, y), inline_sin_cos_of_product(k, y)):
+                same_bits(got, want)
+    x, h = seam_pairs(np.geomspace(1e-2, 1e5, 301))
+    same_bits(_cin_difference(x, h), two_call_cin_difference(x, h))
+    c = 10.0 ** rng.uniform(-3.0, 5.0, 3000)  # nodes inside |y| < 1 and beyond
+    w = np.minimum(10.0 ** rng.uniform(-7.0, 0.5, 3000), 2.0)
+    for row, order in ((2, 1), (2, 2), (3, 2)):
+        same_bits(_second_difference(row, c, w, order), inline_second_difference(row, c, w, order))
 
 
 # -- moment series --------------------------------------------------------------
