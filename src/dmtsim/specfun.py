@@ -28,13 +28,16 @@ zero-temperature off-diagonal f, is row -1 of the moment series up to x = 3;
 beyond, Ci = f sin x - g cos x takes the auxiliary functions f and g from a
 Chebyshev fit in 1/x up to x = 40 (36th degree, frozen from mpmath by
 scripts/make_auxiliary_fit.py; Ci within 1e-16 absolute) and from Si's
-asymptotic series from x = 40 on. f's Cin(x + h) - Cin(|x - h|) is one Cin
-call on both arguments or, 40 or more apart, log1p of their ratio -
-Ci(x + h) + Ci(|x - h|), from one asymptotic call and angle addition. The
-closed phi's Si(h + x) - Si(h - x) for h - x >= 40 is one asymptotic call
-with angle addition too, from sines and cosines of x and h that
-_sin_cos_of_product takes at exact products. The asymptotic series take x^2
-past 1.34e154 as inf: g is 0, with no warning.
+asymptotic series from x = 40 on. Past that edge both far brackets are
+differences of f and g at a + b and a - b, which _auxiliary_pair evaluates
+once: one asymptotic call on both arguments, and their sines and cosines by
+one angle addition from those of a and b. f's Cin(x + h) - Cin(|x - h|) is
+one Cin call on both arguments or, 40 or more apart, where the pair needs
+both past the edge, log1p of their ratio - Ci(x + h) + Ci(|x - h|) from the
+pair. The closed phi's Si(h + x) - Si(h - x) for h - x >= 40 is the pair's
+S(h - x) - S(h + x) with S = f cos + g sin, from sines and cosines of x and
+h that _sin_cos_of_product takes at exact products. The asymptotic series
+take x^2 past 1.34e154 as inf: g is 0, with no warning.
 
 The moment series are every small-argument expansion of the kernels: rows of
 C_k(y) = int_0^1 s^k (cos ys - 1) ds and S_k(y) = int_0^1 s^k sin(ys) ds,
@@ -61,7 +64,6 @@ _SERIES_TERMS = 48
 _CF_MAX_ITER = 200
 _ASYMPTOTIC_TERMS = 14
 _CIN_SERIES_CUTOFF = 3.0
-_LOG_CUTOFF = 40.0  # Cin differences of arguments this far apart take the log route
 
 # Below this many elements a term-by-term loop is bound by numpy's per-call
 # overhead, and ufunc accumulate along a term axis is faster; above it
@@ -350,25 +352,23 @@ def _cin(x) -> np.ndarray:
 
 
 def _cin_difference(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Cin(x + h) - Cin(|x - h|) for x, h > 0: one _auxiliary or _cin call.
+    """Cin(x + h) - Cin(|x - h|) for x, h > 0: one _auxiliary_pair or _cin call.
 
-    Where |x - h| >= _LOG_CUTOFF it is, with Cin(y) = gamma + ln y - Ci(y)
-    and Ci = f_aux sin - g_aux cos, log1p(2 min(x, h)/|x - h|) - Ci(x + h)
-    + Ci(|x - h|): no loss to Cin's ln growth, and the sines and cosines of
-    x +- h come from angle addition, so that h/2 times their O(1/h)
+    Where |x - h| >= _ASYMPTOTIC_CUTOFF it is, with Cin(y) = gamma + ln y -
+    Ci(y) and Ci = f_aux sin - g_aux cos, log1p(2 min(x, h)/|x - h|) - Ci(x +
+    h) + Ci(|x - h|): no loss to Cin's ln growth, and the sines and cosines
+    of x +- h come from angle addition, so that h/2 times their O(1/h)
     oscillation cancels sin x (1 - cos h) in B at the phase of h itself.
     """
     plus, minus = x + h, np.abs(x - h)
     out = np.empty_like(plus)
-    far = minus >= _LOG_CUTOFF
+    far = minus >= _ASYMPTOTIC_CUTOFF
     if far.any():
-        xf, hf = x[far], h[far]
-        sign = np.array([[1.0], [-1.0]])  # x + h and x - h along a leading axis
-        sin_y, cos_y = _angle_sum(np.sin(xf), np.cos(xf), np.sin(hf), np.cos(hf), sign)
-        sin_y[1] *= np.sign(xf - hf)  # sin |x - h|
-        f_aux, g_aux = _auxiliary(np.stack([plus[far], minus[far]]))
+        a, b = np.maximum(x[far], h[far]), np.minimum(x[far], h[far])  # a - b = |x - h|
+        trig = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+        f_aux, g_aux, sin_y, cos_y = _auxiliary_pair(plus[far], minus[far], *trig)
         ci = f_aux * sin_y - g_aux * cos_y
-        out[far] = np.log1p(2.0 * np.minimum(xf, hf) / minus[far]) - ci[0] + ci[1]
+        out[far] = np.log1p(2.0 * b / minus[far]) - ci[0] + ci[1]
     near = ~far
     if near.any():
         cin = np.split(_cin(np.concatenate([plus[near], minus[near]])), 2)
@@ -392,27 +392,29 @@ def _sin_cos_of_product(k: float, y: np.ndarray):
     return _angle_sum(np.sin(p), np.cos(p), np.sin(e), np.cos(e))
 
 
+def _auxiliary_pair(plus, minus, sin_a, cos_a, sin_b, cos_b):
+    """(f, g, sin, cos) at plus = a + b and minus = a - b, both at least
+    _ASYMPTOTIC_CUTOFF, each stacked as [at plus, at minus] over 1-D inputs:
+    f and g from one _auxiliary call on both arguments, the sines and cosines
+    from one _angle_sum of the caller's sin and cos of a and b."""
+    sin_y, cos_y = _angle_sum(sin_a, cos_a, sin_b, cos_b, np.array([[1.0], [-1.0]]))
+    return (*_auxiliary(np.stack([plus, minus])), sin_y, cos_y)
+
+
 def _si_difference(plus, minus, sin_x, cos_x, sin_h, cos_h) -> np.ndarray:
     """Si(h + x) - Si(h - x) at plus = h + x and minus = h - x, both at least
     _ASYMPTOTIC_CUTOFF, from the sines and cosines of x and h.
 
-    With Si(y) = pi/2 - f(y) cos y - g(y) sin y and cos(h -+ x), sin(h -+ x)
-    by angle addition, it is, from one _auxiliary call on both arguments,
-
-        cos x [cos h (f- - f+) + sin h (g- - g+)]
-          + sin x [sin h (f- + f+) - cos h (g- + g+)].
-
-    No pi/2 enters, so the O(1/(h - x)) difference keeps its own precision:
-    against frozen mpmath values for x from 1e-3 to 1e5 and h - x from 40 to
-    1e11 it is within 4.3e-16 of 1/(h - x), where the difference of two
-    sine_integral values, each rounded near pi/2, is off by up to 1.8e-5 of it.
+    With Si(y) = pi/2 - S(y) and S(y) = f(y) cos y + g(y) sin y, it is
+    S(h - x) - S(h + x), from one _auxiliary_pair. No pi/2 enters, so the
+    O(1/(h - x)) difference keeps its own precision: against frozen mpmath
+    values for x from 1e-3 to 1e5 and h - x from 40 to 1e11 it is within
+    4.3e-16 of 1/(h - x), where the difference of two sine_integral values,
+    each rounded near pi/2, is off by up to 1.8e-5 of it.
     """
-    f_aux, g_aux = _auxiliary(np.concatenate([plus, minus]))
-    n = f_aux.size // 2
-    f_plus, f_minus, g_plus, g_minus = f_aux[:n], f_aux[n:], g_aux[:n], g_aux[n:]
-    return cos_x * (cos_h * (f_minus - f_plus) + sin_h * (g_minus - g_plus)) + sin_x * (
-        sin_h * (f_minus + f_plus) - cos_h * (g_minus + g_plus)
-    )
+    f_aux, g_aux, sin_y, cos_y = _auxiliary_pair(plus, minus, sin_h, cos_h, sin_x, cos_x)
+    s = f_aux * cos_y + g_aux * sin_y
+    return s[1] - s[0]
 
 
 def sine_integral(x):

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from dmtsim.specfun import (
     _ACCUMULATE_MAX,
+    _ASYMPTOTIC_CUTOFF,
     _FAR_EDGE,
     _FAR_TERMS,
-    _LOG_CUTOFF,
     _auxiliary,
     _ci,
     _cin,
@@ -411,7 +411,7 @@ def two_call_cin_difference(x, h):
 def seam_pairs(centers):
     """(x, h) one ulp either side of |x - h| = 40 and of x = h, both signs of
     x - h, about each center."""
-    apart = ulp_neighbours(centers + _LOG_CUTOFF)
+    apart = ulp_neighbours(centers + _ASYMPTOTIC_CUTOFF)
     same = ulp_neighbours(centers)
     x = np.concatenate([np.tile(centers, 3), apart, np.tile(centers, 3)])
     h = np.concatenate([apart, np.tile(centers, 3), same])
