@@ -452,7 +452,10 @@ def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
     aniso takes its product form (through _over_cube), and i0 is (k/2r)
     _second_difference(3, x, h, 2) (j0''' = S_3) up to h = _SHORT and the
     difference beyond, with j0'(x) = -S_1(x) from specfun._sine_moment,
-    whose series below x = 1 keeps what cos x - sin(x)/x cancels.
+    whose series below x = 1 keeps what cos x - sin(x)/x cancels. Below x = 1
+    the j0 difference, which would cancel to about one ulp over x, is the
+    quotient 2 (h cos h sin x - x sin h cos x) / (h^2 - x^2), with h^2 - x^2
+    > 3 there.
     """
     t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
     h, x = kappa * t, kappa * r
@@ -464,9 +467,14 @@ def _phi_edge_rt(t, r, c2, alpha: float, kappa: float):
         i0[short] = _second_difference(3, x[short], h[short], 2)
     if not short.all():
         x, h = x[~short], h[~short]
+        sin_x, cos_x = np.sin(x), np.cos(x)
         j0_minus = np.divide(np.sin(x - h), x - h, out=np.ones_like(x), where=x != h)
-        s_1 = _specfun._sine_moment(1, x, np.sin(x), np.cos(x))
-        i0[~short] = np.sin(x + h) / (x + h) - j0_minus + 2.0 * h * s_1
+        j0_difference = np.sin(x + h) / (x + h) - j0_minus
+        low = x < 1.0  # there h^2 - x^2 > 3
+        xl, hl = x[low], h[low]
+        j0_difference[low] = 2.0 * (hl * np.cos(hl) * sin_x[low] - xl * np.sin(hl) * cos_x[low])
+        j0_difference[low] /= hl * hl - xl * xl
+        i0[~short] = j0_difference + 2.0 * h * _specfun._sine_moment(1, x, sin_x, cos_x)
     i0 *= 0.5 * kappa / r
     return 2.0 * alpha / math.pi * ((1.0 - c2) * i0 + (3.0 * c2 - 1.0) * aniso)
 

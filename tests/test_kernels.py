@@ -331,15 +331,15 @@ class TestPhiExact:
     def test_i0_below_kappa_r_1_matches_frozen_mpmath_values(self):
         # c2 = 1/3 makes 3 c2 - 1 exactly 0 and leaves i0 alone, past kappa t
         # = 2, where j0'(kappa r) in its trig form cancels to about one ulp
-        # over (kappa r)^2: within 1e-12 relative from kappa r = 1e-3 up and
-        # 1e-9 below, bounds fixed before measuring
+        # over (kappa r)^2, and j0(kappa (t + r)) - j0(kappa (t - r)) in its
+        # difference form to about one ulp over kappa r: within 1e-12
+        # relative, a bound fixed before measuring
         c2 = 1.0 / 3.0
         assert 3.0 * c2 - 1.0 == 0.0
         for kappa, r, t, i0 in I0_REFERENCE:
             want = 2.0 * ALPHA / math.pi * (1.0 - c2) * i0
             got = float(_phi_edge_rt(t, r, c2, ALPHA, kappa))
-            bound = 1e-12 if kappa * r >= 1e-3 else 1e-9
-            assert abs(got - want) <= bound * abs(want), (kappa, r, t, got, want)
+            assert abs(got - want) <= 1e-12 * abs(want), (kappa, r, t, got, want)
 
     def test_continuous_across_lightcone(self):
         b = bath(kappa=1.0)
@@ -870,8 +870,13 @@ def both_route_phi_edge(t, r, c2, alpha, kappa):
     i0[short] = _second_difference(3, x[short], h[short], 2)
     x, h = x[~short], h[~short]
     j0_minus = np.divide(np.sin(x - h), x - h, out=np.ones_like(x), where=x != h)
+    j0_difference = np.sin(x + h) / (x + h) - j0_minus
+    low = x < 1.0  # the quotient form of the j0 difference
+    xl, hl = x[low], h[low]
+    numerator = hl * np.cos(hl) * np.sin(xl) - xl * np.sin(hl) * np.cos(xl)
+    j0_difference[low] = 2.0 * numerator / (hl * hl - xl * xl)
     s_1 = specfun._sine_moment(1, x, np.sin(x), np.cos(x))  # -j0'(x)
-    i0[~short] = np.sin(x + h) / (x + h) - j0_minus + 2.0 * h * s_1
+    i0[~short] = j0_difference + 2.0 * h * s_1
     i0 *= 0.5 * kappa / r
     return 2.0 * alpha / math.pi * ((1.0 - c2) * i0 + (3.0 * c2 - 1.0) * aniso)
 
