@@ -5,9 +5,11 @@ Runs each scenario through `dmtsim.cli.run` into a temporary directory and
 prints one `exit <name> <code>` line per run, then `sha256  <name>/<file>`
 for every CSV and report it wrote. Then prints the mean and standard error
 of `dmtsim.ensemble.average_phi00` at 12 significant digits for seeds 0-2
-under each kernel policy. `dmtsim` is imported from PYTHONPATH, so the same
-script digests any checkout; two checkouts give the same outputs (the
-Monte Carlo to 12 digits) exactly when their digests diff clean:
+under each kernel policy. The figure and codeword scenarios are the
+benchmark's, read from `perfbench/workloads.py`, so each is defined once.
+`dmtsim` is imported from PYTHONPATH, so the same script digests any
+checkout; two checkouts give the same outputs (the Monte Carlo to 12
+digits) exactly when their digests diff clean:
 
     PYTHONPATH=src python scripts/output_digest.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python scripts/output_digest.py > old.txt
@@ -17,7 +19,7 @@ Monte Carlo to 12 digits) exactly when their digests diff clean:
 from __future__ import annotations
 
 import hashlib
-import random
+import importlib.util
 import sys
 import tempfile
 from pathlib import Path
@@ -28,50 +30,13 @@ from dmtsim.geometry import GasSpec
 from dmtsim.kernels import BathParams
 from dmtsim.metric import KernelPolicy
 
-FIGURE = """
-[bath]
-alpha = 0.0072973525693
-kappa = 0.1
-
-[geometry]
-kind = lattice
-side = 31
-spacing = 1000
-
-[time]
-start = 1e-3
-end = 1e11
-points = 225
-
-[sweep]
-parameter = kappa
-values = 0.01 0.1 1
-
-[output]
-prefix = figure
-"""
-
-CODEWORD = """
-[bath]
-alpha = 0.0072973525693
-kappa = 0.1
-
-[geometry]
-kind = lattice
-side = 9
-spacing = 10.0
-
-[selection]
-indices = {indices}
-
-[time]
-start = 0.1
-end = 1e4
-points = 9
-
-[output]
-prefix = codeword
-"""
+# The figure and codeword scenarios are the benchmark's own, at its default seed
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
+workloads = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
+FIGURE = workloads.scenario_text("lattice_figure", workloads.DEFAULT_SEED)
+CODEWORD = workloads.scenario_text("codeword_quadrature", workloads.DEFAULT_SEED)
 
 GAS = """
 [bath]
@@ -262,7 +227,6 @@ points = 5
 prefix = far
 """
 
-CODEWORD_INDICES = " ".join(str(i) for i in sorted(random.Random(0).sample(range(81), 40)))
 GAS_SWEEP = "\n[sweep]\nparameter = {}\nvalues = {}\n"
 GAS_DENSITY_SWEEP = "\n[selection]\nindices = 0 1 2\n" + GAS_SWEEP.format(
     "density", "1e-4 1e-3 1e-2"
@@ -275,7 +239,7 @@ SCENARIOS = (
     ("figure_closed", FIGURE, "closed", None),
     ("figure_farfield", FIGURE, "farfield", None),
     ("figure_quadrature", FIGURE, "quadrature", None),
-    ("codeword_quadrature", CODEWORD.format(indices=CODEWORD_INDICES), "quadrature", None),
+    ("codeword_quadrature", CODEWORD, "quadrature", None),
     ("gas_density_closed", GAS.format(extra=GAS_DENSITY_SWEEP), "closed", None),
     ("gas_density_quadrature", GAS.format(extra=GAS_DENSITY_SWEEP), "quadrature", None),
     ("chain_tilt", CHAIN_TILT, "closed", None),
