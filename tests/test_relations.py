@@ -58,7 +58,7 @@ def scenes(draw):
     selected = draw(st.permutations(range(N_ATOMS)))[:N_SELECTED]
     kappa = draw(log_uniform(0.01, 1.0))
     inv_temperature = draw(st.none() | log_uniform(1.0, 100.0))
-    times = np.geomspace(1e-2, draw(log_uniform(1e2, 1e5)), N_TIMES)
+    times = np.geomspace(1e-2, draw(log_uniform(1e2, 1e4)), N_TIMES)
     return positions, dipole, selected, kappa, inv_temperature, times
 
 
