@@ -68,9 +68,10 @@ OSError met while writing can leave the files written before it.
 
 Each curve is one pass of the metric engine over the whole time grid (see
 dmtsim.metric): the kernels run once per distinct pair (r, cos^2 theta) and
-time, in blocks of times, and reduces each block of n x n parts where it is
-made. It returns the CSV's columns and the tensor at the final time, the
-only tensor built (for the property checks).
+time, in blocks of times, and each time is reduced to the CSV's columns
+from its kernel values, with no n x n array. It returns those columns and
+the tensor at the final time, the only tensor built (for the property
+checks).
 
 CSV columns: t, d_direct, d_indirect, d_total, valid_flag. The decoherence
 columns are for the all-plus vs all-minus codeword pair: d_direct sums 4 f_ij

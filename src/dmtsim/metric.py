@@ -15,13 +15,14 @@ each key's first atom pair, and every pair's key index. phi runs on
 is a rejected coincidence, through the formula kernels maps the kernel
 policy to. f runs through kernels' f route on the n x n selected table,
 whose key 0 (r = 0) is the diagonal and every coincident selected pair.
-Blocks are sized by the arrays they make: each kernel call covers up to
-_KERNEL_BLOCK (time, key) values, and its values are scattered to n x n
-parts in sub-blocks of times whose scattered phi, Gram block or f block
-holds at most _PART_BLOCK values. Each sub-block is reduced where it is
-made, to each time's direct and indirect sums and M's diagonal maximum,
-and dropped; only the tensor at the last time is kept. build_metric is
-that engine at a single t; the CLI runs it once per curve.
+Each kernel call covers up to _KERNEL_BLOCK (time, key) values. A curve
+row needs two sums and M's diagonal maximum, which each time gives in
+O(n m), with no n x n array: f's entry sum is sum_k count_k f_k over its
+keys, its diagonal f at key 0; with P the (n, m) phi block, Phi's entry sum
+is ||P^T 1||^2 and Phi_ii = sum_j P_ij^2, each a dot over P's distinct
+columns with their counts. Only the last time's tensor is built, as a Gram
+product. build_metric is that engine at a single t; the CLI runs it once
+per curve.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ _VALIDITY_THRESHOLD = 0.1
 # size: at 2^14 a figure curve (225 times x 119 keys) takes 2 phi calls, and
 # 2^15 was no faster while holding more.
 _KERNEL_BLOCK = 2**14
-# Values per array in a sub-block of n x n parts: the scattered (times, n, m)
-# phi, its (times, n, n) Gram product and the (times, n, n) f, each reduced
-# and dropped. With K <= n m keys, a kernel block's arrays are no larger per
-# time, so the two budgets bound the engine's memory whatever n, m and K are:
-# 120 selected of 121 atoms (19 keys, 225 times) trace 3.6 MB.
+# Values per array in a sub-block of the gathered (times, n, U) phi block,
+# U <= m its distinct columns, and of its square. A kernel block of K keys
+# gathers n U / K times its own size, large for a symmetric lattice with many
+# selected atoms; with both budgets the engine's memory is bounded whatever
+# n, m and K are: 120 selected of 121 atoms (19 keys, 225 times) trace 3.5 MB.
 _PART_BLOCK = 2**18
 
 
@@ -141,11 +142,12 @@ def _assemble(
     validity flags, and the MetricTensor at the last time; build_metric
     documents the assembly. Each pair block is reduced once per curve to its
     key table. The kernels run on blocks of _KERNEL_BLOCK // K times over
-    the table's K keys, and each block is scattered back through the inverse
-    index in sub-blocks of _PART_BLOCK // (n max(n, m)) times for phi and
-    _PART_BLOCK // n^2 for f. Each sub-block of n x n parts is reduced where
-    it is made and dropped, so memory does not grow with T, and is bounded
-    by the two budgets whatever n, m and K are; t = 0 rows are exact zeros.
+    the table's K keys, and phi is gathered over P's U distinct columns in
+    sub-blocks of _PART_BLOCK // (n U) times. Each time is reduced on its
+    own, by sums along fixed axes and one dot with the column counts per
+    time and row, so no bit depends on the block lengths or the other times,
+    and memory does not grow with T; t = 0 rows are exact zeros. The n x n
+    parts are formed once, at the last time.
     """
     times = np.asarray(times, dtype=float)
     if not (times.size and np.all(np.isfinite(times) & (times >= 0))):
@@ -154,57 +156,50 @@ def _assemble(
         raise MetricError("kernel_policy must be a KernelPolicy member")
     if mask.n_atoms != len(config):
         raise MetricError(f"mask covers {mask.n_atoms} atoms, the configuration {len(config)}")
-    n, m = mask.n_selected, mask.unobserved.size
+    n = mask.n_selected
 
     r_k, cos2_k, pairs, inverse = _key_table(config, mask.selected, mask.unobserved)
     if r_k.size and r_k[0] == 0.0:
         raise GeometryError(
             f"selected atom {pairs[0, 0]} coincides with unobserved atom {pairs[1, 0]} (r = 0)"
         )
-    # per time: each part's entry sum, and M's sum of |entries| and diagonal maximum
-    sums, size, peak = np.zeros((2, times.size)), np.zeros(times.size), np.zeros(times.size)
-    final = np.zeros((2, n, n))
-
-    def reduce(part, block, at, scale):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M raises below
-            block *= scale
-            sums[part, at] = block.reshape(at.size, -1).sum(axis=1)
-            peak[at] += block.diagonal(axis1=1, axis2=2).max(axis=1)
-            np.copyto(final[part], block[-1], where=at[-1] == times.size - 1)
-            size[at] += np.abs(block, out=block).sum(axis=(1, 2))
-
+    # per time: each part's entry sum, and M's diagonal maximum
+    sums, peak, final = np.zeros((2, times.size)), np.zeros(times.size), np.zeros((2, n, n))
     live = np.flatnonzero(times > 0.0)
-
-    def blocks(keys, width):
-        """The live times in kernel blocks of _KERNEL_BLOCK // keys, each
-        with the row slices of its sub-blocks of _PART_BLOCK // width."""
-        step, sub = max(1, _KERNEL_BLOCK // keys), max(1, _PART_BLOCK // width)
-        for s in range(0, live.size, step):
-            at = live[s : s + step]
-            yield at, [slice(j, j + sub) for j in range(0, at.size, sub)]
-
     if live.size:
         r_f, cos2_f, pairs_f, inverse_f = _key_table(config, mask.selected, mask.selected)
-        for at, rows in blocks(r_f.size, n * n):
+        count, step = np.bincount(inverse_f.ravel()), max(1, _KERNEL_BLOCK // r_f.size)
+        for at in (live[s : s + step] for s in range(0, live.size, step)):
             with np.errstate(over="ignore"):  # a non-finite M raises below
-                f = _f(times[at], r_f, cos2_f, bath, pairs_f)
-            for row in rows:
-                reduce(0, np.take(f[row], inverse_f, axis=1), at[row], 4.0)
-    for at, rows in blocks(r_k.size, n * max(n, m)) if r_k.size else ():
-        # a non-finite M raises below; where r^3 overflows, phi divides by r thrice
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            phi = _phi(times[at, None], r_k, cos2_k, bath, kernel_policy)
-            for row in rows:
-                # np.take keeps the scatter C-ordered: the Gram product's BLAS
-                # route, and so its last bits, then do not depend on the
-                # sub-block's length
-                part = np.take(phi[row], inverse, axis=1)
-                reduce(1, part @ part.transpose(0, 2, 1), at[row], 2.0)
-    # a finite sum of |entries| bounds M, its trace and the CSV's column sums
-    bad = np.flatnonzero(~np.isfinite(size))
+                f = 4.0 * _f(times[at], r_f, cos2_f, bath, pairs_f)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums[0, at], peak[at] = (f * count).sum(axis=1), f[:, 0]
+    if live.size and r_k.size:
+        # P's distinct columns and their counts w: the figure's 960 are 119
+        ordered = inverse[:, np.lexsort(inverse)]
+        start = np.flatnonzero(np.r_[True, np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)])
+        columns, weight = ordered[:, start], np.diff(start, append=inverse.shape[1]).astype(float)
+        step, sub = max(1, _KERNEL_BLOCK // r_k.size), max(1, _PART_BLOCK // columns.size)
+        for at in (live[s : s + step] for s in range(0, live.size, step)):
+            # a non-finite M raises below; where r^3 overflows, phi divides by r thrice
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                phi = _phi(times[at, None], r_k, cos2_k, bath, kernel_policy)
+                for j in range(0, at.size, sub):
+                    rows, part = at[j : j + sub], np.take(phi[j : j + sub], columns, axis=1)
+                    # Phi's entry sum ||P^T 1||^2 and Phi_ii = sum_j P_ij^2: one
+                    # dot with w per time and row, whatever the block's length
+                    sums[1, rows] = 2.0 * (np.square(part.sum(axis=1))[:, None] @ weight)[:, 0]
+                    peak[rows] += 2.0 * (np.square(part) @ weight).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M raises below
+        if times[-1] > 0.0:  # the one n x n product, at the last block's last time
+            final[0] = f[-1][inverse_f]
+            part = phi[-1][inverse] if r_k.size else np.zeros((n, 0))
+            final[1] = 2.0 * (part @ part.T)
+        # the CSV's columns are the two sums and their total; M is positive
+        # semidefinite, so n times its diagonal maximum bounds its entries and trace
+        bad = np.flatnonzero(~np.isfinite([*sums, sums[0] + sums[1], n * peak]).all(axis=0))
     if bad.size:
         raise MetricError(f"direct or indirect part of M is not finite at t = {times[bad[0]]:.6g}")
-    # M is positive semidefinite, so max |M_ij| is its largest diagonal entry
     valid = peak < _VALIDITY_THRESHOLD
     return sums[0], sums[1], valid, MetricTensor(float(times[-1]), *final, bool(valid[-1]))
 
@@ -227,12 +222,16 @@ def build_metric(
     that misses its tolerance raises QuadratureError naming the key's atom
     pair. A selected-unobserved coincidence is rejected because phi diverges
     there, and so are a separation whose square over- or underflows, a mask
-    built for another atom count than len(config), and an M whose entries,
-    or the sum of their sizes, are not finite.
+    built for another atom count than len(config), and an M whose entry
+    sums, their total or n times its diagonal maximum are not finite (M is
+    positive semidefinite, so that maximum bounds every entry and the trace).
 
     This is the curve engine at the one time t, the final tensor of a
-    one-time grid; the CLI runs the engine over a whole grid, and that
-    curve's sums and flag at t are this tensor's, bit for bit.
+    one-time grid. The CLI runs the engine over a whole grid: that curve's
+    sums and flag at t are, bit for bit, those of the engine run at t alone,
+    and its final tensor is build_metric at its last time, bit for bit. A
+    curve sums Phi as ||P^T 1||^2, not over this tensor's entries, so each
+    sum is within rounding of this tensor's entry sum, not its bits.
     """
     return _assemble(config, mask, bath, [t], kernel_policy)[3]
 

@@ -42,7 +42,6 @@ from dmtsim.metric import (
     MetricTensor,
     _assemble,
     _forms,
-    _key_table,
     build_metric,
     check_nonnegative,
     check_triangle,
@@ -283,22 +282,29 @@ def _bits(values) -> np.ndarray:
 
 
 def assert_curve_is_build_metric(config, mask, b, times, policy):
-    """The engine's d_direct, d_indirect and valid at every time equal the
-    entry sums and flag of build_metric at that time, and its final tensor
-    equals build_metric at the last time, bit for bit. Returns the tensors."""
+    """The curve's contract with build_metric. Bit for bit: the engine's
+    d_direct, d_indirect and valid at every time are those of a one-time
+    engine run at that time, and its final tensor is build_metric at the
+    last time. Within rounding: each sum is within 1e-13 times the sum of
+    the one-time tensor's |entries| of that tensor's entry sum, since the
+    engine sums Phi as ||P^T 1||^2, not over the Gram product's entries.
+    Returns the one-time tensors."""
     d_direct, d_indirect, valid, final = _assemble(config, mask, b, times, policy)
     assert d_direct.shape == d_indirect.shape == valid.shape == (len(times),)
-    tensors = [build_metric(config, mask, b, t, kernel_policy=policy) for t in times]
-    np.testing.assert_array_equal(_bits(d_direct), _bits([M.direct_part.sum() for M in tensors]))
-    np.testing.assert_array_equal(
-        _bits(d_indirect), _bits([M.indirect_part.sum() for M in tensors])
-    )
-    assert valid.tolist() == [M.validity_flag for M in tensors]
+    singles = [_assemble(config, mask, b, [t], policy) for t in times]
+    np.testing.assert_array_equal(_bits(d_direct), _bits([one[0][0] for one in singles]))
+    np.testing.assert_array_equal(_bits(d_indirect), _bits([one[1][0] for one in singles]))
+    assert valid.tolist() == [bool(one[2][0]) for one in singles]
+    tensors = [one[3] for one in singles]
     assert [M.time for M in tensors] == [float(t) for t in times]
-    last = tensors[-1]
+    last = build_metric(config, mask, b, times[-1], kernel_policy=policy)
     np.testing.assert_array_equal(_bits(final.direct_part), _bits(last.direct_part))
     np.testing.assert_array_equal(_bits(final.indirect_part), _bits(last.indirect_part))
     assert (final.time, final.validity_flag) == (last.time, last.validity_flag)
+    for column, name in ((d_direct, "direct_part"), (d_indirect, "indirect_part")):
+        parts = [getattr(M, name) for M in tensors]
+        sizes = np.array([np.abs(part).sum() for part in parts])
+        assert np.all(np.abs(column - [part.sum() for part in parts]) <= 1e-13 * sizes)
     return tensors
 
 
@@ -427,35 +433,34 @@ class TestCurveEngine:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
-    def test_engine_holds_one_gram_block_and_one_f_block(self):
-        # Every atom of a 9x9 lattice but the centre selected: few phi keys
-        # make long phi blocks, each with a Gram block of step x n^2 values.
-        # The traced peak over 225 times must stay below twice one Gram block
-        # plus one f block (f_step x n^2). Holding both n x n parts of
-        # max(step, _BLOCK // n^2) times at once traced 35.0 MB, over the
-        # bound's 22.6 MB.
+    def test_engine_makes_no_gram_block_per_time(self, monkeypatch):
+        # Every atom of a 9x9 lattice but the centre selected, with the part
+        # budget lifted so nothing is cut into sub-blocks: the engine reduces
+        # each time from its gathered 80 x 1 phi block and f's key table, so
+        # the traced peak over 400 times must stay below half of one
+        # (400, 80, 80) stack of n x n parts, 10.2 MB. Forming the Gram
+        # product and the scattered f at every time traced 21.1 MB here, and
+        # the engine traces about 6.3 MB, most of it kernel temporaries.
+        monkeypatch.setattr(metric, "_PART_BLOCK", 2**40)
         config, _ = square_lattice_2d(9, 10.0, (math.sin(0.7), 0.0, math.cos(0.7)))
         mask = SelectionMask.from_selected(81, [i for i in range(81) if i != 40])
-        step = kernels._BLOCK // _key_table(config, mask.selected, mask.unobserved)[0].size
-        f_step = kernels._BLOCK // _key_table(config, mask.selected, mask.selected)[0].size
-        blocks = (step + f_step) * mask.n_selected**2 * 8
+        times = np.geomspace(0.1, 1e6, 400)
         tracemalloc.start()
         try:
-            _assemble(config, mask, BathParams(ALPHA, 0.3), np.geomspace(0.1, 1e6, 225))
+            _assemble(config, mask, BathParams(ALPHA, 0.3), times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * blocks
+        assert peak < times.size * mask.n_selected**2 * 8 / 2
 
     def test_engine_peak_is_bounded_by_the_two_budgets(self):
         # 120 selected of an 11x11 lattice around its unobserved centre, under
         # a dipole normal to the plane: 19 phi keys, so one kernel block spans
-        # every time, and its 120 x 120 Gram blocks must come in sub-blocks.
-        # The traced peak over 225 times must stay below three part arrays of
-        # _PART_BLOCK values (the scattered phi, its Gram block, and a margin
-        # for the f block) plus sixteen kernel temporaries of _KERNEL_BLOCK
-        # values. One count of 4,096 (time, key) values for every block traced
-        # 25.4 MB here.
+        # every time. The traced peak over 225 times must stay below three
+        # part arrays of _PART_BLOCK values (the gathered phi, its square, and
+        # a margin for the key tables and the final tensor) plus sixteen
+        # kernel temporaries of _KERNEL_BLOCK values. One count of 4,096
+        # (time, key) values for every block traced 25.4 MB here.
         config, _ = square_lattice_2d(11, 10.0, (0.0, 0.0, 1.0))
         mask = SelectionMask.from_selected(121, [i for i in range(121) if i != 60])
         bound = (3 * metric._PART_BLOCK + 16 * metric._KERNEL_BLOCK) * 8
