@@ -93,6 +93,8 @@ class BathParams:
         Dimensionless atom-field coupling strength, > 0.
     kappa : float
         Dimensionless UV cutoff (max wavenumber times dipole length), > 0, kappa**4 finite.
+        The bound keeps kappa**2, a Python float power in the zero-temperature
+        f (_f_closed_rt) that raises OverflowError past about 1.34e154, finite.
     inv_temperature : float or None
         Inverse temperature beta entering coth(beta q / 2); None means zero
         temperature (coth = 1). When given, beta kappa must not underflow
@@ -110,7 +112,9 @@ class BathParams:
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise KernelDomainError("kappa must be finite and > 0")
         try:
-            float(self.kappa) ** 4  # the largest power of kappa taken (gas_scales)
+            # guards kappa**2 in _f_closed_rt, a Python float power that raises
+            # OverflowError past about 1.34e154, by the stricter kappa**4
+            float(self.kappa) ** 4
         except OverflowError:
             raise KernelDomainError(f"kappa**4 overflows at kappa = {self.kappa:g}") from None
         if self.inv_temperature is not None:

@@ -630,8 +630,9 @@ points = 5
                 1,
                 "config error: [sweep.values] value inf: ",
             ),
-            # kappa**4, the largest power of kappa taken (in the gas scales),
-            # must be finite, in the file and in a sweep
+            # kappa**4 must be finite, in the file and in a sweep: that keeps
+            # kappa**2 in kernels._f_closed_rt, a Python float power that
+            # raises OverflowError past about 1.34e154, finite
             (SMOKE.replace("kappa = 0.1", "kappa = 1e160"), 1, "config error: [bath] "),
             (
                 with_geometry(POISSON_GAS).replace("kappa = 0.1", "kappa = 1e100"),
