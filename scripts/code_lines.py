@@ -1,4 +1,5 @@
-"""Print the code lines of each Python module under a source tree, and their total.
+"""Print the code lines and the raw lines of each Python module under a
+source tree, and their totals, code lines first.
 
 A code line is a line that holds a token other than a comment; a token that
 spans lines, such as a multi-line string, holds every line it spans. The
@@ -52,12 +53,14 @@ def main(argv: list) -> int:
         print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
         return 2
     root = Path(argv[1])
-    total = 0
+    totals = [0, 0]
+    print("  code     raw  module")
     for path in sorted(root.rglob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+        text = path.read_text()
+        counts = code_lines(text), len(text.splitlines())
+        totals = [total + count for total, count in zip(totals, counts)]
+        print(f"{counts[0]:6d}  {counts[1]:6d}  {path.relative_to(root)}")
+    print(f"{totals[0]:6d}  {totals[1]:6d}  total")
     return 0
 
 
