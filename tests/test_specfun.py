@@ -6,6 +6,8 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
+from dmtsim import specfun
+
 from dmtsim.specfun import (
     _ACCUMULATE_MAX,
     _ASYMPTOTIC_CUTOFF,
@@ -15,6 +17,7 @@ from dmtsim.specfun import (
     _ci,
     _cin,
     _cin_difference,
+    _e1_imaginary,
     _fitted_auxiliary,
     _moments,
     _si_asymptotic,
@@ -294,6 +297,56 @@ def test_auxiliary_bits_on_dense_grids():
         same_auxiliary(np.array([x]))
         same_auxiliary(np.array(x))
     same_auxiliary(np.concatenate([far[1:], AUX_EDGES]).reshape(-1, 2))
+
+
+def loop_e1_imaginary(x, max_iter):
+    """E1(ix) by the Lentz loop over the whole array, which freezes an
+    element's f once it converges; also each element's convergence step
+    (0 if it never converges)."""
+    z = 1j * np.asarray(x, dtype=float)
+    tiny = 1e-290
+    b = z + 1.0
+    f = np.where(b == 0, tiny, b)
+    c, d = f.copy(), np.zeros_like(f)
+    converged, step = np.zeros(z.shape, dtype=bool), np.zeros(z.shape, dtype=int)
+    for n in range(1, max_iter + 1):
+        a = -float(n * n)
+        b = b + 2.0
+        d = b + a * d
+        d = np.where(d == 0, tiny, d)
+        c = b + a / c
+        c = np.where(c == 0, tiny, c)
+        d = 1.0 / d
+        delta = c * d
+        f = np.where(converged, f, f * delta)
+        now = ~converged & (np.abs(delta - 1.0) < 1e-16)
+        step[now], converged = n, converged | now
+        if converged.all():
+            break
+    return np.exp(-z) / f, step
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("max_iter", [None, 12, 3])
+def test_e1_without_converged_elements_keeps_the_whole_array_bits(monkeypatch, max_iter):
+    # each element converges at its own step, 8 to 21 on (18, 40); with 12
+    # or 3 steps allowed some or all leave at the _CF_MAX_ITER exit instead
+    if max_iter is not None:
+        monkeypatch.setattr(specfun, "_CF_MAX_ITER", max_iter)
+    rng = np.random.default_rng(37)
+    x = np.concatenate([ulp_neighbours([18.0, 40.0])[1:-1], np.linspace(18.0, 40.0, 1002)[1:-1]])
+    x = np.concatenate([x, rng.uniform(18.0, 40.0, 500)])
+    want, step = loop_e1_imaginary(x, specfun._CF_MAX_ITER)
+    if max_iter is None:
+        assert 0 < step.min() < step.max()  # all converge, at staggered steps
+    else:
+        assert (step == 0).any()  # some elements stop at the step cap
+    pairs = x[::-1].reshape(-1, 2)
+    for got, wanted in ((_e1_imaginary(x), want), (_e1_imaginary(pairs), want[::-1].reshape(-1, 2))):
+        same_bits(got.real, wanted.real)
+        same_bits(got.imag, wanted.imag)
+    same_bits(_e1_imaginary(x[7]).imag, want[7].imag)  # a 0-d argument
+    assert _e1_imaginary(np.empty(0)).shape == (0,)
 
 
 def test_far_edge_omits_only_terms_below_half_an_ulp():
