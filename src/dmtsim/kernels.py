@@ -270,8 +270,8 @@ def _second_difference_chunk(row: int, c, w, order: int) -> np.ndarray:
     m = _specfun._sine_moment(row, c + sign * u, sin_y, cos_y)
     values = (w[:, None] - u) ** order / math.factorial(order) * (m[0] + m[1])
     total = np.zeros_like(w)
-    for k in range(xi.size):  # node by node: the same bits at any array length
-        total += weight[k] * values[:, k]
+    for term in values.T * weight[:, None]:  # node by node: the same bits at any length
+        total += term
     return 0.5 * w * total
 
 
@@ -287,23 +287,28 @@ def _moment_series(x: np.ndarray, h: np.ndarray, c2: np.ndarray) -> np.ndarray:
     one walk up specfun._moment_chain from S_0, which amplifies rounding by at
     most n!/h^n in the n-th moment: 4e7 at n = 15, h = 2, against a weight
     x^14/15! of 5e-17. At h = inf the integral averages out and M_k is 1/(2k+2).
+
+    Where every x is 0 only M_0 is evaluated, by the same calls: each later
+    Horner step adds a term times x^2 = 0, a signed zero that leaves
+    w_0 M_0 >= +0 as it is, so the bits are those of all eight rows.
     """
-    denominators = 2 * np.arange(_MOMENT_TERMS)[:, None] + 2  # 2k + 2
-    moments = np.empty((_MOMENT_TERMS,) + x.shape)
+    rows = _MOMENT_TERMS if x.any() else 1
+    denominators = 2 * np.arange(rows)[:, None] + 2  # 2k + 2
+    moments = np.empty((rows,) + x.shape)
     low = h <= 2.0
     if low.any():
-        moments[:, low] = -_specfun._moments(h[low], range(1, 2 * _MOMENT_TERMS, 2), 12)
+        moments[:, low] = -_specfun._moments(h[low], range(1, 2 * rows, 2), 12)
     late = np.isinf(h)
     moments[:, late] = 1.0 / denominators
     high = ~low & ~late
     if high.any():
         hh = h[high]
-        chain = _specfun._moment_chain(hh, np.sin(hh), np.cos(hh), False, 2 * _MOMENT_TERMS - 1)
+        chain = _specfun._moment_chain(hh, np.sin(hh), np.cos(hh), False, 2 * rows - 1)
         for n, m in enumerate(chain):  # S_0, K_1, S_2, K_3, ...
             if n % 2:
                 moments[n // 2, high] = 1.0 / (n + 1) - m
     total, x2 = np.zeros_like(x), x * x
-    for k in reversed(range(_MOMENT_TERMS)):  # Horner's rule in x^2
+    for k in reversed(range(rows)):  # Horner's rule in x^2
         w_k = (-1) ** k * (
             (1.0 - c2) / math.factorial(2 * k + 1)
             + (3.0 * c2 - 1.0) * (2 * k + 2) / math.factorial(2 * k + 3)

@@ -745,6 +745,71 @@ def test_second_difference_chunks_keep_the_bits_of_single_centers(row, order):
     same_bits(got, alone)
 
 
+def loop_second_difference_chunk(row, c, w, order):
+    """_second_difference_chunk with its node sum as one multiply-add per node."""
+    c = c[:, None]
+    xi, weight = kernels._GL_SHORT
+    u = 0.5 * w[:, None] * (1.0 + xi)
+    sign = np.array([1.0, -1.0])[:, None, None]
+    sin_y, cos_y = specfun._angle_sum(np.sin(c), np.cos(c), np.sin(u), np.cos(u), sign)
+    m = specfun._sine_moment(row, c + sign * u, sin_y, cos_y)
+    values = (w[:, None] - u) ** order / math.factorial(order) * (m[0] + m[1])
+    total = np.zeros_like(w)
+    for k in range(xi.size):
+        total += weight[k] * values[:, k]
+    return 0.5 * w * total
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("row, order", [(2, 1), (2, 2), (3, 2)])
+def test_second_difference_node_sum_keeps_the_node_loop_bits(row, order):
+    # zero widths (a +0.0 sum) and centers of either sign, as chunks of
+    # 1, 7 and 1,024 centers
+    rng = np.random.default_rng(12)
+    c = np.concatenate([[0.0, -0.0, 1.0, -3.0], 10.0 ** rng.uniform(-3.0, 4.0, 1020)])
+    c[::3] *= -1.0
+    w = np.minimum(10.0 ** rng.uniform(-7.0, 0.5, c.size), 2.0)
+    w[::5] = 0.0
+    want = loop_second_difference_chunk(row, c, w, order)
+    same_bits(kernels._second_difference_chunk(row, c, w, order), want)
+    for size in (1, 7):
+        same_bits(kernels._second_difference_chunk(row, c[:size], w[:size], order), want[:size])
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("c2", [1.0, 0.0, 0.3])
+def test_moment_series_on_the_diagonal_keeps_the_eight_row_bits(monkeypatch, c2):
+    # x = 0 evaluates M_0 alone, by the same calls restricted to one row;
+    # one appended x > 0 makes the same call take all eight rows, elementwise,
+    # for h <= 2 (the series), h > 2 (the recurrence) and h = inf
+    h = np.concatenate(
+        [[0.0, 5e-324, 1e-300], np.geomspace(1e-8, 2.0, 200), [np.nextafter(2.0, 3.0)]]
+        + [np.geomspace(2.0, 1e12, 300)[1:], [1e300, np.inf]]
+    )
+    x, c = np.zeros_like(h), np.full_like(h, c2)
+    rows = []
+    moments, chain = specfun._moments, specfun._moment_chain
+
+    def counted_moments(y, k, terms, odd=False):
+        out = moments(y, k, terms, odd)
+        rows.append(out.shape[0])
+        return out
+
+    def counted_chain(y, sin_y, cos_y, odd, stop):
+        rows.append(stop)
+        return chain(y, sin_y, cos_y, odd, stop)
+
+    monkeypatch.setattr(specfun, "_moments", counted_moments)
+    monkeypatch.setattr(specfun, "_moment_chain", counted_chain)
+    eight = _moment_series(np.r_[x, 0.25], np.r_[h, 1.0], np.r_[c, c2])[:-1]
+    assert rows == [8, 15]  # eight rows M_0 .. M_7, from a chain up to K_15
+    rows.clear()
+    same_bits(_moment_series(x, h, c), eight)
+    assert rows == [1, 1]  # M_0 alone, from a chain up to K_1
+    for part in (slice(0, 3), slice(3, 204), slice(204, None)):  # one route at a time
+        same_bits(_moment_series(x[part], h[part], c[part]), eight[part])
+
+
 # -- the closed f's calls -----------------------------------------------------
 # B's Cin bracket is one _second_difference call over both of its short
 # routes, T(max(x, h), min(x, h)), which must leave every value's bits as
