@@ -71,7 +71,9 @@ dmtsim.metric): the kernels run once per distinct pair (r, cos^2 theta) and
 time, in blocks of times, and each time is reduced to the CSV's columns
 from its kernel values, with no n x n array. It returns those columns and
 the tensor at the final time, the only tensor built (for the property
-checks).
+checks). Curves on one geometry, as every curve of a kappa sweep is, share
+its key tables and its effective neighbor count, each built once, and a
+run formats its time column once for all its CSVs.
 
 CSV columns: t, d_direct, d_indirect, d_total, valid_flag. The decoherence
 columns are for the all-plus vs all-minus codeword pair: d_direct sums 4 f_ij
@@ -104,7 +106,7 @@ from .geometry import (
     square_lattice_2d,
 )
 from .kernels import BathParams, KernelDomainError, KernelPolicy, QuadratureError
-from .metric import MetricError, _assemble, check_nonnegative, check_triangle
+from .metric import MetricError, _assemble, _pair_tables, check_nonnegative, check_triangle
 
 __all__ = [
     "ScenarioError",
@@ -343,7 +345,9 @@ def _apply_selection(config: AtomConfig, default: SelectionMask, indices) -> Sel
 def _sweep_variants(scenario: Scenario):
     """Yield (label, bath, geometry params, config, mask, sweep value) per
     curve. The file's own geometry is built first, so its errors name
-    [geometry]; a curve whose params equal the file's reuses that build."""
+    [geometry]; the curves whose params equal the file's (every curve of a
+    kappa sweep) share that build and one mask on it, so run() can share
+    their key tables."""
     kind, params = scenario.geometry_kind, scenario.geometry_params
     try:
         base = _build_geometry(kind, params)
@@ -355,7 +359,7 @@ def _sweep_variants(scenario: Scenario):
         mask = _apply_selection(config, default, scenario.selection)
         yield scenario.prefix, scenario.bath, params, config, mask, None
         return
-    param = sweep.parameter
+    param, base_mask = sweep.parameter, None
     for value in sweep.values:
         swept = dict(params)
         try:
@@ -369,7 +373,10 @@ def _sweep_variants(scenario: Scenario):
             config, default = base if swept == params else _build_geometry(kind, swept)
         except (ValueError, MemoryError) as exc:
             raise ScenarioError("sweep.values", f"value {value:g}: {exc}") from None
-        mask = _apply_selection(config, default, scenario.selection)
+        if swept != params:
+            mask = _apply_selection(config, default, scenario.selection)
+        else:  # one mask for every curve on the file's own build
+            mask = base_mask = base_mask or _apply_selection(config, default, scenario.selection)
         yield f"{scenario.prefix}_{param}={value:g}", bath, swept, config, mask, value
 
 
@@ -413,20 +420,24 @@ def _check_name_lengths(target: Path, names) -> None:
             )
 
 
-def _write_csv(path: Path, times, d_dir, d_ind, valid):
+def _write_csv(path: Path, stamps, d_dir, d_ind, valid):
+    """Write a curve's CSV; stamps holds each time's "{:.17g}" text, formatted
+    once for every curve of a run."""
     lines = [CSV_HEADER]
     # Python floats format faster than numpy scalars, to the same text
-    columns = (np.asarray(c).tolist() for c in (times, d_dir, d_ind, valid))
-    for t, dd, di, ok in zip(*columns):
+    columns = (np.asarray(c).tolist() for c in (d_dir, d_ind, valid))
+    for t, dd, di, ok in zip(stamps, *columns):
         total = dd + di
-        lines.append(f"{t:.17g},{dd:.17g},{di:.17g},{total:.17g},{1 if ok else 0}")
+        lines.append(f"{t},{dd:.17g},{di:.17g},{total:.17g},{1 if ok else 0}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def _scale_lines(kind, params, bath, config, mask) -> list:
+def _scale_lines(kind, params, bath, n_nn) -> list:
+    """The report's scale line: a lattice's or chain's from n_nn, the
+    effective neighbor count of its one selected atom (None for more), or a
+    gas's."""
     out = []
-    if kind in ("lattice", "chain") and mask.n_selected == 1:
-        n_nn = effective_neighbors(config, mask)
+    if n_nn is not None:
         scales = lattice_scales(params["spacing"], bath, n_nn)
         out.append(
             f"  lattice scales: N_nn = {n_nn:.6g}, t1 = {scales.t1:.6g}, "
@@ -486,10 +497,20 @@ def run(
     if seed_override is not None:
         report.append(f"seed override: {seed_override}")
 
-    sweep_rows, curves = [], []
+    # per (config, mask) pair: its key tables and N_nn, shared by the curves
+    # on it, as every curve of a kappa sweep is
+    sweep_rows, curves, shared = [], [], {}
     try:
         for label, bath, params, config, mask, value in variants:
-            d_dir, d_ind, valid, final = _assemble(config, mask, bath, times, kernel_policy)
+            geometry = (id(config), id(mask))  # variants holds both alive
+            if geometry not in shared:
+                tables = _pair_tables(config, mask)  # its refusals come first
+                single = scenario.geometry_kind in ("lattice", "chain") and mask.n_selected == 1
+                shared[geometry] = tables, effective_neighbors(config, mask) if single else None
+            tables, n_nn = shared[geometry]
+            d_dir, d_ind, valid, final = _assemble(
+                config, mask, bath, times, kernel_policy, tables
+            )
             curves.append((target / f"{label}.csv", d_dir, d_ind, valid))
 
             report.append(f"curve {label}:")
@@ -501,7 +522,7 @@ def run(
                 "  dipole advisory (kappa >= 1): "
                 + ("outside nominal regime" if bath.dipole_advisory else "ok")
             )
-            report.extend(_scale_lines(scenario.geometry_kind, params, bath, config, mask))
+            report.extend(_scale_lines(scenario.geometry_kind, params, bath, n_nn))
             cross = crossover_detect(times, d_dir, d_ind)
             report.append(
                 "  crossover (indirect overtakes direct): "
@@ -535,8 +556,9 @@ def run(
             best = f"phi00 = {end / 2.0:.6g}" if single else f"d_indirect(t_end) = {end:.6g}"
             report.append(f"  minimizer: {param} = {value:.6g} ({best})")
 
+        stamps = [f"{t:.17g}" for t in times.tolist()]
         for csv_path, d_dir, d_ind, valid in curves:  # every curve has passed its checks
-            _write_csv(csv_path, times, d_dir, d_ind, valid)
+            _write_csv(csv_path, stamps, d_dir, d_ind, valid)
         (target / f"{scenario.prefix}_report.txt").write_text("\n".join(report) + "\n")
     except QuadratureError as exc:
         print(

@@ -9,8 +9,10 @@ entry of M stays small; the validity flag tracks that regime.
 
 One engine assembles M over a whole time grid. A kernel value depends on a
 pair only through its (r, cos^2 theta), so the engine reduces each pair
-block once per curve to one key table: the block's sorted distinct keys,
-each key's first atom pair, and every pair's key index. phi runs on
+block to one key table: the block's sorted distinct keys, each key's first
+atom pair, and every pair's key index. _pair_tables builds both tables, f's
+key counts and P's distinct columns from the geometry alone, once per
+geometry, so the curves of a kappa sweep share them. phi runs on
 (time, key) blocks of the selected x unobserved table, where a key at r = 0
 is a rejected coincidence, through the formula kernels maps the kernel
 policy to. f runs through kernels' f route on the n x n selected table,
@@ -22,7 +24,7 @@ keys, its diagonal f at key 0; with P the (n, m) phi block, Phi's entry sum
 is ||P^T 1||^2 and Phi_ii = sum_j P_ij^2, each a dot over P's distinct
 columns with their counts. Only the last time's tensor is built, as a Gram
 product. build_metric is that engine at a single t; the CLI runs it once
-per curve.
+per curve, on the tables of the curve's geometry.
 """
 
 from __future__ import annotations
@@ -130,18 +132,49 @@ def _key_table(config: AtomConfig, rows, cols):
     return keys.real.copy(), keys.imag.copy(), pairs, inverse.reshape(r.shape)
 
 
+def _pair_tables(config: AtomConfig, mask: SelectionMask, direct: bool = True):
+    """What the engine derives from a geometry alone, so that the curves of
+    one geometry (a kappa sweep's) share it: (phi_keys, columns, weight,
+    f_keys, count). phi_keys is the selected x unobserved key table, and
+    columns and weight are P's distinct columns and their counts (None
+    without unobserved atoms). f_keys is the selected x selected table and
+    count each of its keys' pair count, built only if direct: only a positive
+    time needs f. A mask built for another atom count than len(config), and
+    a selected atom on an unobserved one, raise.
+    """
+    if mask.n_atoms != len(config):
+        raise MetricError(f"mask covers {mask.n_atoms} atoms, the configuration {len(config)}")
+    phi_keys = _key_table(config, mask.selected, mask.unobserved)
+    r_k, _, pairs, inverse = phi_keys
+    if r_k.size and r_k[0] == 0.0:
+        raise GeometryError(
+            f"selected atom {pairs[0, 0]} coincides with unobserved atom {pairs[1, 0]} (r = 0)"
+        )
+    columns = weight = f_keys = count = None
+    if r_k.size:  # P's distinct columns and their counts w: the figure's 960 are 119
+        ordered = inverse[:, np.lexsort(inverse)]
+        start = np.flatnonzero(np.r_[True, np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)])
+        columns, weight = ordered[:, start], np.diff(start, append=inverse.shape[1]).astype(float)
+    if direct:
+        f_keys = _key_table(config, mask.selected, mask.selected)
+        count = np.bincount(f_keys[3].ravel())
+    return phi_keys, columns, weight, f_keys, count
+
+
 def _assemble(
     config: AtomConfig,
     mask: SelectionMask,
     bath: BathParams,
     times,
     kernel_policy: KernelPolicy = KernelPolicy.CLOSED_FORM,
+    tables=None,
 ):
     """(d_direct, d_indirect, valid, final) of M(t) over a nonempty time grid:
     the (T,) sums of the direct and of the indirect entries, the (T,)
     validity flags, and the MetricTensor at the last time; build_metric
-    documents the assembly. Each pair block is reduced once per curve to its
-    key table. The kernels run on blocks of _KERNEL_BLOCK // K times over
+    documents the assembly. Each pair block is reduced to its key table by
+    _pair_tables, once per call unless tables holds that of (config, mask).
+    The kernels run on blocks of _KERNEL_BLOCK // K times over
     the table's K keys, and phi is gathered over P's U distinct columns in
     sub-blocks of _PART_BLOCK // (n U) times. Each time is reduced on its
     own, by sums along fixed axes and one dot with the column counts per
@@ -154,31 +187,22 @@ def _assemble(
         raise MetricError("time must be finite and >= 0, in a nonempty grid")
     if not isinstance(kernel_policy, KernelPolicy):
         raise MetricError("kernel_policy must be a KernelPolicy member")
-    if mask.n_atoms != len(config):
-        raise MetricError(f"mask covers {mask.n_atoms} atoms, the configuration {len(config)}")
+    live = np.flatnonzero(times > 0.0)
+    if tables is None:
+        tables = _pair_tables(config, mask, live.size > 0)
+    (r_k, cos2_k, _, inverse), columns, weight, f_keys, count = tables
     n = mask.n_selected
-
-    r_k, cos2_k, pairs, inverse = _key_table(config, mask.selected, mask.unobserved)
-    if r_k.size and r_k[0] == 0.0:
-        raise GeometryError(
-            f"selected atom {pairs[0, 0]} coincides with unobserved atom {pairs[1, 0]} (r = 0)"
-        )
     # per time: each part's entry sum, and M's diagonal maximum
     sums, peak, final = np.zeros((2, times.size)), np.zeros(times.size), np.zeros((2, n, n))
-    live = np.flatnonzero(times > 0.0)
     if live.size:
-        r_f, cos2_f, pairs_f, inverse_f = _key_table(config, mask.selected, mask.selected)
-        count, step = np.bincount(inverse_f.ravel()), max(1, _KERNEL_BLOCK // r_f.size)
+        r_f, cos2_f, pairs_f, inverse_f = f_keys
+        step = max(1, _KERNEL_BLOCK // r_f.size)
         for at in (live[s : s + step] for s in range(0, live.size, step)):
             with np.errstate(over="ignore"):  # a non-finite M raises below
                 f = 4.0 * _f(times[at], r_f, cos2_f, bath, pairs_f)
             with np.errstate(over="ignore", invalid="ignore"):
                 sums[0, at], peak[at] = (f * count).sum(axis=1), f[:, 0]
     if live.size and r_k.size:
-        # P's distinct columns and their counts w: the figure's 960 are 119
-        ordered = inverse[:, np.lexsort(inverse)]
-        start = np.flatnonzero(np.r_[True, np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)])
-        columns, weight = ordered[:, start], np.diff(start, append=inverse.shape[1]).astype(float)
         step, sub = max(1, _KERNEL_BLOCK // r_k.size), max(1, _PART_BLOCK // columns.size)
         for at in (live[s : s + step] for s in range(0, live.size, step)):
             # a non-finite M raises below; where r^3 overflows, phi divides by r thrice
@@ -358,6 +382,19 @@ def check_nonnegative(M: MetricTensor, trials: int, seed: int) -> NonNegativityR
     )
 
 
+def _random_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """rng.integers(0, 2, size=shape, dtype=np.int32) of a fresh Philox
+    generator, read from its raw words: that draw's bit is the top bit of a
+    32-bit half of the next word, low half first (Lemire's method with a
+    range of 2 never rejects), and a shift of the halves takes about half the
+    draw's time (tests/test_metric.py holds the two equal)."""
+    count = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-count // 2)).astype("<u8", copy=False)
+    halves = words.view("<u4")  # low half first on any byte order
+    np.right_shift(halves, 31, out=halves)  # in place, in the words' memory
+    return halves[:count].view("<i4").reshape(shape)
+
+
 @dataclass(frozen=True)
 class TriangleReport:
     passed: bool
@@ -370,11 +407,10 @@ def check_triangle(M: MetricTensor, triples: int, seed: int) -> TriangleReport:
     """Random codeword triples (s, s', s''): d(s, s'') <= d(s, s') + d(s', s'')
     up to a slack covering both the epsilon clamp and sqrt-level roundoff.
 
-    The codeword bits are drawn as int32, which gives the same values as
-    numpy's default int64 draw from the same generator in half the memory
-    (tests/test_metric.py holds the two equal)."""
+    The codeword bits are _random_bits, those of numpy's
+    rng.integers(0, 2, size=(3, triples, n)) in half the time."""
     rng = _check_rng("triples", triples, seed)
-    b = rng.integers(0, 2, size=(3, triples, M.n), dtype=np.int32)
+    b = _random_bits(rng, (3, triples, M.n))
     mat = M.matrix
     eps = M.epsilon
     # s - s' = 2 (b - b') exactly, for the codewords s = 2 b - 1

@@ -10,6 +10,7 @@ import pytest
 from conftest import pair_geometry
 
 import dmtsim
+from dmtsim import metric
 from dmtsim.cli import (
     CSV_HEADER,
     Scenario,
@@ -1017,6 +1018,49 @@ class TestSweeps:
         report = (out / "smoke_report.txt").read_text()
         assert "sweep summary (kappa):" in report
         assert "minimizer: kappa" in report
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("selection", ["", "12", "12 7"])
+    def test_kappa_sweep_equals_single_kappa_runs(self, tmp_path, selection):
+        # a kappa sweep's curves share one geometry's key tables, N_nn and
+        # time column: each CSV and report block must be a single run's
+        text = SMOKE + (f"\n[selection]\nindices = {selection}\n" if selection else "")
+        sweep = text + "\n[sweep]\nparameter = kappa\nvalues = 0.01 0.1 1\n"
+        assert run(write_scenario(tmp_path, sweep), out_dir=str(tmp_path / "sweep")) == 0
+        blocks = report_blocks(tmp_path / "sweep" / "smoke_report.txt")
+        assert len(blocks) == 3
+        for kappa in (0.01, 0.1, 1.0):
+            single = text.replace("kappa = 0.1", f"kappa = {kappa!r}")
+            out = tmp_path / f"kappa={kappa:g}"
+            assert run(write_scenario(tmp_path, single, f"{kappa:g}.ini"), out_dir=str(out)) == 0
+            label = f"smoke_kappa={kappa:g}"
+            csv = (tmp_path / "sweep" / f"{label}.csv").read_bytes()
+            assert csv == (out / "smoke.csv").read_bytes()
+            assert blocks[label] == report_blocks(out / "smoke_report.txt")["smoke"]
+
+    @pytest.mark.parametrize(
+        "sweep, selection, built",
+        [
+            ("kappa = 0.01 0.1 1", "", ["keys", "keys", "N_nn"]),
+            ("kappa = 0.01 0.1 1", "12 7", ["keys", "keys"]),  # N_nn needs one atom
+            ("spacing = 500 1000 2000", "", ["keys", "keys", "N_nn"] * 3),
+        ],
+    )
+    def test_curves_on_one_geometry_build_it_once(
+        self, tmp_path, monkeypatch, sweep, selection, built
+    ):
+        # both key tables and N_nn once per geometry: once for a kappa
+        # sweep, with or without a selection, and per curve for a spacing sweep
+        calls, key_table, neighbors = [], metric._key_table, dmtsim.cli.effective_neighbors
+        monkeypatch.setattr(metric, "_key_table", lambda *a: calls.append("keys") or key_table(*a))
+        monkeypatch.setattr(
+            dmtsim.cli, "effective_neighbors", lambda *a: calls.append("N_nn") or neighbors(*a)
+        )
+        parameter, values = sweep.split(" = ")
+        text = SMOKE + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+        text += f"\n[selection]\nindices = {selection}\n" if selection else ""
+        assert run(write_scenario(tmp_path, text), out_dir=str(tmp_path / "out")) == 0
+        assert calls == built
 
     def test_finite_temperature_header(self, tmp_path):
         text = SMOKE.replace("kappa = 0.1", "kappa = 0.1\ninv_temperature = 2.0")

@@ -516,6 +516,58 @@ class TestCurveEngine:
         np.testing.assert_array_equal(_bits(got[3].indirect_part), _bits(want[3].indirect_part))
         assert (got[3].time, got[3].validity_flag) == (want[3].time, want[3].validity_flag)
 
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("policy", list(KernelPolicy))
+    @pytest.mark.parametrize("scene", ["lattice", "gas", "all selected"])
+    def test_shared_pair_tables_leave_every_bit(self, scene, policy):
+        # The CLI builds a geometry's _pair_tables once and hands them to
+        # every curve on it, as to a kappa sweep's: each curve, cold or warm,
+        # must keep the bits of _assemble building its own tables
+        if scene == "all selected":  # no unobserved atom: no phi columns
+            config, _ = chain_1d(4, 10.0, 0.3)
+            mask, times = SelectionMask.from_selected(4, range(4)), np.geomspace(1e-2, 1e5, 50)
+        else:
+            config, mask, times = block_scene(scene)
+        tables = metric._pair_tables(config, mask)
+        baths = [BathParams(ALPHA, kappa) for kappa in (0.01, 0.3, 1.0)]
+        if scene != "gas":  # one quadrature per time over 379 f keys is slow
+            baths.append(BathParams(ALPHA, 0.3, inv_temperature=2.0))
+        for b in baths:
+            grid = times if b.inv_temperature is None else times[:30]
+            want = _assemble(config, mask, b, grid, policy)
+            got = _assemble(config, mask, b, grid, policy, tables)
+            for column in range(3):
+                np.testing.assert_array_equal(_bits(got[column]), _bits(want[column]))
+            for part in ("direct_part", "indirect_part"):
+                np.testing.assert_array_equal(
+                    _bits(getattr(got[3], part)), _bits(getattr(want[3], part))
+                )
+            assert (got[3].time, got[3].validity_flag) == (want[3].time, want[3].validity_flag)
+
+    def test_pair_tables_are_built_after_the_input_checks(self, monkeypatch):
+        # bad times and policies raise before any key table; f's selected x
+        # selected table is built only for a positive time, and given
+        # tables none at all
+        tables, real = [], metric._key_table
+
+        def counted(config, rows, cols):
+            tables.append((rows.size, cols.size))
+            return real(config, rows, cols)
+
+        monkeypatch.setattr(metric, "_key_table", counted)
+        config, _ = chain_1d(5, 10.0, 0.3)
+        mask = SelectionMask.from_selected(5, [0, 1, 3])
+        for times, policy in (([1.0, -1.0], KernelPolicy.CLOSED_FORM), ([1.0], "closed")):
+            with pytest.raises(MetricError):
+                _assemble(config, mask, bath(), times, policy)
+        assert tables == []
+        _assemble(config, mask, bath(), [0.0, 0.0])
+        assert tables == [(3, 2)]
+        shared = metric._pair_tables(config, mask)
+        assert tables == [(3, 2), (3, 2), (3, 3)]
+        _assemble(config, mask, bath(), [0.0, 1.0], tables=shared)
+        assert len(tables) == 3
+
     @pytest.mark.parametrize("beta", [None, 2.0])
     @pytest.mark.parametrize("seed", range(4))
     def test_valid_flag_is_the_largest_entry_below_threshold(self, seed, beta):
@@ -945,14 +997,18 @@ class TestCheckPath:
                     assert got.shape == shape[:-1]
                     np.testing.assert_allclose(got, _einsum_forms(matrix, x), rtol=1e-14, atol=0)
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("seed", [0, 1, 20240812, 2**127 + 3])
-    def test_int32_codeword_draw_equals_the_int64_draw(self, seed):
-        # a numpy change to Generator.integers would move every triangle report
-        for shape in ((3, 1, 1), (3, 1000, 40), (3, 7, 81), (3, 0, 5)):
+    def test_raw_codeword_bits_equal_the_integers_draw(self, seed):
+        # a numpy change to Generator.integers or to Philox's word layout
+        # would move every triangle report; odd counts leave half a word
+        for shape in ((3, 1, 1), (3, 1000, 40), (3, 7, 81), (3, 333, 13), (3, 0, 5)):
             wide = np.random.Generator(np.random.Philox(key=seed)).integers(0, 2, size=shape)
             rng = np.random.Generator(np.random.Philox(key=seed))
             narrow = rng.integers(0, 2, size=shape, dtype=np.int32)
-            assert narrow.dtype == np.int32 and np.array_equal(narrow, wide)
+            bits = metric._random_bits(np.random.Generator(np.random.Philox(key=seed)), shape)
+            assert bits.dtype == np.int32 and bits.shape == shape
+            assert np.array_equal(bits, narrow) and np.array_equal(bits, wide)
 
     def test_codeword_reports_match_the_einsum_path(self):
         M = _codeword_tensor()
