@@ -3,8 +3,10 @@
 Runs a fixed list of curves through `dmtsim.metric._assemble` in a child
 process with SRC on PYTHONPATH, and prints one line per curve: how many
 times the engine called the f and the phi kernel, the peak memory
-tracemalloc traced over one engine run, and the best of REPEATS untraced
-engine runs. The curves are the paper figure's three (a 31x31 lattice,
+tracemalloc traced over one engine run, the best of REPEATS untraced
+engine runs, and the minor page faults of this process per untraced run
+(getrusage's ru_minflt, averaged over the REPEATS runs): heap that the
+allocator returned to the system and the engine touches again. The curves are the paper figure's three (a 31x31 lattice,
 spacing 1000, its centre atom selected, 225 times), 40, 80 and 120 selected
 atoms of 9x9 and 11x11 lattices, and one selected atom among 3,000 gas
 atoms under each kernel policy. Run it on two trees to compare them:
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -63,8 +66,8 @@ def profile_here() -> None:
     """Profile every scene with dmtsim from this process's PYTHONPATH."""
     from dmtsim import metric
 
-    head = ("curve", "policy", "f calls", "phi calls", "peak MB", "best ms")
-    print("{:<22} {:<10} {:>7} {:>9} {:>8} {:>8}".format(*head))
+    head = ("curve", "policy", "f calls", "phi calls", "peak MB", "best ms", "faults")
+    print("{:<22} {:<10} {:>7} {:>9} {:>8} {:>8} {:>7}".format(*head))
     real = {"_f": metric._f, "_phi": metric._phi}
     for name, config, mask, bath, times, policy in scenes():
         calls = dict.fromkeys(real, 0)
@@ -86,14 +89,15 @@ def profile_here() -> None:
             tracemalloc.stop()
             for kernel, function in real.items():
                 setattr(metric, kernel, function)
-        best = math.inf
+        best, faults = math.inf, resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(REPEATS):
             start = time.perf_counter()
             metric._assemble(config, mask, bath, times, policy)
             best = min(best, time.perf_counter() - start)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         print(
             f"{name:<22} {policy.value:<10} {calls['_f']:>7} {calls['_phi']:>9} "
-            f"{peak / 1e6:>8.2f} {best * 1e3:>8.2f}"
+            f"{peak / 1e6:>8.2f} {best * 1e3:>8.2f} {faults / REPEATS:>7.0f}"
         )
 
 
