@@ -6,10 +6,11 @@ times the engine called the f and the phi kernel, the peak memory
 tracemalloc traced over one engine run, the best of REPEATS untraced
 engine runs, and the minor page faults of this process per untraced run
 (getrusage's ru_minflt, averaged over the REPEATS runs): heap that the
-allocator returned to the system and the engine touches again. The curves are the paper figure's three (a 31x31 lattice,
-spacing 1000, its centre atom selected, 225 times), 40, 80 and 120 selected
-atoms of 9x9 and 11x11 lattices, and one selected atom among 3,000 gas
-atoms under each kernel policy. Run it on two trees to compare them:
+allocator returned to the system and the engine touches again. The curves
+are the paper figure's three (a 31x31 lattice, spacing 1000, its centre
+atom selected, 225 times), 40, 80 and 120 selected atoms of 9x9 and 11x11
+lattices, and one selected atom among 3,000 gas atoms under each kernel
+policy. Run it on two trees to compare them:
 
     python scripts/engine_profile.py /path/to/old/checkout/src
     python scripts/engine_profile.py src
